@@ -19,7 +19,7 @@ import (
 // fleet's bursty baseline channel, scheduled as 2 shard-groups × 8
 // patient slots. The slots are the fleet's own goroutines and block on
 // the shared decode engine, so 16 of them keep CS batches forming
-// (2.3 windows per dispatch in the traced run).
+// (~2.5 windows per dispatch in the traced runs).
 const (
 	cohortPatients = 16
 	cohortGroups   = 2
@@ -31,7 +31,9 @@ const (
 	// gets its own sensing matrix so the process-wide decoder cache
 	// never hits.
 	setupSeedBase = 1000
-	setupRepeats  = 31
+	setupRepeats  = 101
+	// setupSlice is the calibration slice on each side of a construction.
+	setupSlice = 5 * time.Millisecond
 	// verifyPatients is the seeded sample replayed with VerifyPatient.
 	verifyPatients = 2
 )
@@ -173,11 +175,18 @@ func newFleetTelemetry() *telemetry.Set {
 
 // timing accumulates measured slices: each slice's rate of simulated
 // (or carried) ECG seconds per raw and per reference-host wall second,
-// and the per-unit latencies, raw and normalised with the slice's
-// calibration factor.
+// the per-unit latencies and each slice's mean latency, raw and
+// normalised with the slice's calibration factor.
 type timing struct {
 	rawRates, normRates []float64
 	latRaw, latNorm     []float64
+	// The median latency is taken over slice means. The calibrator
+	// averages over every P, so it tracks a slice's mean, not each unit:
+	// on the reference host the two vCPUs change speed independently,
+	// and a unit's latency depends on the one it ran on. In a probe
+	// beside a CPU hog, the median of slice means moved 0.8% and the
+	// median of units 2.4%.
+	sliceLatRaw, sliceLatNorm []float64
 }
 
 func (t *timing) add(wall time.Duration, factor, sim float64, latsMs []float64) {
@@ -185,10 +194,17 @@ func (t *timing) add(wall time.Duration, factor, sim float64, latsMs []float64) 
 		t.rawRates = append(t.rawRates, sim/wall.Seconds())
 		t.normRates = append(t.normRates, sim/(wall.Seconds()*factor))
 	}
+	if len(latsMs) == 0 {
+		return
+	}
+	mean := 0.0
 	for _, l := range latsMs {
 		t.latRaw = append(t.latRaw, l)
 		t.latNorm = append(t.latNorm, l*factor)
+		mean += l / float64(len(latsMs))
 	}
+	t.sliceLatRaw = append(t.sliceLatRaw, mean)
+	t.sliceLatNorm = append(t.sliceLatNorm, mean*factor)
 }
 
 // rtf is the median over slices of each slice's real-time factor: the
@@ -202,38 +218,43 @@ func (t *timing) endToEnd(m map[string]float64, setupRaw, setupNorm float64) map
 	rawRTF, normRTF := t.rtf()
 	m["setup_s"] = setupNorm
 	m["rtf"] = normRTF
-	m["latency_p50_ms"] = percentile(t.latNorm, 0.5)
+	m["latency_p50_ms"] = median(t.sliceLatNorm)
 	m["latency_p90_ms"] = percentile(t.latNorm, 0.9)
 	return map[string]float64{
 		"setup_s":        setupRaw,
 		"rtf":            rawRTF,
-		"latency_p50_ms": percentile(t.latRaw, 0.5),
+		"latency_p50_ms": median(t.sliceLatRaw),
 		"latency_p90_ms": percentile(t.latRaw, 0.9),
 	}
 }
 
 // measureSetup times repeated fresh constructions, each with its own
-// sensing-matrix seed and preceded by a calibration slice, and returns
-// the median raw time and that median normalised by the median of the
-// calibration rates (one construction is ~1 ms: too short to pair with
-// a slice of its own without importing the slices' noise).
-func measureSetup(cal *calibrator, construct func(i int) (time.Duration, error)) (raw, norm float64, err error) {
-	var raws []float64
+// sensing-matrix seed, and returns the median raw time and the median
+// of the normalised times. Setup is single-threaded, so one kernel
+// calibrates it, in a short slice right before and right after each
+// construction: construction times swing 2× within a process on the
+// reference host, and only pairing this tight tracks the swings (in
+// probes, the spread of the normalised median over ten processes fell
+// from 9% with one run-wide rate to 2–3%).
+func measureSetup(construct func(i int) (time.Duration, error)) (raw, norm float64, err error) {
+	cal := newCalibrator(setupSlice, 1)
+	var raws, norms []float64
 	for i := 0; i < setupRepeats; i++ {
-		cal.measure()
 		runtime.GC()
+		before := cal.measure()
 		d, err := construct(i)
 		if err != nil {
 			return 0, 0, err
 		}
+		after := cal.measure()
 		raws = append(raws, d.Seconds())
+		norms = append(norms, d.Seconds()*(before+after)/2/refCalibRate)
 	}
-	raw = median(raws)
-	return raw, raw * median(cal.rates) / refCalibRate, nil
+	return median(raws), median(norms), nil
 }
 
 func (w fleetWorkload) measureSetup(coh *cohort) (raw, norm float64, err error) {
-	return measureSetup(newCalibrator(30*time.Millisecond, 1), func(i int) (time.Duration, error) {
+	return measureSetup(func(i int) (time.Duration, error) {
 		node := w.node
 		node.Seed = setupSeedBase + int64(i)
 		cfg := w.config(coh, node, nil)
@@ -374,17 +395,13 @@ func states(cl *fleet.Cluster) []fleet.PatientState {
 	return s
 }
 
-// run is the untraced end-to-end measurement: setup, then epochs of the
-// fixed work in calibrated slices until the time budget is spent, then
-// the correctness gates and the deterministic metrics of epoch 0.
+// run is the untraced end-to-end measurement: epochs of the fixed work
+// in calibrated slices until the time budget is spent, the correctness
+// gates and the deterministic metrics of epoch 0, then setup.
 func (w fleetWorkload) run(p params) (*outcome, error) {
 	coh := newCohort(p.seed)
-	setupRaw, setupNorm, err := w.measureSetup(coh)
-	if err != nil {
-		return nil, err
-	}
 	if p.trace {
-		return w.traced(p, coh, setupRaw, setupNorm)
+		return w.traced(p, coh)
 	}
 	out := &outcome{metrics: map[string]float64{}}
 	cal := newCalibrator(60*time.Millisecond, runtime.GOMAXPROCS(0))
@@ -439,6 +456,12 @@ func (w fleetWorkload) run(p params) (*outcome, error) {
 	ms := liveHeap()
 	out.metrics["heap_live_mb"] = float64(ms.HeapAlloc) / 1e6
 	last.cl.Close()
+	// Setup is timed last: its throwaway constructions fill the
+	// process-wide decoder cache, which must not count in the live heap.
+	setupRaw, setupNorm, err := w.measureSetup(coh)
+	if err != nil {
+		return nil, err
+	}
 	raw := t.endToEnd(out.metrics, setupRaw, setupNorm)
 	printRaw(raw, cal, fmt.Sprintf("%d rounds of %d patients × %.0f s", len(t.latRaw), cohortPatients, w.sessionS))
 	return out, nil

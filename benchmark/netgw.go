@@ -167,11 +167,14 @@ func prdPercent(orig, recon [][]float64) float64 {
 	return 100 * math.Sqrt(num/den)
 }
 
-// netPhase is one measured phase against one server: batches of
+// netPhase is the measured work against one server: batches of
 // netPerBatch records per sender, each batch followed by a calibration
-// slice, until the budget is spent. With a telemetry set the server
-// traces every window and the phase builds the ledger from it.
+// slice. With a telemetry set the server traces every window and the
+// phase builds the ledger from it.
 type netPhase struct {
+	srv    *netgw.Server
+	tr     *netTraffic
+	set    *telemetry.Set
 	t      timing
 	led    ledger
 	frames int
@@ -179,83 +182,72 @@ type netPhase struct {
 	selfMs []float64
 }
 
-func runNetPhase(srv *netgw.Server, tr *netTraffic, set *telemetry.Set, pc *paced, budget float64, seed int64, ids *atomic.Uint64, out *outcome) (*netPhase, error) {
-	ph := &netPhase{}
-	start := pc.spent
-	for pc.spent-start < budget {
-		leds := make([]ledger, netSenders)
-		selfs := make([][]float64, netSenders)
-		lats := make([][]float64, netSenders)
-		oks := make([]int, netSenders)
-		frames := make([]int, netSenders)
-		var failed atomic.Int64
-		wall, f, err := pc.slice(func() error {
-			var wg sync.WaitGroup
-			for s := 0; s < netSenders; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					led := &leds[s]
-					t0 := time.Now()
-					for k := 0; k < netPerBatch; k++ {
-						n := ids.Add(1)
-						r := int(n % netRecords)
-						id := uint64(seed)<<32 + n
-						ts := time.Now()
-						sr, err := netgw.SendRecord(netgw.ClientConfig{Addr: srv.Addr(), StreamID: id, JitterSeed: seed + int64(n)}, tr.frames[r])
-						rtt := time.Since(ts)
-						if err != nil || sr.Report.Digest != tr.digests[r] || sr.Report.Filled != 0 || sr.Report.Samples != tr.samples[r] {
-							failed.Add(1)
-							fmt.Printf("FAIL: stream %d record %d: err %v, report %s, want digest %016x\n", id, r, err, sr.Report, tr.digests[r])
-						} else {
-							oks[s]++
-							lats[s] = append(lats[s], float64(rtt)/1e6)
-						}
-						frames[s] += sr.FramesSent
-						children, decode := int64(0), int64(0)
-						if set != nil {
-							ring := set.Trace.Session(id)
-							for seq := uint32(1); seq <= uint32(len(tr.frames[r])); seq++ {
-								w, ok := ring.Window(trace.NewID(uint32(r)+1, seq))
-								if !ok {
-									continue
-								}
-								led.ns[layerQueue] += w.Spans[trace.KindQueueWait].DurNs
-								led.ns[layerDecode] += w.Spans[trace.KindDecode].DurNs
-								led.ns[layerGateway] += w.Spans[trace.KindDeliver].DurNs
-								children += w.Spans[trace.KindQueueWait].DurNs + w.Spans[trace.KindDecode].DurNs + w.Spans[trace.KindDeliver].DurNs
-								decode += w.Spans[trace.KindDecode].DurNs
-								if w.Has(trace.KindQueueWait) {
-									led.queueWaitMs = append(led.queueWaitMs, float64(w.Spans[trace.KindQueueWait].DurNs)/1e6)
-								}
-							}
-							led.ns[layerNetGW] += int64(rtt) - children
-							selfs[s] = append(selfs[s], float64(int64(rtt)-decode)/1e6)
-						}
-						srv.EvictSession(id)
-					}
-					led.wall += int64(time.Since(t0))
-				}(s)
-			}
-			wg.Wait()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		done := 0
+// batch runs one batch of records and the calibration slice after it.
+func (ph *netPhase) batch(pc *paced, seed int64, ids *atomic.Uint64, out *outcome) {
+	srv, tr := ph.srv, ph.tr
+	leds := make([]ledger, netSenders)
+	selfs := make([][]float64, netSenders)
+	lats := make([][]float64, netSenders)
+	oks := make([]int, netSenders)
+	frames := make([]int, netSenders)
+	var failed atomic.Int64
+	wall, f, _ := pc.slice(func() error {
+		var wg sync.WaitGroup
 		for s := 0; s < netSenders; s++ {
-			ph.led.merge(&leds[s])
-			ph.selfMs = append(ph.selfMs, selfs[s]...)
-			ph.t.add(wall, f, 0, lats[s])
-			ph.frames += frames[s]
-			done += oks[s]
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				led := &leds[s]
+				t0 := time.Now()
+				for k := 0; k < netPerBatch; k++ {
+					n := ids.Add(1)
+					r := int(n % netRecords)
+					id := uint64(seed)<<32 + n
+					ts := time.Now()
+					sr, err := netgw.SendRecord(netgw.ClientConfig{Addr: srv.Addr(), StreamID: id, JitterSeed: seed + int64(n)}, tr.frames[r])
+					rtt := time.Since(ts)
+					if err != nil || sr.Report.Digest != tr.digests[r] || sr.Report.Filled != 0 || sr.Report.Samples != tr.samples[r] {
+						failed.Add(1)
+						fmt.Printf("FAIL: stream %d record %d: err %v, report %s, want digest %016x\n", id, r, err, sr.Report, tr.digests[r])
+					} else {
+						oks[s]++
+						lats[s] = append(lats[s], float64(rtt)/1e6)
+					}
+					frames[s] += sr.FramesSent
+					if ph.set != nil {
+						// The round trip less its windows' server spans is
+						// netgw's own row.
+						ring := ph.set.Trace.Session(id)
+						led.ns[layerNetGW] += int64(rtt)
+						led.delivered += len(tr.frames[r])
+						decode := int64(0)
+						for seq := uint32(1); seq <= uint32(len(tr.frames[r])); seq++ {
+							if w, ok := led.takeWindow(ring, trace.NewID(uint32(r)+1, seq), layerNetGW); ok {
+								decode += w.Spans[trace.KindDecode].DurNs
+							}
+						}
+						selfs[s] = append(selfs[s], float64(int64(rtt)-decode)/1e6)
+					}
+					srv.EvictSession(id)
+				}
+				led.wall += int64(time.Since(t0))
+			}(s)
 		}
-		ph.t.add(wall, f, float64(done)*netRecordS, nil)
-		out.attempted += netSenders * netPerBatch
-		out.failed += int(failed.Load())
+		wg.Wait()
+		return nil
+	})
+	done := 0
+	var all []float64
+	for s := 0; s < netSenders; s++ {
+		ph.led.merge(&leds[s])
+		ph.selfMs = append(ph.selfMs, selfs[s]...)
+		all = append(all, lats[s]...)
+		ph.frames += frames[s]
+		done += oks[s]
 	}
-	return ph, nil
+	ph.t.add(wall, f, float64(done)*netRecordS, all)
+	out.attempted += netSenders * netPerBatch
+	out.failed += int(failed.Load())
 }
 
 func netServer(gcfg gateway.Config, set *telemetry.Set) (*netgw.Server, error) {
@@ -288,14 +280,67 @@ func warmPool(srv *netgw.Server, tr *netTraffic, seed int64, ids *atomic.Uint64)
 }
 
 // runNetGW measures netgw-cold2: setup, then record batches against a
-// fresh server; the traced run repeats the phase against a server with
-// full telemetry and window tracing.
+// fresh server; the traced run alternates them with batches against a
+// server with full telemetry and window tracing.
 func runNetGW(p params) (*outcome, error) {
 	ncfg, gcfg, err := netgw.GatewayConfigFor(firmwareSeed, 60, 0, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	setupRaw, setupNorm, err := measureSetup(newCalibrator(30*time.Millisecond, 1), func(i int) (time.Duration, error) {
+	tr, err := buildNetTraffic(p.seed, ncfg, gcfg, false)
+	if err != nil {
+		return nil, err
+	}
+	out := &outcome{metrics: map[string]float64{}}
+	cal := newCalibrator(200*time.Millisecond, runtime.GOMAXPROCS(0))
+	pc := newPaced(cal)
+	var ids atomic.Uint64
+	plain := &netPhase{tr: tr}
+	if plain.srv, err = netServer(gcfg, nil); err != nil {
+		return nil, err
+	}
+	phases := []*netPhase{plain}
+	var traced *netPhase
+	if p.trace {
+		// The traced server gets v2 frames carrying trace IDs and full
+		// telemetry. Its batches alternate with the untraced server's,
+		// so host drift during the run falls on both alike.
+		traced = &netPhase{set: telemetry.NewSet(telemetry.NewRegistry())}
+		traced.tr, err = buildNetTraffic(p.seed, ncfg, gcfg, true)
+		if err == nil {
+			traced.srv, err = netServer(gcfg, traced.set)
+		}
+		if err != nil {
+			plain.srv.Close()
+			return nil, err
+		}
+		phases = append(phases, traced)
+	}
+	for _, ph := range phases {
+		if err == nil {
+			err = warmPool(ph.srv, ph.tr, p.seed, &ids)
+		}
+	}
+	for err == nil && pc.spent < p.seconds {
+		for _, ph := range phases {
+			ph.batch(pc, p.seed, &ids, out)
+		}
+	}
+	var ms runtime.MemStats
+	if err == nil {
+		ms = liveHeap()
+	}
+	for _, ph := range phases {
+		if cerr := ph.srv.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Setup is timed last: its throwaway constructions fill the
+	// process-wide decoder cache, which must not count in the live heap.
+	setupRaw, setupNorm, err := measureSetup(func(i int) (time.Duration, error) {
 		_, g, err := netgw.GatewayConfigFor(setupSeedBase+int64(i), 60, 0, 0, false)
 		if err != nil {
 			return 0, err
@@ -308,37 +353,6 @@ func runNetGW(p params) (*outcome, error) {
 		}
 		return d, srv.Close()
 	})
-	if err != nil {
-		return nil, err
-	}
-	tr, err := buildNetTraffic(p.seed, ncfg, gcfg, false)
-	if err != nil {
-		return nil, err
-	}
-	out := &outcome{metrics: map[string]float64{}}
-	cal := newCalibrator(200*time.Millisecond, runtime.GOMAXPROCS(0))
-	pc := newPaced(cal)
-	var ids atomic.Uint64
-	budget := p.seconds
-	if p.trace {
-		budget /= 2
-	}
-	srv, err := netServer(gcfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	err = warmPool(srv, tr, p.seed, &ids)
-	var plain *netPhase
-	if err == nil {
-		plain, err = runNetPhase(srv, tr, nil, pc, budget, p.seed, &ids, out)
-	}
-	var ms runtime.MemStats
-	if err == nil {
-		ms = liveHeap()
-	}
-	if cerr := srv.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -358,27 +372,6 @@ func runNetGW(p params) (*outcome, error) {
 		return out, nil
 	}
 
-	// Traced phase: v2 frames carrying trace IDs, full telemetry.
-	ttr, err := buildNetTraffic(p.seed, ncfg, gcfg, true)
-	if err != nil {
-		return nil, err
-	}
-	set := telemetry.NewSet(telemetry.NewRegistry())
-	tsrv, err := netServer(gcfg, set)
-	if err != nil {
-		return nil, err
-	}
-	err = warmPool(tsrv, ttr, p.seed, &ids)
-	var traced *netPhase
-	if err == nil {
-		traced, err = runNetPhase(tsrv, ttr, set, pc, budget, p.seed, &ids, out)
-	}
-	if cerr := tsrv.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
 	m["bench.ledger_closure_pct"] = traced.led.close(out)
 	_, rtfPlain := plain.t.rtf()
 	_, rtfTraced := traced.t.rtf()
@@ -390,10 +383,10 @@ func runNetGW(p params) (*outcome, error) {
 	m["bench.calib_rate"] = median(cal.rates)
 	records := float64(len(traced.t.latRaw))
 	sim := float64(netRecords) * netRecordS
-	m["ecg.ns_per_sim_s"] = float64(ttr.node.ns[layerECG]) / sim
-	m["core.ns_per_sim_s"] = float64(ttr.node.ns[layerCore]) / sim
-	m["core.tx_bytes_per_window"] = ratio(float64(ttr.node.txBytes), float64(ttr.node.packets))
-	gatewayMetrics(m, set, traced.led.queueWaitMs, float64(set.Gateway.Decoded.Value()))
+	m["ecg.ns_per_sim_s"] = float64(traced.tr.node.ns[layerECG]) / sim
+	m["core.ns_per_sim_s"] = float64(traced.tr.node.ns[layerCore]) / sim
+	m["core.tx_bytes_per_window"] = ratio(float64(traced.tr.node.txBytes), float64(traced.tr.node.packets))
+	gatewayMetrics(m, traced.set, traced.led.queueWaitMs, float64(traced.set.Gateway.Decoded.Value()))
 	m["netgw.ms_per_record"] = median(traced.selfMs)
 	m["netgw.frames_per_record"] = ratio(float64(traced.frames), records)
 	// The TCP transport replaces the radio hop, and the server neither

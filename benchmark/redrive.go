@@ -22,7 +22,8 @@ import (
 // re-drives the same sessions — same seeds, scenarios, topology, engine
 // and warm-state tiering, through the same public layer calls — with a
 // span around each call, and proves it did the same work by matching
-// every patient's cold-tier counters against the untraced cluster.
+// every patient's cold-tier counters against the untraced cluster. An
+// untraced pass of the same re-drive is the trace-overhead baseline.
 
 // counts are the PatientState fields the re-drive must reproduce.
 type counts struct {
@@ -87,6 +88,7 @@ type rdRig struct {
 type redrive struct {
 	cfg    fleet.ClusterConfig // effective configuration of the untraced cluster
 	coh    *cohort
+	traced bool
 	node   *core.Node
 	eng    *gateway.Engine
 	tel    *telemetry.Set
@@ -101,7 +103,9 @@ type redrive struct {
 	sim         float64
 }
 
-func newRedrive(cfg fleet.ClusterConfig, coh *cohort) (*redrive, error) {
+// newRedrive prepares a re-drive of the cluster configured as cfg.
+// Untraced, it records no spans and gives the program no trace rings.
+func newRedrive(cfg fleet.ClusterConfig, coh *cohort, traced bool) (*redrive, error) {
 	c := cfg.Fleet
 	node, err := core.NewNode(c.Node)
 	if err != nil {
@@ -109,9 +113,12 @@ func newRedrive(cfg fleet.ClusterConfig, coh *cohort) (*redrive, error) {
 	}
 	reg := telemetry.NewRegistry()
 	gw := telemetry.NewGatewayMetrics(reg, nil)
-	d := &redrive{cfg: cfg, coh: coh, node: node, counts: make([]counts, c.Patients),
+	d := &redrive{cfg: cfg, coh: coh, traced: traced, node: node, counts: make([]counts, c.Patients),
 		tel: &telemetry.Set{Registry: reg, Gateway: gw, Solver: gw.Solver}}
-	col := trace.New(64, 1, 1)
+	var col *trace.Collector
+	if traced {
+		col = trace.New(64, 1, 1)
+	}
 	nc := node.Config()
 	var gcfg gateway.Config
 	if nc.Mode == core.ModeCS {
@@ -139,7 +146,10 @@ func newRedrive(cfg fleet.ClusterConfig, coh *cohort) (*redrive, error) {
 			d.close()
 			return nil, err
 		}
-		r := &rdRig{stream: st, ring: col.Session(uint64(i))}
+		r := &rdRig{stream: st}
+		if col != nil {
+			r.ring = col.Session(uint64(i))
+		}
 		if d.eng != nil {
 			r.rx, err = gateway.NewReceiver(gcfg)
 			if err == nil {
@@ -161,6 +171,30 @@ func (d *redrive) close() {
 	if d.eng != nil {
 		d.eng.Close()
 	}
+}
+
+// now starts a span: the zero time on an untraced pass, which the
+// ledger ignores.
+func (d *redrive) now() time.Time {
+	if !d.traced {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// linkCall runs a call into the link and, when traced, splits its time
+// into the link's self time and its sink's (the receiver's).
+func (d *redrive) linkCall(r *rdRig, call func() error) error {
+	if !d.traced {
+		return call()
+	}
+	sink0 := r.sink.ns
+	t0 := time.Now()
+	err := call()
+	in := r.sink.ns - sink0
+	r.led.ns[layerLink] += int64(time.Since(t0)) - in
+	r.led.ns[layerGateway] += in
+	return err
 }
 
 // round re-drives one scheduling round with the cluster's concurrency:
@@ -214,26 +248,26 @@ func (d *redrive) session(r *rdRig, p, round int) error {
 	if sc.Rhythm != nil {
 		ecfg.Rhythm = *sc.Rhythm
 	}
-	t0 := time.Now()
+	t0 := d.now()
 	rec := ecg.Generate(ecfg)
 	led.span(layerECG, t0)
 
 	// Trace IDs are unique per (round, patient), so a ring slot never
 	// mixes two sessions' windows.
 	hi := uint32(round*c.Patients + p + 1)
-	t0 = time.Now()
+	t0 = d.now()
 	r.stream.Reset()
 	r.stream.SetTrace(r.ring, hi)
 	led.span(layerCore, t0)
 	var lk *link.Link
 	if r.rx != nil {
-		t0 = time.Now()
+		t0 = d.now()
 		r.rx.Reset()
 		if d.warm != nil && d.warmValid[p] {
 			r.rx.WarmState().RestoreFrom(d.warm[p*d.stride:(p+1)*d.stride], d.leads, d.winN)
 		}
 		led.span(layerGateway, t0)
-		t0 = time.Now()
+		t0 = d.now()
 		chCfg := c.Channel
 		if sc.Channel != nil {
 			chCfg = *sc.Channel
@@ -251,7 +285,11 @@ func (d *redrive) session(r *rdRig, p, round int) error {
 			arq = *sc.ARQ
 		}
 		arq.Seed = seed
-		if lk, err = link.NewLink(arq, ch, &r.sink); err != nil {
+		var sink link.Sink = r.rx
+		if d.traced {
+			sink = &r.sink
+		}
+		if lk, err = link.NewLink(arq, ch, sink); err != nil {
 			return err
 		}
 		lk.SetTrace(r.ring)
@@ -271,12 +309,10 @@ func (d *redrive) session(r *rdRig, p, round int) error {
 					if ev.Trace != 0 {
 						minted = ev.Trace.Seq()
 					}
-					sink0 := r.sink.ns
-					t0 := time.Now()
-					_, err := lk.SendTraced(ev.At, ev.Trace, ev.Measurements)
-					in := r.sink.ns - sink0
-					led.ns[layerLink] += int64(time.Since(t0)) - in
-					led.ns[layerGateway] += in
+					err := d.linkCall(r, func() error {
+						_, err := lk.SendTraced(ev.At, ev.Trace, ev.Measurements)
+						return err
+					})
 					if err != nil {
 						return err
 					}
@@ -297,7 +333,7 @@ func (d *redrive) session(r *rdRig, p, round int) error {
 		for li := range rec.Leads {
 			r.block[li] = rec.Leads[li][at:end]
 		}
-		t0 = time.Now()
+		t0 = d.now()
 		evs, err := r.stream.PushBlock(r.block)
 		led.span(layerCore, t0)
 		if err != nil {
@@ -307,7 +343,7 @@ func (d *redrive) session(r *rdRig, p, round int) error {
 			return err
 		}
 	}
-	t0 = time.Now()
+	t0 = d.now()
 	evs, err := r.stream.Flush()
 	led.span(layerCore, t0)
 	if err != nil {
@@ -320,13 +356,7 @@ func (d *redrive) session(r *rdRig, p, round int) error {
 	recovered := nodeBeats
 	var cnt counts
 	if lk != nil {
-		sink0 := r.sink.ns
-		t0 = time.Now()
-		err := lk.Close()
-		in := r.sink.ns - sink0
-		led.ns[layerLink] += int64(time.Since(t0)) - in
-		led.ns[layerGateway] += in
-		if err != nil {
+		if err := d.linkCall(r, lk.Close); err != nil {
 			return err
 		}
 		rep := lk.Report()
@@ -335,40 +365,29 @@ func (d *redrive) session(r *rdRig, p, round int) error {
 		led.windows += rep.Packets
 		led.lost += rep.Lost
 		led.attempts += rep.Attempts
-		t0 = time.Now()
+		t0 = d.now()
 		recovered, err = r.rx.Delineate()
 		led.span(layerDelineate, t0)
 		if err != nil {
 			return err
 		}
 		if d.warm != nil {
-			t0 = time.Now()
+			t0 = d.now()
 			d.warmValid[p] = r.rx.WarmState().SnapshotInto(d.warm[p*d.stride:(p+1)*d.stride], d.leads, d.winN)
 			led.span(layerGateway, t0)
 		}
-		// Split the sink's time: the engine recorded each window's queue
-		// wait and decode under its trace ID; the rest is receiver self.
-		for seq := uint32(1); seq <= minted; seq++ {
-			w, ok := r.ring.Window(trace.NewID(hi, seq))
-			if !ok {
-				continue
-			}
-			for _, k := range []struct {
-				kind trace.Kind
-				l    layer
-			}{{trace.KindQueueWait, layerQueue}, {trace.KindDecode, layerDecode}} {
-				if w.Has(k.kind) {
-					led.ns[k.l] += w.Spans[k.kind].DurNs
-					led.ns[layerGateway] -= w.Spans[k.kind].DurNs
-				}
-			}
-			if w.Has(trace.KindQueueWait) {
-				led.queueWaitMs = append(led.queueWaitMs, float64(w.Spans[trace.KindQueueWait].DurNs)/1e6)
+		if d.traced {
+			// Split the sink's time: the program recorded each delivered
+			// window's queue wait, decode and deliver under its trace ID;
+			// lost windows have none of them.
+			led.delivered += rep.Delivered
+			for seq := uint32(1); seq <= minted; seq++ {
+				led.takeWindow(r.ring, trace.NewID(hi, seq), layerGateway)
 			}
 		}
 	}
 	if len(rec.Beats) > 0 {
-		t0 = time.Now()
+		t0 = d.now()
 		ev := delineation.Evaluate(rec, recovered, delineation.DefaultTolerances())
 		led.span(layerEval, t0)
 		cnt.TP, cnt.FP, cnt.FN = uint32(ev.R.TP), uint32(ev.R.FP), uint32(ev.R.FN)
@@ -387,10 +406,11 @@ func (d *redrive) session(r *rdRig, p, round int) error {
 	return nil
 }
 
-// traced is the per-layer run: one untraced epoch (the reference for
-// the counters and the trace-overhead baseline), then the traced
-// re-drive of the same rounds, both in calibrated slices.
-func (w fleetWorkload) traced(p params, coh *cohort, setupRaw, setupNorm float64) (*outcome, error) {
+// traced is the per-layer run: one untraced cluster epoch (the
+// reference for the counters), then the re-drive of the same rounds
+// untraced (the trace-overhead baseline) and traced, all in calibrated
+// slices.
+func (w fleetWorkload) traced(p params, coh *cohort) (*outcome, error) {
 	out := &outcome{metrics: map[string]float64{}}
 	cal := newCalibrator(60*time.Millisecond, runtime.GOMAXPROCS(0))
 	pc := newPaced(cal)
@@ -403,34 +423,35 @@ func (w fleetWorkload) traced(p params, coh *cohort, setupRaw, setupNorm float64
 	out.attempted += ep.rounds * cohortPatients
 	mem := ep.cl.Mem()
 
-	d, err := newRedrive(ep.cl.Config(), coh)
+	// The two re-drives alternate slice by slice, so host drift during
+	// the run falls on both alike.
+	bareD, err := newRedrive(ep.cl.Config(), coh, false)
+	if err != nil {
+		return nil, err
+	}
+	defer bareD.close()
+	d, err := newRedrive(ep.cl.Config(), coh, true)
 	if err != nil {
 		return nil, err
 	}
 	defer d.close()
-	var traced timing
+	var bare, traced timing
 	for r := 0; r < w.epochRounds; r += w.sliceRounds {
 		n := min(w.sliceRounds, w.epochRounds-r)
-		wall, f, err := pc.slice(func() error {
-			for i := r; i < r+n; i++ {
-				if err := d.round(i); err != nil {
-					return err
-				}
+		for _, x := range []struct {
+			d *redrive
+			t *timing
+		}{{bareD, &bare}, {d, &traced}} {
+			wall, f, err := pc.slice(func() error { return x.d.rounds(r, n) })
+			if err != nil {
+				return nil, err
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		traced.add(wall, f, float64(n*cohortPatients)*w.sessionS, nil)
-	}
-	out.attempted += w.epochRounds * cohortPatients
-	for pt := 0; pt < cohortPatients; pt++ {
-		if got, want := d.counts[pt], countsOf(ep.cl.State(pt)); got != want {
-			out.fail("re-driven patient %d counters %+v, cluster has %+v", pt, got, want)
+			x.t.add(wall, f, float64(n*cohortPatients)*w.sessionS, nil)
 		}
 	}
-	fmt.Printf("re-drive: %d rounds × %d patients reproduced the cluster's per-patient counters: %v\n",
+	bareD.verify(ep.cl, out)
+	d.verify(ep.cl, out)
+	fmt.Printf("re-drive: %d rounds × %d patients, untraced and traced, reproduced the cluster's per-patient counters: %v\n",
 		w.epochRounds, cohortPatients, out.failed == 0)
 
 	var led ledger
@@ -439,10 +460,19 @@ func (w fleetWorkload) traced(p params, coh *cohort, setupRaw, setupNorm float64
 	}
 	m := out.metrics
 	m["bench.ledger_closure_pct"] = led.close(out)
-	_, rtfPlain := plain.rtf()
+	_, rtfCluster := plain.rtf()
+	_, rtfBare := bare.rtf()
 	_, rtfTraced := traced.rtf()
-	m["bench.trace_overhead_pct"] = 100 * (rtfPlain - rtfTraced) / rtfPlain
-	fmt.Printf("trace overhead: untraced rtf %.1f, traced rtf %.1f (normalised)\n", rtfPlain, rtfTraced)
+	m["bench.trace_overhead_pct"] = 100 * (rtfBare - rtfTraced) / rtfBare
+	fmt.Printf("trace overhead: untraced re-drive rtf %.1f, traced re-drive rtf %.1f (normalised)\n", rtfBare, rtfTraced)
+	// RunRound also digests every reconstructed sample and beat, scores
+	// PRD and batches the fleet rollups per session; the re-drive does
+	// none of that, so that work is outside the ledger.
+	fmt.Printf("fleet per-session work outside the ledger: cluster rtf %.1f against untraced re-drive rtf %.1f (normalised)\n", rtfCluster, rtfBare)
+	setupRaw, setupNorm, err := w.measureSetup(coh)
+	if err != nil {
+		return nil, err
+	}
 	raw := plain.endToEnd(map[string]float64{}, setupRaw, setupNorm)
 	for k, v := range raw {
 		m["bench.raw."+k] = v
@@ -464,6 +494,27 @@ func (w fleetWorkload) traced(p params, coh *cohort, setupRaw, setupNorm float64
 	m["fleet.planned_bytes_per_patient"] = float64(mem.PlannedBytesPerPatient)
 	m["fleet.observed_bytes_per_patient"] = mem.ObservedBytesPerPatient
 	return out, nil
+}
+
+// rounds re-drives n rounds from round from.
+func (d *redrive) rounds(from, n int) error {
+	for i := from; i < from+n; i++ {
+		if err := d.round(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verify fails every patient whose re-driven counters differ from the
+// cluster's after the same rounds.
+func (d *redrive) verify(cl *fleet.Cluster, out *outcome) {
+	out.attempted += cl.Config().Fleet.Patients
+	for pt := range d.counts {
+		if got, want := d.counts[pt], countsOf(cl.State(pt)); got != want {
+			out.fail("re-driven patient %d (traced %v) counters %+v, cluster has %+v", pt, d.traced, got, want)
+		}
+	}
 }
 
 // gatewayMetrics reads the decode-side per-layer metrics from the

@@ -63,7 +63,7 @@ def set_table(runs, bounds):
             raw_med, raw_sp = f"{rq[1]:.6g}", f"{rq[3]:.4f}"
         bound = bounds[metric]
         mark = ""
-        if metric != "setup_s" and sp > bound / 3:
+        if sp > bound / 3:
             mark, ok = " **over**", False
         rows.append(f"| {metric} | {mv['unit']} | {q1:.6g} | {q2:.6g} | {q3:.6g} | {sp:.4f}{mark} | "
                     f"{bound / 3:.4f} | {raw_med} | {raw_sp} |")
