@@ -919,7 +919,7 @@ func dedupeCounts(counts []int) []int {
 // streams whose windows arrive together, so one worker can fold K
 // queued windows into a single SoA solver pass. Eight warm streams
 // replay the same 8-second record window by window; batch=1 is the
-// sequential baseline (single-job batches route through the scalar
+// one-window-per-dispatch baseline (a K=1 pass of the same batched
 // solver, bit-identically), and records/s counts one record per stream
 // per iteration — directly comparable to BenchmarkThroughputEngine's
 // records/s at equal worker count.

@@ -1,22 +1,25 @@
 package cs
 
-// Batched structure-of-arrays FISTA. The engine dispatches K windows at
-// once; each window's coefficient vectors live as contiguous n-long
-// stripes ("planes") of shared backing slices, Φ derived state is read
-// once per batch, and every CSR walk / wavelet transform of an
-// iteration sweeps all still-active planes (internal/wavelet/batch.go,
-// matrix_batch.go). The per-window control flow — reweighting passes,
-// adaptive restart, Tol early exit, warm seeding, divergence fallback —
-// runs as an explicit per-plane state machine stepped in lockstep
-// global iterations, so a converged window simply drops out of the
-// active plane list without stalling the rest.
+// Batched structure-of-arrays FISTA — the package's only FISTA
+// implementation: Reconstruct* are one-item batches, and the gateway
+// engine dispatches K windows at once. Each window's coefficient
+// vectors live as contiguous n-long stripes ("planes") of shared
+// backing slices, Φ derived state is read once per batch, and every
+// CSR walk / wavelet transform of an iteration sweeps all still-active
+// planes (internal/wavelet/batch.go, matrix_batch.go). The per-window
+// control flow — reweighting passes, adaptive restart, Tol early exit,
+// warm seeding, divergence fallback — runs as an explicit per-plane
+// state machine stepped in lockstep global iterations, so a converged
+// window simply drops out of the active plane list without stalling
+// the rest.
 //
 // Bit-identity contract: per window the floating-point operation
-// sequence equals the sequential solver exactly — solving K windows
-// batched returns bit-identical signals and identical SolveStats to K
-// sequential Reconstruct*Warm calls, at every K (batch_test.go pins
-// this). That is what lets gateway.Engine form batches opportunistically
-// without changing any output.
+// sequence does not depend on K or on the batchmates — solving K
+// windows batched returns bit-identical signals and identical
+// SolveStats to K one-window solves, at every K. batch_test.go pins
+// this against a frozen copy of the original scalar solver
+// (scalar_ref_test.go). That is what lets gateway.Engine form batches
+// opportunistically without changing any output.
 
 import (
 	"math"
@@ -225,8 +228,8 @@ func (d *Decoder) applyBatchGroups(x, y []float64, planes []int, bs *batchScratc
 
 // gradBatch computes grad_p = ΨᵀΦᵀ(ΦΨ mom_p − y_p) for every listed
 // plane: one batched synthesis, one batched Φ, a per-plane residual
-// subtraction, one batched Φᵀ and one batched analysis — the sequential
-// gradInto pipeline amortised over the active planes.
+// subtraction, one batched Φᵀ and one batched analysis — the one-window
+// gradient pipeline amortised over the active planes.
 func (d *Decoder) gradBatch(planes []int, bs *batchScratch) {
 	d.synthBatch(bs.mom, bs.x, planes, bs)
 	d.applyBatchGroups(bs.x, bs.ax, planes, bs, true)
@@ -259,7 +262,10 @@ func (d *Decoder) initLambdas(planes []int, bs *batchScratch) {
 	}
 }
 
-// objectivePlane is objectiveSingle over plane state (same FP order).
+// objectivePlane evaluates F(θ) = ½‖ΦΨθ − y‖² + λ‖W·rw·θ‖₁ for one
+// plane's current reweighting. It runs only when the relative-change
+// test has already passed, so its cost — about half a gradient — is
+// paid a handful of times per solve.
 func (d *Decoder) objectivePlane(phi Matrix, theta, y []float64, lambda float64, rw []float64, bs *batchScratch) float64 {
 	objX := bs.objX[:d.n]
 	objAx := bs.objAx[:d.m]
@@ -281,7 +287,9 @@ func (d *Decoder) objectivePlane(phi Matrix, theta, y []float64, lambda float64,
 	return 0.5*data + lambda*pen
 }
 
-// divergedPlane is divergedSingle over plane state (same FP order).
+// divergedPlane reports whether a plane's final iterate explains the
+// data worse than the zero vector (‖ΦΨθ − y‖² > ‖y‖², or non-finite) —
+// the warm-start fallback trigger.
 func (d *Decoder) divergedPlane(phi Matrix, theta, y []float64, bs *batchScratch) bool {
 	objX := bs.objX[:d.n]
 	objAx := bs.objAx[:d.m]
@@ -300,8 +308,10 @@ func (d *Decoder) divergedPlane(phi Matrix, theta, y []float64, bs *batchScratch
 	return !(num <= den)
 }
 
-// seedPlanePass applies solveSingle's per-pass seeding switch to one
-// plane and resets its per-pass momentum/objective state.
+// seedPlanePass seeds one plane's reweighting pass — pass 0 of a warm
+// solve from the carried coefficients, later warm passes from the
+// running estimate, cold passes from zero — and resets its per-pass
+// momentum/objective state.
 func (d *Decoder) seedPlanePass(p *planeState, pi int, items []*BatchItem, bs *batchScratch) {
 	n := d.n
 	th := nStripe(bs.theta, pi, n)
@@ -342,7 +352,7 @@ func (d *Decoder) stepPlane(pi int, items []*BatchItem, bs *batchScratch) bool {
 	adaptive := d.cfg.Tol > 0
 	tol := d.cfg.Tol
 	// One fused sweep: prev snapshot, soft-threshold, convergence and
-	// restart accumulators. Each accumulator keeps the sequential
+	// restart accumulators. Each accumulator keeps the scalar
 	// solver's i-ascending order and every per-element value is
 	// unchanged, so the fusion is bit-identical.
 	lamStep := step * p.lambda
@@ -453,8 +463,8 @@ func (d *Decoder) endPlanePass(pi int, items []*BatchItem, bs *batchScratch) boo
 
 // ReconstructLeadsBatch reconstructs every item's leads independently
 // (the per-lead ℓ1 solver) in one structure-of-arrays pass. Per item it
-// is bit-identical to ReconstructLeadsWarm(item.Y, item.Warm), at every
-// batch size.
+// is bit-identical to a one-item batch — ReconstructLeadsWarm(item.Y,
+// item.Warm) — at every batch size.
 func (d *Decoder) ReconstructLeadsBatch(items []*BatchItem) {
 	total := 0
 	maxL := 1

@@ -9,9 +9,10 @@ package cs
 
 import "math"
 
-// objectiveJointItem is objectiveJoint over one item's plane stripes
-// (same FP order).
-func (d *Decoder) objectiveJointItem(jt *jointState, bs *batchScratch) float64 {
+// objectiveItem evaluates the group-sparse objective
+// Σ_l ½‖Φ_l Ψθ_l − ysn_l‖² + λ Σ_j w_j rw_j ‖θ_{·j}‖₂ over one item's
+// plane stripes (normalised measurements).
+func (d *Decoder) objectiveItem(jt *jointState, bs *batchScratch) float64 {
 	n := d.n
 	objX := bs.objX[:n]
 	objAx := bs.objAx[:d.m]
@@ -48,9 +49,10 @@ func (d *Decoder) objectiveJointItem(jt *jointState, bs *batchScratch) float64 {
 	return 0.5*data + jt.lambda*pen
 }
 
-// divergedJointItem is divergedJoint over one item's plane stripes
-// (same FP order).
-func (d *Decoder) divergedJointItem(jt *jointState, bs *batchScratch) bool {
+// divergedItem is divergedPlane for one item's joint iterate: the
+// summed data term must not exceed the energy of the (unit-RMS)
+// measurements.
+func (d *Decoder) divergedItem(jt *jointState, bs *batchScratch) bool {
 	n := d.n
 	objX := bs.objX[:n]
 	objAx := bs.objAx[:d.m]
@@ -74,8 +76,9 @@ func (d *Decoder) divergedJointItem(jt *jointState, bs *batchScratch) bool {
 	return !(num <= den)
 }
 
-// seedJointPass applies solveJoint's per-pass seeding switch to one
-// item's planes and resets its per-pass momentum/objective state.
+// seedJointPass is seedPlanePass for one item's planes (the per-lead
+// unit-RMS-domain seeds on a warm pass 0), resetting the item's
+// per-pass momentum/objective state.
 func (d *Decoder) seedJointPass(jt *jointState, items []*BatchItem, bs *batchScratch) {
 	n := d.n
 	for l := 0; l < jt.L; l++ {
@@ -213,7 +216,7 @@ func (d *Decoder) stepJoint(ji int, items []*BatchItem, bs *batchScratch) bool {
 		}
 	}
 	if adaptive && jt.it+1 >= d.cfg.MinIters && diffSq <= tol*tol*(normSq+tinyNormSq) {
-		obj := d.objectiveJointItem(jt, bs)
+		obj := d.objectiveItem(jt, bs)
 		if jt.objValid && obj >= jt.lastObj*(1-tol) {
 			st.EarlyExit = true
 			return d.endJointPass(ji, items, bs)
@@ -275,7 +278,7 @@ func (d *Decoder) endJointPass(ji int, items []*BatchItem, bs *batchScratch) boo
 		return true
 	}
 	item := items[jt.item]
-	if jt.warm && d.divergedJointItem(jt, bs) {
+	if jt.warm && d.divergedItem(jt, bs) {
 		item.Stats.ColdFallback = true
 		jt.warm = false
 		rw := nStripe(bs.rw, jt.planeBase, n)
@@ -309,8 +312,8 @@ func (d *Decoder) endJointPass(ji int, items []*BatchItem, bs *batchScratch) boo
 
 // ReconstructJointBatch reconstructs every item with the multi-lead
 // group-sparse solver in one structure-of-arrays pass. Per item it is
-// bit-identical to ReconstructJointWarm(item.Y, item.Warm), at every
-// batch size.
+// bit-identical to a one-item batch — ReconstructJointWarm(item.Y,
+// item.Warm) — at every batch size.
 func (d *Decoder) ReconstructJointBatch(items []*BatchItem) {
 	total := 0
 	maxL := 1
@@ -353,7 +356,8 @@ func (d *Decoder) ReconstructJointBatch(items []*BatchItem) {
 		for l, y := range it.Y {
 			pi := len(bs.planes)
 			it.X[l] = make([]float64, d.n)
-			// Unit-RMS normalisation per lead, exactly as reconstructJoint.
+			// Unit-RMS normalisation per lead (rescaled by the gain on
+			// output).
 			rms := 0.0
 			for _, v := range y {
 				rms += v * v

@@ -31,26 +31,26 @@ func batchFixture(t *testing.T, n, windows int, seed int64) (*SparseBinary, [][]
 	return phi, meas
 }
 
-// expectIdentical compares a batch item against the sequential solver's
-// output and stats bit for bit.
+// expectIdentical compares a batch item against the scalar oracle's
+// output and stats bit for bit (scalar_ref_test.go).
 func expectIdentical(t *testing.T, label string, it *BatchItem, ref [][]float64, refSt SolveStats, refErr error) {
 	t.Helper()
 	if (it.Err == nil) != (refErr == nil) {
-		t.Fatalf("%s: err = %v, sequential %v", label, it.Err, refErr)
+		t.Fatalf("%s: err = %v, oracle %v", label, it.Err, refErr)
 	}
 	if it.Err != nil {
 		return
 	}
 	if it.Stats != refSt {
-		t.Fatalf("%s: stats = %+v, sequential %+v", label, it.Stats, refSt)
+		t.Fatalf("%s: stats = %+v, oracle %+v", label, it.Stats, refSt)
 	}
 	if len(it.X) != len(ref) {
-		t.Fatalf("%s: %d leads, sequential %d", label, len(it.X), len(ref))
+		t.Fatalf("%s: %d leads, oracle %d", label, len(it.X), len(ref))
 	}
 	for l := range ref {
 		for i := range ref[l] {
 			if it.X[l][i] != ref[l][i] {
-				t.Fatalf("%s: lead %d sample %d = %v, sequential %v", label, l, i, it.X[l][i], ref[l][i])
+				t.Fatalf("%s: lead %d sample %d = %v, oracle %v", label, l, i, it.X[l][i], ref[l][i])
 			}
 		}
 	}
@@ -59,8 +59,9 @@ func expectIdentical(t *testing.T, label string, it *BatchItem, ref [][]float64,
 // TestBatchBitIdentity pins the central contract: for every batch size,
 // solver family (independent ℓ1 / joint ℓ2,1), budget mode (fixed /
 // Tol-adaptive) and seeding (cold / warm across two windows), the
-// batched solver's outputs and stats equal K sequential solves bit for
-// bit. K=1 covers the engine's low-load path; the larger K prove the
+// batched solver's outputs and stats equal K solves of the frozen
+// scalar oracle bit for bit. K=1 is the path every Reconstruct* call
+// and every single-window engine dispatch takes; the larger K prove the
 // SoA kernels preserve per-window FP order.
 func TestBatchBitIdentity(t *testing.T) {
 	const n = 512
@@ -94,9 +95,9 @@ func TestBatchBitIdentity(t *testing.T) {
 						var st SolveStats
 						var err error
 						if joint {
-							x, st, err = dec.ReconstructJointWarm(meas[w], ws)
+							x, st, err = dec.refReconstructJointWarm(meas[w], ws)
 						} else {
-							x, st, err = dec.ReconstructLeadsWarm(meas[w], ws)
+							x, st, err = dec.refReconstructLeadsWarm(meas[w], ws)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -129,9 +130,94 @@ func TestBatchBitIdentity(t *testing.T) {
 	}
 }
 
+// TestReconstructMatchesOracle pins the one-item wrappers: every
+// Reconstruct* entry point is a K=1 batch and must return the scalar
+// oracle's signals and stats bit for bit — shared and per-lead sensing
+// matrices, fixed budget and Tol, cold and warm streams. A K=2 batch
+// over the per-lead matrices covers the per-matrix plane grouping.
+func TestReconstructMatchesOracle(t *testing.T) {
+	const n, windows = 512, 2
+	m := MeasurementsForCR(n, 65.9)
+	rng := rand.New(rand.NewSource(41))
+	phis := make([]Matrix, 3)
+	encs := make([]*Encoder, 3)
+	for l := range phis {
+		p, err := NewSparseBinary(m, n, 4, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phis[l], encs[l] = p, NewEncoder(p)
+	}
+	rec := ecg.Generate(ecg.Config{Seed: 41, Duration: float64(windows*n)/256 + 1})
+	meas := make([][][]float64, windows)
+	for w := range meas {
+		meas[w] = make([][]float64, len(rec.Clean))
+		for li := range rec.Clean {
+			meas[w][li] = encs[li].Encode(rec.Clean[li][w*n : (w+1)*n])
+		}
+	}
+	got := func(xs [][]float64, st SolveStats, err error) *BatchItem {
+		return &BatchItem{X: xs, Stats: st, Err: err}
+	}
+	for _, cfg := range []SolverConfig{{Iters: 20, Reweights: 1}, {Iters: 40, Reweights: 1, Tol: 1e-3}} {
+		for _, mats := range [][]Matrix{phis[:1], phis} {
+			dec, err := NewJointDecoder(mats, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws1, wsL, wsJ := NewWarmState(), NewWarmState(), NewWarmState()
+			rs1, rsL, rsJ := NewWarmState(), NewWarmState(), NewWarmState()
+			for _, ys := range meas {
+				x, err := dec.Reconstruct(ys[0])
+				ref, refErr := dec.refReconstruct(ys[0])
+				expectIdentical(t, "Reconstruct", got([][]float64{x}, SolveStats{}, err), [][]float64{ref}, SolveStats{}, refErr)
+				x, st, err := dec.ReconstructWarm(ys[0], ws1)
+				ref, refSt, refErr := dec.refReconstructWarm(ys[0], rs1)
+				expectIdentical(t, "ReconstructWarm", got([][]float64{x}, st, err), [][]float64{ref}, refSt, refErr)
+
+				xs, err := dec.ReconstructLeads(ys)
+				refs, refErr := dec.refReconstructLeads(ys)
+				expectIdentical(t, "ReconstructLeads", got(xs, SolveStats{}, err), refs, SolveStats{}, refErr)
+				xs, st, err = dec.ReconstructLeadsWarm(ys, wsL)
+				refs, refSt, refErr = dec.refReconstructLeadsWarm(ys, rsL)
+				expectIdentical(t, "ReconstructLeadsWarm", got(xs, st, err), refs, refSt, refErr)
+
+				xs, err = dec.ReconstructJoint(ys)
+				refs, refErr = dec.refReconstructJoint(ys)
+				expectIdentical(t, "ReconstructJoint", got(xs, SolveStats{}, err), refs, SolveStats{}, refErr)
+				xs, st, err = dec.ReconstructJointWarm(ys, wsJ)
+				refs, refSt, refErr = dec.refReconstructJointWarm(ys, rsJ)
+				expectIdentical(t, "ReconstructJointWarm", got(xs, st, err), refs, refSt, refErr)
+			}
+			for _, joint := range []bool{false, true} {
+				items := make([]*BatchItem, len(meas))
+				for w := range meas {
+					items[w] = &BatchItem{Y: meas[w]}
+				}
+				if joint {
+					dec.ReconstructJointBatch(items)
+				} else {
+					dec.ReconstructLeadsBatch(items)
+				}
+				for w := range meas {
+					var refs [][]float64
+					var refSt SolveStats
+					var refErr error
+					if joint {
+						refs, refSt, refErr = dec.refReconstructJointWarm(meas[w], nil)
+					} else {
+						refs, refSt, refErr = dec.refReconstructLeadsWarm(meas[w], nil)
+					}
+					expectIdentical(t, "per-lead matrix batch", items[w], refs, refSt, refErr)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchPRDEquivalence states the acceptance bar in signal terms:
 // reconstructing K distinct windows in one SoA pass leaves each
-// window's PRD within 0.1 percentage points of its sequential solve.
+// window's PRD within 0.1 percentage points of its scalar-oracle solve.
 // Bit identity makes the delta exactly zero today; measuring it end to
 // end from real ECG windows catches any future relaxation of the
 // contract in the units the paper reports.
@@ -157,7 +243,7 @@ func TestBatchPRDEquivalence(t *testing.T) {
 		}
 		return 100 * math.Sqrt(num/den)
 	}
-	for _, K := range []int{2, 4, 8} {
+	for _, K := range []int{1, 2, 4, 8} {
 		items := make([]*BatchItem, K)
 		ys := make([][][]float64, K)
 		for k := 0; k < K; k++ {
@@ -175,7 +261,7 @@ func TestBatchPRDEquivalence(t *testing.T) {
 				t.Fatal(it.Err)
 			}
 			w := k % windows
-			seqX, _, err := dec.ReconstructJointWarm(ys[k], nil)
+			seqX, _, err := dec.refReconstructJointWarm(ys[k], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +270,7 @@ func TestBatchPRDEquivalence(t *testing.T) {
 				want := prd(clean, seqX[li])
 				got := prd(clean, it.X[li])
 				if math.Abs(got-want) > 0.1 {
-					t.Errorf("K=%d window %d lead %d: batched PRD %.4f%%, sequential %.4f%%",
+					t.Errorf("K=%d window %d lead %d: batched PRD %.4f%%, oracle %.4f%%",
 						K, w, li, got, want)
 				}
 			}
@@ -194,8 +280,9 @@ func TestBatchPRDEquivalence(t *testing.T) {
 
 // TestBatchEarlyExitMasking batches windows that converge at different
 // iteration counts and checks each window's stats and signal still
-// match its solo solve — a converged window must drop out of the batch
-// without perturbing (or being perturbed by) the stragglers.
+// match its solo scalar-oracle solve — a converged window must drop out
+// of the batch without perturbing (or being perturbed by) the
+// stragglers.
 func TestBatchEarlyExitMasking(t *testing.T) {
 	const n = 512
 	phi, meas := batchFixture(t, n, 6, 33)
@@ -209,7 +296,7 @@ func TestBatchEarlyExitMasking(t *testing.T) {
 	sts := make([]SolveStats, len(meas))
 	for w := range meas {
 		items[w] = &BatchItem{Y: meas[w]}
-		x, st, err := dec.ReconstructJointWarm(meas[w], nil)
+		x, st, err := dec.refReconstructJointWarm(meas[w], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +315,7 @@ func TestBatchEarlyExitMasking(t *testing.T) {
 // TestBatchWarmCommitAcrossRecords drives two records through batched
 // warm streams with a Reset at the record boundary, checking the warm
 // state commits per window and the boundary reset forces the first
-// window of record two cold — exactly like the sequential stream.
+// window of record two cold — exactly like the scalar oracle's stream.
 func TestBatchWarmCommitAcrossRecords(t *testing.T) {
 	const n = 512
 	phi, meas := batchFixture(t, n, 4, 55)
@@ -236,7 +323,7 @@ func TestBatchWarmCommitAcrossRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sequential reference: windows 0,1 are record A; 2,3 record B.
+	// Oracle reference: windows 0,1 are record A; 2,3 record B.
 	ws := NewWarmState()
 	var refs [][][]float64
 	var sts []SolveStats
@@ -244,7 +331,7 @@ func TestBatchWarmCommitAcrossRecords(t *testing.T) {
 		if w == 2 {
 			ws.Reset()
 		}
-		x, st, err := dec.ReconstructJointWarm(meas[w], ws)
+		x, st, err := dec.refReconstructJointWarm(meas[w], ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,8 +363,8 @@ func TestBatchWarmCommitAcrossRecords(t *testing.T) {
 }
 
 // TestBatchColdFallback poisons one item's warm state inside a batch
-// and checks that item re-solves cold (bit-identical to a cold solve)
-// while its batchmates are untouched.
+// and checks that item re-solves cold (bit-identical to the scalar
+// oracle's cold solve) while its batchmates are untouched.
 func TestBatchColdFallback(t *testing.T) {
 	const n = 512
 	phi, meas := batchFixture(t, n, 2, 61)
@@ -304,9 +391,9 @@ func TestBatchColdFallback(t *testing.T) {
 			var st SolveStats
 			var err error
 			if joint {
-				x, st, err = dec.ReconstructJointWarm(y, ws)
+				x, st, err = dec.refReconstructJointWarm(y, ws)
 			} else {
-				x, st, err = dec.ReconstructLeadsWarm(y, ws)
+				x, st, err = dec.refReconstructLeadsWarm(y, ws)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -344,7 +431,8 @@ func TestBatchColdFallback(t *testing.T) {
 }
 
 // TestBatchRejectsMalformedItems checks a geometry-mismatched item gets
-// ErrSolver while the rest of the batch still solves.
+// ErrSolver while the rest of the batch still solves, bit-identically to
+// the scalar oracle.
 func TestBatchRejectsMalformedItems(t *testing.T) {
 	const n = 512
 	phi, meas := batchFixture(t, n, 1, 71)
@@ -352,7 +440,7 @@ func TestBatchRejectsMalformedItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refSt, err := dec.ReconstructJointWarm(meas[0], nil)
+	ref, refSt, err := dec.refReconstructJointWarm(meas[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +458,7 @@ func TestBatchRejectsMalformedItems(t *testing.T) {
 	if items[0].Err != ErrSolver {
 		t.Fatalf("leads batch malformed item: err = %v", items[0].Err)
 	}
-	lref, lrefSt, err := dec.ReconstructLeadsWarm(meas[0], nil)
+	lref, lrefSt, err := dec.refReconstructLeadsWarm(meas[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,3 +116,46 @@ func TestWindowsOf(t *testing.T) {
 		t.Errorf("expected %d windows, got %d", rec.Len()/512, len(ws))
 	}
 }
+
+// TestFigure5Crossings pins the paper's central CS result as a
+// regression test: on the EXPERIMENTS.md Figure 5 setup (4 synthetic
+// 3-lead records, 3 windows each, d=4, 150 iterations, 2 reweighting
+// passes) the averaged SNR crosses 20 dB at CR 66.3 single-lead and
+// 71.7 multi-lead (paper: 65.9 and 72.7). Both crossings must stay
+// within ±0.5 CR of those measurements, and joint multi-lead recovery
+// must beat independent single-lead recovery at every sampled CR.
+func TestFigure5Crossings(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("Figure 5 sweep runs full reconstructions")
+	}
+	recs := ecg.GenerateSet(ecg.Config{Duration: 20}, 42, 4)
+	pts, err := Sweep(recs, []float64{65, 70, 75}, SweepConfig{
+		Density:             4,
+		Seed:                42,
+		MaxWindowsPerRecord: 3,
+		Solver:              SolverConfig{Iters: 150, Reweights: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		t.Logf("CR %.0f: single-lead %.2f dB, multi-lead %.2f dB", p.CR, p.SNRSingle, p.SNRMulti)
+		if !(p.SNRMulti > p.SNRSingle) {
+			t.Errorf("CR %.0f: multi-lead SNR %.2f dB not above single-lead %.2f dB", p.CR, p.SNRMulti, p.SNRSingle)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		multi bool
+		want  float64
+	}{
+		{"single-lead", false, 66.3},
+		{"multi-lead", true, 71.7},
+	} {
+		got := CrossingCR(pts, 20, c.multi)
+		t.Logf("%s 20 dB crossing: CR %.2f (pinned %.1f ± 0.5)", c.name, got, c.want)
+		if !(math.Abs(got-c.want) <= 0.5) {
+			t.Errorf("%s 20 dB crossing at CR %.2f, want %.1f ± 0.5", c.name, got, c.want)
+		}
+	}
+}

@@ -6,32 +6,25 @@ import (
 	"wbsn/internal/wavelet"
 )
 
-// solverScratch holds every intermediate buffer the FISTA/IHT solvers
-// need, so the hot reconstruction paths allocate nothing in steady state
-// beyond the returned signal. One scratch serves one reconstruction at a
-// time; the Decoder hands them out through a sync.Pool, which is what
-// makes a single Decoder safe to hammer from many goroutines at once.
+// solverScratch holds every intermediate buffer TreeIHT needs, so it
+// allocates nothing in steady state beyond the returned signal. One
+// scratch serves one reconstruction at a time; the Decoder hands them
+// out through a sync.Pool, which is what makes a single Decoder safe to
+// hammer from many goroutines at once. (FISTA draws its buffers from
+// the batch pool, batchScratch.)
 type solverScratch struct {
 	x    []float64 // n — signal-domain work vector
 	ax   []float64 // m — measurement-domain work vector
 	z    []float64 // n — back-projection work vector
-	aty  []float64 // n — ΨᵀΦᵀy
 	grad []float64 // n — current gradient
 
-	theta, prev, mom, rw []float64 // n — FISTA state
+	theta []float64 // n — iterate
 
 	ws wavelet.Scratch // DWT ping-pong buffers
 
-	// TreeIHT state.
 	gS      []float64 // n — support-restricted gradient
 	kept    []bool    // n — tree-projection membership
 	support []bool    // n — debias support
-
-	// Joint-solver per-lead buffers, grown on first multi-lead use.
-	gains                      []float64   // L — per-lead RMS gains
-	norms                      []float64   // n — group norms
-	ysn                        [][]float64 // L×m — unit-RMS measurements
-	jtheta, jprev, jmom, jgrad [][]float64 // L×n
 }
 
 func newSolverScratch(n, m int) *solverScratch {
@@ -39,32 +32,11 @@ func newSolverScratch(n, m int) *solverScratch {
 		x:       make([]float64, n),
 		ax:      make([]float64, m),
 		z:       make([]float64, n),
-		aty:     make([]float64, n),
 		grad:    make([]float64, n),
 		theta:   make([]float64, n),
-		prev:    make([]float64, n),
-		mom:     make([]float64, n),
-		rw:      make([]float64, n),
 		gS:      make([]float64, n),
 		kept:    make([]bool, n),
 		support: make([]bool, n),
-		norms:   make([]float64, n),
-	}
-}
-
-// ensureLeads grows the joint-solver buffers to cover L leads.
-func (s *solverScratch) ensureLeads(L, n, m int) {
-	if cap(s.gains) < L {
-		s.gains = make([]float64, L)
-	}
-	for len(s.ysn) < L {
-		s.ysn = append(s.ysn, make([]float64, m))
-	}
-	for len(s.jtheta) < L {
-		s.jtheta = append(s.jtheta, make([]float64, n))
-		s.jprev = append(s.jprev, make([]float64, n))
-		s.jmom = append(s.jmom, make([]float64, n))
-		s.jgrad = append(s.jgrad, make([]float64, n))
 	}
 }
 

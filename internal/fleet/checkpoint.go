@@ -29,7 +29,12 @@ import (
 // population. The header pins everything the digest stream depends on:
 // restore refuses a checkpoint whose seed, population, session length
 // or warm shape disagree with the receiving cluster, because resuming
-// such a file could only produce drifting digests.
+// such a file could only produce drifting digests. A file is untrusted
+// input even when its footer matches (the footer is not a signature),
+// so restore also refuses anything a writer never produces: unknown
+// flag bits, nonzero reserved bytes, a warm shape without a warm tier,
+// a warm valid byte other than 0/1, and a patient whose round count
+// differs from the header's — VerifyPatient replays that many rounds.
 var ckptMagic = [8]byte{'W', 'B', 'S', 'N', 'C', 'K', 'P', '1'}
 
 // ErrCheckpoint is returned for malformed, corrupted or mismatched
@@ -155,6 +160,9 @@ func (cl *Cluster) ReadCheckpoint(r io.Reader) error {
 	warmN := int(binary.LittleEndian.Uint32(hdr[40:]))
 	sessionS := math.Float64frombits(binary.LittleEndian.Uint64(hdr[48:]))
 
+	if flags&^1 != 0 || !allZero(hdr[9:16]) || !allZero(hdr[44:48]) {
+		return fmt.Errorf("%w: unknown flags or nonzero reserved header bytes", ErrCheckpoint)
+	}
 	if seed != cl.cfg.Fleet.Seed {
 		return fmt.Errorf("%w: seed %d, cluster has %d", ErrCheckpoint, seed, cl.cfg.Fleet.Seed)
 	}
@@ -172,6 +180,9 @@ func (cl *Cluster) ReadCheckpoint(r io.Reader) error {
 		return fmt.Errorf("%w: warm shape %dx%d, cluster has %dx%d",
 			ErrCheckpoint, warmLeads, warmN, cl.warm.leads, cl.warm.n)
 	}
+	if !hasWarm && (warmLeads != 0 || warmN != 0) {
+		return fmt.Errorf("%w: warm shape %dx%d without a warm tier", ErrCheckpoint, warmLeads, warmN)
+	}
 
 	states := make([]PatientState, len(cl.states))
 	buf := make([]byte, patientStateBytes)
@@ -180,6 +191,10 @@ func (cl *Cluster) ReadCheckpoint(r io.Reader) error {
 			return fmt.Errorf("%w: state %d: %v", ErrCheckpoint, p, err)
 		}
 		getState(buf, &states[p])
+		if states[p].Rounds != rounds || !allZero(buf[60:]) {
+			return fmt.Errorf("%w: state %d: %d rounds (header %d) or nonzero reserved bytes",
+				ErrCheckpoint, p, states[p].Rounds, rounds)
+		}
 	}
 
 	var warm *warmStore
@@ -190,6 +205,9 @@ func (cl *Cluster) ReadCheckpoint(r io.Reader) error {
 		for p := range states {
 			if _, err := io.ReadFull(hr, wbuf); err != nil {
 				return fmt.Errorf("%w: warm %d: %v", ErrCheckpoint, p, err)
+			}
+			if wbuf[0] > 1 {
+				return fmt.Errorf("%w: warm %d: valid byte %d", ErrCheckpoint, p, wbuf[0])
 			}
 			warm.valid[p] = wbuf[0]
 			slot := warm.slot(p)
@@ -212,4 +230,13 @@ func (cl *Cluster) ReadCheckpoint(r io.Reader) error {
 	cl.warm = warm
 	cl.rounds = int(rounds)
 	return nil
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -28,10 +28,10 @@ func copyLeads(xs [][]float64) [][]float64 {
 	return out
 }
 
-// warmReference decodes every window in order through the sequential
-// scalar warm path, returning one snapshot per window. Every warm
-// stream that replays these windows — batched or not — must reproduce
-// it bit for bit.
+// warmReference decodes every window in order through a batch=1
+// engine (one window per dispatch), returning one snapshot per window.
+// Every warm stream that replays these windows — batched with other
+// streams or not — must reproduce it bit for bit.
 func warmReference(t *testing.T, cfg Config, windows [][][]float64) [][][]float64 {
 	t.Helper()
 	seq, err := NewEngine(cfg, EngineConfig{Workers: 1})
@@ -52,9 +52,10 @@ func warmReference(t *testing.T, cfg Config, windows [][][]float64) [][][]float6
 }
 
 // A batch>1 engine folding warm windows from several streams into one
-// structure-of-arrays solver pass must produce exactly the sequential
-// scalar output for every stream — the engine-level face of the solver
-// bit-identity contract. Covers both the greedy-only and the
+// structure-of-arrays solver pass must produce exactly the
+// one-window-per-dispatch output for every stream — the engine-level
+// face of the solver bit-identity contract (which internal/cs checks
+// against a frozen scalar oracle). Covers both the greedy-only and the
 // BatchWait deadline-bounded batch-forming policies, and a stream
 // count that is not a multiple of the batch so partial batches form.
 func TestEngineBatchedMatchesSequential(t *testing.T) {
@@ -149,8 +150,8 @@ func TestEngineBatchedRaceHammer(t *testing.T) {
 }
 
 // The batch histograms must account for every decoded window, and a
-// batch=1 engine must leave them untouched (the sequential path has no
-// batch-forming stage to report).
+// batch=1 engine must leave them untouched (it has no batch-forming
+// stage to report).
 func TestEngineBatchTelemetry(t *testing.T) {
 	events, ncfg := encodeRecord(t, 60, 8)
 	cfg := fastConfig(ncfg)

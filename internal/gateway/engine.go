@@ -33,11 +33,11 @@ type EngineConfig struct {
 	// Queue is the bounded job-queue depth; 0 selects 2*Workers*Batch.
 	Queue int
 	// Batch is the most queued windows one worker dispatch reconstructs
-	// in a single structure-of-arrays solver pass (cs.Reconstruct*Batch).
-	// 0 or 1 keeps the sequential one-window-per-dispatch path. Batched
-	// dispatch is opportunistic — a worker takes whatever is queued up to
-	// Batch, it never idles waiting for a full batch — and per window the
-	// output is bit-identical to the sequential path at every fill level.
+	// in a single structure-of-arrays solver pass
+	// (cs.ReconstructJointBatch). 0 or 1 dispatches one window at a time.
+	// Batched dispatch is opportunistic — a worker takes whatever is
+	// queued up to Batch, it never idles waiting for a full batch — and
+	// per window the output is bit-identical at every fill level.
 	Batch int
 	// BatchWait bounds how long a worker holding a partial batch waits
 	// for more windows before dispatching it; 0 dispatches immediately
@@ -150,7 +150,13 @@ func (e *Engine) worker(dec *cs.Decoder) {
 	defer e.wg.Done()
 	maxB := e.ecfg.Batch
 	batch := make([]*Job, 0, maxB)
-	items := make([]*cs.BatchItem, 0, maxB)
+	// The batch items are per-worker and reused, so a dispatch allocates
+	// nothing beyond the solver's output slices.
+	slots := make([]cs.BatchItem, maxB)
+	items := make([]*cs.BatchItem, maxB)
+	for i := range items {
+		items[i] = &slots[i]
+	}
 	var timer *time.Timer
 	for {
 		j, ok := <-e.jobs
@@ -162,7 +168,7 @@ func (e *Engine) worker(dec *cs.Decoder) {
 		if maxB > 1 {
 			drained = e.formBatch(&batch, &timer)
 		}
-		e.runBatch(dec, batch, items[:0])
+		e.runBatch(dec, batch, items[:len(batch)])
 		if drained {
 			return
 		}
@@ -213,9 +219,9 @@ greedy:
 	return false
 }
 
-// runBatch reconstructs one formed batch — one window through the
-// sequential solver, several through one structure-of-arrays pass — and
-// fans results, stats and telemetry back to the individual jobs.
+// runBatch reconstructs one formed batch — any size, one window
+// included — in one structure-of-arrays solver pass and fans results,
+// stats and telemetry back to the individual jobs.
 func (e *Engine) runBatch(dec *cs.Decoder, batch []*Job, items []*cs.BatchItem) {
 	tm := e.tel
 	anyTraced := false
@@ -246,32 +252,18 @@ func (e *Engine) runBatch(dec *cs.Decoder, batch []*Job, items []*cs.BatchItem) 
 			}
 		}
 	}
-	if len(batch) == 1 {
-		j := batch[0]
-		// The warm variants with a nil WarmState run the identical cold
-		// compute, so routing every job through them changes nothing for
-		// plain submissions while giving warm jobs and telemetry one path.
-		if e.cfg.DisableJoint {
-			j.leads, j.stats, j.err = dec.ReconstructLeadsWarm(j.measurements, j.ws)
-		} else {
-			j.leads, j.stats, j.err = dec.ReconstructJointWarm(j.measurements, j.ws)
-		}
-	} else {
-		// Distinct streams never share a WarmState and each stream has at
-		// most one job in flight (the SubmitWarm contract), so the batch
-		// holds at most one window per warm state — exactly the
-		// cs.BatchItem sequencing contract.
-		for _, j := range batch {
-			items = append(items, &cs.BatchItem{Y: j.measurements, Warm: j.ws})
-		}
-		if e.cfg.DisableJoint {
-			dec.ReconstructLeadsBatch(items)
-		} else {
-			dec.ReconstructJointBatch(items)
-		}
-		for i, j := range batch {
-			j.leads, j.stats, j.err = items[i].X, items[i].Stats, items[i].Err
-		}
+	// Distinct streams never share a WarmState and each stream has at
+	// most one job in flight (the SubmitWarm contract), so the batch
+	// holds at most one window per warm state — exactly the
+	// cs.BatchItem sequencing contract. A nil WarmState runs the
+	// identical cold compute, so plain and warm jobs share one path.
+	for i, j := range batch {
+		*items[i] = cs.BatchItem{Y: j.measurements, Warm: j.ws}
+	}
+	dec.ReconstructJointBatch(items)
+	for i, j := range batch {
+		j.leads, j.stats, j.err = items[i].X, items[i].Stats, items[i].Err
+		*items[i] = cs.BatchItem{} // drop the worker's references to the job
 	}
 	var dur time.Duration
 	if tm != nil || anyTraced {

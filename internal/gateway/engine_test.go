@@ -243,16 +243,22 @@ func TestEngineCloseAndValidation(t *testing.T) {
 	if _, err := eng.Submit(good); err != ErrEngineClosed {
 		t.Errorf("submit after close: got %v, want ErrEngineClosed", err)
 	}
-	// AttachEngine must reject configuration mismatches.
-	mismatch := cfg
-	mismatch.DisableJoint = !cfg.DisableJoint
-	eng2, err := NewEngine(mismatch, EngineConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	if err := rx.AttachEngine(eng2); err != ErrGateway {
-		t.Errorf("mismatched engine attach: got %v, want ErrGateway", err)
+	// AttachEngine must reject configuration mismatches: a different
+	// lead count, or a different CR (measurement length).
+	leadsMismatch := cfg
+	leadsMismatch.Leads = cfg.Leads + 1
+	crMismatch := cfg
+	crMismatch.CSRatio = cfg.CSRatio + 10
+	for _, mismatch := range []Config{leadsMismatch, crMismatch} {
+		eng2, err := NewEngine(mismatch, EngineConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng2.Close()
+		if err := rx.AttachEngine(eng2); err != ErrGateway {
+			t.Errorf("mismatched engine attach (leads %d, CR %v): got %v, want ErrGateway",
+				mismatch.Leads, mismatch.CSRatio, err)
+		}
 	}
 	if err := rx.AttachEngine(nil); err != nil {
 		t.Errorf("detach: %v", err)

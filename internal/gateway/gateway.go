@@ -47,8 +47,6 @@ type Config struct {
 	CSRatio   float64
 	CSDensity int
 	Seed      int64
-	// Joint selects multi-lead joint reconstruction (default true).
-	DisableJoint bool
 	// WarmStart carries each window's wavelet coefficients into the next
 	// window's solve (per-lead, per-receiver). Combined with Solver.Tol
 	// it converts inter-window correlation into skipped iterations; the
@@ -321,14 +319,7 @@ func (r *Receiver) decodeOne(measurements [][]float64) ([][]float64, error) {
 	if traced {
 		t0 = time.Now()
 	}
-	var xs [][]float64
-	var st cs.SolveStats
-	var err error
-	if r.cfg.DisableJoint {
-		xs, st, err = r.dec.ReconstructLeadsWarm(measurements, r.ws)
-	} else {
-		xs, st, err = r.dec.ReconstructJointWarm(measurements, r.ws)
-	}
+	xs, st, err := r.dec.ReconstructJointWarm(measurements, r.ws)
 	if err != nil {
 		return nil, err
 	}
@@ -359,15 +350,15 @@ func (r *Receiver) appendWindow(xs [][]float64) {
 }
 
 // AttachEngine routes this receiver's reconstructions through a worker
-// pool. The engine must mirror the receiver's configuration (lead
-// count, measurement length and joint/independent solver choice) so the
-// decoded output is bit identical to the inline path.
+// pool. The engine must mirror the receiver's configuration (lead count
+// and measurement length) so the decoded output is bit identical to the
+// inline path.
 func (r *Receiver) AttachEngine(e *Engine) error {
 	if e == nil {
 		r.engine = nil
 		return nil
 	}
-	if e.cfg.Leads != r.cfg.Leads || e.m != r.m || e.cfg.DisableJoint != r.cfg.DisableJoint {
+	if e.cfg.Leads != r.cfg.Leads || e.m != r.m {
 		return ErrGateway
 	}
 	r.engine = e

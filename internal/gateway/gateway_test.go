@@ -111,47 +111,6 @@ func TestEndToEndCompressTransmitDiagnose(t *testing.T) {
 	}
 }
 
-func TestJointVsIndependentGateway(t *testing.T) {
-	// The gateway's joint reconstruction must beat per-lead independent
-	// decoding at an aggressive CR, measured on the reconstructed SNR.
-	rec := ecg.Generate(ecg.Config{Seed: 45, Duration: 12})
-	run := func(disableJoint bool) float64 {
-		node, err := core.NewNode(core.Config{Mode: core.ModeCS, CSRatio: 72, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, _ := node.NewStream()
-		rx, err := NewReceiver(Config{
-			CSRatio: 72, Seed: 11, DisableJoint: disableJoint,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunk := make([][]float64, len(rec.Leads))
-		for li := range chunk {
-			chunk[li] = rec.Clean[li]
-		}
-		events, err := stream.PushBlock(chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rx.ConsumeEvents(events); err != nil {
-			t.Fatal(err)
-		}
-		n := rx.SamplesReceived()
-		total := 0.0
-		for li := range rec.Clean {
-			total += dsp.SNRdB(rec.Clean[li][:n], rx.Signal()[li])
-		}
-		return total / float64(len(rec.Clean))
-	}
-	joint := run(false)
-	indep := run(true)
-	if joint <= indep {
-		t.Errorf("joint gateway decoding (%.2f dB) should beat independent (%.2f dB)", joint, indep)
-	}
-}
-
 func TestLostPacketDegradesGracefully(t *testing.T) {
 	rec := ecg.Generate(ecg.Config{Seed: 46, Duration: 20})
 	node, err := core.NewNode(core.Config{Mode: core.ModeCS, CSRatio: 60, Seed: 12})
