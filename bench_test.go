@@ -1265,51 +1265,6 @@ func BenchmarkDatabaseDelineation(b *testing.B) {
 // allocation-free node hot path.
 // ---------------------------------------------------------------------
 
-// BenchmarkFleetShards runs a fixed patient population at 1, 2 and
-// GOMAXPROCS shards, reporting throughput (patients/s) and the
-// real-time factor (simulated seconds per wall second — how many live
-// patients this host could serve). The per-patient work includes record
-// synthesis, the streaming node, the ARQ link and gateway CS
-// reconstruction; a reduced FISTA budget keeps the benchmark tractable
-// without changing the scheduling profile.
-func BenchmarkFleetShards(b *testing.B) {
-	const (
-		patients  = 6
-		durationS = 4.0
-	)
-	shardSet := dedupeCounts([]int{1, 2, runtime.GOMAXPROCS(0)})
-	for _, shards := range shardSet {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng, err := fleet.NewEngine(fleet.Config{
-				Patients:    patients,
-				Shards:      shards,
-				DurationS:   durationS,
-				Seed:        61,
-				SolverIters: 40,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			b.ResetTimer()
-			start := time.Now()
-			var rtf float64
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				rtf = res.RealTimeFactor
-			}
-			secs := time.Since(start).Seconds()
-			if secs > 0 {
-				b.ReportMetric(float64(b.N*patients)/secs, "patients/s")
-			}
-			b.ReportMetric(rtf, "rtf")
-		})
-	}
-}
-
 // BenchmarkFleetStreamPush measures the steady-state per-sample cost of
 // the node hot path after the allocation-free rework: a warm stream
 // absorbs one sample per iteration, so allocs/op is the headline number

@@ -10,7 +10,7 @@
 //	wbsn-sim -ablation   # additionally ablate the broadcast interconnect
 //	wbsn-sim -faulty     # sweep the lossy-link scenario instead
 //	wbsn-sim -throughput # sweep the gateway engine across worker counts
-//	wbsn-sim -fleet      # sweep the sharded multi-patient fleet engine
+//	wbsn-sim -fleet      # sweep one-round fleet clusters over worker slots
 //	wbsn-sim -soak       # long-horizon hierarchical-cluster endurance run
 //
 // Any run may add -telemetry addr to serve live metrics (/metrics,
@@ -32,7 +32,7 @@ func main() {
 		ablation   = flag.Bool("ablation", false, "also run with the broadcast interconnect disabled")
 		faulty     = flag.Bool("faulty", false, "sweep the node->gateway chain across channel loss rates")
 		throughput = flag.Bool("throughput", false, "sweep the gateway reconstruction engine across worker counts")
-		fleetSweep = flag.Bool("fleet", false, "sweep the sharded multi-patient fleet across patients x shards")
+		fleetSweep = flag.Bool("fleet", false, "sweep one-round fleet clusters across patients x worker slots")
 		seed       = flag.Int64("seed", 1, "branch-outcome seed")
 		solverTol  = flag.Float64("solver-tol", 0, "FISTA convergence tolerance: >0 enables early exit, adaptive restart and warm-started reconstruction in the fleet/throughput sweeps (0 keeps the fixed-budget solver)")
 		engBatch   = flag.Int("engine-batch", 0, "windows per gateway-engine dispatch in the fleet/throughput sweeps: >1 batches queued windows through one structure-of-arrays solver pass (0/1 = sequential)")

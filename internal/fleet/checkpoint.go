@@ -82,8 +82,12 @@ func getState(b []byte, st *PatientState) {
 // uninterrupted run would have.
 //
 // Call between rounds only (the cold tier is consistent exactly at
-// round boundaries).
+// round boundaries). A cluster whose round failed has no consistent
+// boundary left, so it returns that round's error and writes nothing.
 func (cl *Cluster) WriteCheckpoint(w io.Writer) error {
+	if cl.err != nil {
+		return cl.err
+	}
 	h := newFNV64a(fnvOffset64)
 	hw := io.MultiWriter(w, h)
 
@@ -94,14 +98,14 @@ func (cl *Cluster) WriteCheckpoint(w io.Writer) error {
 		flags |= 1
 	}
 	hdr[8] = flags
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(cl.cfg.Fleet.Seed))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(cl.cfg.Seed))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(cl.states)))
 	binary.LittleEndian.PutUint32(hdr[32:], uint32(cl.rounds))
 	if cl.warm != nil {
 		binary.LittleEndian.PutUint32(hdr[36:], uint32(cl.warm.leads))
 		binary.LittleEndian.PutUint32(hdr[40:], uint32(cl.warm.n))
 	}
-	binary.LittleEndian.PutUint64(hdr[48:], math.Float64bits(cl.cfg.SessionS))
+	binary.LittleEndian.PutUint64(hdr[48:], math.Float64bits(cl.ccfg.SessionS))
 	if _, err := hw.Write(hdr); err != nil {
 		return err
 	}
@@ -163,14 +167,14 @@ func (cl *Cluster) ReadCheckpoint(r io.Reader) error {
 	if flags&^1 != 0 || !allZero(hdr[9:16]) || !allZero(hdr[44:48]) {
 		return fmt.Errorf("%w: unknown flags or nonzero reserved header bytes", ErrCheckpoint)
 	}
-	if seed != cl.cfg.Fleet.Seed {
-		return fmt.Errorf("%w: seed %d, cluster has %d", ErrCheckpoint, seed, cl.cfg.Fleet.Seed)
+	if seed != cl.cfg.Seed {
+		return fmt.Errorf("%w: seed %d, cluster has %d", ErrCheckpoint, seed, cl.cfg.Seed)
 	}
 	if patients != uint64(len(cl.states)) {
 		return fmt.Errorf("%w: %d patients, cluster has %d", ErrCheckpoint, patients, len(cl.states))
 	}
-	if sessionS != cl.cfg.SessionS {
-		return fmt.Errorf("%w: session %gs, cluster has %gs", ErrCheckpoint, sessionS, cl.cfg.SessionS)
+	if sessionS != cl.ccfg.SessionS {
+		return fmt.Errorf("%w: session %gs, cluster has %gs", ErrCheckpoint, sessionS, cl.ccfg.SessionS)
 	}
 	hasWarm := flags&1 != 0
 	if hasWarm != (cl.warm != nil) {

@@ -109,7 +109,7 @@ func TestReadCheckpointRejectsForgedFields(t *testing.T) {
 // exactly RoundsDone() rounds.
 func FuzzReadCheckpoint(f *testing.F) {
 	cl, file := ckptFixture(f)
-	patients := cl.cfg.Fleet.Patients
+	patients := cl.cfg.Patients
 	f.Add(file)
 	f.Add(withRounds(file, patients, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {

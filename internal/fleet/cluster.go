@@ -8,40 +8,52 @@ import (
 	"time"
 
 	"wbsn/internal/core"
+	"wbsn/internal/gateway"
 	"wbsn/internal/telemetry"
 )
 
-// Cluster is the hierarchical fleet-of-fleets engine: the population is
+// Cluster is the fleet engine, a fleet of fleets: the population is
 // block-partitioned across shard-groups, each group runs its own worker
-// shards over pooled rigs, and every aggregate — digest folds, round
+// slots over pooled rigs, and every aggregate — digest folds, round
 // rollups, telemetry — combines worker→group→cluster, so no path
-// serialises the whole population through one goroutine. The flat
-// Engine certifies tens of patients; the Cluster is built for 10⁵–10⁶.
+// serialises the whole population through one goroutine. One 1×1
+// cluster certifies a handful of patients; the same code serves 10⁵–10⁶.
 //
 // Memory is the first-class axis. Per patient, the cluster keeps only
 // the cold tier: one 64-byte PatientState, plus (opt-in) one compact
 // float32 warm-start snapshot. The hot tier — streams, receivers,
-// reassembler windows, trace rings — exists only per worker shard,
+// reassembler windows, trace rings — exists only per worker slot,
 // exactly Groups×GroupShards rigs however large the population. The
 // planned bytes/patient figure is computed before any population
 // allocation and enforced against BudgetBytesPerPatient, and MemStats
 // reports both the plan and the observed heap residency.
 //
 // Time advances in rounds: round r simulates SessionS seconds of every
-// patient. Round 0 derives patient p's session seed exactly like the
-// flat engine (Seed+p), so a one-round cluster reproduces the flat
-// digests bit for bit at any Groups×GroupShards topology; later rounds
+// patient. Round 0 seeds patient p's session with Seed+p; later rounds
 // mix the round index in deterministically. The cumulative digest lives
 // in PatientState (a resumable FNV-1a), so scheduling, topology and
 // checkpoint/restore boundaries are all invisible to it.
 type Cluster struct {
-	cfg    ClusterConfig
-	eng    *Engine
+	// ccfg is the effective cluster configuration; cfg is its Fleet
+	// part, the chain configuration every session reads.
+	ccfg ClusterConfig
+	cfg  Config
+	// node is the shared node template (one sensing matrix fleet-wide,
+	// like a deployed firmware image). gcfg is the matching gateway
+	// configuration and pool the shared reconstruction engine; both are
+	// set in CS mode only.
+	node   *core.Node
+	gcfg   gateway.Config
+	pool   *gateway.Engine
 	states []PatientState
 	warm   *warmStore
 	rigs   []*rig
 	mem    MemStats
 	rounds int
+	// err is the first failed round's error. A failed round leaves the
+	// population half-advanced, so every later RunRound, Run and
+	// WriteCheckpoint returns it instead of building on that state.
+	err error
 	// wallS accumulates the parallel-section time of completed rounds.
 	wallS float64
 	// verifyRig is the spare rig used by VerifyPatient (built lazily;
@@ -51,9 +63,8 @@ type Cluster struct {
 
 // ClusterConfig parameterises a hierarchical run.
 type ClusterConfig struct {
-	// Fleet is the population-wide chain configuration. Patients is the
-	// population size; Shards is ignored (the cluster topology below
-	// governs concurrency); DurationS is ignored in favour of SessionS.
+	// Fleet is the population-wide chain configuration; Patients is the
+	// population size.
 	Fleet Config
 	// Groups is the number of shard-groups (default 1). The population
 	// is block-partitioned across groups.
@@ -65,7 +76,7 @@ type ClusterConfig struct {
 	// 1). Each round simulates SessionS seconds of every patient.
 	Rounds int
 	// SessionS is the simulated seconds per patient per round (default
-	// Fleet.DurationS's default, 30).
+	// 30).
 	SessionS float64
 	// CarryWarm keeps each patient's warm-start solver coefficients
 	// across rounds in the compact float32 cold tier. Requires a
@@ -97,7 +108,7 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 		out.Rounds = 1
 	}
 	if out.SessionS <= 0 {
-		out.SessionS = out.Fleet.DurationS
+		out.SessionS = 30
 	}
 	return out
 }
@@ -171,19 +182,22 @@ type ClusterReport struct {
 }
 
 // NewCluster validates the configuration, enforces the memory budget,
-// and allocates the tiered state: the flat cold-tier population array,
-// the optional warm snapshot store, and Groups×GroupShards pooled rigs.
+// and builds the shared and tiered state: the node template (one
+// sensing matrix fleet-wide), the reconstruction pool, the flat
+// cold-tier population array, the optional warm snapshot store, and
+// Groups×GroupShards pooled rigs.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := cfg.withDefaults()
-	eng, err := NewEngine(c.Fleet)
+	if c.Fleet.EngineWorkers < 0 {
+		return nil, fmt.Errorf("%w: EngineWorkers %d is negative", ErrFleet, c.Fleet.EngineWorkers)
+	}
+	node, err := core.NewNode(c.Fleet.Node)
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{cfg: c, eng: eng}
-	nodeCfg := eng.node.Config()
+	nodeCfg := node.Config()
 	if c.CarryWarm {
 		if nodeCfg.Mode != core.ModeCS || !c.Fleet.WarmStart {
-			eng.Close()
 			return nil, fmt.Errorf("%w: CarryWarm requires a warm-started CS fleet (Mode=CS, WarmStart=true)", ErrFleet)
 		}
 	}
@@ -201,12 +215,27 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	mem.PlannedBytesPerPatient = mem.ColdBytesPerPatient + mem.WarmBytesPerPatient
 	if c.BudgetBytesPerPatient > 0 && mem.PlannedBytesPerPatient > c.BudgetBytesPerPatient {
-		eng.Close()
 		return nil, fmt.Errorf("%w: planned %d B/patient (cold %d + warm %d) exceeds budget %d",
 			ErrBudget, mem.PlannedBytesPerPatient, mem.ColdBytesPerPatient,
 			mem.WarmBytesPerPatient, c.BudgetBytesPerPatient)
 	}
-	cl.mem = mem
+	cl := &Cluster{ccfg: c, cfg: c.Fleet, node: node, mem: mem}
+
+	if nodeCfg.Mode == core.ModeCS {
+		cl.gcfg = gateway.MatchNode(nodeCfg)
+		if c.Fleet.SolverIters > 0 {
+			cl.gcfg.Solver.Iters = c.Fleet.SolverIters
+		}
+		cl.gcfg.Solver.Tol = c.Fleet.SolverTol
+		cl.gcfg.WarmStart = c.Fleet.WarmStart
+		ecfg := gateway.EngineConfig{Workers: c.Fleet.EngineWorkers, Batch: c.Fleet.EngineBatch, BatchWait: c.Fleet.EngineBatchWait}
+		if c.Fleet.Telemetry != nil {
+			ecfg.Metrics = c.Fleet.Telemetry.Gateway
+		}
+		if cl.pool, err = gateway.NewEngine(cl.gcfg, ecfg); err != nil {
+			return nil, err
+		}
+	}
 
 	cl.states = make([]PatientState, c.Fleet.Patients)
 	for p := range cl.states {
@@ -217,9 +246,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	cl.rigs = make([]*rig, c.Groups*c.GroupShards)
 	for i := range cl.rigs {
-		r, err := eng.newRig(i)
+		r, err := cl.newRig(i)
 		if err != nil {
-			eng.Close()
+			cl.Close()
 			return nil, err
 		}
 		cl.rigs[i] = r
@@ -228,26 +257,25 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // Config returns the effective cluster configuration.
-func (cl *Cluster) Config() ClusterConfig { return cl.cfg }
+func (cl *Cluster) Config() ClusterConfig { return cl.ccfg }
+
+// PlanDescription summarises the compiled node pipeline every rig
+// executes (one plan fleet-wide; each rig runs it through a private
+// executor).
+func (cl *Cluster) PlanDescription() string { return cl.node.Plan().Describe() }
 
 // Close releases the shared reconstruction pool.
-func (cl *Cluster) Close() { cl.eng.Close() }
+func (cl *Cluster) Close() {
+	if cl.pool != nil {
+		cl.pool.Close()
+	}
+}
 
 // RoundsDone returns the number of completed scheduling rounds.
 func (cl *Cluster) RoundsDone() int { return cl.rounds }
 
 // State returns patient p's cold-tier state (a copy).
 func (cl *Cluster) State(p int) PatientState { return cl.states[p] }
-
-// Result unfolds patient p's cold state into the flat engine's result
-// shape. Nothing is retained per patient beyond the cold tier — the
-// result is derived on demand, which is why the cluster has no
-// []PatientResult array to budget. Shard is -1: a cluster patient has
-// no fixed worker.
-func (cl *Cluster) Result(p int) PatientResult {
-	st := &cl.states[p]
-	return st.result(p, cl.cfg.Fleet.Seed+int64(p), -1, float64(st.Rounds)*cl.cfg.SessionS)
-}
 
 // Mem returns the memory report with the runtime fields sampled now.
 func (cl *Cluster) Mem() MemStats {
@@ -273,11 +301,10 @@ func splitmix64(x uint64) uint64 {
 }
 
 // sessionSeed derives patient p's seed for one scheduling round. Round
-// 0 is exactly the flat engine's Seed+p, so a one-round cluster is
-// digest-identical to the flat fleet; later rounds mix the round index
-// through splitmix64 so each slice sees fresh, reproducible randomness
-// that depends only on (Seed, p, round) — never on topology or
-// scheduling order.
+// 0 is Seed+p, the seed TestClusterDigestGolden's round-0 digests were
+// captured with; later rounds mix the round index through splitmix64 so
+// each slice sees fresh, reproducible randomness that depends only on
+// (Seed, p, round) — never on topology or scheduling order.
 func sessionSeed(base int64, p, round int) int64 {
 	if round == 0 {
 		return base + int64(p)
@@ -299,8 +326,15 @@ func foldDigest(p int, d uint64) uint64 {
 // outcome back. Telemetry flushes once per worker per round and digest
 // folds combine worker→group→cluster, so the fan-in at every node of
 // the aggregation tree is bounded by the topology, not the population.
+//
+// A failed round is final: the workers that did not fail have already
+// advanced their patients, so the cluster keeps the error and returns
+// it from every later RunRound, Run and WriteCheckpoint.
 func (cl *Cluster) RunRound() (*RoundReport, error) {
-	c := cl.cfg
+	if cl.err != nil {
+		return nil, cl.err
+	}
+	c := cl.ccfg
 	P := c.Fleet.Patients
 	perGroup := (P + c.Groups - 1) / c.Groups
 	round := cl.rounds
@@ -341,7 +375,7 @@ func (cl *Cluster) RunRound() (*RoundReport, error) {
 					fold := uint64(0)
 					for p := lo + s; p < hi; p += c.GroupShards {
 						seed := sessionSeed(c.Fleet.Seed, p, round)
-						if err := cl.eng.runSession(r, &cl.states[p], p, seed, c.SessionS, cl.warm, fb); err != nil {
+						if err := cl.runSession(r, &cl.states[p], p, seed, c.SessionS, cl.warm, fb); err != nil {
 							gmu.Lock()
 							if gerr == nil {
 								gerr = err
@@ -373,7 +407,8 @@ func (cl *Cluster) RunRound() (*RoundReport, error) {
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		cl.err = fmt.Errorf("fleet: round %d failed: %w", round, firstErr)
+		return nil, cl.err
 	}
 	cl.rounds++
 	wall := time.Since(start).Seconds()
@@ -400,10 +435,13 @@ func (cl *Cluster) RunRound() (*RoundReport, error) {
 // them on a fresh cluster; the remainder after a checkpoint restore)
 // and returns the aggregate report.
 func (cl *Cluster) Run() (*ClusterReport, error) {
-	for cl.rounds < cl.cfg.Rounds {
+	for cl.rounds < cl.ccfg.Rounds {
 		if _, err := cl.RunRound(); err != nil {
 			return nil, err
 		}
+	}
+	if cl.err != nil {
+		return nil, cl.err
 	}
 	return cl.Report(), nil
 }
@@ -412,7 +450,7 @@ func (cl *Cluster) Run() (*ClusterReport, error) {
 // The fold runs one goroutine per group over that group's block — the
 // same bounded fan-in shape as the simulation itself.
 func (cl *Cluster) Report() *ClusterReport {
-	c := cl.cfg
+	c := cl.ccfg
 	P := c.Fleet.Patients
 	rep := &ClusterReport{
 		Patients:    P,
@@ -509,7 +547,7 @@ func (cl *Cluster) VerifyPatient(p int) error {
 		return fmt.Errorf("%w: patient %d out of range", ErrFleet, p)
 	}
 	if cl.verifyRig == nil {
-		r, err := cl.eng.newRig(cl.cfg.Groups * cl.cfg.GroupShards)
+		r, err := cl.newRig(cl.ccfg.Groups * cl.ccfg.GroupShards)
 		if err != nil {
 			return err
 		}
@@ -522,8 +560,8 @@ func (cl *Cluster) VerifyPatient(p int) error {
 	}
 	rounds := int(cl.states[p].Rounds)
 	for round := 0; round < rounds; round++ {
-		seed := sessionSeed(cl.cfg.Fleet.Seed, p, round)
-		if err := cl.eng.runSession(cl.verifyRig, &st, p, seed, cl.cfg.SessionS, warm, nil); err != nil {
+		seed := sessionSeed(cl.cfg.Seed, p, round)
+		if err := cl.runSession(cl.verifyRig, &st, p, seed, cl.ccfg.SessionS, warm, nil); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,7 @@
 // Package fleet scales the paper's single-patient pipeline to a
 // population: N independent patients — each with its own ECG generator
 // seed, streaming node, lossy radio link and gateway receiver — are
-// simulated concurrently on a fixed set of shard workers. The package is
+// simulated concurrently by a Cluster's worker slots. The package is
 // the load harness behind the ROADMAP's production north star: per-node
 // cost bounds how many wearers one host core can serve, so the fleet
 // reports a real-time factor (simulated seconds per wall second)
@@ -12,23 +12,21 @@
 // the CS reconstruction is bit-identical however it is scheduled (the
 // gateway engine decodes with cloned, immutable solver state). Patient p
 // therefore produces the same event stream and the same digest whether
-// the fleet runs on 1 shard or 64 — which is what TestFleetBitIdentity
-// and the wbsn-sim -fleet sweep verify.
+// the cluster runs 1 worker slot or 64 — which is what
+// TestFleetBitIdentity and the wbsn-sim -fleet sweep verify.
 //
-// Shard model: patients are dealt round-robin to Shards worker
-// goroutines. Each shard owns one pooled rig — a core.Stream and a
-// gateway.Receiver that are Reset between patients instead of rebuilt,
-// plus reusable block headers — so steady-state patient turnover does
-// not touch the allocator beyond the per-patient link/channel state and
-// the record itself. CS windows from every shard funnel into one shared
-// gateway.Engine worker pool for reconstruction.
+// Worker model: a Cluster's Groups×GroupShards worker slots each own one
+// pooled rig — a core.Stream and a gateway.Receiver that are Reset
+// between patients instead of rebuilt, plus reusable block headers — so
+// steady-state patient turnover does not touch the allocator beyond the
+// per-patient link/channel state and the record itself. CS windows from
+// every slot funnel into one shared gateway.Engine worker pool for
+// reconstruction.
 package fleet
 
 import (
 	"errors"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"wbsn/internal/core"
@@ -55,11 +53,6 @@ var ErrDrift = errors.New("fleet: digest drift")
 type Config struct {
 	// Patients is the population size (default 8).
 	Patients int
-	// Shards is the worker-goroutine count (default GOMAXPROCS, clamped
-	// to Patients).
-	Shards int
-	// DurationS is the per-patient record length in seconds (default 30).
-	DurationS float64
 	// Seed is the base seed: patient p derives its record, channel and
 	// ARQ randomness from Seed+p, so populations are reproducible and
 	// patients are mutually independent.
@@ -87,14 +80,13 @@ type Config struct {
 	SolverTol float64
 	// WarmStart carries each patient's wavelet coefficients from window
 	// to window through the pooled rigs. The warm cache is per receiver
-	// (one stream per shard at a time) and is cleared on every patient
-	// boundary by the rig Reset, so coefficients never leak between
-	// patients; digests remain shard-count invariant because each
+	// (one stream per worker slot at a time) and is cleared on every
+	// patient boundary by the rig Reset, so coefficients never leak
+	// between patients; digests remain slot-count invariant because each
 	// patient's window sequence decodes in order either way.
 	WarmStart bool
 	// EngineWorkers sizes the shared reconstruction pool (default
-	// GOMAXPROCS). Negative disables the engine: receivers decode
-	// inline on their shard.
+	// GOMAXPROCS). NewCluster rejects a negative value with ErrFleet.
 	EngineWorkers int
 	// EngineBatch is the most queued windows one engine worker dispatch
 	// reconstructs in a single structure-of-arrays solver pass (default
@@ -121,8 +113,8 @@ type Config struct {
 	// Telemetry, when set, wires every layer's metric family into the
 	// run: node stage timings, link ARQ counters, gateway queue/latency
 	// and the per-patient fleet rollups — plus end-to-end window traces
-	// when the set carries a trace collector (one ring per shard, window
-	// IDs tagged by patient). Pure observation — digests are
+	// when the set carries a trace collector (one ring per worker slot,
+	// window IDs tagged by patient). Pure observation — digests are
 	// bit-identical with or without it (TestFleetTelemetryDigestIdentity).
 	Telemetry *telemetry.Set
 }
@@ -131,15 +123,6 @@ func (c Config) withDefaults() Config {
 	out := c
 	if out.Patients <= 0 {
 		out.Patients = 8
-	}
-	if out.Shards <= 0 {
-		out.Shards = runtime.GOMAXPROCS(0)
-	}
-	if out.Shards > out.Patients {
-		out.Shards = out.Patients
-	}
-	if out.DurationS <= 0 {
-		out.DurationS = 30
 	}
 	if out.Node.Mode == core.ModeRawStreaming && out.Node.CSRatio == 0 {
 		// Zero Node means "the paper's CS node".
@@ -166,168 +149,46 @@ type Scenario struct {
 	ARQ     *link.ARQConfig
 }
 
-func (e *Engine) scenarioFor(p int) Scenario {
-	if e.cfg.Scenario == nil {
+func (cl *Cluster) scenarioFor(p int) Scenario {
+	if cl.cfg.Scenario == nil {
 		return Scenario{}
 	}
-	return e.cfg.Scenario(p)
+	return cl.cfg.Scenario(p)
 }
 
-// PatientResult is one patient's end-to-end outcome.
-type PatientResult struct {
-	// Patient is the population index, Seed the derived patient seed.
-	Patient int
-	Seed    int64
-	// Shard is the worker that simulated this patient.
-	Shard int
-	// Events counts the node's emitted events; Packets/Delivered/Lost
-	// count the radio windows through the ARQ link.
-	Events    int
-	Packets   int
-	Delivered int
-	Lost      int
-	// DeliveryRatio is Delivered/Packets (1 for an idle link).
-	DeliveryRatio float64
-	// RadioEnergyJ is the radio energy spent including retransmissions;
-	// IdealEnergyJ is the lossless-link baseline (energy.RadioModel).
-	RadioEnergyJ float64
-	IdealEnergyJ float64
-	// Beats is the number of beats recovered by the remote (gateway)
-	// delineator in CS mode, or emitted by the node in analysis modes.
-	Beats int
-	// Se and PPV score the recovered R peaks against the record's ground
-	// truth (NaN when the record holds no annotated beats). PPV is the
-	// "specificity" of the delineation-evaluation literature.
-	Se, PPV float64
-	// Digest fingerprints the patient's full event stream, reconstructed
-	// signal and recovered fiducials; equal digests mean bit-identical
-	// end-to-end behaviour.
-	Digest uint64
-	// SimSeconds is the simulated signal duration.
-	SimSeconds float64
-}
-
-// Result aggregates one fleet run.
-type Result struct {
-	// Patients holds the per-patient outcomes in population order.
-	Patients []PatientResult
-	// Shards is the worker count actually used.
-	Shards int
-	// WallSeconds is the elapsed time of the parallel section;
-	// SimSeconds the summed simulated signal time.
-	WallSeconds float64
-	SimSeconds  float64
-	// RealTimeFactor is SimSeconds/WallSeconds — how many live patients
-	// this host could serve at this configuration.
-	RealTimeFactor float64
-	// MeanSe, MeanPPV and MeanDelivery average the per-patient scores
-	// (NaN scores are excluded).
-	MeanSe       float64
-	MeanPPV      float64
-	MeanDelivery float64
-	// RadioEnergyJ sums the fleet's radio spend.
-	RadioEnergyJ float64
-	// PlanDescription summarises the compiled node pipeline every rig
-	// executed (one plan fleet-wide; each rig runs it through a private
-	// executor).
-	PlanDescription string
-}
-
-// rig is one shard's pooled per-patient state: constructed once,
+// rig is one worker slot's pooled per-patient state: constructed once,
 // Reset between patients.
 type rig struct {
 	stream *core.Stream
 	rx     *gateway.Receiver
 	block  [][]float64
-	// tr is the shard's window-trace ring (nil when the telemetry set
-	// carries no trace collector). One ring per shard: a shard runs one
+	// tr is the slot's window-trace ring (nil when the telemetry set
+	// carries no trace collector). One ring per slot: a slot runs one
 	// patient at a time, and patient p tags its windows with hi=p, so
 	// trace IDs stay unique fleet-wide.
 	tr *trace.Ring
 }
 
-// Engine runs fleet simulations. It owns the shared node template and
-// the gateway reconstruction pool; one Engine can run many fleets
-// (records are replayed through pooled rigs).
-type Engine struct {
-	cfg  Config
-	node *core.Node
-	gcfg gateway.Config
-	pool *gateway.Engine
-}
-
-// NewEngine validates the configuration and builds the shared state:
-// the node template (one sensing matrix fleet-wide) and the
-// reconstruction worker pool.
-func NewEngine(cfg Config) (*Engine, error) {
-	c := cfg.withDefaults()
-	node, err := core.NewNode(c.Node)
+// newRig builds one worker slot's pooled state.
+func (cl *Cluster) newRig(shard int) (*rig, error) {
+	stream, err := cl.node.NewStream()
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: c, node: node}
-	if node.Config().Mode == core.ModeCS {
-		e.gcfg = gateway.MatchNode(node.Config())
-		if c.SolverIters > 0 {
-			e.gcfg.Solver.Iters = c.SolverIters
-		}
-		e.gcfg.Solver.Tol = c.SolverTol
-		e.gcfg.WarmStart = c.WarmStart
-		if c.EngineWorkers >= 0 {
-			ecfg := gateway.EngineConfig{Workers: c.EngineWorkers, Batch: c.EngineBatch, BatchWait: c.EngineBatchWait}
-			if c.Telemetry != nil {
-				ecfg.Metrics = c.Telemetry.Gateway
-			}
-			pool, err := gateway.NewEngine(e.gcfg, ecfg)
-			if err != nil {
-				return nil, err
-			}
-			e.pool = pool
-		}
-	}
-	return e, nil
-}
-
-// Config returns the effective fleet configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// PlanDescription summarises the compiled execution plan shared by every
-// rig of this engine.
-func (e *Engine) PlanDescription() string { return e.node.Plan().Describe() }
-
-// Close releases the shared reconstruction pool.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
-}
-
-// newRig builds one shard's pooled state.
-func (e *Engine) newRig(shard int) (*rig, error) {
-	stream, err := e.node.NewStream()
-	if err != nil {
-		return nil, err
-	}
-	if tel := e.cfg.Telemetry; tel != nil {
+	if tel := cl.cfg.Telemetry; tel != nil {
 		stream.SetTelemetry(tel.Node)
 	}
 	r := &rig{stream: stream}
-	if tel := e.cfg.Telemetry; tel != nil && tel.Trace != nil {
+	if tel := cl.cfg.Telemetry; tel != nil && tel.Trace != nil {
 		r.tr = tel.Trace.Session(uint64(shard))
 	}
-	if e.node.Config().Mode == core.ModeCS {
-		rx, err := gateway.NewReceiver(e.gcfg)
+	if cl.node.Config().Mode == core.ModeCS {
+		rx, err := gateway.NewReceiver(cl.gcfg)
 		if err != nil {
 			return nil, err
 		}
-		if e.pool != nil {
-			if err := rx.AttachEngine(e.pool); err != nil {
-				return nil, err
-			}
-		} else if tel := e.cfg.Telemetry; tel != nil {
-			// Inline decoding on the shard: convergence stats flow through
-			// the receiver (the engine path records via pool metrics).
-			rx.SetTelemetry(tel.Solver)
+		if err := rx.AttachEngine(cl.pool); err != nil {
+			return nil, err
 		}
 		rx.SetTrace(r.tr)
 		r.rx = rx
@@ -335,120 +196,20 @@ func (e *Engine) newRig(shard int) (*rig, error) {
 	return r, nil
 }
 
-// Run simulates the configured population and returns the aggregated
-// result. Safe to call repeatedly; each call replays the same
-// population (same seeds) through fresh pooled rigs.
-func (e *Engine) Run() (*Result, error) {
-	c := e.cfg
-	res := &Result{
-		Patients:        make([]PatientResult, c.Patients),
-		Shards:          c.Shards,
-		PlanDescription: e.PlanDescription(),
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	start := time.Now()
-	for shard := 0; shard < c.Shards; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			r, err := e.newRig(shard)
-			if err == nil {
-				var fb *telemetry.FleetBatch
-				if tel := c.Telemetry; tel != nil {
-					fb = tel.Fleet.NewBatch(shard)
-				}
-				for p := shard; p < c.Patients; p += c.Shards {
-					pr, perr := e.runPatient(r, p, shard, fb)
-					if perr != nil {
-						err = perr
-						break
-					}
-					res.Patients[p] = pr
-					// Per-patient flush keeps the flat engine's metric
-					// freshness (a scraper never lags more than one patient).
-					fb.Flush()
-				}
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(shard)
-	}
-	wg.Wait()
-	res.WallSeconds = time.Since(start).Seconds()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	var seSum, ppvSum float64
-	var seN, ppvN int
-	for _, pr := range res.Patients {
-		res.SimSeconds += pr.SimSeconds
-		res.MeanDelivery += pr.DeliveryRatio
-		res.RadioEnergyJ += pr.RadioEnergyJ
-		if !math.IsNaN(pr.Se) {
-			seSum += pr.Se
-			seN++
-		}
-		if !math.IsNaN(pr.PPV) {
-			ppvSum += pr.PPV
-			ppvN++
-		}
-	}
-	if c.Patients > 0 {
-		res.MeanDelivery /= float64(c.Patients)
-	}
-	res.MeanSe, res.MeanPPV = math.NaN(), math.NaN()
-	if seN > 0 {
-		res.MeanSe = seSum / float64(seN)
-	}
-	if ppvN > 0 {
-		res.MeanPPV = ppvSum / float64(ppvN)
-	}
-	if res.WallSeconds > 0 {
-		res.RealTimeFactor = res.SimSeconds / res.WallSeconds
-	}
-	if tel := c.Telemetry; tel != nil {
-		tel.Fleet.RTFMilli.Set(int64(res.RealTimeFactor * 1000))
-	}
-	return res, nil
-}
-
-// runPatient simulates one patient on the shard's pooled rig: a fresh
-// cold state, one session covering the whole record, then the fold
-// into the flat-engine result shape.
-func (e *Engine) runPatient(r *rig, p, shard int, fb *telemetry.FleetBatch) (PatientResult, error) {
-	c := e.cfg
-	seed := c.Seed + int64(p)
-	st := PatientState{Digest: fnvOffset64}
-	if err := e.runSession(r, &st, p, seed, c.DurationS, nil, fb); err != nil {
-		return PatientResult{Patient: p, Seed: seed, Shard: shard, SimSeconds: c.DurationS}, err
-	}
-	return st.result(p, seed, shard, c.DurationS), nil
-}
-
 // runSession replays durS seconds of patient p through a pooled rig and
 // folds the outcome into the patient's cold state. The digest resumes
 // from st.Digest — the entire FNV-1a hash state — so a multi-round
-// patient (Cluster scheduling slices, checkpoint restores) accumulates
-// the exact hash a single uninterrupted run would produce, and round 0
-// seeded with Seed+p reproduces the flat engine's digests bit for bit.
+// patient (scheduling slices, checkpoint restores) accumulates the
+// exact hash a single uninterrupted run would produce.
 //
 // warm, when non-nil, is the cold-tier snapshot store: the patient's
 // compact float32 coefficients are rehydrated into the rig's receiver
 // before the first window and captured back after the last. fb, when
 // non-nil, receives the session's telemetry rollups (flushed by the
 // caller, bounded fan-in).
-func (e *Engine) runSession(r *rig, st *PatientState, p int, seed int64, durS float64, warm *warmStore, fb *telemetry.FleetBatch) error {
-	c := e.cfg
-	sc := e.scenarioFor(p)
+func (cl *Cluster) runSession(r *rig, st *PatientState, p int, seed int64, durS float64, warm *warmStore, fb *telemetry.FleetBatch) error {
+	c := cl.cfg
+	sc := cl.scenarioFor(p)
 	ecfg := ecg.Config{Seed: seed, Duration: durS, Noise: c.Noise}
 	if sc.Noise != nil {
 		ecfg.Noise = *sc.Noise
@@ -519,7 +280,7 @@ func (e *Engine) runSession(r *rig, st *PatientState, p int, seed int64, durS fl
 	}
 
 	// Batched acquisition: push one block, drain its events in one batch.
-	blockLen := int(c.BlockS * e.node.Config().Fs)
+	blockLen := int(c.BlockS * cl.node.Config().Fs)
 	if blockLen < 1 {
 		blockLen = 1
 	}
@@ -639,15 +400,4 @@ func prdPercent(orig, recon [][]float64) float64 {
 		return math.NaN()
 	}
 	return 100 * math.Sqrt(num/den)
-}
-
-// Run is the one-shot convenience wrapper: build an engine, simulate,
-// tear down.
-func Run(cfg Config) (*Result, error) {
-	e, err := NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.Run()
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -12,84 +14,86 @@ import (
 	"wbsn/internal/telemetry"
 )
 
-// fastCfg keeps fleet tests quick: short records and a reduced FISTA
-// budget (reconstruction quality is irrelevant to scheduling and
-// determinism, which is what these tests pin down).
-func fastCfg(patients, shards int) Config {
-	return Config{
-		Patients:    patients,
-		Shards:      shards,
-		DurationS:   6,
-		Seed:        100,
-		SolverIters: 30,
+// fastCfg keeps fleet tests quick: one short round on `shards` worker
+// slots and a reduced FISTA budget (reconstruction quality is
+// irrelevant to scheduling and determinism, which is what these tests
+// pin down).
+func fastCfg(patients, shards int) ClusterConfig {
+	return ClusterConfig{
+		Fleet: Config{
+			Patients:    patients,
+			Seed:        100,
+			SolverIters: 30,
+		},
+		GroupShards: shards,
+		SessionS:    6,
 	}
-}
-
-func runFleet(t testing.TB, cfg Config) *Result {
-	t.Helper()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 // TestFleetBitIdentity is the engine's core guarantee: every patient's
-// digest (events + reconstructed signal + recovered fiducials) is
-// identical whatever the shard count, so parallel execution is
-// indistinguishable from serial.
+// full state (digest over events + reconstructed signal + recovered
+// fiducials, and every counter) is identical whatever the worker slot
+// count, so parallel execution is indistinguishable from serial.
 func TestFleetBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CS reconstruction sweep")
 	}
 	base := fastCfg(5, 1)
-	serial := runFleet(t, base)
+	serial, _ := runCluster(t, base)
 	for _, shards := range []int{2, 3, 5} {
 		cfg := base
-		cfg.Shards = shards
-		res := runFleet(t, cfg)
-		if res.Shards != shards {
-			t.Fatalf("shards: got %d want %d", res.Shards, shards)
+		cfg.GroupShards = shards
+		cl, _ := runCluster(t, cfg)
+		if got := cl.Config().GroupShards; got != shards {
+			t.Fatalf("shards: got %d want %d", got, shards)
 		}
-		for p := range serial.Patients {
-			s, g := serial.Patients[p], res.Patients[p]
-			if g.Digest != s.Digest {
-				t.Errorf("shards=%d patient %d: digest %#x != serial %#x", shards, p, g.Digest, s.Digest)
-			}
-			if g.Events != s.Events || g.Packets != s.Packets || g.Beats != s.Beats {
-				t.Errorf("shards=%d patient %d: counts diverged from serial", shards, p)
-			}
-			if g.Se != s.Se || g.PPV != s.PPV {
-				t.Errorf("shards=%d patient %d: scores diverged from serial", shards, p)
+		for p := 0; p < 5; p++ {
+			if got, want := cl.State(p), serial.State(p); got != want {
+				t.Errorf("shards=%d patient %d: state diverged from serial:\n got %+v\nwant %+v", shards, p, got, want)
 			}
 		}
 	}
 }
 
+// replayOnReusedRigs runs round 0 of cfg's population twice through one
+// cluster, rewinding to a round-0 checkpoint in between, and returns
+// the states of both passes.
+func replayOnReusedRigs(t *testing.T, cfg ClusterConfig) (first, second []PatientState) {
+	t.Helper()
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var ckpt bytes.Buffer
+	if err := cl.WriteCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	passes := make([][]PatientState, 2)
+	for i := range passes {
+		if err := cl.ReadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		passes[i] = append([]PatientState(nil), cl.states...)
+	}
+	return passes[0], passes[1]
+}
+
 // TestFleetPooledRigReuse replays the same population twice through one
-// Engine: the second run reuses warmed rigs via Reset and must reproduce
-// the first run's digests exactly (no state bleed between runs or
-// between the patients sharing a shard's rig).
+// cluster: the second pass reuses warmed rigs via Reset and must
+// reproduce the first pass's states exactly (no state bleed between
+// passes or between the patients sharing a slot's rig).
 func TestFleetPooledRigReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CS reconstruction sweep")
 	}
-	e, err := NewEngine(fastCfg(4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	first, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range first.Patients {
-		if first.Patients[p].Digest != second.Patients[p].Digest {
-			t.Errorf("patient %d: rig reuse changed the digest", p)
+	first, second := replayOnReusedRigs(t, fastCfg(4, 2))
+	for p := range first {
+		if first[p] != second[p] {
+			t.Errorf("patient %d: rig reuse changed the state:\n got %+v\nwant %+v", p, second[p], first[p])
 		}
 	}
 }
@@ -101,37 +105,38 @@ func TestFleetPatientsIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CS reconstruction sweep")
 	}
-	res := runFleet(t, fastCfg(4, 2))
+	cl, rep := runCluster(t, fastCfg(4, 2))
 	seen := make(map[uint64]int)
-	for _, pr := range res.Patients {
-		if prev, dup := seen[pr.Digest]; dup {
-			t.Errorf("patients %d and %d share digest %#x", prev, pr.Patient, pr.Digest)
+	for p := 0; p < 4; p++ {
+		st := cl.State(p)
+		if prev, dup := seen[st.Digest]; dup {
+			t.Errorf("patients %d and %d share digest %#x", prev, p, st.Digest)
 		}
-		seen[pr.Digest] = pr.Patient
-		if pr.Packets == 0 || pr.Delivered != pr.Packets {
-			t.Errorf("patient %d: clean link delivered %d/%d", pr.Patient, pr.Delivered, pr.Packets)
+		seen[st.Digest] = p
+		if st.Packets == 0 || st.Delivered != st.Packets {
+			t.Errorf("patient %d: clean link delivered %d/%d", p, st.Delivered, st.Packets)
 		}
-		if pr.DeliveryRatio != 1 {
-			t.Errorf("patient %d: delivery ratio %.3f on a clean link", pr.Patient, pr.DeliveryRatio)
+		if st.DeliveryRatio() != 1 {
+			t.Errorf("patient %d: delivery ratio %.3f on a clean link", p, st.DeliveryRatio())
 		}
-		if pr.RadioEnergyJ <= 0 || pr.RadioEnergyJ != pr.IdealEnergyJ {
-			t.Errorf("patient %d: clean-link energy %.3e (ideal %.3e)", pr.Patient, pr.RadioEnergyJ, pr.IdealEnergyJ)
+		if st.RadioEnergyJ <= 0 || st.RadioEnergyJ != st.IdealEnergyJ {
+			t.Errorf("patient %d: clean-link energy %.3e (ideal %.3e)", p, st.RadioEnergyJ, st.IdealEnergyJ)
 		}
-		if math.IsNaN(pr.Se) || pr.Se <= 0 {
-			t.Errorf("patient %d: Se %.3f", pr.Patient, pr.Se)
+		if se := st.Se(); math.IsNaN(se) || se <= 0 {
+			t.Errorf("patient %d: Se %.3f", p, se)
 		}
-		if pr.SimSeconds != 6 {
-			t.Errorf("patient %d: sim seconds %.1f", pr.Patient, pr.SimSeconds)
+		if st.Rounds != 1 {
+			t.Errorf("patient %d: %d rounds, want 1", p, st.Rounds)
 		}
 	}
-	if res.SimSeconds != 24 {
-		t.Errorf("fleet sim seconds %.1f, want 24", res.SimSeconds)
+	if rep.SimSeconds != 24 {
+		t.Errorf("fleet sim seconds %.1f, want 24", rep.SimSeconds)
 	}
-	if res.RealTimeFactor <= 0 {
-		t.Errorf("real-time factor %.2f", res.RealTimeFactor)
+	if rep.RealTimeFactor <= 0 {
+		t.Errorf("real-time factor %.2f", rep.RealTimeFactor)
 	}
-	if res.MeanDelivery != 1 || math.IsNaN(res.MeanSe) || math.IsNaN(res.MeanPPV) {
-		t.Errorf("aggregates: delivery %.3f Se %.3f PPV %.3f", res.MeanDelivery, res.MeanSe, res.MeanPPV)
+	if rep.MeanDelivery != 1 || math.IsNaN(rep.MeanSe) || math.IsNaN(rep.MeanPPV) {
+		t.Errorf("aggregates: delivery %.3f Se %.3f PPV %.3f", rep.MeanDelivery, rep.MeanSe, rep.MeanPPV)
 	}
 }
 
@@ -144,24 +149,25 @@ func TestFleetLossyChannel(t *testing.T) {
 		t.Skip("CS reconstruction sweep")
 	}
 	cfg := fastCfg(3, 1)
-	cfg.Channel = link.ChannelConfig{
+	cfg.Fleet.Channel = link.ChannelConfig{
 		PGoodToBad: 0.25,
 		PBadToGood: 0.3,
 		LossGood:   0.35,
 		LossBad:    0.7,
 	}
-	serial := runFleet(t, cfg)
-	cfg.Shards = 3
-	sharded := runFleet(t, cfg)
+	serial, _ := runCluster(t, cfg)
+	cfg.GroupShards = 3
+	sharded, _ := runCluster(t, cfg)
 	anyRetx := false
-	for p, pr := range serial.Patients {
-		if pr.Digest != sharded.Patients[p].Digest {
-			t.Errorf("patient %d: lossy run not deterministic across shard counts", p)
+	for p := 0; p < 3; p++ {
+		st := serial.State(p)
+		if st.Digest != sharded.State(p).Digest {
+			t.Errorf("patient %d: lossy run not deterministic across slot counts", p)
 		}
-		if pr.Delivered+pr.Lost != pr.Packets {
-			t.Errorf("patient %d: %d delivered + %d lost != %d packets", p, pr.Delivered, pr.Lost, pr.Packets)
+		if st.Delivered+st.Lost != st.Packets {
+			t.Errorf("patient %d: %d delivered + %d lost != %d packets", p, st.Delivered, st.Lost, st.Packets)
 		}
-		if pr.RadioEnergyJ > pr.IdealEnergyJ {
+		if st.RadioEnergyJ > st.IdealEnergyJ {
 			anyRetx = true
 		}
 	}
@@ -174,34 +180,37 @@ func TestFleetLossyChannel(t *testing.T) {
 // no gateway): beats come from the node delineator and the link metrics
 // stay at their idle defaults.
 func TestFleetAnalysisMode(t *testing.T) {
-	cfg := Config{
-		Patients:  4,
-		Shards:    2,
-		DurationS: 10,
-		Seed:      7,
-		Node:      core.Config{Mode: core.ModeDelineation},
-		Noise: ecg.NoiseConfig{
-			BaselineWander: 0.1,
-			EMG:            0.02,
+	cfg := ClusterConfig{
+		Fleet: Config{
+			Patients: 4,
+			Seed:     7,
+			Node:     core.Config{Mode: core.ModeDelineation},
+			Noise: ecg.NoiseConfig{
+				BaselineWander: 0.1,
+				EMG:            0.02,
+			},
 		},
+		GroupShards: 2,
+		SessionS:    10,
 	}
-	res := runFleet(t, cfg)
-	for _, pr := range res.Patients {
-		if pr.Beats == 0 {
-			t.Errorf("patient %d: node delineator found no beats", pr.Patient)
+	cl, _ := runCluster(t, cfg)
+	for p := 0; p < 4; p++ {
+		st := cl.State(p)
+		if st.Beats == 0 {
+			t.Errorf("patient %d: node delineator found no beats", p)
 		}
-		if pr.Packets != 0 || pr.DeliveryRatio != 1 || pr.RadioEnergyJ != 0 {
-			t.Errorf("patient %d: link metrics non-idle without a radio hop", pr.Patient)
+		if st.Packets != 0 || st.DeliveryRatio() != 1 || st.RadioEnergyJ != 0 {
+			t.Errorf("patient %d: link metrics non-idle without a radio hop", p)
 		}
-		if math.IsNaN(pr.Se) || pr.Se < 0.8 {
-			t.Errorf("patient %d: Se %.3f", pr.Patient, pr.Se)
+		if se := st.Se(); math.IsNaN(se) || se < 0.8 {
+			t.Errorf("patient %d: Se %.3f", p, se)
 		}
 	}
-	cfg.Shards = 1
-	serial := runFleet(t, cfg)
-	for p := range serial.Patients {
-		if serial.Patients[p].Digest != res.Patients[p].Digest {
-			t.Errorf("patient %d: analysis fleet not shard-invariant", p)
+	cfg.GroupShards = 1
+	serial, _ := runCluster(t, cfg)
+	for p := 0; p < 4; p++ {
+		if serial.State(p).Digest != cl.State(p).Digest {
+			t.Errorf("patient %d: analysis fleet not slot-invariant", p)
 		}
 	}
 }
@@ -217,19 +226,19 @@ func TestFleetBatchDigestInvariance(t *testing.T) {
 	}
 	for _, warm := range []bool{false, true} {
 		base := fastCfg(4, 2)
-		base.EngineWorkers = 2
+		base.Fleet.EngineWorkers = 2
 		if warm {
-			base.SolverTol = 1e-3
-			base.WarmStart = true
+			base.Fleet.SolverTol = 1e-3
+			base.Fleet.WarmStart = true
 		}
-		serial := runFleet(t, base)
+		serial, _ := runCluster(t, base)
 		for _, batch := range []int{2, 4} {
 			cfg := base
-			cfg.EngineBatch = batch
-			cfg.EngineBatchWait = time.Millisecond
-			res := runFleet(t, cfg)
-			for p := range serial.Patients {
-				if res.Patients[p].Digest != serial.Patients[p].Digest {
+			cfg.Fleet.EngineBatch = batch
+			cfg.Fleet.EngineBatchWait = time.Millisecond
+			cl, _ := runCluster(t, cfg)
+			for p := 0; p < 4; p++ {
+				if cl.State(p).Digest != serial.State(p).Digest {
 					t.Errorf("warm=%v batch=%d patient %d: digest diverged from sequential dispatch",
 						warm, batch, p)
 				}
@@ -238,84 +247,88 @@ func TestFleetBatchDigestInvariance(t *testing.T) {
 	}
 }
 
-// TestFleetConfigDefaults pins the zero-value behaviour: a zero Config
-// becomes the paper's CS fleet sized to the host.
+// TestFleetConfigDefaults pins the zero-value behaviour: a zero
+// ClusterConfig becomes one round of the paper's CS fleet on one group
+// sized to the host, and a negative engine pool size is refused.
 func TestFleetConfigDefaults(t *testing.T) {
-	e, err := NewEngine(Config{})
+	cl, err := NewCluster(ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	c := e.Config()
-	if c.Patients != 8 || c.DurationS != 30 || c.BlockS != 1 {
+	defer cl.Close()
+	c := cl.Config()
+	if c.Fleet.Patients != 8 || c.SessionS != 30 || c.Fleet.BlockS != 1 || c.Groups != 1 || c.Rounds != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	if want := runtime.GOMAXPROCS(0); c.Shards != want && c.Shards != c.Patients {
-		t.Fatalf("default shards %d", c.Shards)
+	if want := runtime.GOMAXPROCS(0); c.GroupShards != want && c.GroupShards != c.Fleet.Patients {
+		t.Fatalf("default worker slots %d", c.GroupShards)
 	}
-	if c.Node.Mode != core.ModeCS || c.Node.CSRatio != 60 {
-		t.Fatalf("default node %+v", c.Node)
+	if c.Fleet.Node.Mode != core.ModeCS || c.Fleet.Node.CSRatio != 60 {
+		t.Fatalf("default node %+v", c.Fleet.Node)
+	}
+	if _, err := NewCluster(ClusterConfig{Fleet: Config{EngineWorkers: -1}}); !errors.Is(err, ErrFleet) {
+		t.Fatalf("negative EngineWorkers: err %v, want ErrFleet", err)
 	}
 }
 
-// TestFleetRaceHammer drives many small patients across many shards
-// through the shared reconstruction pool; under -race this exercises the
-// shard/engine interleavings for data races (CI runs it explicitly).
+// TestFleetRaceHammer drives many small patients across many worker
+// slots through the shared reconstruction pool; under -race this
+// exercises the slot/engine interleavings for data races (CI runs it
+// explicitly).
 func TestFleetRaceHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CS reconstruction sweep")
 	}
-	cfg := Config{
-		Patients:      8,
-		Shards:        8,
-		DurationS:     4,
-		Seed:          55,
-		SolverIters:   15,
-		EngineWorkers: 4,
-		Channel: link.ChannelConfig{
-			PGoodToBad: 0.1,
-			PBadToGood: 0.4,
-			LossBad:    0.4,
+	cfg := ClusterConfig{
+		Fleet: Config{
+			Patients:      8,
+			Seed:          55,
+			SolverIters:   15,
+			EngineWorkers: 4,
+			Channel: link.ChannelConfig{
+				PGoodToBad: 0.1,
+				PBadToGood: 0.4,
+				LossBad:    0.4,
+			},
 		},
+		GroupShards: 8,
+		SessionS:    4,
 	}
-	res := runFleet(t, cfg)
-	for _, pr := range res.Patients {
-		if pr.Packets == 0 {
-			t.Errorf("patient %d pushed no packets", pr.Patient)
+	cl, _ := runCluster(t, cfg)
+	for p := 0; p < 8; p++ {
+		if cl.State(p).Packets == 0 {
+			t.Errorf("patient %d pushed no packets", p)
 		}
 	}
 }
 
 // TestFleetTelemetryDigestIdentity is the observability invariant: a
 // fleet run with the full metric family attached produces bit-identical
-// per-patient digests to the same run without it — telemetry observes,
+// per-patient states to the same run without it — telemetry observes,
 // never perturbs — while actually populating every layer's metrics.
 func TestFleetTelemetryDigestIdentity(t *testing.T) {
 	cfg := fastCfg(4, 2)
-	cfg.Channel = link.ChannelConfig{
+	cfg.Fleet.Channel = link.ChannelConfig{
 		PGoodToBad: 0.05, PBadToGood: 0.3, LossGood: 0.02, LossBad: 0.5,
 	}
-	bare := runFleet(t, cfg)
+	bare, _ := runCluster(t, cfg)
 
 	set := telemetry.NewSet(telemetry.NewRegistry())
-	cfg.Telemetry = set
-	instrumented := runFleet(t, cfg)
+	cfg.Fleet.Telemetry = set
+	instrumented, _ := runCluster(t, cfg)
 
-	for p := range bare.Patients {
-		b, g := bare.Patients[p], instrumented.Patients[p]
-		if g.Digest != b.Digest {
-			t.Errorf("patient %d: digest %#x with telemetry, %#x without", p, g.Digest, b.Digest)
-		}
-		if g.Events != b.Events || g.Packets != b.Packets || g.Delivered != b.Delivered {
-			t.Errorf("patient %d: counts diverged under telemetry", p)
+	for p := 0; p < 4; p++ {
+		if b, g := bare.State(p), instrumented.State(p); g != b {
+			t.Errorf("patient %d: state diverged under telemetry:\n got %+v\nwant %+v", p, g, b)
 		}
 	}
 
 	// Every layer saw the traffic.
-	if got := set.Fleet.PatientsDone.Value(); got != uint64(cfg.Patients) {
-		t.Errorf("patients done %d, want %d", got, cfg.Patients)
+	patients := uint64(cfg.Fleet.Patients)
+	if got := set.Fleet.PatientsDone.Value(); got != patients {
+		t.Errorf("patients done %d, want %d", got, patients)
 	}
-	if set.Fleet.DeliveryPermille.Count() != uint64(cfg.Patients) {
+	if set.Fleet.DeliveryPermille.Count() != patients {
 		t.Error("delivery rollup missing patients")
 	}
 	if set.Fleet.PRDCentiPct.Count() == 0 {
@@ -338,12 +351,12 @@ func TestFleetTelemetryDigestIdentity(t *testing.T) {
 		set.Stages.Stage(telemetry.StageGatewayDecode).Count() == 0 {
 		t.Error("stage histograms missing pipeline coverage")
 	}
-	shardSum := uint64(0)
-	for s := 0; s < cfg.Shards; s++ {
-		shardSum += set.Fleet.Shard(s).Value()
+	slotSum := uint64(0)
+	for s := 0; s < cfg.GroupShards; s++ {
+		slotSum += set.Fleet.Shard(s).Value()
 	}
-	if shardSum != uint64(cfg.Patients) {
-		t.Errorf("shard counters sum %d, want %d", shardSum, cfg.Patients)
+	if slotSum != patients {
+		t.Errorf("worker-slot counters sum %d, want %d", slotSum, patients)
 	}
 	if set.Fleet.RTFMilli.Value() <= 0 {
 		t.Error("real-time factor gauge not set")

@@ -12,13 +12,13 @@ import (
 // bytes and allocated as one flat slice for the whole population —
 // zero pointers, zero per-patient allocations, and a fixed, auditable
 // bytes/patient figure. The hot tier (core.Stream, gateway.Receiver,
-// reassembler buffers, trace rings) stays pooled per shard exactly as
-// before; a scheduling turn rehydrates a patient onto a rig, runs one
-// session, and folds the outcome back into this struct.
+// reassembler buffers, trace rings) stays pooled per worker slot; a
+// scheduling turn rehydrates a patient onto a rig, runs one session,
+// and folds the outcome back into this struct.
 //
 // Digest is a resumable FNV-1a state, so cumulative bit-identity
-// survives any scheduling: flat vs hierarchical, any shard/group
-// topology, and a checkpoint/restore boundary. Clinical scores
+// survives any scheduling: any group/slot topology, and a
+// checkpoint/restore boundary. Clinical scores
 // accumulate as exact TP/FP/FN counts (not ratios), so aggregation is
 // order-free and restores lose nothing.
 type PatientState struct {
@@ -72,30 +72,6 @@ func (s *PatientState) DeliveryRatio() float64 {
 		return 1
 	}
 	return float64(s.Delivered) / float64(s.Packets)
-}
-
-// result unfolds the cold state into the flat engine's per-patient
-// result shape (derived ratios recomputed from the exact counts, so a
-// single-session state reproduces the historical PatientResult bit for
-// bit).
-func (s *PatientState) result(p int, seed int64, shard int, simS float64) PatientResult {
-	return PatientResult{
-		Patient:       p,
-		Seed:          seed,
-		Shard:         shard,
-		Events:        int(s.Events),
-		Packets:       int(s.Packets),
-		Delivered:     int(s.Delivered),
-		Lost:          int(s.Lost),
-		DeliveryRatio: s.DeliveryRatio(),
-		RadioEnergyJ:  s.RadioEnergyJ,
-		IdealEnergyJ:  s.IdealEnergyJ,
-		Beats:         int(s.Beats),
-		Se:            s.Se(),
-		PPV:           s.PPV(),
-		Digest:        s.Digest,
-		SimSeconds:    simS,
-	}
 }
 
 // warmStore is the optional third residency tier: one compact float32

@@ -15,18 +15,14 @@ import (
 // reassembly → reconstruction chain intact.
 func TestFleetTraceContinuity(t *testing.T) {
 	cfg := fastCfg(4, 2)
-	cfg.Channel = link.ChannelConfig{
+	cfg.Fleet.Channel = link.ChannelConfig{
 		PGoodToBad: 0.05, PBadToGood: 0.3, LossGood: 0.02, LossBad: 0.5,
 	}
 	set := telemetry.NewSet(telemetry.NewRegistry())
-	cfg.Telemetry = set
-	res := runFleet(t, cfg)
+	cfg.Fleet.Telemetry = set
+	_, rep := runCluster(t, cfg)
 
-	var delivered int
-	for _, pr := range res.Patients {
-		delivered += pr.Delivered
-	}
-	if delivered == 0 {
+	if rep.Delivered == 0 {
 		t.Fatal("no windows delivered; channel config too hostile for the test")
 	}
 

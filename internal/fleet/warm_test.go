@@ -7,28 +7,28 @@ import (
 )
 
 // warmCfg is fastCfg with the convergence-aware warm-started solver on.
-func warmCfg(patients, shards int) Config {
+func warmCfg(patients, shards int) ClusterConfig {
 	cfg := fastCfg(patients, shards)
-	cfg.SolverTol = 1e-3
-	cfg.WarmStart = true
+	cfg.Fleet.SolverTol = 1e-3
+	cfg.Fleet.WarmStart = true
 	return cfg
 }
 
 // TestFleetWarmShardInvariance extends the bit-identity guarantee to
 // the warm-started solver: each patient's windows decode in order on
-// whichever shard owns the patient, and the rig Reset drops the warm
-// cache at every patient boundary, so digests must not depend on the
-// shard count. A stale θ crossing patients inside a shared rig would
-// shift every later solve on that shard and break this comparison.
+// whichever worker slot owns the patient, and the rig Reset drops the
+// warm cache at every patient boundary, so digests must not depend on
+// the slot count. A stale θ crossing patients inside a shared rig would
+// shift every later solve on that slot and break this comparison.
 func TestFleetWarmShardInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CS reconstruction sweep")
 	}
-	serial := runFleet(t, warmCfg(5, 1))
-	cold := runFleet(t, fastCfg(5, 1))
+	serial, _ := runCluster(t, warmCfg(5, 1))
+	cold, _ := runCluster(t, fastCfg(5, 1))
 	warmChanged := false
-	for p := range serial.Patients {
-		if serial.Patients[p].Digest != cold.Patients[p].Digest {
+	for p := 0; p < 5; p++ {
+		if serial.State(p).Digest != cold.State(p).Digest {
 			warmChanged = true
 			break
 		}
@@ -37,40 +37,27 @@ func TestFleetWarmShardInvariance(t *testing.T) {
 		t.Fatal("warm+tol run matches the cold run bit for bit — the adaptive solver never engaged")
 	}
 	for _, shards := range []int{2, 5} {
-		res := runFleet(t, warmCfg(5, shards))
-		for p := range serial.Patients {
-			if res.Patients[p].Digest != serial.Patients[p].Digest {
-				t.Errorf("shards=%d patient %d: warm digest %#x != serial %#x",
-					shards, p, res.Patients[p].Digest, serial.Patients[p].Digest)
+		cl, _ := runCluster(t, warmCfg(5, shards))
+		for p := 0; p < 5; p++ {
+			if got, want := cl.State(p).Digest, serial.State(p).Digest; got != want {
+				t.Errorf("shards=%d patient %d: warm digest %#x != serial %#x", shards, p, got, want)
 			}
 		}
 	}
 }
 
 // TestFleetWarmRigReuse replays one warm population twice through one
-// Engine: reused rigs must reproduce the first run's digests exactly,
-// proving the Reset between patients (and between runs) clears the
+// cluster: reused rigs must reproduce the first pass's states exactly,
+// proving the Reset between patients (and between passes) clears the
 // warm cache.
 func TestFleetWarmRigReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CS reconstruction sweep")
 	}
-	e, err := NewEngine(warmCfg(4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	first, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range first.Patients {
-		if first.Patients[p].Digest != second.Patients[p].Digest {
-			t.Errorf("patient %d: warm rig reuse changed the digest", p)
+	first, second := replayOnReusedRigs(t, warmCfg(4, 2))
+	for p := range first {
+		if first[p] != second[p] {
+			t.Errorf("patient %d: warm rig reuse changed the state:\n got %+v\nwant %+v", p, second[p], first[p])
 		}
 	}
 }
@@ -88,9 +75,9 @@ func TestFleetWarmTelemetry(t *testing.T) {
 	// Give the convergence test headroom: with the tight 30-iteration
 	// test budget most passes exhaust the budget before the tolerance is
 	// met, which would make this smoke vacuous.
-	cfg.SolverIters = 100
-	cfg.Telemetry = set
-	runFleet(t, cfg)
+	cfg.Fleet.SolverIters = 100
+	cfg.Fleet.Telemetry = set
+	runCluster(t, cfg)
 
 	sm := set.Solver
 	if sm.Solves.Value() == 0 {

@@ -159,7 +159,7 @@ func TestEngineBatchTelemetry(t *testing.T) {
 
 	run := func(batch int) *telemetry.GatewayMetrics {
 		reg := telemetry.NewRegistry()
-		tm := telemetry.NewGatewayMetrics(reg, telemetry.NewStageSet(reg, telemetry.NewTracer(256)))
+		tm := telemetry.NewGatewayMetrics(reg, telemetry.NewStageSet(reg))
 		eng, err := NewEngine(cfg, EngineConfig{Workers: 2, Batch: batch, Metrics: tm})
 		if err != nil {
 			t.Fatal(err)

@@ -318,7 +318,7 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	tm := telemetry.NewGatewayMetrics(reg, telemetry.NewStageSet(reg, telemetry.NewTracer(256)))
+	tm := telemetry.NewGatewayMetrics(reg, telemetry.NewStageSet(reg))
 	instrumented := decode(EngineConfig{Workers: 3, Metrics: tm})
 	bare := decode(EngineConfig{Workers: 3})
 	equalSignals(t, bare, instrumented, "telemetry-attached engine")

@@ -715,7 +715,8 @@ func TestDescribe(t *testing.T) {
 	if p.ChunkLen() != n || p.Leads() != 3 {
 		t.Fatalf("getters: %d leads, %d chunk", p.Leads(), p.ChunkLen())
 	}
-	if d := p.Describe(); d == "" {
-		t.Fatal("empty Describe")
+	const want = "2 ops -> 1 stages (1 fused away), arena 56.0 KiB"
+	if got := p.Describe(); got != want {
+		t.Fatalf("Describe() = %q\nwant        %q", got, want)
 	}
 }

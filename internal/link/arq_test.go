@@ -297,7 +297,7 @@ func TestLinkTelemetryMirrorsReport(t *testing.T) {
 		var tm *telemetry.LinkMetrics
 		if attach {
 			reg := telemetry.NewRegistry()
-			tm = telemetry.NewLinkMetrics(reg, telemetry.NewStageSet(reg, NewTracerForTest()))
+			tm = telemetry.NewLinkMetrics(reg, telemetry.NewStageSet(reg))
 			l.SetTelemetry(tm)
 		}
 		for i := 0; i < 150; i++ {
@@ -353,7 +353,3 @@ func TestLinkTelemetryMirrorsReport(t *testing.T) {
 		t.Errorf("telemetry changed link behaviour:\nwith:    %+v\nwithout: %+v", r, bare)
 	}
 }
-
-// NewTracerForTest builds a small tracer without importing the sizing
-// constant.
-func NewTracerForTest() *telemetry.Tracer { return telemetry.NewTracer(256) }

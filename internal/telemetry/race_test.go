@@ -54,7 +54,6 @@ func TestTelemetryRaceHammer(t *testing.T) {
 				}
 				_ = reg.Snapshot()
 				_ = SummaryLine(reg, "hammer.shared", "gateway.queue.depth")
-				_ = set.Tracer.Snapshot(32)
 				_ = mm.Events()
 			}
 		}()

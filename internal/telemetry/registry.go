@@ -17,7 +17,6 @@ type Registry struct {
 	fcounters map[string]*FloatCounter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
-	tracer    *Tracer
 	// collectors run at the start of every Snapshot, before the metric
 	// maps are read — the hook that lets lazily-sampled families
 	// (runtime.MemStats gauges) refresh exactly when a scraper looks.
@@ -83,13 +82,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// AttachTracer includes the tracer's recent spans in snapshots.
-func (r *Registry) AttachTracer(t *Tracer) {
-	r.mu.Lock()
-	r.tracer = t
-	r.mu.Unlock()
-}
-
 // AddCollector registers a hook that runs before every Snapshot.
 // Collectors refresh pull-style metrics (runtime gauges) so scrapers
 // always read current values; they must be cheap and must not call
@@ -115,11 +107,7 @@ type Snapshot struct {
 	Floats      map[string]float64           `json:"floats"`
 	Gauges      map[string]GaugeSnapshot     `json:"gauges"`
 	Histograms  map[string]HistogramSnapshot `json:"histograms"`
-	Trace       []Span                       `json:"trace,omitempty"`
 }
-
-// traceSnapshotSpans bounds how many ring spans a snapshot carries.
-const traceSnapshotSpans = 128
 
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
@@ -150,7 +138,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Snapshot()
 	}
-	s.Trace = r.tracer.Snapshot(traceSnapshotSpans)
 	return s
 }
 

@@ -7,18 +7,17 @@ import (
 	"wbsn/internal/telemetry/trace"
 )
 
-// StageSet bundles the per-stage latency histograms with the shared
-// trace ring. Every pipeline layer records into the same StageSet, so
-// one /metrics snapshot shows the full chain's latency profile.
+// StageSet bundles the per-stage latency histograms. Every pipeline
+// layer records into the same StageSet, so one /metrics snapshot shows
+// the full chain's latency profile.
 type StageSet struct {
-	hist   [NumStages]*Histogram
-	tracer *Tracer
+	hist [NumStages]*Histogram
 }
 
 // NewStageSet registers one latency histogram per pipeline stage
-// (pipeline.stage.<name>.ns) and wires the trace ring.
-func NewStageSet(reg *Registry, tracer *Tracer) *StageSet {
-	ss := &StageSet{tracer: tracer}
+// (pipeline.stage.<name>.ns).
+func NewStageSet(reg *Registry) *StageSet {
+	ss := &StageSet{}
 	for i := 0; i < NumStages; i++ {
 		s := Stage(i)
 		ss.hist[i] = reg.Histogram("pipeline.stage." + s.String() + ".ns")
@@ -26,9 +25,8 @@ func NewStageSet(reg *Registry, tracer *Tracer) *StageSet {
 	return ss
 }
 
-// Record observes one stage execution: duration into the stage's
-// histogram plus a span in the trace ring. Nil-safe and
-// allocation-free.
+// Record observes one stage execution: its duration into the stage's
+// histogram. Nil-safe and allocation-free.
 func (ss *StageSet) Record(stage Stage, at int64, startNs, durNs int64) {
 	if ss == nil {
 		return
@@ -37,7 +35,6 @@ func (ss *StageSet) Record(stage Stage, at int64, startNs, durNs int64) {
 		durNs = 0
 	}
 	ss.hist[stage].Observe(uint64(durNs))
-	ss.tracer.Record(stage, at, startNs, durNs)
 }
 
 // Stage returns the latency histogram of one stage (for tests and
@@ -301,8 +298,8 @@ func NewNetGWMetrics(reg *Registry) *NetGWMetrics {
 	}
 }
 
-// FleetMetrics instruments fleet.Engine: population rollups plus lazy
-// per-shard patient counters.
+// FleetMetrics instruments fleet.Cluster: population rollups plus lazy
+// per-worker-slot patient counters.
 type FleetMetrics struct {
 	reg *Registry
 	// PatientsDone counts completed patient simulations; the histograms
@@ -556,7 +553,6 @@ func (m *ModeMetrics) Events() []ModeEvent {
 // attach layer by layer.
 type Set struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Stages   *StageSet
 	Node     *NodeMetrics
 	Link     *LinkMetrics
@@ -574,9 +570,6 @@ type Set struct {
 	Trace *trace.Collector
 }
 
-// traceRingSpans sizes the Set's trace ring.
-const traceRingSpans = 4096
-
 // Window-trace collector defaults: per-session in-flight ring, recent
 // completed-window ring, and slowest-N exemplar reservoir.
 const (
@@ -585,16 +578,12 @@ const (
 	traceSlowestN    = 8
 )
 
-// NewSet builds the full metric family over one registry and attaches
-// the trace ring to it.
+// NewSet builds the full metric family over one registry.
 func NewSet(reg *Registry) *Set {
-	tracer := NewTracer(traceRingSpans)
-	reg.AttachTracer(tracer)
-	stages := NewStageSet(reg, tracer)
+	stages := NewStageSet(reg)
 	gw := NewGatewayMetrics(reg, stages)
 	return &Set{
 		Registry: reg,
-		Tracer:   tracer,
 		Stages:   stages,
 		Node:     NewNodeMetrics(reg, stages),
 		Link:     NewLinkMetrics(reg, stages),

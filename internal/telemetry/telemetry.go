@@ -1,7 +1,8 @@
 // Package telemetry is the repo's zero-dependency observability core:
 // atomic counters and gauges, fixed-bucket power-of-two histograms with
-// lock-free recording, a preallocated ring-buffer pipeline tracer, and
-// a registry that renders JSON and expvar snapshots over HTTP.
+// lock-free recording, and a registry that renders JSON and expvar
+// snapshots over HTTP. Per-window span trees live in the trace
+// subpackage and are served at /traces.
 //
 // The design constraint is the same one the node hot path already obeys
 // (DESIGN.md §9): recording a metric must never touch the allocator and
@@ -20,7 +21,7 @@
 // the basis for adaptive mode control.
 package telemetry
 
-// Stage identifies one pipeline stage for histograms and trace spans.
+// Stage identifies one pipeline stage for the stage latency histograms.
 type Stage uint8
 
 // Pipeline stages, in signal-flow order.

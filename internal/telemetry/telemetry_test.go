@@ -38,7 +38,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	var f *FloatCounter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
 	var ss *StageSet
 	var mm *ModeMetrics
 	var fm *FleetMetrics
@@ -49,17 +48,16 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	tr.Record(StageFilter, 0, 0, 1)
 	ss.Record(StageFilter, 0, 0, 1)
 	mm.RecordTransition(0, 0, 1, 0.5)
 	fm.Shard(0).Inc()
-	if c.Value() != 0 || f.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
+	if c.Value() != 0 || f.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil receivers mutated state")
 	}
 	if got := h.Snapshot(); got.Count != 0 {
 		t.Error("nil histogram snapshot non-empty")
 	}
-	if tr.Snapshot(8) != nil || mm.Events() != nil {
+	if mm.Events() != nil {
 		t.Error("nil snapshots non-nil")
 	}
 }
@@ -115,29 +113,6 @@ func TestHistogramMinTracksSmallest(t *testing.T) {
 	}
 }
 
-func TestTracerRingWraps(t *testing.T) {
-	tr := NewTracer(16)
-	for i := 0; i < 40; i++ {
-		tr.Record(StageCS, int64(i), int64(100+i), int64(i))
-	}
-	spans := tr.Snapshot(100)
-	if len(spans) != 16 {
-		t.Fatalf("snapshot kept %d spans, want 16", len(spans))
-	}
-	// Oldest-first: the ring must hold spans 24..39.
-	for i, s := range spans {
-		if want := int64(24 + i); s.At != want {
-			t.Fatalf("span %d At=%d, want %d", i, s.At, want)
-		}
-		if s.StageName != "cs" {
-			t.Fatalf("span stage name %q", s.StageName)
-		}
-	}
-	if got := tr.Snapshot(4); len(got) != 4 || got[3].At != 39 {
-		t.Errorf("bounded snapshot wrong: %+v", got)
-	}
-}
-
 func TestRegistryGetOrCreate(t *testing.T) {
 	reg := NewRegistry()
 	if reg.Counter("a") != reg.Counter("a") {
@@ -164,17 +139,13 @@ func TestRegistryGetOrCreate(t *testing.T) {
 
 func TestStageSetRecords(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(64)
-	ss := NewStageSet(reg, tr)
+	ss := NewStageSet(reg)
 	ss.Record(StageDelineate, 123, 1, 5000)
 	if ss.Stage(StageDelineate).Count() != 1 {
 		t.Error("stage histogram not recorded")
 	}
 	if reg.Histogram("pipeline.stage.delineate.ns").Count() != 1 {
 		t.Error("stage histogram not registered under pipeline.stage name")
-	}
-	if tr.Len() != 1 {
-		t.Error("span not traced")
 	}
 }
 

@@ -28,7 +28,7 @@ TMP="$(mktemp "$OUT.tmp.XXXXXX")"
 trap 'rm -f "$TMP"' EXIT
 
 if ! go test -run '^$' \
-	-bench 'GatewayEndToEnd|GatewaySetup|ThroughputEngine|ReconstructParallel|FISTAReconstruct|FISTAWarmVsCold|FISTABatch|FleetShards|FleetClusterRound|FleetCheckpoint|FleetStreamPush|TelemetryOverhead|ApplyTCSR|ApplyCSR|NetGatewayRecords' \
+	-bench 'GatewayEndToEnd|GatewaySetup|ThroughputEngine|ReconstructParallel|FISTAReconstruct|FISTAWarmVsCold|FISTABatch|FleetClusterRound|FleetCheckpoint|FleetStreamPush|TelemetryOverhead|ApplyTCSR|ApplyCSR|NetGatewayRecords' \
 	-benchtime "$BENCHTIME" -benchmem -json . ./internal/cs ./internal/netgw >"$TMP"; then
 	echo "bench.sh: go test -bench failed; $OUT left untouched" >&2
 	cat "$TMP" >&2

@@ -54,8 +54,8 @@ func main() {
 			fail("%v", err)
 		}
 	}
-	fmt.Printf("telemetrycheck: ok (%d counters, %d histograms, %d gauges, %d trace spans)\n",
-		len(snap.Counters), len(snap.Histograms), len(snap.Gauges), len(snap.Trace))
+	fmt.Printf("telemetrycheck: ok (%d counters, %d histograms, %d gauges)\n",
+		len(snap.Counters), len(snap.Histograms), len(snap.Gauges))
 }
 
 func check(snap *telemetry.Snapshot, key string) error {
