@@ -448,7 +448,7 @@ func BenchmarkCSEncodeQ15(b *testing.B) {
 // benchWindowStream encodes eight consecutive 512-sample windows of one
 // lead — the contiguous stream a gateway receiver actually decodes, and
 // the workload where warm-starting pays off (window k seeds window k+1).
-func benchWindowStream(b *testing.B, seed int64) (phi cs.Matrix, xs, ys [][]float64) {
+func benchWindowStream(b *testing.B, seed int64) (phi cs.Matrix, ys [][]float64) {
 	b.Helper()
 	const n, windows = 512, 8
 	rec := ecg.Generate(ecg.Config{Seed: seed, Duration: float64(windows*n)/256 + 2})
@@ -458,78 +458,18 @@ func benchWindowStream(b *testing.B, seed int64) (phi cs.Matrix, xs, ys [][]floa
 		b.Fatal(err)
 	}
 	enc := cs.NewEncoder(phi)
-	xs = make([][]float64, windows)
 	ys = make([][]float64, windows)
-	for w := range xs {
-		xs[w] = rec.Clean[0][w*n : (w+1)*n]
-		ys[w] = enc.Encode(xs[w])
-	}
-	return phi, xs, ys
-}
-
-func benchPRD(x, xhat []float64) float64 {
-	var num, den float64
-	for i := range x {
-		d := x[i] - xhat[i]
-		num += d * d
-		den += x[i] * x[i]
-	}
-	return 100 * math.Sqrt(num/den)
-}
-
-// BenchmarkFISTAReconstruct is the headline solver benchmark: the
-// convergence-aware warm-started solver streaming consecutive windows
-// (each b.N iteration decodes one window, cycling through the stream
-// with persistent warm state). ns/op is therefore per-window and
-// directly comparable to the PR4 fixed-budget capture; the custom
-// metrics report the mean iteration count against the 150-iteration
-// budget and the PRD penalty relative to the cold fixed-budget solve.
-func BenchmarkFISTAReconstruct(b *testing.B) {
-	phi, xs, ys := benchWindowStream(b, 9)
-	cold, err := cs.NewDecoder(phi, cs.SolverConfig{Iters: 150})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := cs.NewDecoder(phi, cs.SolverConfig{Iters: 150, Tol: 1e-3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Quality check outside the timed loop: one warm pass over the
-	// stream against the cold fixed-budget reference.
-	var prdWarm, prdCold float64
-	qws := cs.NewWarmState()
 	for w := range ys {
-		xw, _, err := dec.ReconstructWarm(ys[w], qws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xc, err := cold.Reconstruct(ys[w])
-		if err != nil {
-			b.Fatal(err)
-		}
-		prdWarm += benchPRD(xs[w], xw)
-		prdCold += benchPRD(xs[w], xc)
+		ys[w] = enc.Encode(rec.Clean[0][w*n : (w+1)*n])
 	}
-	ws := cs.NewWarmState()
-	var iters int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, st, err := dec.ReconstructWarm(ys[i%len(ys)], ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters += st.Iters
-	}
-	b.ReportMetric(float64(iters)/float64(b.N), "iters/solve")
-	b.ReportMetric(prdWarm/float64(len(ys)), "PRD%-warm")
-	b.ReportMetric(prdCold/float64(len(ys)), "PRD%-cold")
+	return phi, ys
 }
 
 // BenchmarkFISTAWarmVsCold isolates the two adaptive-solver levers on
 // the same window stream: the fixed-budget baseline, the convergence
 // early exit alone (cold seeds), and early exit plus warm-starting.
 func BenchmarkFISTAWarmVsCold(b *testing.B) {
-	phi, _, ys := benchWindowStream(b, 9)
+	phi, ys := benchWindowStream(b, 9)
 	variants := []struct {
 		name string
 		cfg  cs.SolverConfig
@@ -778,65 +718,6 @@ func BenchmarkAblationQRSBaseline(b *testing.B) {
 	})
 }
 
-// BenchmarkGatewayEndToEnd times the full compress → transmit →
-// reconstruct loop for one 2-second 3-lead window (the receiver budget
-// that ref [5]'s real-time iPhone decoder must meet). Stream and
-// receiver construction happens once, outside the timed loop — the
-// steady-state per-record cost is the quantity under test; construction
-// is measured separately by BenchmarkGatewaySetup.
-func BenchmarkGatewayEndToEnd(b *testing.B) {
-	rec := ecg.Generate(ecg.Config{Seed: 90, Duration: 4})
-	node, err := core.NewNode(core.Config{Mode: core.ModeCS, CSRatio: 60, Seed: 14})
-	if err != nil {
-		b.Fatal(err)
-	}
-	stream, err := node.NewStream()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx, err := gateway.NewReceiver(gateway.MatchNode(node.Config()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	chunk := make([][]float64, len(rec.Leads))
-	for li := range chunk {
-		chunk[li] = rec.Clean[li]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stream.Reset()
-		rx.Reset()
-		events, err := stream.PushBlock(chunk)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rx.ConsumeEvents(events); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGatewaySetup isolates the construction cost the end-to-end
-// benchmark used to hide inside its timed loop: sensing-matrix
-// regeneration, solver derivation (Lipschitz bound, synthesis tables)
-// and delineator setup.
-func BenchmarkGatewaySetup(b *testing.B) {
-	node, err := core.NewNode(core.Config{Mode: core.ModeCS, CSRatio: 60, Seed: 14})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := gateway.MatchNode(node.Config())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := node.NewStream(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := gateway.NewReceiver(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkThroughputEngine drives the parallel reconstruction engine
 // over a pre-encoded record batch at 1, 2 and GOMAXPROCS workers,
 // reporting records/s and windows/s as custom metrics. Each worker
@@ -1008,31 +889,6 @@ func BenchmarkThroughputEngineBatched(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkReconstructParallel hammers one shared decoder from all
-// procs via b.RunParallel — the contention profile of the engine's
-// worker pool (scratch pools, immutable decoder state).
-func BenchmarkReconstructParallel(b *testing.B) {
-	rec := ecg.Generate(ecg.Config{Seed: 93, Duration: 4})
-	m := cs.MeasurementsForCR(512, 65.9)
-	phi, err := cs.NewSparseBinary(m, 512, 4, rand.New(rand.NewSource(7)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := cs.NewDecoder(phi, cs.SolverConfig{Iters: 60, Reweights: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	y := cs.NewEncoder(phi).Encode(rec.Clean[0][:512])
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := dec.Reconstruct(y); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationBaselineRemoval compares the paper's two baseline-

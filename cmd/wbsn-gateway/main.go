@@ -39,7 +39,7 @@ func main() {
 		solverIters  = flag.Int("solver-iters", 0, "FISTA iteration budget (0 keeps the library default)")
 		solverTol    = flag.Float64("solver-tol", 0, "FISTA convergence tolerance (>0 enables early exit)")
 		warm         = flag.Bool("warm", false, "warm-start the per-stream solver across windows")
-		workers      = flag.Int("workers", 0, "decode engine workers (0 = GOMAXPROCS, negative = inline)")
+		workers      = flag.Int("workers", 0, "decode engine workers (0 = GOMAXPROCS)")
 		batch        = flag.Int("batch", 0, "windows per engine dispatch: >1 batches queued windows through one structure-of-arrays solver pass (0/1 = sequential)")
 		batchWait    = flag.Duration("batch-wait", 0, "how long a worker holding a partial batch waits for more windows (0 = dispatch greedily)")
 		inbox        = flag.Int("inbox", 0, "per-session inbox depth (0 = default 32)")

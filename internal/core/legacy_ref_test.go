@@ -35,9 +35,9 @@ type legacyStream struct {
 	telCursor        time.Time
 }
 
-func (s *legacyStream) stageLap(stage telemetry.Stage, at int64) {
+func (s *legacyStream) stageLap(stage telemetry.Stage) {
 	now := time.Now()
-	s.tel.Stages.Record(stage, at, s.telCursor.UnixNano(), int64(now.Sub(s.telCursor)))
+	s.tel.Stages.Record(stage, int64(now.Sub(s.telCursor)))
 	s.telCursor = now
 }
 
@@ -138,7 +138,7 @@ func (s *legacyStream) drain(flush bool) ([]Event, error) {
 			s.buf[i] = s.buf[i][:kept]
 		}
 		if tm := s.tel; tm != nil {
-			s.stageLap(telemetry.StageAcquire, int64(s.bufStart))
+			s.stageLap(telemetry.StageAcquire)
 			tm.Samples.Add(uint64(adv))
 			tm.Chunks.Inc()
 			tm.Events.Add(uint64(len(evs)))
@@ -179,7 +179,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 			bytes := (n.enc.MeasurementLen()*len(chunk)*bits + 7) / 8
 			events = append(events, Event{Kind: EventPacket, At: base, Bytes: bytes, Measurements: ys})
 			if tm := s.tel; tm != nil {
-				s.stageLap(telemetry.StageCS, int64(base))
+				s.stageLap(telemetry.StageCS)
 				tm.Packets.Inc()
 				tm.TxBytes.Add(uint64(bytes))
 			}
@@ -192,7 +192,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 				return nil, err
 			}
 			if s.tel != nil {
-				s.stageLap(telemetry.StageFilter, int64(base))
+				s.stageLap(telemetry.StageFilter)
 			}
 			s.filtered = filtered
 			leads = filtered
@@ -204,7 +204,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 			return nil, err
 		}
 		if s.tel != nil {
-			s.stageLap(telemetry.StageDelineate, int64(base))
+			s.stageLap(telemetry.StageDelineate)
 		}
 		refractory := int(0.2 * n.cfg.Fs)
 		for _, b := range beats {
@@ -233,7 +233,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 					bo.Membership = mem
 				}
 				if s.tel != nil {
-					s.stageLap(telemetry.StageClassify, int64(absR))
+					s.stageLap(telemetry.StageClassify)
 				}
 			}
 			if tm := s.tel; tm != nil {

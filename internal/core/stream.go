@@ -107,9 +107,9 @@ type Stream struct {
 // point to now under the given stage and advances the cursor — one clock
 // read per stage boundary. The executor only calls it when telemetry is
 // attached (the stream passes a nil Lapper otherwise).
-func (s *Stream) Lap(stage telemetry.Stage, at int64) {
+func (s *Stream) Lap(stage telemetry.Stage) {
 	now := time.Now()
-	s.tel.Stages.Record(stage, at, s.telCursor.UnixNano(), int64(now.Sub(s.telCursor)))
+	s.tel.Stages.Record(stage, int64(now.Sub(s.telCursor)))
 	s.telCursor = now
 }
 
@@ -243,7 +243,7 @@ func (s *Stream) drain(flush bool) ([]Event, error) {
 		if tm := s.tel; tm != nil {
 			// The acquire lap covers event assembly plus the compaction
 			// above (everything since the last stage boundary).
-			s.Lap(telemetry.StageAcquire, int64(s.bufStart))
+			s.Lap(telemetry.StageAcquire)
 			tm.Samples.Add(uint64(adv))
 			tm.Chunks.Inc()
 			tm.Events.Add(uint64(len(evs)))
@@ -265,7 +265,7 @@ func (s *Stream) processChunk(chunk [][]float64, base int) ([]Event, error) {
 	if s.tel != nil {
 		lp = s
 	}
-	res, err := s.exec.Run(chunk, base, lp)
+	res, err := s.exec.Run(chunk, lp)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +305,7 @@ func (s *Stream) processChunk(chunk [][]float64, base int) ([]Event, error) {
 			s.lastBeatR = absR
 			bo := BeatOutput{Fiducials: offsetBeat(b, base), Label: -1}
 			if n.cfg.Mode == ModeClassification {
-				label, mem, ok, err := s.exec.ClassifyBeat(b.R, int64(absR), lp)
+				label, mem, ok, err := s.exec.ClassifyBeat(b.R, lp)
 				if err != nil {
 					return nil, err
 				}

@@ -176,40 +176,6 @@ func (s *SparseBinary) ApplyT(r, z []float64) {
 	}
 }
 
-// applyColMajor is the pre-CSR column-major y = Φx kernel, kept as the
-// bit-identity reference for tests and the ApplyTCSR benchmark pair.
-func (s *SparseBinary) applyColMajor(x, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
-	d := s.d
-	for c, v := range x[:s.n] {
-		if v == 0 {
-			continue
-		}
-		for _, r := range s.idx[c*d : (c+1)*d] {
-			y[r] += v
-		}
-	}
-	for i := range y {
-		y[i] *= s.scale
-	}
-}
-
-// applyTColMajor is the pre-CSR column-major z = Φᵀr kernel: every
-// column gathers its d residual entries (scattered loads). Kept as the
-// bit-identity reference for tests and the ApplyTCSR benchmark pair.
-func (s *SparseBinary) applyTColMajor(r, z []float64) {
-	d := s.d
-	for c := 0; c < s.n; c++ {
-		acc := 0.0
-		for _, ri := range s.idx[c*d : (c+1)*d] {
-			acc += r[ri]
-		}
-		z[c] = acc * s.scale
-	}
-}
-
 // AddsPerWindow returns the number of integer additions the on-node
 // encoder performs per window: d adds per input sample. This count feeds
 // the compression-energy model of Figure 6.

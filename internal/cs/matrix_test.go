@@ -231,6 +231,40 @@ func TestApplyCSRMatchesColumnMajor(t *testing.T) {
 	}
 }
 
+// applyColMajor is the pre-CSR column-major y = Φx kernel, frozen here
+// as the bit-identity reference for TestApplyCSRMatchesColumnMajor.
+func (s *SparseBinary) applyColMajor(x, y []float64) {
+	for i := range y {
+		y[i] = 0
+	}
+	d := s.d
+	for c, v := range x[:s.n] {
+		if v == 0 {
+			continue
+		}
+		for _, r := range s.idx[c*d : (c+1)*d] {
+			y[r] += v
+		}
+	}
+	for i := range y {
+		y[i] *= s.scale
+	}
+}
+
+// applyTColMajor is the pre-CSR column-major z = Φᵀr kernel: every
+// column gathers its d residual entries (scattered loads). Frozen here
+// as the bit-identity reference for TestApplyCSRMatchesColumnMajor.
+func (s *SparseBinary) applyTColMajor(r, z []float64) {
+	d := s.d
+	for c := 0; c < s.n; c++ {
+		acc := 0.0
+		for _, ri := range s.idx[c*d : (c+1)*d] {
+			acc += r[ri]
+		}
+		z[c] = acc * s.scale
+	}
+}
+
 // TestSparseBinaryCSRStructure checks the companion index is a
 // permutation-consistent view of the column list: every (row, col)
 // entry appears in both, rows partition the nonzeros, and per-row

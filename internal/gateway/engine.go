@@ -18,7 +18,6 @@ package gateway
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wbsn/internal/cs"
@@ -71,7 +70,6 @@ type Job struct {
 	measurements [][]float64
 	leads        [][]float64
 	err          error
-	seq          uint64
 	done         chan struct{}
 	// ws, when non-nil, warm-starts the solve from (and feeds back into)
 	// the submitting stream's carried coefficients. The caller must not
@@ -114,7 +112,6 @@ type Engine struct {
 	// queue under an in-flight send.
 	mu     sync.RWMutex
 	closed bool
-	seq    atomic.Uint64
 	tel    *telemetry.GatewayMetrics
 }
 
@@ -275,7 +272,7 @@ func (e *Engine) runBatch(dec *cs.Decoder, batch []*Job, items []*cs.BatchItem) 
 	}
 	for _, j := range batch {
 		if tm != nil {
-			tm.Stages.Record(telemetry.StageGatewayDecode, int64(j.seq), t0.UnixNano(), int64(dur))
+			tm.Stages.Record(telemetry.StageGatewayDecode, int64(dur))
 			if j.err != nil {
 				tm.DecodeErrors.Inc()
 			} else {
@@ -319,7 +316,7 @@ func (e *Engine) SubmitCtx(measurements [][]float64, ws *cs.WarmState, tid trace
 			return nil, ErrGateway
 		}
 	}
-	j := &Job{measurements: measurements, seq: e.seq.Add(1) - 1, done: make(chan struct{}), ws: ws}
+	j := &Job{measurements: measurements, done: make(chan struct{}), ws: ws}
 	if ring != nil && tid != 0 {
 		j.tid, j.tring = tid, ring
 		j.submitNs = time.Now().UnixNano()

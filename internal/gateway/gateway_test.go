@@ -30,6 +30,33 @@ func TestMatchNodeMirrorsConfig(t *testing.T) {
 	}
 }
 
+// TestNewReceiverReusesCachedDecoder pins the decoder cache: a receiver
+// built from a Config seen before clones the cached decoder instead of
+// regenerating the sensing matrix and re-deriving the solver, so it
+// allocates a small fraction of what a never-seen Config costs.
+func TestNewReceiverReusesCachedDecoder(t *testing.T) {
+	const base = int64(1) << 40 // a seed range no other test builds
+	cfg := Config{Seed: base}
+	if _, err := NewReceiver(cfg); err != nil {
+		t.Fatal(err)
+	}
+	hit := testing.AllocsPerRun(10, func() {
+		if _, err := NewReceiver(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	seed := base
+	miss := testing.AllocsPerRun(10, func() {
+		seed++ // a fresh sensing matrix every run
+		if _, err := NewReceiver(Config{Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hit*10 > miss {
+		t.Fatalf("NewReceiver of a cached Config: %.0f allocs, of a new Config: %.0f; want under a tenth", hit, miss)
+	}
+}
+
 // TestEndToEndCompressTransmitDiagnose is the full loop of the paper's
 // architecture: the node compresses a record with CS, the packets cross
 // the "radio", the gateway reconstructs and delineates — and the remote

@@ -97,18 +97,18 @@ func (p *Plan) NewExec() *Exec {
 	for i := range warm {
 		warm[i] = zero
 	}
-	e.Run(warm, 0, nil) // warm-up only; zero input cannot fail usefully
+	e.Run(warm, nil) // warm-up only; zero input cannot fail usefully
 	return e
 }
 
 // Plan returns the compiled plan this executor runs.
 func (e *Exec) Plan() *Plan { return e.plan }
 
-// Run executes the plan over one lead-major chunk starting at absolute
-// sample index base, firing each compiled stage's telemetry laps on lp
-// (when non-nil) as the stage completes. The returned Result's Combined
-// series is arena-backed and valid until the next Run.
-func (e *Exec) Run(chunk [][]float64, base int, lp Lapper) (Result, error) {
+// Run executes the plan over one lead-major chunk, firing each compiled
+// stage's telemetry laps on lp (when non-nil) as the stage completes.
+// The returned Result's Combined series is arena-backed and valid until
+// the next Run.
+func (e *Exec) Run(chunk [][]float64, lp Lapper) (Result, error) {
 	p := e.plan
 	if len(chunk) != p.leads {
 		return Result{}, execErr("got %d leads, plan wants %d", len(chunk), p.leads)
@@ -262,7 +262,7 @@ func (e *Exec) Run(chunk [][]float64, base int, lp Lapper) (Result, error) {
 		}
 		if lp != nil {
 			for _, tag := range sg.laps {
-				lp.Lap(tag, int64(base))
+				lp.Lap(tag)
 			}
 		}
 	}
@@ -412,11 +412,10 @@ func (e *Exec) runFilterCombine(sg *stage, leads [][]float64, n int) []float64 {
 }
 
 // ClassifyBeat classifies the beat at chunk-local R index r of the last
-// Run's combined series, recording the classify op's telemetry laps at
-// absolute index at. classified is false when the beat window falls off
-// the series borders (the beat keeps its default label, as in batch
-// processing).
-func (e *Exec) ClassifyBeat(r int, at int64, lp Lapper) (label int, membership float64, classified bool, err error) {
+// Run's combined series, firing the classify op's telemetry laps on lp.
+// classified is false when the beat window falls off the series borders
+// (the beat keeps its default label, as in batch processing).
+func (e *Exec) ClassifyBeat(r int, lp Lapper) (label int, membership float64, classified bool, err error) {
 	c := e.plan.classify
 	if c == nil {
 		return 0, 0, false, execErr("plan has no classify op")
@@ -436,7 +435,7 @@ func (e *Exec) ClassifyBeat(r int, at int64, lp Lapper) (label int, membership f
 	}
 	if lp != nil {
 		for _, tag := range c.laps {
-			lp.Lap(tag, at)
+			lp.Lap(tag)
 		}
 	}
 	return label, membership, classified, nil

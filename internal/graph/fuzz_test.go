@@ -143,11 +143,11 @@ func FuzzBuilder(f *testing.F) {
 		}
 		// Runtime config errors (e.g. quantiser bit ranges) are
 		// acceptable; only panics fail the fuzz.
-		_, _ = e.Run(chunk, 0, nil)
+		_, _ = e.Run(chunk, nil)
 		short := make([][]float64, leads)
 		for li := range short {
 			short[li] = chunk[li][:chunkLen/2]
 		}
-		_, _ = e.Run(short, 0, nil)
+		_, _ = e.Run(short, nil)
 	})
 }

@@ -94,7 +94,7 @@ type Shape struct {
 // stage. Implementations chain laps off a shared cursor so each
 // boundary costs a single clock reading (DESIGN §10).
 type Lapper interface {
-	Lap(stage telemetry.Stage, at int64)
+	Lap(stage telemetry.Stage)
 }
 
 // Result is the output of executing a compiled plan over one chunk.

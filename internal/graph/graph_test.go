@@ -164,7 +164,7 @@ func TestStreamChainFusionBitIdentity(t *testing.T) {
 	if p.fused != 2 {
 		t.Fatalf("fused = %d, want 2 (three stream ops in one stage)", p.fused)
 	}
-	res, err := p.NewExec().Run(chunk, 0, nil)
+	res, err := p.NewExec().Run(chunk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSeriesOpsBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.NewExec().Run(chunk, 0, nil)
+		res, err := p.NewExec().Run(chunk, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestFilterCombineFusionBitIdentity(t *testing.T) {
 			if len(p.stages) != 1 || p.stages[0].kind != stageFilterCombine {
 				t.Fatalf("leads=%d: filter+combine not fused: %v", leads, p.stages)
 			}
-			res, err := p.NewExec().Run(chunk, 0, nil)
+			res, err := p.NewExec().Run(chunk, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +286,7 @@ func TestMorphFilterUnfusedBitIdentity(t *testing.T) {
 	if p.stages[0].kind != stageMorphFilter {
 		t.Fatalf("expected unfused morph filter, got %v", p.stages[0].kind)
 	}
-	res, err := p.NewExec().Run(chunk, 0, nil)
+	res, err := p.NewExec().Run(chunk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestAnalysisPlanBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := p.NewExec()
-	res, err := e.Run(chunk, 0, nil)
+	res, err := e.Run(chunk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestAnalysisPlanBitIdentity(t *testing.T) {
 	}
 
 	// A sub-MinInputLen trailing chunk delineates to no beats.
-	short, err := e.Run([][]float64{chunk[0][:16], chunk[1][:16], chunk[2][:16]}, 0, nil)
+	short, err := e.Run([][]float64{chunk[0][:16], chunk[1][:16], chunk[2][:16]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestGateBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.NewExec().Run(chunk, 0, nil)
+	res, err := p.NewExec().Run(chunk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,16 +405,9 @@ func TestGateBitIdentity(t *testing.T) {
 	equalSlices(t, "gated combine", res.Combined, dsp.CombineRMS(filtered))
 }
 
-type lapRecord struct {
-	stage telemetry.Stage
-	at    int64
-}
+type recordingLapper struct{ laps []telemetry.Stage }
 
-type recordingLapper struct{ laps []lapRecord }
-
-func (r *recordingLapper) Lap(stage telemetry.Stage, at int64) {
-	r.laps = append(r.laps, lapRecord{stage, at})
-}
+func (r *recordingLapper) Lap(stage telemetry.Stage) { r.laps = append(r.laps, stage) }
 
 func newTestEncoder(t *testing.T, window int) *cs.Encoder {
 	t.Helper()
@@ -446,7 +439,7 @@ func TestCSPlanBitIdentity(t *testing.T) {
 	}
 	e := p.NewExec()
 	var lp recordingLapper
-	res, err := e.Run(chunk, 512, &lp)
+	res, err := e.Run(chunk, &lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,14 +465,14 @@ func TestCSPlanBitIdentity(t *testing.T) {
 	for li := range ys {
 		equalSlices(t, "measurements", res.Measurements[li], ys[li])
 	}
-	if len(lp.laps) != 1 || lp.laps[0] != (lapRecord{telemetry.StageCS, 512}) {
-		t.Fatalf("laps = %+v, want one StageCS at 512", lp.laps)
+	if len(lp.laps) != 1 || lp.laps[0] != telemetry.StageCS {
+		t.Fatalf("laps = %v, want one StageCS", lp.laps)
 	}
 
 	// Partial trailing window: no packet, no measurements, no laps.
 	lp.laps = nil
 	short := [][]float64{chunk[0][:100], chunk[1][:100], chunk[2][:100]}
-	res, err = e.Run(short, 1024, &lp)
+	res, err = e.Run(short, &lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +494,7 @@ func TestRawPacketPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := p.NewExec()
-	res, err := e.Run(chunk, 0, nil)
+	res, err := e.Run(chunk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +503,7 @@ func TestRawPacketPlan(t *testing.T) {
 		t.Fatalf("raw packet = %+v, want %d bytes", res, want)
 	}
 	// Raw mode packetises partial flush chunks too.
-	res, err = e.Run([][]float64{chunk[0][:10], chunk[1][:10]}, 0, nil)
+	res, err = e.Run([][]float64{chunk[0][:10], chunk[1][:10]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +557,7 @@ func TestClassifyBeatBitIdentity(t *testing.T) {
 		t.Fatal("plan lost its classifier")
 	}
 	e := p.NewExec()
-	res, err := e.Run(chunk, 0, nil)
+	res, err := e.Run(chunk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,12 +568,12 @@ func TestClassifyBeatBitIdentity(t *testing.T) {
 	classifiedAny := false
 	for _, beat := range res.Beats {
 		var lp recordingLapper
-		label, mem, ok, err := e.ClassifyBeat(beat.R, int64(beat.R), &lp)
+		label, mem, ok, err := e.ClassifyBeat(beat.R, &lp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(lp.laps) != 1 || lp.laps[0].stage != telemetry.StageClassify {
-			t.Fatalf("classify laps = %+v", lp.laps)
+		if len(lp.laps) != 1 || lp.laps[0] != telemetry.StageClassify {
+			t.Fatalf("classify laps = %v", lp.laps)
 		}
 		ref := win.Extract(res.Combined, beat.R)
 		if (ref != nil) != ok {
@@ -613,7 +606,7 @@ func TestClassifyBeatBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := p2.NewExec().ClassifyBeat(100, 0, nil); !errors.Is(err, ErrExec) {
+	if _, _, _, err := p2.NewExec().ClassifyBeat(100, nil); !errors.Is(err, ErrExec) {
 		t.Fatalf("ClassifyBeat without classify op: err = %v, want ErrExec", err)
 	}
 }
@@ -635,7 +628,7 @@ func TestRunValidation(t *testing.T) {
 		{make([]float64, 65), make([]float64, 65)}, // over capacity
 	}
 	for i, chunk := range cases {
-		if _, err := e.Run(chunk, 0, nil); !errors.Is(err, ErrExec) {
+		if _, err := e.Run(chunk, nil); !errors.Is(err, ErrExec) {
 			t.Errorf("case %d: err = %v, want ErrExec", i, err)
 		}
 	}
@@ -655,11 +648,11 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := p.NewExec()
-	if _, err := e.Run(chunk, 0, nil); err != nil {
+	if _, err := e.Run(chunk, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.Run(chunk, 0, nil); err != nil {
+		if _, err := e.Run(chunk, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -434,7 +434,7 @@ func (l *Link) send(windowStart int, tid trace.ID, measurements [][]float64) (bo
 		}
 		if acked {
 			l.report.Delivered++
-			l.finishPacket(windowStart, t0, packetEnergyJ, attempts, true)
+			l.finishPacket(t0, packetEnergyJ, attempts, true)
 			return true, nil
 		}
 	}
@@ -444,7 +444,7 @@ func (l *Link) send(windowStart int, tid trace.ID, measurements [][]float64) (bo
 		// released by channel reordering and delivered late.
 		l.trRing.RecordLink(tid, t0.UnixNano(), int64(time.Since(t0)), attempts, uint64(packetEnergyJ*1e9))
 	}
-	l.finishPacket(windowStart, t0, packetEnergyJ, attempts, false)
+	l.finishPacket(t0, packetEnergyJ, attempts, false)
 	if err := l.ra.DeclareLost(p.Seq); err != nil {
 		return false, err
 	}
@@ -453,7 +453,7 @@ func (l *Link) send(windowStart int, tid trace.ID, measurements [][]float64) (bo
 
 // finishPacket settles one window's telemetry: outcome counter, the
 // per-packet energy and attempt distributions, and the link-stage span.
-func (l *Link) finishPacket(windowStart int, t0 time.Time, energyJ float64, attempts int, delivered bool) {
+func (l *Link) finishPacket(t0 time.Time, energyJ float64, attempts int, delivered bool) {
 	tm := l.tel
 	if tm == nil {
 		return
@@ -466,7 +466,7 @@ func (l *Link) finishPacket(windowStart int, t0 time.Time, energyJ float64, atte
 	tm.RadioEnergyJ.Add(energyJ)
 	tm.PacketMicroJ.Observe(uint64(energyJ * 1e6))
 	tm.PacketAttempts.Observe(uint64(attempts))
-	tm.Stages.Record(telemetry.StageLink, int64(windowStart), t0.UnixNano(), int64(time.Since(t0)))
+	tm.Stages.Record(telemetry.StageLink, int64(time.Since(t0)))
 }
 
 // Close drains the channel's reordering stage and the reassembler so

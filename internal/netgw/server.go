@@ -3,6 +3,7 @@ package netgw
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -25,7 +26,7 @@ type ServerConfig struct {
 	// image shares one sensing-matrix seed.
 	Gateway gateway.Config
 	// EngineWorkers sizes the shared reconstruction pool (0 selects
-	// GOMAXPROCS; negative decodes inline on the session actors).
+	// GOMAXPROCS). Serve rejects a negative value with ErrServer.
 	EngineWorkers int
 	// EngineBatch is the most queued windows one engine worker dispatch
 	// reconstructs in a single structure-of-arrays solver pass (default
@@ -115,32 +116,28 @@ type Server struct {
 // is running; stop it with Shutdown (graceful) or Close.
 func Serve(cfg ServerConfig) (*Server, error) {
 	c := cfg.withDefaults()
+	if c.EngineWorkers < 0 {
+		return nil, fmt.Errorf("%w: EngineWorkers %d is negative", ErrServer, c.EngineWorkers)
+	}
 	s := &Server{
 		cfg:      c,
 		sessions: make(map[uint64]*session),
 		conns:    make(map[net.Conn]struct{}),
 		drainCh:  make(chan struct{}),
 	}
+	ecfg := gateway.EngineConfig{Workers: c.EngineWorkers, Batch: c.EngineBatch, BatchWait: c.EngineBatchWait}
 	if c.Telemetry != nil {
 		s.tel = c.Telemetry.NetGW
 		s.trc = c.Telemetry.Trace
+		ecfg.Metrics = c.Telemetry.Gateway
 	}
-	if c.EngineWorkers >= 0 {
-		ecfg := gateway.EngineConfig{Workers: c.EngineWorkers, Batch: c.EngineBatch, BatchWait: c.EngineBatchWait}
-		if c.Telemetry != nil {
-			ecfg.Metrics = c.Telemetry.Gateway
-		}
-		eng, err := gateway.NewEngine(c.Gateway, ecfg)
-		if err != nil {
-			return nil, err
-		}
-		s.engine = eng
+	var err error
+	if s.engine, err = gateway.NewEngine(c.Gateway, ecfg); err != nil {
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", c.Addr)
 	if err != nil {
-		if s.engine != nil {
-			s.engine.Close()
-		}
+		s.engine.Close()
 		return nil, err
 	}
 	s.ln = ln
@@ -389,10 +386,8 @@ func (s *Server) getReceiver() (*gateway.Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.engine != nil {
-		if err := rx.AttachEngine(s.engine); err != nil {
-			return nil, err
-		}
+	if err := rx.AttachEngine(s.engine); err != nil {
+		return nil, err
 	}
 	return rx, nil
 }
@@ -428,9 +423,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.acceptWg.Wait()
 		s.connWg.Wait()
 		s.wg.Wait()
-		if s.engine != nil {
-			s.engine.Close()
-		}
+		s.engine.Close()
 		close(done)
 	}()
 	var err error

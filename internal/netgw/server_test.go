@@ -2,6 +2,7 @@ package netgw
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"sync/atomic"
@@ -322,32 +323,14 @@ func TestNetGatewaySessionExpiry(t *testing.T) {
 	}
 }
 
-// BenchmarkNetGatewayRecords measures sustained end-to-end server
-// throughput on loopback: records (and windows) fully delivered,
-// decoded and digested per second, verification off.
-func BenchmarkNetGatewayRecords(b *testing.B) {
-	srv, _ := startServer(b, nil)
-	cfg := testLoadgen(srv.Addr(), 4, 2)
-	cfg.Verify = false
-	b.ResetTimer()
-	records, windows := 0, 0
-	for i := 0; i < b.N; i++ {
-		// Fresh stream IDs per iteration: reused IDs would re-attach to
-		// finished sessions and be answered from cached digests.
-		cfg.IDBase = uint64(testSeed)<<32 + uint64(i+1)<<16
-		res, err := RunLoadgen(cfg)
-		if err != nil {
-			b.Fatal(err)
+// Every session decodes through the shared engine: a negative worker
+// count is a configuration error, not a request for another decode path.
+func TestServeRejectsNegativeWorkers(t *testing.T) {
+	srv, err := Serve(ServerConfig{Addr: "127.0.0.1:0", Gateway: testGatewayConfig(t), EngineWorkers: -1})
+	if !errors.Is(err, ErrServer) {
+		if srv != nil {
+			srv.Close()
 		}
-		if res.Failures != 0 {
-			b.Fatalf("failures: %s", res)
-		}
-		records += res.RecordsDone
-		windows += res.WindowsDone
-	}
-	secs := b.Elapsed().Seconds()
-	if secs > 0 {
-		b.ReportMetric(float64(records)/secs, "records/s")
-		b.ReportMetric(float64(windows)/secs, "windows/s")
+		t.Fatalf("Serve with EngineWorkers -1: err = %v, want ErrServer", err)
 	}
 }

@@ -14,7 +14,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	set := NewSet(reg)
 	set.Link.Retransmissions.Add(3)
 	set.Gateway.QueueDepth.Set(2)
-	set.Stages.Record(StageCS, 0, 1, 1500)
+	set.Stages.Record(StageCS, 1500)
 	set.Link.RadioEnergyJ.Add(0.012)
 
 	srv, err := Serve("127.0.0.1:0", reg)

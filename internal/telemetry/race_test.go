@@ -30,7 +30,7 @@ func TestTelemetryRaceHammer(t *testing.T) {
 				set.Link.RadioEnergyJ.Add(1e-6)
 				set.Gateway.QueueDepth.Add(1)
 				set.Gateway.QueueDepth.Add(-1)
-				set.Stages.Record(Stage(i%NumStages), int64(i), int64(i), int64(i%1024))
+				set.Stages.Record(Stage(i%NumStages), int64(i%1024))
 				set.Fleet.Shard(w % 4).Inc()
 				set.Fleet.DeliveryPermille.Observe(uint64(i % 1001))
 				mm.RecordTransition(i, i%2, (i+1)%2, 0.5)

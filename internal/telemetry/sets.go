@@ -25,9 +25,9 @@ func NewStageSet(reg *Registry) *StageSet {
 	return ss
 }
 
-// Record observes one stage execution: its duration into the stage's
+// Record observes one stage execution's duration into the stage's
 // histogram. Nil-safe and allocation-free.
-func (ss *StageSet) Record(stage Stage, at int64, startNs, durNs int64) {
+func (ss *StageSet) Record(stage Stage, durNs int64) {
 	if ss == nil {
 		return
 	}

@@ -20,11 +20,11 @@ func populateSnapshotSet(set *Set) {
 	set.NetGW.FramesRx.Add(20)
 	set.NetGW.Attaches.Add(2)
 	set.Fleet.PatientsDone.Inc()
-	set.Stages.Record(StageCS, 0, 1, 2000)
+	set.Stages.Record(StageCS, 2000)
 }
 
 // TestMetricsSnapshotJSONStability pins the /metrics rendering contract
-// benchdiff-style tooling relies on: two captures of identical state
+// that diffing two scrapes relies on: two captures of identical state
 // serialise to identical bytes, so any textual diff is a real metric
 // change.
 func TestMetricsSnapshotJSONStability(t *testing.T) {

@@ -48,7 +48,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	ss.Record(StageFilter, 0, 0, 1)
+	ss.Record(StageFilter, 1)
 	mm.RecordTransition(0, 0, 1, 0.5)
 	fm.Shard(0).Inc()
 	if c.Value() != 0 || f.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
@@ -140,7 +140,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 func TestStageSetRecords(t *testing.T) {
 	reg := NewRegistry()
 	ss := NewStageSet(reg)
-	ss.Record(StageDelineate, 123, 1, 5000)
+	ss.Record(StageDelineate, 5000)
 	if ss.Stage(StageDelineate).Count() != 1 {
 		t.Error("stage histogram not recorded")
 	}

@@ -24,7 +24,7 @@ trap 'kill "$GW_PID" 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 go build -race -o "$BIN/wbsn-gateway" ./cmd/wbsn-gateway
 go build -race -o "$BIN/wbsn-loadgen" ./cmd/wbsn-loadgen
-go build -o "$BIN/tracecheck" ./scripts/tracecheck
+go build -o "$BIN/telemetrycheck" ./scripts/telemetrycheck
 
 # Short records + solver early exit keep per-window decode cheap enough
 # that a single CI core sustains the stream count under -race.
@@ -56,7 +56,7 @@ echo "netgw_soak: soaking $STREAMS streams for $RUN_FOR with fault injection (tr
 # from both sides of the wire. The sessions from the soak are still in
 # their TTL, so the eviction round-trip runs against a real table.
 echo "netgw_soak: checking trace continuity and control plane" >&2
-"$BIN/tracecheck" -min-trees 10 -evict-one "http://$TEL_ADDR"
+"$BIN/telemetrycheck" -min-trees 10 -evict-one "http://$TEL_ADDR"
 
 # Graceful drain must complete (wbsn-gateway exits 0 on a clean drain,
 # 1 on a drain-timeout overrun or a -race detection).
