@@ -4,9 +4,10 @@ package cs
 // implementation: Reconstruct* are one-item batches, and the gateway
 // engine dispatches K windows at once. Each window's coefficient
 // vectors live as contiguous n-long stripes ("planes") of shared
-// backing slices, Φ derived state is read once per batch, and every
-// CSR walk / wavelet transform of an iteration sweeps all still-active
-// planes (internal/wavelet/batch.go, matrix_batch.go). The per-window
+// backing slices, Φ derived state is read once per batch, every CSR
+// walk of an iteration sweeps all still-active planes in 3-plane tiles
+// (matrix_batch.go), and the wavelet transforms run plane by plane
+// through the output-tiled DWT kernels. The per-window
 // control flow — reweighting passes, adaptive restart, Tol early exit,
 // warm seeding, divergence fallback — runs as an explicit per-plane
 // state machine stepped in lockstep global iterations, so a converged
@@ -86,8 +87,7 @@ type batchScratch struct {
 	theta, prev, mom, grad, z, x, rw []float64 // planeCap*n
 	y, ax                            []float64 // planeCap*m
 
-	ws  wavelet.BatchScratch // batched DWT ping-pong buffers
-	sws wavelet.Scratch      // scalar DWT scratch (objective/output paths)
+	sws wavelet.Scratch // DWT ping-pong buffers
 
 	objX  []float64 // n — per-plane objective/divergence work
 	objAx []float64 // m
@@ -171,16 +171,21 @@ func (d *Decoder) matrixIndexFor(l int) int {
 	return len(d.phis) - 1
 }
 
-// synthBatch / analyzeBatch run the batched DWT over the listed planes.
+// synthBatch / analyzeBatch run the DWT over the listed planes, one
+// plane at a time.
 func (d *Decoder) synthBatch(theta, x []float64, planes []int, bs *batchScratch) {
-	if err := d.cfg.Wavelet.InverseBatchInto(theta, d.n, d.cfg.Levels, planes, x, &bs.ws); err != nil {
-		panic("cs: internal batch synthesis error: " + err.Error())
+	for _, p := range planes {
+		if err := d.cfg.Wavelet.InverseInto(nStripe(theta, p, d.n), d.cfg.Levels, nStripe(x, p, d.n), &bs.sws); err != nil {
+			panic("cs: internal synthesis error: " + err.Error())
+		}
 	}
 }
 
 func (d *Decoder) analyzeBatch(x, theta []float64, planes []int, bs *batchScratch) {
-	if err := d.cfg.Wavelet.ForwardBatchInto(x, d.n, d.cfg.Levels, planes, theta, &bs.ws); err != nil {
-		panic("cs: internal batch analysis error: " + err.Error())
+	for _, p := range planes {
+		if err := d.cfg.Wavelet.ForwardInto(nStripe(x, p, d.n), d.cfg.Levels, nStripe(theta, p, d.n), &bs.sws); err != nil {
+			panic("cs: internal analysis error: " + err.Error())
+		}
 	}
 }
 
@@ -227,9 +232,8 @@ func (d *Decoder) applyBatchGroups(x, y []float64, planes []int, bs *batchScratc
 }
 
 // gradBatch computes grad_p = ΨᵀΦᵀ(ΦΨ mom_p − y_p) for every listed
-// plane: one batched synthesis, one batched Φ, a per-plane residual
-// subtraction, one batched Φᵀ and one batched analysis — the one-window
-// gradient pipeline amortised over the active planes.
+// plane: the synthesis of every plane, one batched Φ, a per-plane
+// residual subtraction, one batched Φᵀ and the analysis of every plane.
 func (d *Decoder) gradBatch(planes []int, bs *batchScratch) {
 	d.synthBatch(bs.mom, bs.x, planes, bs)
 	d.applyBatchGroups(bs.x, bs.ax, planes, bs, true)

@@ -466,8 +466,11 @@ func TestBatchRejectsMalformedItems(t *testing.T) {
 }
 
 // TestBatchKernelsMatchScalar pins the bit-identity of the batched
-// sensing-matrix kernels against Apply/ApplyT, including zero residual
-// entries (whose row skip the batch kernel intentionally drops).
+// sensing-matrix kernels against Apply/ApplyT, comparing IEEE-754 bit
+// patterns so a signed zero counts, for 1 to 7 planes: full 3-plane
+// tiles and both remainder lengths. Zero residual entries (whose row
+// skip the batch kernel intentionally drops) and ±0 signal entries are
+// included.
 func TestBatchKernelsMatchScalar(t *testing.T) {
 	const n = 256
 	m := MeasurementsForCR(n, 65.9)
@@ -476,23 +479,26 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(82))
-	for _, P := range []int{1, 3, 4, 5, 9} {
+	// draw returns a normal deviate, or exactly +0 or −0 a quarter of
+	// the time.
+	draw := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	for P := 1; P <= 7; P++ {
 		x := make([]float64, P*n)
 		r := make([]float64, P*m)
 		for i := range x {
-			x[i] = rng.NormFloat64()
+			x[i] = draw()
 		}
 		for i := range r {
-			// A quarter of the residual entries exactly zero (and some
-			// negative zero) to exercise the dropped ri==0 skip.
-			switch rng.Intn(8) {
-			case 0:
-				r[i] = 0
-			case 1:
-				r[i] = math_Copysign0()
-			default:
-				r[i] = rng.NormFloat64()
-			}
+			r[i] = draw()
 		}
 		planes := make([]int, P)
 		for p := range planes {
@@ -508,24 +514,17 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 			phi.Apply(x[p*n:(p+1)*n], yRef)
 			phi.ApplyT(r[p*m:(p+1)*m], zRef)
 			for i := range yRef {
-				if y[p*m+i] != yRef[i] {
+				if math.Float64bits(y[p*m+i]) != math.Float64bits(yRef[i]) {
 					t.Fatalf("P=%d plane %d: applyBatch[%d] = %v, scalar %v", P, p, i, y[p*m+i], yRef[i])
 				}
 			}
 			for i := range zRef {
-				if z[p*n+i] != zRef[i] {
+				if math.Float64bits(z[p*n+i]) != math.Float64bits(zRef[i]) {
 					t.Fatalf("P=%d plane %d: applyTBatch[%d] = %v, scalar %v", P, p, i, z[p*n+i], zRef[i])
 				}
 			}
 		}
 	}
-}
-
-// math_Copysign0 returns negative zero without tripping vet's literal
-// -0.0 (which is +0.0 in Go constant arithmetic).
-func math_Copysign0() float64 {
-	z := 0.0
-	return -z
 }
 
 // TestBatchRaceHammer hammers one shared decoder with concurrent

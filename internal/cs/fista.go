@@ -134,7 +134,10 @@ func NewJointDecoder(phis []Matrix, cfg SolverConfig) (*Decoder, error) {
 			return nil, ErrSolver
 		}
 	}
-	if n%(1<<uint(c.Levels)) != 0 {
+	// The window must divide into the DWT pyramid, and every level must
+	// hold at least the wavelet's taps (db8 over 64 samples at 5 levels
+	// would leave a 4-sample last level).
+	if c.Wavelet.CheckLength(n, c.Levels) != nil {
 		return nil, ErrSolver
 	}
 	rng := rand.New(rand.NewSource(c.Seed + 777))

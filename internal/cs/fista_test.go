@@ -96,6 +96,30 @@ func TestNewDecoderValidation(t *testing.T) {
 	}
 }
 
+// TestNewDecoderRejectsShortLevels: a 64-sample window at the default 5
+// levels leaves db8 a 4-sample last level, which the DWT refuses. The
+// decoder must refuse that geometry at construction rather than panic
+// in its first reconstruction; 128 samples (an 8-sample last level)
+// and the 2-tap Haar basis over 64 samples still build.
+func TestNewDecoderRejectsShortLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	phi64, _ := NewSparseBinary(26, 64, 4, rng)
+	if _, err := NewDecoder(phi64, SolverConfig{}); err != ErrSolver {
+		t.Errorf("db8 over 64 samples at 5 levels: err = %v, want ErrSolver", err)
+	}
+	if _, err := NewDecoder(phi64, SolverConfig{Wavelet: wavelet.Haar()}); err != nil {
+		t.Errorf("Haar over 64 samples: %v", err)
+	}
+	phi128, _ := NewSparseBinary(51, 128, 4, rng)
+	dec, err := NewDecoder(phi128, SolverConfig{Iters: 5})
+	if err != nil {
+		t.Fatalf("db8 over 128 samples: %v", err)
+	}
+	if _, err := dec.ReconstructJoint([][]float64{make([]float64, 51)}); err != nil {
+		t.Fatalf("128-sample reconstruction: %v", err)
+	}
+}
+
 func TestReconstructLowCR(t *testing.T) {
 	// At low compression (CR 25%) the reconstruction should be excellent.
 	rng := rand.New(rand.NewSource(6))

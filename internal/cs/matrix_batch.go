@@ -1,11 +1,14 @@
 package cs
 
 // Batched (structure-of-arrays) sensing-matrix kernels. The batched
-// FISTA solver applies one Φ to K windows per iteration; walking the CSR
-// companion once per plane would reload the index stream K times, so the
-// batch kernels walk it once and tile four planes per sweep — the index
-// loads amortise over the tile and the four accumulators give the FP
-// units independent dependency chains.
+// FISTA solver applies one Φ to many planes per iteration; walking the
+// CSR companion once per plane would reload the index stream for every
+// plane, so the batch kernels walk it once per tile of three planes:
+// the index loads amortise over the tile and the three accumulators
+// give the FP units independent dependency chains. Three is the lead
+// count of the paper's node, and a joint dispatch of K windows holds
+// 3K planes, so every dispatch is fully tiled at every K; other plane
+// counts finish their last one or two planes through Apply/ApplyT.
 //
 // Bit-identity contract: per plane the accumulation order equals the
 // scalar Apply/ApplyT kernels exactly. ApplyT's zero-residual row skip
@@ -23,32 +26,28 @@ type batchApplier interface {
 }
 
 // applyBatch computes y_p = Φx_p for every listed plane, walking the CSR
-// row lists once per 4-plane tile.
+// row lists once per 3-plane tile.
 func (s *SparseBinary) applyBatch(x []float64, n int, y []float64, m int, planes []int) {
 	rowPtr, rowCols := s.rowPtr, s.rowCols
 	scale := s.scale
 	t := 0
-	for ; t+4 <= len(planes); t += 4 {
+	for ; t+3 <= len(planes); t += 3 {
 		x0 := x[planes[t]*n : planes[t]*n+n]
 		x1 := x[planes[t+1]*n : planes[t+1]*n+n]
 		x2 := x[planes[t+2]*n : planes[t+2]*n+n]
-		x3 := x[planes[t+3]*n : planes[t+3]*n+n]
 		y0 := y[planes[t]*m : planes[t]*m+m]
 		y1 := y[planes[t+1]*m : planes[t+1]*m+m]
 		y2 := y[planes[t+2]*m : planes[t+2]*m+m]
-		y3 := y[planes[t+3]*m : planes[t+3]*m+m]
 		for i := 0; i < s.m; i++ {
-			var a0, a1, a2, a3 float64
+			var a0, a1, a2 float64
 			for _, c := range rowCols[rowPtr[i]:rowPtr[i+1]] {
 				a0 += x0[c]
 				a1 += x1[c]
 				a2 += x2[c]
-				a3 += x3[c]
 			}
 			y0[i] = a0 * scale
 			y1[i] = a1 * scale
 			y2[i] = a2 * scale
-			y3[i] = a3 * scale
 		}
 	}
 	for ; t < len(planes); t++ {
@@ -58,41 +57,36 @@ func (s *SparseBinary) applyBatch(x []float64, n int, y []float64, m int, planes
 }
 
 // applyTBatch computes z_p = Φᵀr_p for every listed plane. The residual
-// elements of the tile are loaded once per row and scattered into four
+// elements of the tile are loaded once per row and scattered into three
 // stripes; per plane the per-z[c] accumulation order matches ApplyT.
 func (s *SparseBinary) applyTBatch(r []float64, m int, z []float64, n int, planes []int) {
 	rowPtr, rowCols := s.rowPtr, s.rowCols
 	scale := s.scale
 	t := 0
-	for ; t+4 <= len(planes); t += 4 {
+	for ; t+3 <= len(planes); t += 3 {
 		r0 := r[planes[t]*m : planes[t]*m+m]
 		r1 := r[planes[t+1]*m : planes[t+1]*m+m]
 		r2 := r[planes[t+2]*m : planes[t+2]*m+m]
-		r3 := r[planes[t+3]*m : planes[t+3]*m+m]
 		z0 := z[planes[t]*n : planes[t]*n+n]
 		z1 := z[planes[t+1]*n : planes[t+1]*n+n]
 		z2 := z[planes[t+2]*n : planes[t+2]*n+n]
-		z3 := z[planes[t+3]*n : planes[t+3]*n+n]
 		for c := 0; c < n; c++ {
 			z0[c] = 0
 			z1[c] = 0
 			z2[c] = 0
-			z3[c] = 0
 		}
 		for i := 0; i < s.m; i++ {
-			v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
+			v0, v1, v2 := r0[i], r1[i], r2[i]
 			for _, c := range rowCols[rowPtr[i]:rowPtr[i+1]] {
 				z0[c] += v0
 				z1[c] += v1
 				z2[c] += v2
-				z3[c] += v3
 			}
 		}
 		for c := 0; c < n; c++ {
 			z0[c] *= scale
 			z1[c] *= scale
 			z2[c] *= scale
-			z3[c] *= scale
 		}
 	}
 	for ; t < len(planes); t++ {

@@ -11,13 +11,14 @@ import (
 )
 
 // ckptFixture builds a small warm-tier cluster and its (round-0)
-// checkpoint file. No round runs, and one lead of 64-sample windows
-// keeps the file near 1 KB, so it is cheap enough to seed a fuzz target.
+// checkpoint file. No round runs, and one lead of 128-sample windows
+// (the shortest the 5-level db8 decoder accepts) keeps the file under
+// 2 KB, so it is cheap enough to seed a fuzz target.
 func ckptFixture(tb testing.TB) (*Cluster, []byte) {
 	tb.Helper()
 	cfg := clusterCfg(3)
 	cfg.CarryWarm = true
-	cfg.Fleet.Node = core.Config{Mode: core.ModeCS, Leads: 1, CSWindow: 64, CSRatio: 60, Seed: cfg.Fleet.Seed}
+	cfg.Fleet.Node = core.Config{Mode: core.ModeCS, Leads: 1, CSWindow: 128, CSRatio: 60, Seed: cfg.Fleet.Seed}
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		tb.Fatal(err)

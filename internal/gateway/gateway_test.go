@@ -22,6 +22,20 @@ func TestReceiverValidation(t *testing.T) {
 	}
 }
 
+// TestNewReceiverRejectsShortLevels: 64-sample windows leave the
+// default db8 basis a 4-sample last DWT level. The receiver must refuse
+// the configuration when it is built; accepting it would defer the
+// failure to an index-out-of-range panic in the first decode, which on
+// an engine worker takes the whole process down.
+func TestNewReceiverRejectsShortLevels(t *testing.T) {
+	if _, err := NewReceiver(Config{CSWindow: 64}); err == nil {
+		t.Fatal("NewReceiver accepted 64-sample windows")
+	}
+	if _, err := NewReceiver(Config{CSWindow: 128}); err != nil {
+		t.Fatalf("128-sample windows: %v", err)
+	}
+}
+
 func TestMatchNodeMirrorsConfig(t *testing.T) {
 	ncfg := core.Config{Mode: core.ModeCS, Fs: 256, Leads: 3, CSWindow: 512, CSRatio: 60, CSDensity: 4, Seed: 5}
 	g := MatchNode(ncfg)

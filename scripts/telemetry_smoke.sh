@@ -25,7 +25,9 @@ go build -o "$WORK/wbsn-sim" ./cmd/wbsn-sim
 go build -o "$WORK/telemetrycheck" ./scripts/telemetrycheck
 
 # Linger keeps the endpoint alive after the sweep so a slow scraper
-# still sees the fully-populated registry.
+# still sees the fully-populated registry. The log exists before the
+# sim starts, so the first poll below never races its redirection.
+: >"$WORK/stderr.log"
 "$WORK/wbsn-sim" -fleet -solver-tol 1e-3 -telemetry 127.0.0.1:0 -telemetry-linger 120s \
 	>"$WORK/stdout.log" 2>"$WORK/stderr.log" &
 SIM_PID=$!
