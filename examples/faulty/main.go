@@ -48,7 +48,7 @@ func main() {
 		fmt.Printf("  lead %d %-10v %5.1f .. %5.1f s\n", f.Lead, f.Kind, float64(f.Start)/fs, float64(f.End)/fs)
 	}
 	fmt.Println("\nper-lead signal quality index (fraction of usable 1 s windows):")
-	for li, q := range link.LeadSQIs(faulted, fs, link.SQIConfig{}) {
+	for li, q := range link.LeadSQIs(faulted, fs) {
 		fmt.Printf("  lead %d: %.2f\n", li, q)
 	}
 

@@ -23,12 +23,9 @@ func TestConfigRejectsNonFiniteFields(t *testing.T) {
 		{Mode: ModeCS, CSRatio: inf},
 		{Mode: ModeDelineation, Leads: -1},
 		{Mode: ModeCS, CSWindow: -512},
-		{Mode: ModeCS, CSDensity: -4},
 		{Mode: ModeCS, BitsPerSample: -12},
 		{Mode: ModeCS, BitsPerSample: 48},
 		{Mode: ModeCS, QuantBits: -1},
-		{Mode: ModeDelineation, GateLeads: true, LeadGateMin: 1.5},
-		{Mode: ModeDelineation, GateLeads: true, LeadGateMin: nan},
 	}
 	for i, cfg := range bad {
 		if _, err := NewNode(cfg); !errors.Is(err, ErrConfig) {

@@ -146,7 +146,6 @@ func TestGoldenBitIdentity(t *testing.T) {
 		{"delineation", Config{Mode: ModeDelineation}, clean, 64},
 		{"delineation-gated", Config{Mode: ModeDelineation, GateLeads: true}, corrupted, 257},
 		{"delineation-gated-clean", Config{Mode: ModeDelineation, GateLeads: true}, clean, 128},
-		{"delineation-nofilter", Config{Mode: ModeDelineation, DisableFilter: true}, clean, 128},
 		{"classification", Config{Mode: ModeClassification, Classifier: cls}, clean, 256},
 		{"classification-gated", Config{Mode: ModeClassification, Classifier: cls, GateLeads: true}, corrupted, 300},
 		{"af-alarm", Config{Mode: ModeAFAlarm}, afRec.Leads, 128},

@@ -186,17 +186,15 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 		}
 	default:
 		leads, _, _ := n.gateLeads(chunk)
-		if !n.cfg.DisableFilter {
-			filtered, err := morpho.FilterLeadsInto(leads, morpho.FilterConfig{Fs: n.cfg.Fs}, s.filtered, &s.morph)
-			if err != nil {
-				return nil, err
-			}
-			if s.tel != nil {
-				s.stageLap(telemetry.StageFilter)
-			}
-			s.filtered = filtered
-			leads = filtered
+		filtered, err := morpho.FilterLeadsInto(leads, morpho.FilterConfig{Fs: n.cfg.Fs}, s.filtered, &s.morph)
+		if err != nil {
+			return nil, err
 		}
+		if s.tel != nil {
+			s.stageLap(telemetry.StageFilter)
+		}
+		s.filtered = filtered
+		leads = filtered
 		s.combined = dsp.CombineRMSInto(leads, s.combined)
 		combined := s.combined
 		beats, err := n.del.Delineate(combined)

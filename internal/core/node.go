@@ -85,12 +85,6 @@ type Config struct {
 	// CSRatio is the compression ratio in percent (default 65.9, the
 	// paper's single-lead good-quality operating point).
 	CSRatio float64
-	// CSDensity is the sparse-binary column density (default 4).
-	CSDensity int
-	// Filter enables morphological conditioning before analysis
-	// (default true for the analysis modes; never used for raw/CS
-	// which transmit the acquired signal).
-	DisableFilter bool
 	// Classifier is required in ModeClassification.
 	Classifier *classify.Classifier
 	// BitsPerSample quantises raw samples and CS measurements
@@ -104,15 +98,17 @@ type Config struct {
 	// Seed drives sensing-matrix generation.
 	Seed int64
 	// GateLeads enables per-lead signal-quality gating in the analysis
-	// modes: leads whose SQI falls below LeadGateMin (lead-off,
+	// modes: leads whose SQI falls below link.MinLeadSQI (lead-off,
 	// saturation, heavy artifacts) are excluded from lead combination,
 	// so the node degrades from 3-lead to fewer-lead operation instead
 	// of delineating a corrupted composite.
 	GateLeads bool
-	// LeadGateMin is the minimum per-lead SQI to keep a lead (default
-	// 0.7 when GateLeads is set).
-	LeadGateMin float64
 }
+
+// CSDensity is the column density of the sparse-binary sensing matrix:
+// the nonzeros per column of Φ, clamped to the measurement count. The
+// gateway regenerates Φ from the shared seed at the same density.
+const CSDensity = 4
 
 func (c Config) withDefaults() Config {
 	out := c
@@ -128,14 +124,8 @@ func (c Config) withDefaults() Config {
 	if out.CSRatio <= 0 {
 		out.CSRatio = 65.9
 	}
-	if out.CSDensity <= 0 {
-		out.CSDensity = 4
-	}
 	if out.BitsPerSample <= 0 {
 		out.BitsPerSample = 12
-	}
-	if out.GateLeads && out.LeadGateMin <= 0 {
-		out.LeadGateMin = 0.7
 	}
 	return out
 }
@@ -161,17 +151,11 @@ func (c Config) validate() error {
 	if c.CSRatio >= 100 {
 		return fmt.Errorf("%w: CSRatio %v leaves no measurements (must be < 100)", ErrConfig, c.CSRatio)
 	}
-	if err := finite("LeadGateMin", c.LeadGateMin); err != nil {
-		return err
-	}
-	if c.LeadGateMin > 1 {
-		return fmt.Errorf("%w: LeadGateMin %v outside [0, 1]", ErrConfig, c.LeadGateMin)
-	}
 	for _, f := range []struct {
 		name string
 		v    int
 	}{
-		{"Leads", c.Leads}, {"CSWindow", c.CSWindow}, {"CSDensity", c.CSDensity},
+		{"Leads", c.Leads}, {"CSWindow", c.CSWindow},
 		{"BitsPerSample", c.BitsPerSample}, {"QuantBits", c.QuantBits},
 	} {
 		if f.v < 0 {
@@ -214,11 +198,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{cfg: c, energy: energy.DefaultNode(), beatWin: classify.DefaultBeatWindow(c.Fs)}
 	if c.Mode == ModeCS {
 		m := cs.MeasurementsForCR(c.CSWindow, c.CSRatio)
-		d := c.CSDensity
-		if d > m {
-			d = m
-		}
-		phi, err := cs.NewSparseBinary(m, c.CSWindow, d, rand.New(rand.NewSource(c.Seed)))
+		phi, err := cs.NewSparseBinary(m, c.CSWindow, min(CSDensity, m), rand.New(rand.NewSource(c.Seed)))
 		if err != nil {
 			return nil, err
 		}
@@ -281,12 +261,10 @@ func (n *Node) buildPlan() (*graph.Plan, error) {
 		// every beat fully inside at least one chunk.
 		v := b.Input(c.Leads, int(4*c.Fs))
 		if c.GateLeads {
-			v = b.GateLeads(v, c.Fs, c.LeadGateMin)
+			v = b.GateLeads(v, c.Fs)
 		}
-		if !c.DisableFilter {
-			v = b.MorphFilter(v, morpho.FilterConfig{Fs: c.Fs})
-			b.Lap(v, telemetry.StageFilter)
-		}
+		v = b.MorphFilter(v, morpho.FilterConfig{Fs: c.Fs})
+		b.Lap(v, telemetry.StageFilter)
 		series := b.CombineRMS(v)
 		w := b.Atrous(series, wavelet.AtrousScales)
 		beats := b.Delineate(w, n.del)
@@ -411,7 +389,7 @@ func (n *Node) gateLeads(leads [][]float64) ([][]float64, []bool, int) {
 	if !n.cfg.GateLeads || len(leads) < 2 {
 		return leads, used, 0
 	}
-	mask := link.GoodLeads(leads, n.cfg.Fs, link.SQIConfig{}, n.cfg.LeadGateMin)
+	mask := link.GoodLeads(leads, n.cfg.Fs)
 	ops := 0
 	if len(leads) > 0 {
 		ops = len(leads) * len(leads[0]) * 3 // mean/RMS/peak passes
@@ -434,14 +412,11 @@ func (n *Node) gateLeads(leads [][]float64) ([][]float64, []bool, int) {
 // operation count for the energy model.
 func (n *Node) analyze(rec *ecg.Record) ([]BeatOutput, []bool, int, error) {
 	leads, used, ops := n.gateLeads(rec.Leads)
-	if !n.cfg.DisableFilter {
-		filtered, err := morpho.FilterLeads(leads, morpho.FilterConfig{Fs: n.cfg.Fs})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		leads = filtered
-		ops += rec.Len() * len(leads) * 24 // van Herk stages per sample
+	leads, err := morpho.FilterLeads(leads, morpho.FilterConfig{Fs: n.cfg.Fs})
+	if err != nil {
+		return nil, nil, 0, err
 	}
+	ops += rec.Len() * len(leads) * 24 // van Herk stages per sample
 	combined := dsp.CombineRMS(leads)
 	ops += rec.Len() * (len(leads) + 2)
 	beats, err := n.del.Delineate(combined)

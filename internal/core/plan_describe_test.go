@@ -26,7 +26,6 @@ func TestPlanDescribe(t *testing.T) {
 		{"compressed-sensing", Config{Mode: ModeCS, CSRatio: 60}},
 		{"delineation", Config{Mode: ModeDelineation}},
 		{"delineation-gated", Config{Mode: ModeDelineation, GateLeads: true}},
-		{"delineation-nofilter", Config{Mode: ModeDelineation, DisableFilter: true}},
 		{"classification", Config{Mode: ModeClassification, Classifier: cls}},
 		{"classification-gated", Config{Mode: ModeClassification, Classifier: cls, GateLeads: true}},
 		{"af-alarm", Config{Mode: ModeAFAlarm}},
@@ -43,7 +42,6 @@ func TestPlanDescribe(t *testing.T) {
 compressed-sensing    2 ops -> 2 stages (0 fused away), arena 0.0 KiB
 delineation           4 ops -> 3 stages (1 fused away), arena 56.0 KiB
 delineation-gated     5 ops -> 4 stages (1 fused away), arena 56.0 KiB
-delineation-nofilter  3 ops -> 3 stages (0 fused away), arena 48.0 KiB
 classification        5 ops -> 3 stages (1 fused away), arena 56.0 KiB
 classification-gated  6 ops -> 4 stages (1 fused away), arena 56.0 KiB
 af-alarm              4 ops -> 3 stages (1 fused away), arena 56.0 KiB

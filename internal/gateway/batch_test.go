@@ -42,7 +42,11 @@ func warmReference(t *testing.T, cfg Config, windows [][][]float64) [][][]float6
 	ws := cs.NewWarmState()
 	refs := make([][][]float64, len(windows))
 	for wi, win := range windows {
-		leads, _, err := seq.DecodeWarm(win, ws)
+		j, err := seq.SubmitWarm(win, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leads, err := j.Wait()
 		if err != nil {
 			t.Fatal(err)
 		}

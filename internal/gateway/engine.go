@@ -91,12 +91,6 @@ func (j *Job) Wait() ([][]float64, error) {
 	return j.leads, j.err
 }
 
-// Stats returns the solve's convergence counters; valid after Wait.
-func (j *Job) Stats() cs.SolveStats {
-	<-j.done
-	return j.stats
-}
-
 // Engine fans CS windows across a pool of workers, each holding its own
 // decoder clone. All methods are safe for concurrent use; results are
 // delivered per job, so callers that need stream order wait on jobs in
@@ -297,9 +291,8 @@ func (e *Engine) Submit(measurements [][]float64) (*Job, error) {
 
 // SubmitWarm is Submit with a stream's warm state attached to the job.
 // The caller owns the sequencing contract: at most one in-flight job
-// per WarmState, and windows of that stream submitted in order (decode
-// each window before submitting the next — DecodeWarm does exactly
-// that).
+// per WarmState, and windows of that stream submitted in order (Wait
+// for each window before submitting the next).
 func (e *Engine) SubmitWarm(measurements [][]float64, ws *cs.WarmState) (*Job, error) {
 	return e.SubmitCtx(measurements, ws, 0, nil)
 }
@@ -336,26 +329,6 @@ func (e *Engine) SubmitCtx(measurements [][]float64, ws *cs.WarmState, tid trace
 	}
 	e.jobs <- j
 	return j, nil
-}
-
-// Decode reconstructs one window synchronously (Submit + Wait).
-func (e *Engine) Decode(measurements [][]float64) ([][]float64, error) {
-	j, err := e.Submit(measurements)
-	if err != nil {
-		return nil, err
-	}
-	return j.Wait()
-}
-
-// DecodeWarm reconstructs one window synchronously with the stream's
-// warm state, returning the convergence stats alongside the leads.
-func (e *Engine) DecodeWarm(measurements [][]float64, ws *cs.WarmState) ([][]float64, cs.SolveStats, error) {
-	j, err := e.SubmitWarm(measurements, ws)
-	if err != nil {
-		return nil, cs.SolveStats{}, err
-	}
-	leads, err := j.Wait()
-	return leads, j.stats, err
 }
 
 // DecodeWindows reconstructs a batch of windows and returns the results
@@ -399,7 +372,7 @@ func (e *Engine) DecodeWindows(windows [][][]float64) ([][][]float64, error) {
 }
 
 // Close shuts the pool down after in-flight jobs finish. Further
-// Submits fail with ErrGateway. Close is idempotent.
+// Submits fail with ErrEngineClosed. Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {

@@ -190,7 +190,12 @@ func TestEngineRaceHammer(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 2; rep++ {
 				i := (p + rep) % len(windows)
-				got, err := eng.Decode(windows[i])
+				j, err := eng.Submit(windows[i])
+				if err != nil {
+					t.Errorf("producer %d: %v", p, err)
+					return
+				}
+				got, err := j.Wait()
 				if err != nil {
 					t.Errorf("producer %d: %v", p, err)
 					return

@@ -21,32 +21,31 @@ import (
 	"wbsn/internal/cs"
 	"wbsn/internal/delineation"
 	"wbsn/internal/dsp"
-	"wbsn/internal/telemetry"
 	"wbsn/internal/telemetry/trace"
 )
 
 // ErrGateway is returned for configuration or packet-consistency errors.
 var ErrGateway = errors.New("gateway: invalid configuration or packet")
 
-// ErrEngineClosed is returned by Engine.Submit/Decode after Close: the
-// worker pool is gone, so the caller must either fail the stream or
-// route the decode inline. It is distinct from ErrGateway so lifecycle
-// races (submitting to a draining engine) are distinguishable from
-// malformed packets.
+// ErrEngineClosed is returned by the Engine's Submit and DecodeWindows
+// after Close: the worker pool is gone, so the caller must either fail
+// the stream or route the decode inline. It is distinct from ErrGateway
+// so lifecycle races (submitting to a draining engine) are
+// distinguishable from malformed packets.
 var ErrEngineClosed = errors.New("gateway: engine closed")
 
 // Config parameterises the receiver. It must mirror the node's CS
-// configuration (window, ratio, density, seed, lead count).
+// configuration (window, ratio, seed, lead count); the sensing matrix's
+// column density is core.CSDensity on both sides.
 type Config struct {
 	// Fs is the sampling rate in Hz.
 	Fs float64
 	// Leads is the lead count.
 	Leads int
-	// CSWindow, CSRatio, CSDensity, Seed mirror the node's encoder.
-	CSWindow  int
-	CSRatio   float64
-	CSDensity int
-	Seed      int64
+	// CSWindow, CSRatio, Seed mirror the node's encoder.
+	CSWindow int
+	CSRatio  float64
+	Seed     int64
 	// WarmStart carries each window's wavelet coefficients into the next
 	// window's solve (per-lead, per-receiver). Combined with Solver.Tol
 	// it converts inter-window correlation into skipped iterations; the
@@ -76,9 +75,6 @@ func (c Config) withDefaults() Config {
 	if out.CSRatio <= 0 {
 		out.CSRatio = 65.9
 	}
-	if out.CSDensity <= 0 {
-		out.CSDensity = 4
-	}
 	if out.Solver.Iters <= 0 {
 		out.Solver.Iters = 150
 	}
@@ -93,10 +89,10 @@ func (c Config) withDefaults() Config {
 // comparable (scalars and one basis pointer), so the key is usable as a
 // map key directly.
 type decoderKey struct {
-	window, density int
-	ratio           float64
-	seed            int64
-	solver          cs.SolverConfig
+	window int
+	ratio  float64
+	seed   int64
+	solver cs.SolverConfig
 }
 
 // decoderCache shares the expensive immutable decoder state — flat CSR
@@ -124,18 +120,14 @@ const decoderCacheCap = 32
 // count. c must already have defaults applied.
 func (c Config) buildDecoder() (*cs.Decoder, int, error) {
 	m := cs.MeasurementsForCR(c.CSWindow, c.CSRatio)
-	d := c.CSDensity
-	if d > m {
-		d = m
-	}
-	key := decoderKey{window: c.CSWindow, density: d, ratio: c.CSRatio, seed: c.Seed, solver: c.Solver}
+	key := decoderKey{window: c.CSWindow, ratio: c.CSRatio, seed: c.Seed, solver: c.Solver}
 	decoderCache.Lock()
 	base := decoderCache.m[key]
 	decoderCache.Unlock()
 	if base != nil {
 		return base.Clone(), m, nil
 	}
-	phi, err := cs.NewSparseBinary(m, c.CSWindow, d, rand.New(rand.NewSource(c.Seed)))
+	phi, err := cs.NewSparseBinary(m, c.CSWindow, min(core.CSDensity, m), rand.New(rand.NewSource(c.Seed)))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -155,12 +147,11 @@ func (c Config) buildDecoder() (*cs.Decoder, int, error) {
 // MatchNode builds a gateway Config mirroring a node configuration.
 func MatchNode(n core.Config) Config {
 	return Config{
-		Fs:        n.Fs,
-		Leads:     n.Leads,
-		CSWindow:  n.CSWindow,
-		CSRatio:   n.CSRatio,
-		CSDensity: n.CSDensity,
-		Seed:      n.Seed,
+		Fs:       n.Fs,
+		Leads:    n.Leads,
+		CSWindow: n.CSWindow,
+		CSRatio:  n.CSRatio,
+		Seed:     n.Seed,
 	}
 }
 
@@ -182,9 +173,6 @@ type Receiver struct {
 	// on; nil otherwise. One receiver = one stream, so the state never
 	// mixes patients.
 	ws *cs.WarmState
-	// tel, when set, receives convergence stats from the inline decode
-	// path (the engine path records through the engine's own metrics).
-	tel *telemetry.SolverMetrics
 	// trRing, when set, receives the gateway-side spans of traced
 	// windows; curTID is the trace ID of the packet currently being
 	// consumed (zero between packets).
@@ -212,11 +200,6 @@ func NewReceiver(cfg Config) (*Receiver, error) {
 	return r, nil
 }
 
-// SetTelemetry routes convergence stats from the inline decode path to
-// the given solver metrics (nil detaches). With an engine attached the
-// engine's own metrics receive the stats instead.
-func (r *Receiver) SetTelemetry(sm *telemetry.SolverMetrics) { r.tel = sm }
-
 // SetTrace attaches (or detaches, with nil) the window-trace ring this
 // receiver records its gateway-side spans into. Observation only: the
 // reconstructed signal is bit-identical either way.
@@ -226,8 +209,7 @@ func (r *Receiver) SetTrace(tr *trace.Ring) {
 }
 
 // resetWarm invalidates the carried coefficients (stream boundary or
-// lost window) and counts the reset in whichever metrics sink is
-// active: the engine's when one is attached, else the receiver's.
+// lost window) and counts the reset in the attached engine's metrics.
 func (r *Receiver) resetWarm() {
 	if r.ws == nil {
 		return
@@ -236,10 +218,8 @@ func (r *Receiver) resetWarm() {
 	if r.engine != nil {
 		if tm := r.engine.tel; tm != nil {
 			tm.Solver.RecordReset()
-			return
 		}
 	}
-	r.tel.RecordReset()
 }
 
 // MeasurementLen returns the per-lead measurement count the receiver
@@ -302,8 +282,8 @@ func (r *Receiver) consume(measurements [][]float64) error {
 }
 
 // decodeOne reconstructs a single window through whichever path is
-// active, threading the warm state, trace context and convergence
-// stats.
+// active, threading the warm state and trace context (the engine path
+// also records convergence stats into the engine's metrics).
 func (r *Receiver) decodeOne(measurements [][]float64) ([][]float64, error) {
 	if r.engine != nil {
 		// A nil WarmState runs the identical cold compute, so one traced
@@ -328,7 +308,6 @@ func (r *Receiver) decodeOne(measurements [][]float64) ([][]float64, error) {
 		// the gateway side (batch size 1 by construction).
 		r.trRing.RecordDecode(r.curTID, t0.UnixNano(), int64(time.Since(t0)), st.Iters, 1)
 	}
-	r.tel.Record(st.Iters, st.Restarts, st.EarlyExit, st.Warm, st.ColdFallback)
 	return xs, nil
 }
 
@@ -378,77 +357,16 @@ func (r *Receiver) Reset() {
 }
 
 // ConsumeEvents feeds every CS packet among the node's stream events to
-// the receiver, ignoring other event kinds. With an engine attached the
-// packets of the batch are decoded concurrently; the reconstructed
-// windows are appended in packet order either way.
+// the receiver in order, ignoring other event kinds. A packet's trace
+// ID routes its spans into the receiver's trace ring (the node records
+// encode into the same collector in-process, so no wire-reported
+// duration is needed); a zero ID is the untraced path.
 func (r *Receiver) ConsumeEvents(events []core.Event) error {
-	if r.trRing != nil {
-		// Traced consumption goes window by window so each packet's spans
-		// land under its own ID (the node records encode into the same
-		// collector in-process, so no wire-reported duration is needed).
-		// The engine, when attached, still decodes each window — only the
-		// cross-window pipelining of the untraced batch path is forgone.
-		for _, e := range events {
-			if e.Kind != core.EventPacket || e.Measurements == nil {
-				continue
-			}
-			if err := r.ConsumePacketTraced(e.Measurements, e.Trace, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if r.engine != nil {
-		var windows [][][]float64
-		for _, e := range events {
-			if e.Kind != core.EventPacket || e.Measurements == nil {
-				continue
-			}
-			windows = append(windows, e.Measurements)
-		}
-		if len(windows) == 0 {
-			return nil
-		}
-		// Shape-check before submitting so malformed packets fail with
-		// ErrGateway exactly like the inline path.
-		for _, w := range windows {
-			if len(w) != r.cfg.Leads {
-				return ErrGateway
-			}
-			for _, lead := range w {
-				if len(lead) != r.m {
-					return ErrGateway
-				}
-			}
-		}
-		if r.ws != nil {
-			// Warm decoding is inherently sequential within one stream —
-			// each window seeds the next — so the batch walks the engine
-			// one window at a time. Cross-stream parallelism (other
-			// receivers sharing this engine) is unaffected.
-			for _, w := range windows {
-				xs, _, err := r.engine.DecodeWarm(w, r.ws)
-				if err != nil {
-					return err
-				}
-				r.appendWindow(xs)
-			}
-			return nil
-		}
-		decoded, err := r.engine.DecodeWindows(windows)
-		if err != nil {
-			return err
-		}
-		for _, xs := range decoded {
-			r.appendWindow(xs)
-		}
-		return nil
-	}
 	for _, e := range events {
 		if e.Kind != core.EventPacket || e.Measurements == nil {
 			continue
 		}
-		if err := r.ConsumePacket(e.Measurements); err != nil {
+		if err := r.ConsumePacketTraced(e.Measurements, e.Trace, 0); err != nil {
 			return err
 		}
 	}

@@ -37,7 +37,7 @@ func TestNewReceiverRejectsShortLevels(t *testing.T) {
 }
 
 func TestMatchNodeMirrorsConfig(t *testing.T) {
-	ncfg := core.Config{Mode: core.ModeCS, Fs: 256, Leads: 3, CSWindow: 512, CSRatio: 60, CSDensity: 4, Seed: 5}
+	ncfg := core.Config{Mode: core.ModeCS, Fs: 256, Leads: 3, CSWindow: 512, CSRatio: 60, Seed: 5}
 	g := MatchNode(ncfg)
 	if g.CSWindow != 512 || g.CSRatio != 60 || g.Seed != 5 || g.Leads != 3 {
 		t.Errorf("MatchNode mismatch: %+v", g)

@@ -20,7 +20,7 @@ func goodWindow(t *testing.T, cfg Config) [][]float64 {
 	return w
 }
 
-// Submit, SubmitWarm, Decode and DecodeWindows after Close must return
+// Submit, SubmitWarm and DecodeWindows after Close must return
 // ErrEngineClosed — a sentinel, not a panic on a closed channel — and
 // double-Close must be a safe no-op.
 func TestEngineSubmitAfterClose(t *testing.T) {
@@ -37,12 +37,6 @@ func TestEngineSubmitAfterClose(t *testing.T) {
 	}
 	if _, err := eng.SubmitWarm(w, nil); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("SubmitWarm after Close: got %v, want ErrEngineClosed", err)
-	}
-	if _, err := eng.Decode(w); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("Decode after Close: got %v, want ErrEngineClosed", err)
-	}
-	if _, _, err := eng.DecodeWarm(w, nil); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("DecodeWarm after Close: got %v, want ErrEngineClosed", err)
 	}
 	if _, err := eng.DecodeWindows([][][]float64{w}); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("DecodeWindows after Close: got %v, want ErrEngineClosed", err)

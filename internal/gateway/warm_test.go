@@ -76,7 +76,8 @@ func TestReceiverWarmResetAcrossRecords(t *testing.T) {
 // TestReceiverWarmGapReset pins the ARQ-gap semantics: a lost window
 // drops the carried coefficients, so the post-gap reconstruction is
 // bit-identical to a cold decode of the same window — the stale θ from
-// before the gap cannot poison it.
+// before the gap cannot poison it. The engine's solver metrics count
+// the warm solves and the reset.
 func TestReceiverWarmGapReset(t *testing.T) {
 	events, _ := encodeRecord(t, 43, 8)
 	cfg := warmConfig(t)
@@ -84,9 +85,16 @@ func TestReceiverWarmGapReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	sm := telemetry.NewSolverMetrics(reg)
-	rx.SetTelemetry(sm)
+	gm := telemetry.NewGatewayMetrics(telemetry.NewRegistry(), nil)
+	eng, err := NewEngine(cfg, EngineConfig{Workers: 1, Metrics: gm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := rx.AttachEngine(eng); err != nil {
+		t.Fatal(err)
+	}
+	sm := gm.Solver
 
 	var packets [][][]float64
 	for _, e := range events {

@@ -16,13 +16,6 @@ type opKind int
 const (
 	opInput opKind = iota
 	opGateLeads
-	opFIR
-	opBiquad
-	opMedian
-	opErode
-	opDilate
-	opOpen
-	opClose
 	opMorphFilter
 	opCombineRMS
 	opAtrous
@@ -39,20 +32,6 @@ func (k opKind) String() string {
 		return "input"
 	case opGateLeads:
 		return "gate-leads"
-	case opFIR:
-		return "fir"
-	case opBiquad:
-		return "biquad"
-	case opMedian:
-		return "median"
-	case opErode:
-		return "erode"
-	case opDilate:
-		return "dilate"
-	case opOpen:
-		return "open"
-	case opClose:
-		return "close"
 	case opMorphFilter:
 		return "morph-filter"
 	case opCombineRMS:
@@ -82,9 +61,6 @@ type irNode struct {
 	shape Shape
 
 	// Op parameters (only the fields the kind uses are set).
-	taps    []float64           // opFIR
-	b, a    [3]float64          // opBiquad
-	k       int                 // opMedian/opErode/opDilate/opOpen/opClose SE length
 	fcfg    morpho.FilterConfig // opMorphFilter
 	scales  int                 // opAtrous
 	del     *delineation.WaveletDelineator
@@ -92,8 +68,7 @@ type irNode struct {
 	beatWin classify.BeatWindow  // opClassify
 	enc     *cs.Encoder          // opCSEncode
 	bits    int                  // opQuantize/opPacketize
-	fs      float64              // opGateLeads/opMorphFilter
-	gateMin float64              // opGateLeads
+	fs      float64              // opGateLeads
 
 	// lap tags recorded after this op's compiled stage completes.
 	laps []telemetry.Stage
@@ -189,9 +164,10 @@ func (b *Builder) Input(leads, chunkLen int) Value {
 }
 
 // GateLeads inserts per-chunk signal-quality gating: leads whose SQI
-// falls below minSQI are dropped for this chunk (at least one lead
-// always survives; fewer than two input leads pass through untouched).
-func (b *Builder) GateLeads(v Value, fs, minSQI float64) Value {
+// falls below link.MinLeadSQI are dropped for this chunk (at least one
+// lead always survives; fewer than two input leads pass through
+// untouched).
+func (b *Builder) GateLeads(v Value, fs float64) Value {
 	n := b.take(v, opGateLeads, ShapeLeads)
 	if n == nil {
 		return Value{id: -1}
@@ -199,90 +175,8 @@ func (b *Builder) GateLeads(v Value, fs, minSQI float64) Value {
 	if fs <= 0 || math.IsNaN(fs) || math.IsInf(fs, 0) {
 		return b.fail("gate-leads: sampling rate %v must be finite and positive", fs)
 	}
-	if minSQI < 0 || minSQI > 1 || math.IsNaN(minSQI) {
-		return b.fail("gate-leads: minimum SQI %v outside [0, 1]", minSQI)
-	}
-	return b.add(&irNode{kind: opGateLeads, in: n.id, fs: fs, gateMin: minSQI}, n.shape)
+	return b.add(&irNode{kind: opGateLeads, in: n.id, fs: fs}, n.shape)
 }
-
-// FIR applies a finite-impulse-response filter (b[0] on the newest
-// sample, state reset at every chunk and lead) to each lane of a leads
-// or series value.
-func (b *Builder) FIR(v Value, taps []float64) Value {
-	n := b.take(v, opFIR, ShapeLeads, ShapeSeries)
-	if n == nil {
-		return Value{id: -1}
-	}
-	if len(taps) == 0 {
-		return b.fail("fir: empty tap set")
-	}
-	for i, t := range taps {
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return b.fail("fir: tap %d is %v", i, t)
-		}
-	}
-	cp := make([]float64, len(taps))
-	copy(cp, taps)
-	return b.add(&irNode{kind: opFIR, in: n.id, taps: cp}, n.shape)
-}
-
-// Biquad applies a second-order IIR section (direct form II transposed,
-// coefficients normalised by a[0], state reset at every chunk and lead)
-// to each lane of a leads or series value.
-func (b *Builder) Biquad(v Value, bc, ac [3]float64) Value {
-	n := b.take(v, opBiquad, ShapeLeads, ShapeSeries)
-	if n == nil {
-		return Value{id: -1}
-	}
-	if ac[0] == 0 {
-		return b.fail("biquad: a[0] must be non-zero")
-	}
-	for _, c := range append(bc[:], ac[:]...) {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return b.fail("biquad: non-finite coefficient %v", c)
-		}
-	}
-	return b.add(&irNode{kind: opBiquad, in: n.id, b: bc, a: ac}, n.shape)
-}
-
-// Median applies a centred sliding-window median of length k (edge
-// replication) to each lane. Medians need the whole window, so this op
-// is a fusion barrier.
-func (b *Builder) Median(v Value, k int) Value {
-	n := b.take(v, opMedian, ShapeLeads, ShapeSeries)
-	if n == nil {
-		return Value{id: -1}
-	}
-	if k < 1 {
-		return b.fail("median: window %d < 1", k)
-	}
-	return b.add(&irNode{kind: opMedian, in: n.id, k: k}, n.shape)
-}
-
-func (b *Builder) morphOp(v Value, kind opKind, k int) Value {
-	n := b.take(v, kind, ShapeLeads, ShapeSeries)
-	if n == nil {
-		return Value{id: -1}
-	}
-	if k < 1 {
-		return b.fail("%v: structuring element %d < 1", kind, k)
-	}
-	return b.add(&irNode{kind: kind, in: n.id, k: k}, n.shape)
-}
-
-// Erode applies flat erosion (sliding minimum) with SE length k.
-func (b *Builder) Erode(v Value, k int) Value { return b.morphOp(v, opErode, k) }
-
-// Dilate applies flat dilation (sliding maximum) with SE length k.
-func (b *Builder) Dilate(v Value, k int) Value { return b.morphOp(v, opDilate, k) }
-
-// Open applies morphological opening (erosion then dilation) with SE
-// length k.
-func (b *Builder) Open(v Value, k int) Value { return b.morphOp(v, opOpen, k) }
-
-// Close applies morphological closing (dilation then erosion) with SE
-// length k.
-func (b *Builder) Close(v Value, k int) Value { return b.morphOp(v, opClose, k) }
 
 // MorphFilter applies the two-stage morphological conditioning filter
 // (baseline correction then open/close noise suppression) to every

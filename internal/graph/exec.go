@@ -11,25 +11,11 @@ import (
 	"wbsn/internal/wavelet"
 )
 
-// firState is the per-element delay line of a fused stream chain. The
-// update in runStreamChain mirrors dsp.FIR.Step statement for statement
-// so fused output stays bit-identical to sequential whole-signal passes.
-type firState struct {
-	delay []float64
-	pos   int
-}
-
-// bqState is the per-element DF2T state of a fused stream chain.
-type bqState struct {
-	z1, z2 float64
-}
-
 // Exec executes a compiled Plan for one stream. It owns every mutable
-// work buffer — the scratch slab planned by the arena, filter states,
-// morphological and wavelet scratch — all allocated (and warmed) at
-// construction, so steady-state Run calls do not allocate. An Exec is
-// not safe for concurrent use; create one per stream and share the
-// Plan.
+// work buffer — the scratch slab planned by the arena, morphological
+// and wavelet scratch — all allocated (and warmed) at construction, so
+// steady-state Run calls do not allocate. An Exec is not safe for
+// concurrent use; create one per stream and share the Plan.
 type Exec struct {
 	plan *Plan
 	slab []float64
@@ -37,14 +23,11 @@ type Exec struct {
 	// are refreshed (re-lengthed to the current chunk) each Run so a
 	// stage's consumer can read them while the next stage writes its
 	// own headers.
-	outHdrs               [][][]float64
-	kept                  [][]float64
-	ms                    morpho.Scratch
-	ws                    wavelet.Scratch
-	firs                  [][]firState
-	bqs                   [][]bqState
-	medianWin, medianSort []float64
-	beatBuf, featBuf      []float64
+	outHdrs          [][][]float64
+	kept             [][]float64
+	ms               morpho.Scratch
+	ws               wavelet.Scratch
+	beatBuf, featBuf []float64
 	// combined is the exposed post-combination series of the last Run
 	// (arena-backed), read by ClassifyBeat.
 	combined []float64
@@ -54,39 +37,20 @@ func execErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrExec, fmt.Sprintf(format, args...))
 }
 
-// NewExec allocates an executor for the plan: the scratch slab, filter
-// states and header tables, then runs the plan once over a zero chunk
-// so demand-grown scratch (morphological wedges, wavelet ping-pong
-// buffers, median sort space, delineator pools) is warm before the
-// first real chunk.
+// NewExec allocates an executor for the plan: the scratch slab and
+// header tables, then runs the plan once over a zero chunk so
+// demand-grown scratch (morphological wedges, wavelet ping-pong
+// buffers, delineator pools) is warm before the first real chunk.
 func (p *Plan) NewExec() *Exec {
 	e := &Exec{
 		plan:    p,
 		slab:    make([]float64, p.slabLen),
 		outHdrs: make([][][]float64, len(p.stages)),
-		firs:    make([][]firState, len(p.stages)),
-		bqs:     make([][]bqState, len(p.stages)),
 		kept:    make([][]float64, 0, p.leads),
 	}
 	for si := range p.stages {
-		sg := &p.stages[si]
-		if len(sg.out) > 0 {
-			e.outHdrs[si] = make([][]float64, len(sg.out))
-		}
-		switch sg.kind {
-		case stageStreamChain:
-			frs := make([]firState, len(sg.elems))
-			for ei, el := range sg.elems {
-				if !el.biquad {
-					frs[ei].delay = make([]float64, len(el.taps))
-				}
-			}
-			e.firs[si] = frs
-			e.bqs[si] = make([]bqState, len(sg.elems))
-		case stageMedian:
-			if sg.k > len(e.medianWin) {
-				e.medianWin = make([]float64, sg.k)
-			}
+		if n := len(p.stages[si].out); n > 0 {
+			e.outHdrs[si] = make([][]float64, n)
 		}
 	}
 	if p.classify != nil {
@@ -137,7 +101,7 @@ func (e *Exec) Run(chunk [][]float64, lp Lapper) (Result, error) {
 			// pass through, and an (impossible) empty keep set falls back
 			// to every lead.
 			if len(leads) >= 2 {
-				mask := link.GoodLeads(leads, sg.fs, link.SQIConfig{}, sg.gateMin)
+				mask := link.GoodLeads(leads, sg.fs)
 				kept := e.kept[:0]
 				for li, ok := range mask {
 					if ok {
@@ -148,54 +112,6 @@ func (e *Exec) Run(chunk [][]float64, lp Lapper) (Result, error) {
 					e.kept = kept
 					leads = kept
 				}
-			}
-
-		case stageStreamChain:
-			if sg.lanes == ShapeLeads {
-				outs := e.outHdrs[si]
-				for l := range leads {
-					out := sg.out[l].slice(e.slab)[:n]
-					e.runStreamChain(si, sg, leads[l], out)
-					outs[l] = out
-				}
-				leads = outs[:len(leads)]
-			} else {
-				out := sg.out[0].slice(e.slab)[:n]
-				e.runStreamChain(si, sg, series, out)
-				series = out
-			}
-
-		case stageMedian:
-			if err := e.runLanes(si, sg, &leads, &series, n, e.medianLane); err != nil {
-				return Result{}, err
-			}
-
-		case stageErode:
-			if err := e.runLanes(si, sg, &leads, &series, n, func(x, out []float64, k int) error {
-				return morpho.ErodeFlatInto(x, k, out, &e.ms)
-			}); err != nil {
-				return Result{}, err
-			}
-
-		case stageDilate:
-			if err := e.runLanes(si, sg, &leads, &series, n, func(x, out []float64, k int) error {
-				return morpho.DilateFlatInto(x, k, out, &e.ms)
-			}); err != nil {
-				return Result{}, err
-			}
-
-		case stageOpen:
-			if err := e.runLanes(si, sg, &leads, &series, n, func(x, out []float64, k int) error {
-				return morpho.OpenFlatInto(x, k, out, &e.ms)
-			}); err != nil {
-				return Result{}, err
-			}
-
-		case stageClose:
-			if err := e.runLanes(si, sg, &leads, &series, n, func(x, out []float64, k int) error {
-				return morpho.CloseFlatInto(x, k, out, &e.ms)
-			}); err != nil {
-				return Result{}, err
 			}
 
 		case stageMorphFilter:
@@ -269,103 +185,6 @@ func (e *Exec) Run(chunk [][]float64, lp Lapper) (Result, error) {
 	e.combined = series
 	res.Combined = series
 	return res, nil
-}
-
-// runLanes applies a lane-wise kernel to every lane of the current
-// leads (or the single series), advancing the value to this stage's
-// arena outputs.
-func (e *Exec) runLanes(si int, sg *stage, leads *[][]float64, series *[]float64, n int,
-	kernel func(x, out []float64, k int) error) error {
-	if sg.lanes == ShapeLeads {
-		outs := e.outHdrs[si]
-		for l := range *leads {
-			out := sg.out[l].slice(e.slab)[:n]
-			if err := kernel((*leads)[l], out, sg.k); err != nil {
-				return err
-			}
-			outs[l] = out
-		}
-		*leads = outs[:len(*leads)]
-		return nil
-	}
-	out := sg.out[0].slice(e.slab)[:n]
-	if err := kernel(*series, out, sg.k); err != nil {
-		return err
-	}
-	*series = out
-	return nil
-}
-
-// medianLane replicates dsp.MedianFilter (centred window, edge
-// replication) with the executor's reusable window and sort space.
-func (e *Exec) medianLane(x, out []float64, k int) error {
-	n := len(x)
-	half := k / 2
-	win := e.medianWin[:k]
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			idx := i - half + j
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= n {
-				idx = n - 1
-			}
-			win[j] = x[idx]
-		}
-		out[i], e.medianSort = dsp.MedianInto(win, e.medianSort)
-	}
-	return nil
-}
-
-// runStreamChain applies the fused FIR/biquad run to one lane with all
-// element states reset, exactly one pass over the signal. Per-sample
-// interleaving is bit-identical to sequential whole-signal application
-// because each element's state depends only on its own input prefix.
-func (e *Exec) runStreamChain(si int, sg *stage, x, out []float64) {
-	frs := e.firs[si]
-	bqs := e.bqs[si]
-	for ei := range sg.elems {
-		if sg.elems[ei].biquad {
-			bqs[ei] = bqState{}
-		} else {
-			f := &frs[ei]
-			for i := range f.delay {
-				f.delay[i] = 0
-			}
-			f.pos = 0
-		}
-	}
-	for i, v := range x {
-		for ei := range sg.elems {
-			el := &sg.elems[ei]
-			if el.biquad {
-				s := &bqs[ei]
-				y := el.b0*v + s.z1
-				s.z1 = el.b1*v - el.a1*y + s.z2
-				s.z2 = el.b2*v - el.a2*y
-				v = y
-			} else {
-				f := &frs[ei]
-				f.delay[f.pos] = v
-				acc := 0.0
-				idx := f.pos
-				for _, t := range el.taps {
-					acc += t * f.delay[idx]
-					idx--
-					if idx < 0 {
-						idx = len(f.delay) - 1
-					}
-				}
-				f.pos++
-				if f.pos == len(f.delay) {
-					f.pos = 0
-				}
-				v = acc
-			}
-		}
-		out[i] = v
-	}
 }
 
 // runFilterCombine is the fused morphological conditioning filter +

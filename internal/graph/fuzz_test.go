@@ -17,14 +17,15 @@ import (
 // compilation never panic — malformed graphs come back as ErrBuild —
 // and any graph that does build can be executed without panicking.
 func FuzzBuilder(f *testing.F) {
-	// Seeds covering the interesting shapes: a full analysis chain, a CS
-	// chain, a raw chain, and some junk.
-	f.Add([]byte{3, 2, 9, 10, 11, 12})
-	f.Add([]byte{3, 13, 14, 15})
-	f.Add([]byte{2, 15})
+	// Seeds covering the interesting shapes: a gated analysis chain, a
+	// CS chain, a raw chain, some junk, and an unfused filter feeding a
+	// fused one with a classifier on the combined series.
+	f.Add([]byte{3, 1, 2, 3, 4, 5})
+	f.Add([]byte{3, 7, 8, 9})
+	f.Add([]byte{2, 9})
 	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{3, 9, 9, 10, 10})
-	f.Add([]byte{1, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{3, 3, 3, 4, 4})
+	f.Add([]byte{1, 2, 2, 3, 6, 10})
 
 	const chunkLen = 64
 	del, err := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
@@ -81,47 +82,29 @@ func FuzzBuilder(f *testing.F) {
 			if i+1 < len(script) {
 				arg = int(script[i+1])
 			}
-			switch op % 18 {
+			switch op % 11 {
 			case 0:
 				v = b.Input(arg%5, chunkLen) // usually a duplicate-input error
 			case 1:
-				v = b.GateLeads(v, 256, float64(arg)/255)
+				v = b.GateLeads(v, float64(arg%3)*128) // fs 0 is an error path
 			case 2:
 				v = b.MorphFilter(v, morpho.FilterConfig{Fs: 256, NoiseSE: arg%8 - 1})
 			case 3:
-				taps := make([]float64, arg%5) // length 0 is an error path
-				for j := range taps {
-					taps[j] = float64(j+1) / 8
-				}
-				v = b.FIR(v, taps)
-			case 4:
-				v = b.Biquad(v, [3]float64{0.3, 0.2, 0.1}, [3]float64{float64(arg % 3), -0.4, 0.2})
-			case 5:
-				v = b.Median(v, arg%12)
-			case 6:
-				v = b.Erode(v, arg%20)
-			case 7:
-				v = b.Dilate(v, arg%20)
-			case 8:
-				v = b.Open(v, arg%20)
-			case 9:
 				v = b.CombineRMS(v)
-			case 10:
+			case 4:
 				v = b.Atrous(v, arg%10)
-			case 11:
+			case 5:
 				v = b.Delineate(v, del)
-			case 12:
+			case 6:
 				b.Classify(v, cls, win)
-			case 13:
+			case 7:
 				v = b.CSEncode(v, enc)
-			case 14:
+			case 8:
 				v = b.Quantize(v, arg%36)
-			case 15:
+			case 9:
 				v = b.Packetize(v, arg%36)
-			case 16:
+			case 10:
 				b.Lap(v, telemetry.Stage(arg%10))
-			case 17:
-				v = b.Close(v, arg%20)
 			}
 		}
 		p, err := b.Build()

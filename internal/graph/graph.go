@@ -1,13 +1,14 @@
 // Package graph is a small typed intermediate representation for the
 // node's per-chunk DSP pipelines. A pipeline is assembled through a
-// Builder — one op per processing stage (filtering, morphological
-// conditioning, lead combination, à-trous decomposition, delineation,
-// classification, CS encoding, packetisation) — validated structurally
-// and shape-wise at build time, and compiled into an immutable Plan:
+// Builder — one op per processing stage the node runs (lead gating,
+// morphological conditioning, lead combination, à-trous decomposition,
+// delineation, classification, CS encoding, quantisation,
+// packetisation) — validated structurally and shape-wise at build
+// time, and compiled into an immutable Plan:
 //
-//   - adjacent per-sample streaming stages (FIR/biquad runs) and the
-//     morphological-filter tail feeding the RMS lead combiner are fused
-//     into single passes where the fusion is bit-identical;
+//   - the morphological-filter tail feeding the RMS lead combiner is
+//     fused into a single pass, which is bit-identical to the unfused
+//     filter-then-combine pair;
 //   - every inter-stage and intra-stage work buffer is planned into one
 //     scratch arena with liveness-based offset reuse, allocated once
 //     when an executor is created — steady-state chunk processing does

@@ -14,15 +14,9 @@ import (
 type stageKind int
 
 const (
-	stageGate        stageKind = iota
-	stageStreamChain           // fused run of FIR/biquad ops, one pass per lane
-	stageMedian
-	stageErode
-	stageDilate
-	stageOpen
-	stageClose
-	stageMorphFilter   // unfused conditioning filter (custom consumer)
-	stageFilterCombine // fused conditioning filter tail + RMS combine
+	stageGate          stageKind = iota
+	stageMorphFilter             // unfused conditioning filter (custom consumer)
+	stageFilterCombine           // fused conditioning filter tail + RMS combine
 	stageCombine
 	stageAtrous
 	stageDelineate
@@ -36,18 +30,6 @@ func (k stageKind) String() string {
 	switch k {
 	case stageGate:
 		return "gate"
-	case stageStreamChain:
-		return "stream-chain"
-	case stageMedian:
-		return "median"
-	case stageErode:
-		return "erode"
-	case stageDilate:
-		return "dilate"
-	case stageOpen:
-		return "open"
-	case stageClose:
-		return "close"
 	case stageMorphFilter:
 		return "morph-filter"
 	case stageFilterCombine:
@@ -71,22 +53,12 @@ func (k stageKind) String() string {
 	}
 }
 
-// streamElem is one element of a fused per-sample filter chain.
-type streamElem struct {
-	biquad             bool
-	taps               []float64
-	b0, b1, b2, a1, a2 float64
-}
-
 // stage is one compiled execution step. All fields are immutable after
 // Build; per-stream mutable state lives in the Exec.
 type stage struct {
-	kind  stageKind
-	laps  []telemetry.Stage
-	lanes ShapeClass // ShapeLeads or ShapeSeries for lane-wise ops
+	kind stageKind
+	laps []telemetry.Stage
 
-	k          int // SE / median window
-	elems      []streamElem
 	l0, lc, kn int // fused conditioning-filter SE lengths
 	fcfg       morpho.FilterConfig
 	scales     int
@@ -94,7 +66,6 @@ type stage struct {
 	enc        *cs.Encoder
 	bits       int
 	fs         float64
-	gateMin    float64
 
 	out []bufRef // lane (or scale) output buffers in the arena
 	tmp []bufRef // intra-stage temporaries in the arena
@@ -153,27 +124,6 @@ func compile(b *Builder, chain []*irNode, cn *irNode) (*Plan, error) {
 	for i := 0; i < len(ops); i++ {
 		n := ops[i]
 		switch n.kind {
-		case opFIR, opBiquad:
-			// Maximal run of per-sample streaming ops fuses into one
-			// pass: each element's state depends only on its own input
-			// sequence, so interleaving per sample is bit-identical to
-			// sequential whole-signal passes.
-			sg := stage{kind: stageStreamChain, lanes: n.shape.Class}
-			for ; i < len(ops) && (ops[i].kind == opFIR || ops[i].kind == opBiquad); i++ {
-				m := ops[i]
-				el := streamElem{taps: m.taps}
-				if m.kind == opBiquad {
-					inv := 1 / m.a[0]
-					el = streamElem{biquad: true,
-						b0: m.b[0] * inv, b1: m.b[1] * inv, b2: m.b[2] * inv,
-						a1: m.a[1] * inv, a2: m.a[2] * inv}
-				}
-				sg.elems = append(sg.elems, el)
-				sg.laps = append(sg.laps, m.laps...)
-			}
-			i--
-			p.fused += len(sg.elems) - 1
-			p.stages = append(p.stages, sg)
 		case opMorphFilter:
 			fc := n.fcfg.WithDefaults()
 			l0 := fc.BaselineSE
@@ -192,19 +142,9 @@ func compile(b *Builder, chain []*irNode, cn *irNode) (*Plan, error) {
 				continue
 			}
 			p.stages = append(p.stages, stage{kind: stageMorphFilter, fcfg: fc,
-				l0: l0, lc: l0 + l0/2, kn: fc.NoiseSE, lanes: ShapeLeads, laps: n.laps})
+				l0: l0, lc: l0 + l0/2, kn: fc.NoiseSE, laps: n.laps})
 		case opGateLeads:
-			p.stages = append(p.stages, stage{kind: stageGate, fs: n.fs, gateMin: n.gateMin, laps: n.laps})
-		case opMedian:
-			p.stages = append(p.stages, stage{kind: stageMedian, k: n.k, lanes: n.shape.Class, laps: n.laps})
-		case opErode:
-			p.stages = append(p.stages, stage{kind: stageErode, k: n.k, lanes: n.shape.Class, laps: n.laps})
-		case opDilate:
-			p.stages = append(p.stages, stage{kind: stageDilate, k: n.k, lanes: n.shape.Class, laps: n.laps})
-		case opOpen:
-			p.stages = append(p.stages, stage{kind: stageOpen, k: n.k, lanes: n.shape.Class, laps: n.laps})
-		case opClose:
-			p.stages = append(p.stages, stage{kind: stageClose, k: n.k, lanes: n.shape.Class, laps: n.laps})
+			p.stages = append(p.stages, stage{kind: stageGate, fs: n.fs, laps: n.laps})
 		case opCombineRMS:
 			p.stages = append(p.stages, stage{kind: stageCombine, laps: n.laps})
 		case opAtrous:
@@ -241,32 +181,20 @@ func compile(b *Builder, chain []*irNode, cn *irNode) (*Plan, error) {
 	// be resolved after packing.
 	outReqs := make([][]*bufReq, S)
 	tmpReqs := make([][]*bufReq, S)
-	var lastSeries *bufReq
 	for si := range p.stages {
 		sg := &p.stages[si]
 		switch sg.kind {
-		case stageStreamChain, stageMedian, stageErode, stageDilate, stageOpen, stageClose, stageMorphFilter:
-			lanes := 1
-			if sg.lanes == ShapeLeads {
-				lanes = b.leads
-			}
-			for l := 0; l < lanes; l++ {
+		case stageMorphFilter:
+			for l := 0; l < b.leads; l++ {
 				outReqs[si] = append(outReqs[si], addReq(fmt.Sprintf("%v.out%d", sg.kind, l), L, si, si+1))
-			}
-			if sg.lanes == ShapeSeries && lanes == 1 {
-				lastSeries = outReqs[si][0]
 			}
 		case stageFilterCombine:
 			for _, nm := range []string{"t", "opened", "base", "corrected", "o", "cl"} {
 				tmpReqs[si] = append(tmpReqs[si], addReq("filter."+nm, L, si, si))
 			}
-			out := addReq("combined", L, si, S)
-			outReqs[si] = append(outReqs[si], out)
-			lastSeries = out
+			outReqs[si] = append(outReqs[si], addReq("combined", L, si, S))
 		case stageCombine:
-			out := addReq("combined", L, si, S)
-			outReqs[si] = append(outReqs[si], out)
-			lastSeries = out
+			outReqs[si] = append(outReqs[si], addReq("combined", L, si, S))
 		case stageAtrous:
 			last := si
 			if si+1 < S && p.stages[si+1].kind == stageDelineate {
@@ -276,9 +204,6 @@ func compile(b *Builder, chain []*irNode, cn *irNode) (*Plan, error) {
 				outReqs[si] = append(outReqs[si], addReq(fmt.Sprintf("atrous.w%d", k), L, si, last))
 			}
 		}
-	}
-	if lastSeries != nil {
-		lastSeries.lastUse = S
 	}
 	p.slabLen = planArena(reqs)
 	for si := range p.stages {

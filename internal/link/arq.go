@@ -34,12 +34,10 @@ type TracedSink interface {
 type ReassemblyStats struct {
 	// Delivered counts packets handed to the sink in order.
 	Delivered int
-	// Duplicates counts discarded re-arrivals of already-consumed
-	// sequence numbers.
+	// Duplicates counts discarded arrivals: every arrival below
+	// NextSeq() (a window already delivered or zero-filled) and every
+	// re-arrival of a window already buffered.
 	Duplicates int
-	// Late counts arrivals for windows already declared lost and
-	// zero-filled (released by channel reordering after ARQ gave up).
-	Late int
 	// Filled counts gaps zero-filled via the sink's ConsumeLostPacket.
 	Filled int
 	// Buffered counts packets that arrived ahead of a missing one and
@@ -47,10 +45,10 @@ type ReassemblyStats struct {
 	Buffered int
 }
 
-// reorderWindow bounds the reassembler's buffer of future packets:
-// jumping more than this many sequence numbers ahead declares the
-// intervening windows lost rather than waiting forever.
-const reorderWindow = 32
+// ReorderWindow bounds the reassembler's buffer of future packets:
+// an arrival this many or more sequence numbers ahead of NextSeq()
+// declares the intervening windows lost rather than waiting forever.
+const ReorderWindow = 32
 
 // Reassembler restores packet order for a Sink: in-order packets pass
 // straight through, duplicates are discarded, out-of-order arrivals
@@ -86,7 +84,6 @@ func (ra *Reassembler) NextSeq() uint32 { return ra.next }
 func (ra *Reassembler) Offer(p Packet) error {
 	if p.Seq < ra.next {
 		ra.stats.Duplicates++
-		ra.stats.Late++
 		return nil
 	}
 	if _, dup := ra.pending[p.Seq]; dup {
@@ -103,8 +100,8 @@ func (ra *Reassembler) Offer(p Packet) error {
 	ra.stats.Buffered++
 	// A packet far ahead of the expected one means the missing windows
 	// are not coming: declare them lost and catch up.
-	if p.Seq-ra.next >= reorderWindow {
-		for ra.next < p.Seq-reorderWindow/2 {
+	if p.Seq-ra.next >= ReorderWindow {
+		for ra.next < p.Seq-ReorderWindow/2 {
 			if _, ok := ra.pending[ra.next]; !ok {
 				ra.fill()
 			}
@@ -256,7 +253,7 @@ func (r Report) DeliveryRatio() float64 {
 func (r Report) RetransmitEnergyJ() float64 { return r.EnergyJ - r.IdealEnergyJ }
 
 // tidRingSize bounds the in-flight seq→trace-ID map; it must exceed
-// the reassembler's reorderWindow so any frame the channel can still
+// the reassembler's ReorderWindow so any frame the channel can still
 // release finds its ID.
 const tidRingSize = 64
 

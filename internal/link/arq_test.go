@@ -94,23 +94,135 @@ func TestReassemblerDeclareLostFillsGap(t *testing.T) {
 	if len(sink.windows) != 3 {
 		t.Error("late arrival after gap fill was delivered")
 	}
-	if ra.Stats().Late != 1 {
-		t.Errorf("late count %d", ra.Stats().Late)
+	if ra.Stats().Duplicates != 1 {
+		t.Errorf("duplicate count %d, want 1 (the late arrival)", ra.Stats().Duplicates)
 	}
 }
 
 func TestReassemblerFarJumpBoundsBuffer(t *testing.T) {
 	sink := &recordingSink{}
 	ra := NewReassembler(sink)
-	if err := ra.Offer(Packet{Seq: uint32(reorderWindow + 5), Measurements: window(1)}); err != nil {
+	if err := ra.Offer(Packet{Seq: uint32(ReorderWindow + 5), Measurements: window(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.lost == 0 {
 		t.Error("far jump should declare intermediate windows lost")
 	}
-	if len(ra.pending) > reorderWindow {
+	if len(ra.pending) > ReorderWindow {
 		t.Errorf("buffer unbounded: %d", len(ra.pending))
 	}
+}
+
+// FuzzReassembler drives the reassembler with an arbitrary arrival
+// script — in-order arrivals, withheld and released (reordered)
+// windows, duplicates, losses and DeclareLost calls — then Flushes and
+// checks the invariants the gateway's sample alignment rests on. Each
+// byte is one step: the low three bits pick the step, the high five
+// its argument.
+func FuzzReassembler(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1})              // in order
+	f.Add([]byte{2, 0, 3, 4, 0, 12})       // reorder and duplicates
+	f.Add([]byte{0, 5, 0, 6, 0, 14, 5, 0}) // losses, declared and flushed
+	f.Add([]byte{255, 0, 0, 3, 3, 3})      // a deep reorder crossing the window
+	f.Add([]byte{7 | 23<<3, 0, 3, 3})      // a withheld run inside the window
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 512 {
+			script = script[:512]
+		}
+		sink := &recordingSink{}
+		ra := NewReassembler(sink)
+		var (
+			sent     uint32   // next fresh sequence number
+			held     []uint32 // withheld windows, released later
+			arrived  = map[uint32]bool{}
+			lowest   uint32 // lowest sequence number not yet arrived
+			arrivals int
+			lossy    bool // a window was dropped or declared lost
+			deep     bool // an arrival reached the reorder window
+		)
+		arrive := func(seq uint32) {
+			t.Helper()
+			if seq > lowest && seq-lowest >= ReorderWindow {
+				deep = true
+			}
+			arrivals++
+			arrived[seq] = true
+			for arrived[lowest] {
+				lowest++
+			}
+			if err := ra.Offer(Packet{Seq: seq, Measurements: window(int(seq))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, b := range script {
+			arg := uint32(b >> 3)
+			switch b & 7 {
+			case 0, 1: // the next window arrives in order
+				arrive(sent)
+				sent++
+			case 2: // the next window is withheld
+				held = append(held, sent)
+				sent++
+			case 3: // a withheld window arrives late
+				if len(held) == 0 {
+					continue
+				}
+				i := int(arg) % len(held)
+				seq := held[i]
+				held = append(held[:i], held[i+1:]...)
+				arrive(seq)
+			case 4: // a recent window arrives again
+				if arg < sent {
+					arrive(sent - 1 - arg)
+				}
+			case 5: // the next window is lost
+				sent++
+				lossy = true
+			case 6: // the sender gives up on a window
+				seq := ra.NextSeq()
+				if arg&1 == 1 {
+					seq = arg >> 1
+				}
+				if err := ra.DeclareLost(seq); err != nil {
+					t.Fatal(err)
+				}
+				lossy = true
+			case 7: // a run of windows is withheld
+				for k := uint32(0); k <= arg; k++ {
+					held = append(held, sent)
+					sent++
+				}
+			}
+		}
+		for _, seq := range held {
+			arrive(seq)
+		}
+		if err := ra.Flush(); err != nil {
+			t.Fatal(err)
+		}
+
+		st := ra.Stats()
+		// Every sink call advances the stream by one sequence number, so
+		// the i-th call is seq i: a delivered payload must be the one sent
+		// with that seq.
+		for i, w := range sink.windows {
+			if w != nil && (w[0] != float64(i) || w[1] != float64(i)+0.5) {
+				t.Fatalf("sink call %d delivered %v, the payload of another sequence number", i, w)
+			}
+		}
+		if got := len(sink.windows) - sink.lost; got != st.Delivered || sink.lost != st.Filled {
+			t.Fatalf("sink saw %d packets and %d fills, stats %+v", got, sink.lost, st)
+		}
+		if uint32(st.Delivered+st.Filled) != ra.NextSeq() {
+			t.Fatalf("delivered %d + filled %d != NextSeq %d", st.Delivered, st.Filled, ra.NextSeq())
+		}
+		if st.Delivered+st.Duplicates != arrivals {
+			t.Fatalf("delivered %d + duplicates %d != %d arrivals", st.Delivered, st.Duplicates, arrivals)
+		}
+		if !lossy && !deep && st.Filled != 0 {
+			t.Fatalf("no loss and no reorder reaching the window, yet %d windows filled", st.Filled)
+		}
+	})
 }
 
 func TestLinkDeliversOverLossyChannel(t *testing.T) {

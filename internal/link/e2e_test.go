@@ -111,7 +111,7 @@ func TestEndToEndLossyChain(t *testing.T) {
 	cfg := node.Config()
 	bd := model.CSWindow("CS over lossy link",
 		energy.WindowSpec{SamplesPerLead: cfg.CSWindow, Leads: cfg.Leads, BitsPerSample: cfg.BitsPerSample},
-		rx.MeasurementLen(), cfg.CSWindow*cfg.CSDensity)
+		rx.MeasurementLen(), cfg.CSWindow*core.CSDensity)
 	lossless := bd.TotalJ()
 	bd.RetxJ = retx / float64(report.Packets)
 	if bd.TotalJ() <= lossless {

@@ -2,65 +2,42 @@ package link
 
 import "math"
 
-// SQIConfig parameterises the per-lead signal-quality index. The index
-// is the fraction of analysis windows judged usable; a window fails
-// when it is flatlined (lead-off), pinned near the front-end rail
-// (saturation), or dominated by a transient far larger than its RMS
-// (motion spike). These are deliberately cheap integer-friendly checks
-// — the node must run them continuously.
-type SQIConfig struct {
-	// WindowS is the quality-decision window in seconds (default 1).
-	WindowS float64
-	// FlatlineRMS is the demeaned RMS (mV) below which a window counts
-	// as flatlined (default 0.01 — an attached electrode sees at least
-	// tens of µV of ECG).
-	FlatlineRMS float64
-	// RailMV and RailFrac flag saturation: a window fails when more
-	// than RailFrac of its samples sit beyond ±RailMV (defaults 3.0 mV
-	// and 0.05).
-	RailMV   float64
-	RailFrac float64
-	// SpikeRatio flags transients: a window fails when its peak
-	// demeaned amplitude exceeds SpikeRatio × RMS (default 8; QRS
-	// complexes sit near 4–6).
-	SpikeRatio float64
-	// MaxAmpMV flags non-physiological excursions: a window fails when
-	// its peak demeaned amplitude exceeds this (default 2.5 mV — an R
-	// wave stays under ~2 mV, electrode-motion artifacts do not).
-	MaxAmpMV float64
-}
+// The per-lead signal-quality index is the fraction of analysis windows
+// judged usable; a window fails when it is flatlined (lead-off), pinned
+// near the front-end rail (saturation), or dominated by a transient far
+// larger than its RMS (motion spike). These are deliberately cheap
+// integer-friendly checks — the node must run them continuously.
+const (
+	// sqiWindowS is the quality-decision window in seconds.
+	sqiWindowS = 1.0
+	// flatlineRMS is the demeaned RMS (mV) below which a window counts
+	// as flatlined — an attached electrode sees at least tens of µV of
+	// ECG.
+	flatlineRMS = 0.01
+	// railMV and railFrac flag saturation: a window fails when more than
+	// railFrac of its samples sit beyond ±railMV.
+	railMV   = 3.0
+	railFrac = 0.05
+	// spikeRatio flags transients: a window fails when its peak demeaned
+	// amplitude exceeds spikeRatio × RMS (QRS complexes sit near 4–6).
+	spikeRatio = 8.0
+	// maxAmpMV flags non-physiological excursions: a window fails when
+	// its peak demeaned amplitude exceeds this — an R wave stays under
+	// ~2 mV, electrode-motion artifacts do not.
+	maxAmpMV = 2.5
+)
 
-func (c SQIConfig) withDefaults() SQIConfig {
-	out := c
-	if out.WindowS <= 0 {
-		out.WindowS = 1
-	}
-	if out.FlatlineRMS <= 0 {
-		out.FlatlineRMS = 0.01
-	}
-	if out.RailMV <= 0 {
-		out.RailMV = 3.0
-	}
-	if out.RailFrac <= 0 {
-		out.RailFrac = 0.05
-	}
-	if out.SpikeRatio <= 0 {
-		out.SpikeRatio = 8
-	}
-	if out.MaxAmpMV <= 0 {
-		out.MaxAmpMV = 2.5
-	}
-	return out
-}
+// MinLeadSQI is the lowest per-lead SQI that keeps a lead in the node's
+// lead combination (GoodLeads).
+const MinLeadSQI = 0.7
 
 // LeadSQI returns the fraction of windows of x judged usable, in
 // [0, 1]. Short trailing windows count with proportional weight.
-func LeadSQI(x []float64, fs float64, cfg SQIConfig) float64 {
+func LeadSQI(x []float64, fs float64) float64 {
 	if len(x) == 0 || fs <= 0 {
 		return 0
 	}
-	c := cfg.withDefaults()
-	w := int(c.WindowS * fs)
+	w := int(sqiWindowS * fs)
 	if w < 2 {
 		w = 2
 	}
@@ -72,7 +49,7 @@ func LeadSQI(x []float64, fs float64, cfg SQIConfig) float64 {
 		}
 		weight := float64(end-start) / float64(w)
 		total += weight
-		if windowUsable(x[start:end], c) {
+		if windowUsable(x[start:end]) {
 			good += weight
 		}
 	}
@@ -83,18 +60,18 @@ func LeadSQI(x []float64, fs float64, cfg SQIConfig) float64 {
 }
 
 // windowUsable applies the three checks to one window.
-func windowUsable(x []float64, c SQIConfig) bool {
+func windowUsable(x []float64) bool {
 	n := float64(len(x))
 	mean := 0.0
 	railed := 0
 	for _, v := range x {
 		mean += v
-		if math.Abs(v) >= c.RailMV {
+		if math.Abs(v) >= railMV {
 			railed++
 		}
 	}
 	mean /= n
-	if float64(railed)/n > c.RailFrac {
+	if float64(railed)/n > railFrac {
 		return false
 	}
 	var sumsq, peak float64
@@ -106,36 +83,36 @@ func windowUsable(x []float64, c SQIConfig) bool {
 		}
 	}
 	rms := math.Sqrt(sumsq / n)
-	if rms < c.FlatlineRMS {
+	if rms < flatlineRMS {
 		return false
 	}
-	if peak > c.SpikeRatio*rms {
+	if peak > spikeRatio*rms {
 		return false
 	}
-	if peak > c.MaxAmpMV {
+	if peak > maxAmpMV {
 		return false
 	}
 	return true
 }
 
 // LeadSQIs scores every lead.
-func LeadSQIs(leads [][]float64, fs float64, cfg SQIConfig) []float64 {
+func LeadSQIs(leads [][]float64, fs float64) []float64 {
 	out := make([]float64, len(leads))
 	for li := range leads {
-		out[li] = LeadSQI(leads[li], fs, cfg)
+		out[li] = LeadSQI(leads[li], fs)
 	}
 	return out
 }
 
-// GoodLeads gates the leads: true where the SQI clears minSQI. When no
-// lead clears the bar the single best lead stays enabled — the node
+// GoodLeads gates the leads: true where the SQI clears MinLeadSQI. When
+// no lead clears the bar the single best lead stays enabled — the node
 // degrades to single-lead operation rather than to silence.
-func GoodLeads(leads [][]float64, fs float64, cfg SQIConfig, minSQI float64) []bool {
-	sqis := LeadSQIs(leads, fs, cfg)
+func GoodLeads(leads [][]float64, fs float64) []bool {
+	sqis := LeadSQIs(leads, fs)
 	out := make([]bool, len(leads))
 	any := false
 	for li, q := range sqis {
-		if q >= minSQI {
+		if q >= MinLeadSQI {
 			out[li] = true
 			any = true
 		}

@@ -16,7 +16,7 @@ func cleanLeads(t *testing.T, seed int64, dur float64) (*ecg.Record, [][]float64
 func TestLeadSQIOnCleanECG(t *testing.T) {
 	rec, leads := cleanLeads(t, 31, 20)
 	for li := range leads {
-		if q := LeadSQI(leads[li], rec.Fs, SQIConfig{}); q < 0.9 {
+		if q := LeadSQI(leads[li], rec.Fs); q < 0.9 {
 			t.Errorf("clean lead %d SQI %.2f, want >= 0.9", li, q)
 		}
 	}
@@ -37,11 +37,11 @@ func TestLeadSQIFlagsFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q := LeadSQI(faulted[1], rec.Fs, SQIConfig{}); q > 0.1 {
+		if q := LeadSQI(faulted[1], rec.Fs); q > 0.1 {
 			t.Errorf("%s lead SQI %.2f, want near 0", tc.name, q)
 		}
 		// Other leads untouched.
-		if q := LeadSQI(faulted[0], rec.Fs, SQIConfig{}); q < 0.9 {
+		if q := LeadSQI(faulted[0], rec.Fs); q < 0.9 {
 			t.Errorf("%s: untouched lead scored %.2f", tc.name, q)
 		}
 	}
@@ -57,7 +57,7 @@ func TestLeadSQIPartialFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := LeadSQI(faulted[0], rec.Fs, SQIConfig{})
+	q := LeadSQI(faulted[0], rec.Fs)
 	if q < 0.45 || q > 0.75 {
 		t.Errorf("40%% lead-off SQI %.2f, want ~0.6", q)
 	}
@@ -72,7 +72,7 @@ func TestGoodLeadsGatesAndKeepsBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask := GoodLeads(faulted, rec.Fs, SQIConfig{}, 0.7)
+	mask := GoodLeads(faulted, rec.Fs)
 	if !mask[0] || !mask[1] || mask[2] {
 		t.Errorf("gating mask %v, want [true true false]", mask)
 	}
@@ -87,7 +87,7 @@ func TestGoodLeadsGatesAndKeepsBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask = GoodLeads(allOff, rec.Fs, SQIConfig{}, 0.7)
+	mask = GoodLeads(allOff, rec.Fs)
 	count := 0
 	for _, m := range mask {
 		if m {

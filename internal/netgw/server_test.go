@@ -334,3 +334,55 @@ func TestServeRejectsNegativeWorkers(t *testing.T) {
 		t.Fatalf("Serve with EngineWorkers -1: err = %v, want ErrServer", err)
 	}
 }
+
+// One CRC-valid frame whose sequence number lies far ahead of the
+// session must not zero-fill the stream up to it (about 50 MB for seq
+// 4096 at 3×512): the session drops the frame and answers with a rewind
+// ack to its unchanged resume point, and the real record then completes
+// with its reference digest and nothing filled.
+func TestNetGatewayFarSeqFrameFillsNothing(t *testing.T) {
+	srv, _ := startServer(t, nil)
+	cfg := testLoadgen(srv.Addr(), 1, 1).withDefaults()
+	tr, err := buildTraffic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := tr.frames[0]
+	pkt, err := link.Decode(frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt.Seq = 4096
+	far, err := link.Encode(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 4096
+	conn := dialSession(t, srv.Addr(), id)
+	if err := writeFrame(conn, frameData, far); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, _, err := readFrame(conn, nil)
+	if err != nil || typ != frameAck {
+		t.Fatalf("answer to the far frame: type %#x err %v", typ, err)
+	}
+	next, flags, err := parseAck(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != 0 || flags&ackFlagRewind == 0 {
+		t.Fatalf("far frame acked with nextSeq %d flags %#x, want a rewind ack to 0", next, flags)
+	}
+	conn.Close()
+
+	ccfg := cfg.Client
+	ccfg.Addr = srv.Addr()
+	ccfg.StreamID = id
+	res, err := SendRecord(ccfg, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Digest != tr.digests[0] || res.Report.Filled != 0 {
+		t.Fatalf("record after the far frame: %s, want digest %016x with nothing filled", res.Report, tr.digests[0])
+	}
+}

@@ -224,11 +224,7 @@ func (s *session) handleCtl(c sessionCtl) {
 	s.touch()
 	if c.nudge {
 		if s.rewind.Swap(false) {
-			s.stats.rewinds.Add(1)
-			if tm := s.srv.tel; tm != nil {
-				tm.Rewinds.Inc()
-			}
-			s.ack(ackFlagRewind)
+			s.sendRewind()
 		}
 		return
 	}
@@ -271,6 +267,14 @@ func (s *session) handleMsg(m sessionMsg) {
 		// decoding is pointless — drop it.
 		return
 	}
+	if s.beyondWindow(m.pkt.Seq) {
+		// Nothing is decoded or filled; the rewind ack tells the client
+		// where the stream really resumes, and covers any shed frame the
+		// flag was still holding.
+		s.rewind.Store(false)
+		s.sendRewind()
+		return
+	}
 	if h := s.srv.cfg.poison; h != nil {
 		h(s.id, m.pkt)
 	}
@@ -305,11 +309,7 @@ func (s *session) handleMsg(m sessionMsg) {
 	// actor notices it; otherwise ack cumulatively every AckEvery
 	// deliveries and whenever the inbox goes idle (tail flush).
 	if s.rewind.Swap(false) {
-		s.stats.rewinds.Add(1)
-		if tm := s.srv.tel; tm != nil {
-			tm.Rewinds.Inc()
-		}
-		s.ack(ackFlagRewind)
+		s.sendRewind()
 		return
 	}
 	if s.sinceAck >= s.srv.cfg.AckEvery || len(s.inbox) == 0 {
@@ -317,9 +317,29 @@ func (s *session) handleMsg(m sessionMsg) {
 	}
 }
 
+// beyondWindow reports whether seq lies link.ReorderWindow or more
+// ahead of the reassembly point. The reassembler would zero-fill every
+// window up to such a frame — one forged sequence number could append
+// gigabytes — while a client never runs more than its in-flight window
+// ahead of the last ack.
+func (s *session) beyondWindow(seq uint32) bool {
+	next := s.ra.NextSeq()
+	return seq >= next && seq-next >= link.ReorderWindow
+}
+
 func (s *session) ack(flags byte) {
 	s.sinceAck = 0
 	s.writeFrame(frameAck, ackPayload(s.ra.NextSeq(), flags))
+}
+
+// sendRewind answers a shed, corrupt or out-of-window frame with a
+// go-back-N ack: the client resends everything from NextSeq on.
+func (s *session) sendRewind() {
+	s.stats.rewinds.Add(1)
+	if tm := s.srv.tel; tm != nil {
+		tm.Rewinds.Inc()
+	}
+	s.ack(ackFlagRewind)
 }
 
 func (s *session) handleFin(total uint32) {
@@ -329,11 +349,7 @@ func (s *session) handleFin(total uint32) {
 			// everything (a shed tail, or a fin that raced a rewind).
 			// Send the resume point instead of a digest.
 			if s.rewind.Swap(false) {
-				s.stats.rewinds.Add(1)
-				if tm := s.srv.tel; tm != nil {
-					tm.Rewinds.Inc()
-				}
-				s.ack(ackFlagRewind)
+				s.sendRewind()
 			} else {
 				s.ack(0)
 			}
@@ -374,7 +390,7 @@ func (s *session) drainAndExit() {
 		select {
 		case m := <-s.inbox:
 			s.noteInboxPop()
-			if !m.fin && !s.finished {
+			if !m.fin && !s.finished && !s.beyondWindow(m.pkt.Seq) {
 				if err := s.ra.Offer(m.pkt); err == nil {
 					s.stats.seqHW.Store(s.ra.NextSeq())
 					s.stats.delivered.Add(1)

@@ -248,8 +248,9 @@ type NetGWMetrics struct {
 	// Resumes counts re-attaches of an existing session (reconnects);
 	// FramesRx all data frames read off the wire; FramesCorrupt the ones
 	// the link CRC rejected; FramesShed the ones dropped because a
-	// session inbox was full; Rewinds the go-back-N acks those two
-	// triggered; Delivered the windows handed to a receiver in order.
+	// session inbox was full; Rewinds the go-back-N acks those two, and
+	// data frames beyond the reassembler's reorder window, triggered;
+	// Delivered the windows handed to a receiver in order.
 	Resumes       *Counter
 	FramesRx      *Counter
 	FramesCorrupt *Counter
