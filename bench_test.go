@@ -1,9 +1,11 @@
 // Package wbsn_test hosts the experiment benchmarks: one per table or
-// figure of the paper's evaluation (Section V) plus ablations of the
-// design choices called out in DESIGN.md. The benchmarks regenerate the
-// paper's rows/series and publish the headline values as custom metrics
-// (b.ReportMetric), so `go test -bench=. -benchmem` reproduces the whole
-// evaluation.
+// figure of the paper's evaluation (Section V), micro-benchmarks of the
+// kernels the programs run, and the engine and fleet benchmarks. The
+// benchmarks regenerate the paper's rows/series and publish the headline
+// values as custom metrics (b.ReportMetric), so `go test -bench=.
+// -benchmem` reproduces the evaluation. The ablations of DESIGN.md §5
+// live beside the code they ablate, in each package's tests
+// (`go test -run '^$' -bench Ablation ./...`).
 package wbsn_test
 
 import (
@@ -16,7 +18,6 @@ import (
 	"time"
 
 	"wbsn/internal/af"
-	"wbsn/internal/classify"
 	"wbsn/internal/core"
 	"wbsn/internal/cs"
 	"wbsn/internal/delineation"
@@ -27,7 +28,6 @@ import (
 	"wbsn/internal/fleet"
 	"wbsn/internal/gateway"
 	"wbsn/internal/morpho"
-	"wbsn/internal/spline"
 	"wbsn/internal/telemetry"
 	"wbsn/internal/wavelet"
 	"wbsn/internal/wbsn"
@@ -235,196 +235,6 @@ func BenchmarkFig1Ladder(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablations.
-// ---------------------------------------------------------------------
-
-// BenchmarkAblationPhiDensity sweeps the sparse-binary sensing density d
-// (ref [16]: few non-zeros suffice): reconstruction quality at CR 60 for
-// d = 2, 4, 8 against a dense Gaussian matrix.
-func BenchmarkAblationPhiDensity(b *testing.B) {
-	rec := ecg.Generate(ecg.Config{Seed: 77, Duration: 5})
-	x := rec.Clean[0][:512]
-	m := cs.MeasurementsForCR(512, 60)
-	run := func(phi cs.Matrix) float64 {
-		enc := cs.NewEncoder(phi)
-		dec, err := cs.NewDecoder(phi, cs.SolverConfig{Iters: 120})
-		if err != nil {
-			b.Fatal(err)
-		}
-		xhat, err := dec.Reconstruct(enc.Encode(x))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return dsp.SNRdB(x, xhat)
-	}
-	var snrs [4]float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(5))
-		for j, d := range []int{2, 4, 8} {
-			phi, err := cs.NewSparseBinary(m, 512, d, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			snrs[j] = run(phi)
-		}
-		g, err := cs.NewGaussian(m, 512, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snrs[3] = run(g)
-	}
-	b.ReportMetric(snrs[0], "SNR-d2")
-	b.ReportMetric(snrs[1], "SNR-d4")
-	b.ReportMetric(snrs[2], "SNR-d8")
-	b.ReportMetric(snrs[3], "SNR-gauss")
-	// The ref [16] claim: d=4 within a few dB of the dense matrix.
-	if snrs[1] < snrs[3]-6 {
-		b.Errorf("sparse d=4 (%.1f dB) far below dense Gaussian (%.1f dB)", snrs[1], snrs[3])
-	}
-}
-
-// BenchmarkAblationVanHerk compares the O(1)-per-sample sliding-window
-// erosion against the naive O(k) implementation (Section IV.A).
-func BenchmarkAblationVanHerk(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	k := 51 // the 0.2 s baseline SE at 256 Hz
-	b.Run("vanherk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := morpho.ErodeFlat(x, k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := morpho.ErodeFlatNaive(x, k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationLinGauss compares the four-segment linearized
-// exponential against math.Exp (ref [14]) in speed and worst-case error.
-func BenchmarkAblationLinGauss(b *testing.B) {
-	b.ReportMetric(fixedpt.ExpNegLin4MaxError(4001, math.Exp), "max-abs-error")
-	us := make([]float64, 1024)
-	rng := rand.New(rand.NewSource(4))
-	for i := range us {
-		us[i] = rng.Float64() * 4
-	}
-	b.Run("lin4", func(b *testing.B) {
-		s := 0.0
-		for i := 0; i < b.N; i++ {
-			s += fixedpt.ExpNegLin4(us[i%len(us)])
-		}
-		_ = s
-	})
-	b.Run("exact", func(b *testing.B) {
-		s := 0.0
-		for i := 0; i < b.N; i++ {
-			s += math.Exp(-us[i%len(us)])
-		}
-		_ = s
-	})
-}
-
-// BenchmarkAblationRPPacking reports the memory of the 2-bit packed
-// random-projection matrix against float64 storage (Section IV.A) and
-// times the projection.
-func BenchmarkAblationRPPacking(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	w := classify.DefaultBeatWindow(256)
-	rp, err := classify.NewRPMatrix(16, w.Len(), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(rp.MemoryBytes()), "bytes-packed")
-	b.ReportMetric(float64(16*w.Len()*8), "bytes-float64")
-	x := make([]float64, w.Len())
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rp.Project(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBroadcast quantifies the broadcast interconnect of
-// ref [18]: cycles and program-memory accesses with merging on vs off.
-func BenchmarkAblationBroadcast(b *testing.B) {
-	app := wbsn.App3LMF()
-	mcProg, _, err := app.Programs()
-	if err != nil {
-		b.Fatal(err)
-	}
-	progs := []*wbsn.Program{mcProg, mcProg, mcProg}
-	var on, off wbsn.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mOn, err := wbsn.NewMachine(wbsn.MachineConfig{
-			Cores: 3, IMemBanks: 2, DMemBanks: 3, Broadcast: true, Seed: 1,
-		}, progs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		on = mOn.Run(50e6)
-		mOff, err := wbsn.NewMachine(wbsn.MachineConfig{
-			Cores: 3, IMemBanks: 2, DMemBanks: 3, Broadcast: false, Seed: 1,
-		}, progs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		off = mOff.Run(50e6)
-	}
-	b.ReportMetric(float64(on.FetchAccesses), "imem-accesses-on")
-	b.ReportMetric(float64(off.FetchAccesses), "imem-accesses-off")
-	b.ReportMetric(float64(off.Cycles)/float64(on.Cycles), "cycle-penalty-off")
-	if off.Cycles <= on.Cycles {
-		b.Error("disabling broadcast should cost cycles")
-	}
-}
-
-// BenchmarkAblationLeadCombine compares single-lead delineation with
-// RMS-combined multi-lead delineation under EMG noise (ref [11]).
-func BenchmarkAblationLeadCombine(b *testing.B) {
-	recs := ecg.GenerateSet(ecg.Config{Duration: 30, Noise: ecg.NoiseConfig{EMG: 0.12}}, 900, 3)
-	del, err := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var seSingle, seComb float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var single, comb delineation.Report
-		for _, rec := range recs {
-			bs, err := del.Delineate(rec.Leads[2])
-			if err != nil {
-				b.Fatal(err)
-			}
-			bc, err := del.Delineate(dsp.CombineRMS(rec.Leads))
-			if err != nil {
-				b.Fatal(err)
-			}
-			single = delineation.Merge(single, delineation.Evaluate(rec, bs, delineation.DefaultTolerances()))
-			comb = delineation.Merge(comb, delineation.Evaluate(rec, bc, delineation.DefaultTolerances()))
-		}
-		seSingle = single.R.Se()
-		seComb = comb.R.Se()
-	}
-	b.ReportMetric(100*seSingle, "%Se-single-lead")
-	b.ReportMetric(100*seComb, "%Se-rms-combined")
-}
-
-// ---------------------------------------------------------------------
 // Micro-benchmarks of the embedded kernels.
 // ---------------------------------------------------------------------
 
@@ -445,64 +255,6 @@ func BenchmarkCSEncodeQ15(b *testing.B) {
 	}
 }
 
-// benchWindowStream encodes eight consecutive 512-sample windows of one
-// lead — the contiguous stream a gateway receiver actually decodes, and
-// the workload where warm-starting pays off (window k seeds window k+1).
-func benchWindowStream(b *testing.B, seed int64) (phi cs.Matrix, ys [][]float64) {
-	b.Helper()
-	const n, windows = 512, 8
-	rec := ecg.Generate(ecg.Config{Seed: seed, Duration: float64(windows*n)/256 + 2})
-	m := cs.MeasurementsForCR(n, 65.9)
-	phi, err := cs.NewSparseBinary(m, n, 4, rand.New(rand.NewSource(9)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := cs.NewEncoder(phi)
-	ys = make([][]float64, windows)
-	for w := range ys {
-		ys[w] = enc.Encode(rec.Clean[0][w*n : (w+1)*n])
-	}
-	return phi, ys
-}
-
-// BenchmarkFISTAWarmVsCold isolates the two adaptive-solver levers on
-// the same window stream: the fixed-budget baseline, the convergence
-// early exit alone (cold seeds), and early exit plus warm-starting.
-func BenchmarkFISTAWarmVsCold(b *testing.B) {
-	phi, ys := benchWindowStream(b, 9)
-	variants := []struct {
-		name string
-		cfg  cs.SolverConfig
-		warm bool
-	}{
-		{"cold-fixed", cs.SolverConfig{Iters: 150}, false},
-		{"tol-only", cs.SolverConfig{Iters: 150, Tol: 1e-3}, false},
-		{"warm+tol", cs.SolverConfig{Iters: 150, Tol: 1e-3}, true},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			dec, err := cs.NewDecoder(phi, v.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ws *cs.WarmState
-			if v.warm {
-				ws = cs.NewWarmState()
-			}
-			var iters int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st, err := dec.ReconstructWarm(ys[i%len(ys)], ws)
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters += st.Iters
-			}
-			b.ReportMetric(float64(iters)/float64(b.N), "iters/solve")
-		})
-	}
-}
-
 func BenchmarkWaveletDWT(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	x := make([]float64, 512)
@@ -510,9 +262,11 @@ func BenchmarkWaveletDWT(b *testing.B) {
 		x[i] = rng.NormFloat64()
 	}
 	w := wavelet.Daubechies8()
+	out := make([]float64, len(x))
+	var s wavelet.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Forward(x, 5); err != nil {
+		if err := w.ForwardInto(x, 5, out, &s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -521,9 +275,12 @@ func BenchmarkWaveletDWT(b *testing.B) {
 func BenchmarkAtrousTransform(b *testing.B) {
 	rec := ecg.Generate(ecg.Config{Seed: 11, Duration: 4})
 	x := rec.Clean[0]
+	var details [][]float64
+	var s wavelet.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wavelet.Atrous(x, wavelet.AtrousScales); err != nil {
+		var err error
+		if details, err = wavelet.AtrousInto(x, wavelet.AtrousScales, details, &s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -565,9 +322,11 @@ func BenchmarkAFDetect(b *testing.B) {
 
 func BenchmarkMorphFilterOneLead(b *testing.B) {
 	rec := ecg.Generate(ecg.Config{Seed: 14, Duration: 10, Noise: ecg.AmbulatoryNoise()})
+	out := make([]float64, rec.Len())
+	var s morpho.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := morpho.Filter(rec.Leads[0], morpho.FilterConfig{Fs: 256}); err != nil {
+		if err := morpho.FilterInto(rec.Leads[0], morpho.FilterConfig{Fs: 256}, out, &s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -593,130 +352,8 @@ func BenchmarkMulticoreSimCycle(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Extended ablations: solver variants, quantisation, QRS baselines, and
-// the end-to-end gateway loop.
+// Gateway engine throughput and the noise-stress delineation table.
 // ---------------------------------------------------------------------
-
-// BenchmarkAblationSolverVariants compares the reconstruction quality of
-// plain FISTA, reweighted FISTA, tree-model IHT (ref [17]) and the OMP
-// baseline at the paper's single-lead operating point.
-func BenchmarkAblationSolverVariants(b *testing.B) {
-	rec := ecg.Generate(ecg.Config{Seed: 88, Duration: 5})
-	x := rec.Clean[0][:512]
-	m := cs.MeasurementsForCR(512, 65.9)
-	rng := rand.New(rand.NewSource(12))
-	phi, err := cs.NewSparseBinary(m, 512, 4, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := cs.NewEncoder(phi)
-	y := enc.Encode(x)
-	var snrs [4]float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plain, err := cs.NewDecoder(phi, cs.SolverConfig{Iters: 150})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rw, err := cs.NewDecoder(phi, cs.SolverConfig{Iters: 150, Reweights: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		x0, err := plain.Reconstruct(y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x1, err := rw.Reconstruct(y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x2, err := rw.TreeIHT(y, 80, 150)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x3, err := rw.OMP(y, 80, 1e-5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snrs[0] = dsp.SNRdB(x, x0)
-		snrs[1] = dsp.SNRdB(x, x1)
-		snrs[2] = dsp.SNRdB(x, x2)
-		snrs[3] = dsp.SNRdB(x, x3)
-	}
-	b.ReportMetric(snrs[0], "SNR-fista")
-	b.ReportMetric(snrs[1], "SNR-reweighted")
-	b.ReportMetric(snrs[2], "SNR-treeIHT")
-	b.ReportMetric(snrs[3], "SNR-omp")
-}
-
-// BenchmarkAblationQuantBits sweeps the bits-per-measurement payload
-// quantisation (the Figure 6 payload knob).
-func BenchmarkAblationQuantBits(b *testing.B) {
-	rec := ecg.Generate(ecg.Config{Seed: 89, Duration: 5})
-	x := rec.Clean[0][:512]
-	m := cs.MeasurementsForCR(512, 60)
-	rng := rand.New(rand.NewSource(13))
-	phi, err := cs.NewSparseBinary(m, 512, 4, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := cs.NewEncoder(phi)
-	dec, err := cs.NewDecoder(phi, cs.SolverConfig{Iters: 120})
-	if err != nil {
-		b.Fatal(err)
-	}
-	y := enc.Encode(x)
-	scale := cs.AutoScale(y, 1.1)
-	results := map[int]float64{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bits := range []int{4, 8, 12} {
-			q, err := cs.NewQuantizer(bits, scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			yq, _ := q.QuantizeSlice(y)
-			xhat, err := dec.Reconstruct(yq)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[bits] = dsp.SNRdB(x, xhat)
-		}
-	}
-	b.ReportMetric(results[4], "SNR-4bit")
-	b.ReportMetric(results[8], "SNR-8bit")
-	b.ReportMetric(results[12], "SNR-12bit")
-}
-
-// BenchmarkAblationQRSBaseline compares the wavelet QRS stage against
-// the Pan-Tompkins baseline (the ref [11] comparative evaluation).
-func BenchmarkAblationQRSBaseline(b *testing.B) {
-	recs := ecg.GenerateSet(ecg.Config{Duration: 30, Noise: ecg.NoiseConfig{EMG: 0.04}}, 700, 3)
-	wd, err := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pt, err := delineation.NewPanTompkins(delineation.Config{Fs: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("wavelet", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, rec := range recs {
-				if _, err := wd.Delineate(dsp.CombineRMS(rec.Leads)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("pantompkins", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, rec := range recs {
-				pt.DetectQRS(dsp.CombineRMS(rec.Leads))
-			}
-		}
-	})
-}
 
 // BenchmarkThroughputEngine drives the parallel reconstruction engine
 // over a pre-encoded record batch at 1, 2 and GOMAXPROCS workers,
@@ -891,103 +528,6 @@ func BenchmarkThroughputEngineBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBaselineRemoval compares the paper's two baseline-
-// wander estimators (Section III.B: morphological open/close of ref [9]
-// and PR-knot cubic splines of ref [10]) against a sliding-median
-// estimator and a 0.5 Hz high-pass, scoring the residual against the
-// known synthetic drift.
-func BenchmarkAblationBaselineRemoval(b *testing.B) {
-	rec := ecg.Generate(ecg.Config{
-		Seed: 91, Duration: 30,
-		Noise: ecg.NoiseConfig{BaselineWander: 0.3},
-	})
-	fs := rec.Fs
-	lead := rec.Leads[0]
-	clean := rec.Clean[0]
-	truthDrift := make([]float64, len(lead))
-	for i := range truthDrift {
-		truthDrift[i] = lead[i] - clean[i]
-	}
-	qrs := rec.RPeaks()
-	score := func(corrected []float64) float64 {
-		// Residual drift: corrected minus clean, RMS over the interior.
-		res := 0.0
-		n := 0
-		for i := 512; i < len(lead)-512; i++ {
-			d := corrected[i] - clean[i]
-			res += d * d
-			n++
-		}
-		return math.Sqrt(res / float64(n))
-	}
-	var rmsMorph, rmsSpline, rmsMedian, rmsHP float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		corrected, err := morpho.RemoveBaseline(lead, morpho.FilterConfig{Fs: fs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rmsMorph = score(corrected)
-		corrSpline, _ := spline.RemoveBaseline(lead, qrs, fs)
-		rmsSpline = score(corrSpline)
-		base, err := dsp.MedianFilter(lead, int(0.6*fs)|1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		corrMed := make([]float64, len(lead))
-		for j := range lead {
-			corrMed[j] = lead[j] - base[j]
-		}
-		rmsMedian = score(corrMed)
-		hp, err := dsp.Butterworth2Highpass(0.5, fs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rmsHP = score(hp.Apply(lead))
-	}
-	b.ReportMetric(rmsMorph*1000, "resid-mV-morph")
-	b.ReportMetric(rmsSpline*1000, "resid-mV-spline")
-	b.ReportMetric(rmsMedian*1000, "resid-mV-median")
-	b.ReportMetric(rmsHP*1000, "resid-mV-highpass")
-}
-
-// BenchmarkAblationNoiseSuppression compares the three noise-suppression
-// options on EMG-corrupted ECG: the morphological open/close average of
-// ref [9], wavelet garrote shrinkage, and the 0.5-40 Hz band-pass.
-func BenchmarkAblationNoiseSuppression(b *testing.B) {
-	rec := ecg.Generate(ecg.Config{Seed: 92, Duration: 16, Noise: ecg.NoiseConfig{EMG: 0.06}})
-	clean := rec.Clean[0]
-	lead := rec.Leads[0]
-	score := func(y []float64) float64 { return dsp.SNRdB(clean[256:len(clean)-256], y[256:len(y)-256]) }
-	var snrIn, snrMorph, snrWave, snrBP float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snrIn = score(lead)
-		ym, err := morpho.SuppressNoise(lead, morpho.FilterConfig{Fs: rec.Fs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		snrMorph = score(ym)
-		yw, err := wavelet.Denoise(lead, wavelet.DenoiseConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		snrWave = score(yw)
-		ch, err := dsp.BandpassECG(rec.Fs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snrBP = score(ch.Apply(lead))
-	}
-	b.ReportMetric(snrIn, "SNR-in")
-	b.ReportMetric(snrMorph, "SNR-morph")
-	b.ReportMetric(snrWave, "SNR-wavelet")
-	b.ReportMetric(snrBP, "SNR-bandpass")
-	if snrWave <= snrIn {
-		b.Errorf("wavelet denoising did not improve SNR: %.1f <= %.1f", snrWave, snrIn)
-	}
-}
-
 // BenchmarkNoiseStressDelineation reproduces the classic noise-stress
 // protocol: R-peak detection quality as EMG noise grows, with and
 // without the conditioning chain. Published delineators degrade
@@ -1029,93 +569,6 @@ func BenchmarkNoiseStressDelineation(b *testing.B) {
 	}
 }
 
-// BenchmarkRefClassificationTable reproduces the per-class evaluation
-// style of ref [14]: 3-fold cross-validated sensitivity per beat class
-// plus PVC specificity, on a mixed synthetic population.
-func BenchmarkRefClassificationTable(b *testing.B) {
-	recs := ecg.GenerateSet(ecg.Config{
-		Duration: 120,
-		Rhythm:   ecg.RhythmConfig{PVCRate: 0.1, APBRate: 0.06},
-		Noise:    ecg.NoiseConfig{EMG: 0.02},
-	}, 840, 3)
-	w := classify.DefaultBeatWindow(256)
-	rng := rand.New(rand.NewSource(21))
-	rp, err := classify.NewRPMatrix(16, w.Len(), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := classify.BuildDataset(recs, 0, w, rp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cm *classify.ConfusionMatrix
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cm, err = classify.CrossValidate(rp, ds, 3, classify.TrainConfig{PrototypesPerClass: 4, Seed: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*cm.Accuracy(), "%accuracy")
-	b.ReportMetric(100*cm.Sensitivity(int(ecg.LabelNormal)), "%Se-N")
-	b.ReportMetric(100*cm.Sensitivity(int(ecg.LabelPVC)), "%Se-V")
-	b.ReportMetric(100*cm.Sensitivity(int(ecg.LabelAPB)), "%Se-A")
-	b.ReportMetric(100*cm.Specificity(int(ecg.LabelPVC)), "%Sp-V")
-}
-
-// BenchmarkCoreScaling sweeps the platform's core count on an 8-lead
-// conditioning workload (Section IV.B: parallelism converts into
-// voltage-scaling headroom, with diminishing returns at the leakage
-// floor).
-func BenchmarkCoreScaling(b *testing.B) {
-	var res []wbsn.AppResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = wbsn.RunCoreScaling(wbsn.DefaultEnergy(), 1, []int{1, 2, 4, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i, r := range res {
-		b.ReportMetric(r.MC.TotalW()*1e6, fmt.Sprintf("µW-%dcores", 1<<i))
-	}
-}
-
-// BenchmarkDatabaseDelineation runs the Text-1 evaluation over the full
-// 16-subject synthetic library (varying heart rates, wide-QRS,
-// low-voltage, tall-T, ectopy, noise and AF) — the "averaged over all
-// records" protocol of the clinical-database studies the paper cites.
-func BenchmarkDatabaseDelineation(b *testing.B) {
-	db := ecg.GenerateDatabase(30, 500)
-	wd, err := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var total delineation.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total = delineation.Report{}
-		for _, rec := range db {
-			filtered, err := morpho.FilterLeads(rec.Leads, morpho.FilterConfig{Fs: 256})
-			if err != nil {
-				b.Fatal(err)
-			}
-			beats, err := wd.Delineate(dsp.CombineRMS(filtered))
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = delineation.Merge(total, delineation.Evaluate(rec, beats, delineation.DefaultTolerances()))
-		}
-	}
-	b.ReportMetric(100*total.R.Se(), "%Se-R")
-	b.ReportMetric(100*total.R.PPV(), "%PPV-R")
-	b.ReportMetric(100*total.TPeak.Se(), "%Se-Tpeak")
-	if total.R.Se() < 0.95 || total.R.PPV() < 0.95 {
-		b.Errorf("database-wide QRS detection Se=%.3f PPV=%.3f", total.R.Se(), total.R.PPV())
-	}
-}
-
 // ---------------------------------------------------------------------
 // PR 3 — fleet engine: sharded multi-patient simulation and the
 // allocation-free node hot path.
@@ -1143,14 +596,15 @@ func BenchmarkFleetStreamPush(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sample := make([]float64, len(rec.Leads))
+			block := make([][]float64, len(rec.Leads))
 			pos := 0
 			push := func() {
-				for li := range sample {
-					sample[li] = rec.Leads[li][pos%rec.Len()]
+				at := pos % rec.Len()
+				for li := range block {
+					block[li] = rec.Leads[li][at : at+1]
 				}
 				pos++
-				if _, err := stream.Push(sample); err != nil {
+				if _, err := stream.PushBlock(block); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1202,14 +656,15 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 					set := telemetry.NewSet(telemetry.NewRegistry())
 					stream.SetTelemetry(set.Node)
 				}
-				sample := make([]float64, len(rec.Leads))
+				block := make([][]float64, len(rec.Leads))
 				pos := 0
 				push := func() {
-					for li := range sample {
-						sample[li] = rec.Leads[li][pos%rec.Len()]
+					at := pos % rec.Len()
+					for li := range block {
+						block[li] = rec.Leads[li][at : at+1]
 					}
 					pos++
-					if _, err := stream.Push(sample); err != nil {
+					if _, err := stream.PushBlock(block); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -5,12 +5,13 @@ import (
 	"wbsn/internal/fixedpt"
 )
 
-// This file carries the integer-only feature extraction the node runs
-// (Section V: the AF detector operates "in real-time on an embedded
-// device" with integer arithmetic only). RR intervals stay in sample
-// counts; divisions, square roots and logarithms come from
-// internal/fixedpt. Features are returned as Q15 in the same ranges as
-// the float extractor, so the same fuzzy rules apply.
+// The integer-only feature extraction below is the form an embedded AF
+// detector runs (Section V: the detector operates "in real-time on an
+// embedded device" with integer arithmetic only). RR intervals stay in
+// sample counts; square roots and logarithms come from internal/fixedpt.
+// Features are returned as Q15 in the same ranges as the float
+// extractor, so the same fuzzy rules apply. No program runs it; the
+// tests check that it reaches the float extractor's verdicts.
 
 // FeaturesQ15 are the Q15-scaled AF evidence values.
 type FeaturesQ15 struct {

@@ -238,7 +238,7 @@ func TestAICFConvergesToTemplate(t *testing.T) {
 	if len(outs) != len(events) {
 		t.Fatalf("got %d outputs for %d events", len(outs), len(events))
 	}
-	if f.Beats() != len(events) {
+	if f.beats != len(events) {
 		t.Error("beat counter wrong")
 	}
 	if rmse := dsp.RMSE(template, outs[len(outs)-1]); rmse > 0.15 {
@@ -289,4 +289,35 @@ func TestAICFTracksMorphologyChange(t *testing.T) {
 	if f.Update(x, n) != nil {
 		t.Error("out-of-range update should return nil")
 	}
+}
+
+// BPForPAT inverts PATForBP.
+func BPForPAT(pat, pathLength float64) float64 {
+	const (
+		c0  = 1.2
+		al  = 0.0115
+		pep = 0.06
+	)
+	tt := pat - pep
+	if tt <= 0 {
+		tt = 1e-3
+	}
+	pwv := pathLength / tt
+	return math.Log(pwv/c0) / al
+}
+
+// The PAT estimate and its BP inverse below are read only by the
+// tests.
+
+// EstimatePAT returns the per-beat pulse arrival time in seconds from
+// R peaks and detected pulse feet (skipping undetected feet).
+func EstimatePAT(rPeaks, feet []int, fs float64) []float64 {
+	var out []float64
+	for i := range rPeaks {
+		if i >= len(feet) || feet[i] < 0 {
+			continue
+		}
+		out = append(out, float64(feet[i]-rPeaks[i])/fs)
+	}
+	return out
 }

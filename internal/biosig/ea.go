@@ -71,9 +71,6 @@ func (f *AICF) Template() []float64 {
 	return out
 }
 
-// Beats returns how many beat windows have been absorbed.
-func (f *AICF) Beats() int { return f.beats }
-
 // Update absorbs the beat window at event e from x and returns the
 // post-update template (the filter's denoised output for this beat), or
 // nil when the window does not fit.

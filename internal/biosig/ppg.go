@@ -58,21 +58,6 @@ func PATForBP(bp, pathLength float64) float64 {
 	return pathLength/pwv + pep
 }
 
-// BPForPAT inverts PATForBP.
-func BPForPAT(pat, pathLength float64) float64 {
-	const (
-		c0  = 1.2
-		al  = 0.0115
-		pep = 0.06
-	)
-	tt := pat - pep
-	if tt <= 0 {
-		tt = 1e-3
-	}
-	pwv := pathLength / tt
-	return math.Log(pwv/c0) / al
-}
-
 // PWVFromPAT converts a pulse arrival time to pulse-wave velocity given
 // the arterial path length, after removing the pre-ejection period.
 func PWVFromPAT(pat, pathLength float64) float64 {
@@ -168,19 +153,6 @@ func DetectPulseFeet(ppg []float64, rPeaks []int, fs float64) []int {
 			f--
 		}
 		out[bi] = f
-	}
-	return out
-}
-
-// EstimatePAT returns the per-beat pulse arrival time in seconds from
-// R peaks and detected pulse feet (skipping undetected feet).
-func EstimatePAT(rPeaks, feet []int, fs float64) []float64 {
-	var out []float64
-	for i := range rPeaks {
-		if i >= len(feet) || feet[i] < 0 {
-			continue
-		}
-		out = append(out, float64(feet[i]-rPeaks[i])/fs)
 	}
 	return out
 }

@@ -122,13 +122,6 @@ func Train(rp *RPMatrix, samples map[int][][]float64, cfg TrainConfig) (*Classif
 	return cl, nil
 }
 
-// Classes returns the trained class labels in ascending order.
-func (c *Classifier) Classes() []int {
-	out := make([]int, len(c.classes))
-	copy(out, c.classes)
-	return out
-}
-
 // RP returns the classifier's random-projection front end.
 func (c *Classifier) RP() *RPMatrix { return c.rp }
 
@@ -138,23 +131,6 @@ func (c *Classifier) kernel(u float64) float64 {
 		return fixedpt.ExpNegLin4(u)
 	}
 	return math.Exp(-u)
-}
-
-// Memberships returns the fuzzy membership of the projected feature
-// vector in every class, keyed by label.
-func (c *Classifier) Memberships(z []float64) map[int]float64 {
-	out := make(map[int]float64, len(c.classes))
-	for _, label := range c.classes {
-		best := 0.0
-		for _, p := range c.protos[label] {
-			u := sqDist(z, p.Center) * p.InvTwoSigma2
-			if v := c.kernel(u); v > best {
-				best = v
-			}
-		}
-		out[label] = best
-	}
-	return out
 }
 
 // Predict projects the raw beat window and returns the most likely class

@@ -27,8 +27,8 @@ func TestRPMatrixEntryDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[int]int{}
-	for r := 0; r < m.K(); r++ {
-		for c := 0; c < m.N(); c++ {
+	for r := 0; r < m.k; r++ {
+		for c := 0; c < m.n; c++ {
 			counts[m.entry(r, c)]++
 		}
 	}
@@ -45,7 +45,7 @@ func TestRPMatrixEntryDistribution(t *testing.T) {
 func TestRPMatrixMemoryPacking(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, _ := NewRPMatrix(16, 166, rng) // the paper's 7.2 kB regime is this scale
-	packed := m.MemoryBytes()
+	packed := len(m.bits) * 8
 	unpacked := 16 * 166 * 8 // float64 storage
 	if packed*16 > unpacked {
 		t.Errorf("2-bit packing should be ≥16x smaller: %d vs %d", packed, unpacked)
@@ -431,4 +431,31 @@ func TestCrossValidatedClassification(t *testing.T) {
 	if totalScored != ds.Count {
 		t.Errorf("scored %d of %d beats", totalScored, ds.Count)
 	}
+}
+
+// The accessors below are read only by the tests; the node predicts
+// through PredictProjected.
+
+// Classes returns the trained class labels in ascending order.
+func (c *Classifier) Classes() []int {
+	out := make([]int, len(c.classes))
+	copy(out, c.classes)
+	return out
+}
+
+// Memberships returns the fuzzy membership of the projected feature
+// vector in every class, keyed by label.
+func (c *Classifier) Memberships(z []float64) map[int]float64 {
+	out := make(map[int]float64, len(c.classes))
+	for _, label := range c.classes {
+		best := 0.0
+		for _, p := range c.protos[label] {
+			u := sqDist(z, p.Center) * p.InvTwoSigma2
+			if v := c.kernel(u); v > best {
+				best = v
+			}
+		}
+		out[label] = best
+	}
+	return out
 }

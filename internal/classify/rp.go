@@ -11,8 +11,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-
-	"wbsn/internal/fixedpt"
 )
 
 // Errors returned by the classification package.
@@ -59,12 +57,6 @@ func NewRPMatrix(k, n int, rng *rand.Rand) (*RPMatrix, error) {
 	return m, nil
 }
 
-// K returns the projected dimension.
-func (m *RPMatrix) K() int { return m.k }
-
-// N returns the input dimension.
-func (m *RPMatrix) N() int { return m.n }
-
 // entry returns the {−1,0,+1} value at row r, column c.
 func (m *RPMatrix) entry(r, c int) int {
 	i := r*m.n + c
@@ -78,11 +70,6 @@ func (m *RPMatrix) entry(r, c int) int {
 		return 0
 	}
 }
-
-// MemoryBytes returns the packed storage size, the figure the ablation
-// bench compares against a float64 matrix (16× smaller at two bits per
-// entry vs 64).
-func (m *RPMatrix) MemoryBytes() int { return len(m.bits) * 8 }
 
 // Project computes z = (√(3/k))·R·x. It returns ErrBadInput if len(x)
 // differs from the input dimension.
@@ -115,41 +102,6 @@ func (m *RPMatrix) ProjectInto(x, z []float64) ([]float64, error) {
 			}
 		}
 		z[r] = acc * m.scale
-	}
-	return z, nil
-}
-
-// ProjectQ15 is the integer path the node runs: additions and
-// subtractions only, one wide accumulator per output, scaled at the end.
-// The output stays in a Q15-compatible range provided the input beats
-// are amplitude-normalised (the feature extractor guarantees it).
-func (m *RPMatrix) ProjectQ15(x []fixedpt.Q15) ([]fixedpt.Q15, error) {
-	if len(x) != m.n {
-		return nil, ErrBadInput
-	}
-	z := make([]fixedpt.Q15, m.k)
-	scaleQ := int64(m.scale * 32768)
-	for r := 0; r < m.k; r++ {
-		var acc int64
-		base := r * m.n
-		for c := 0; c < m.n; c++ {
-			i := base + c
-			code := (m.bits[i/32] >> uint((i%32)*2)) & 3
-			switch code {
-			case 1:
-				acc += int64(x[c])
-			case 2:
-				acc -= int64(x[c])
-			}
-		}
-		v := (acc * scaleQ) >> 15
-		if v > 32767 {
-			v = 32767
-		}
-		if v < -32768 {
-			v = -32768
-		}
-		z[r] = fixedpt.Q15(v)
 	}
 	return z, nil
 }

@@ -275,7 +275,7 @@ func TestStreamPushInstrumentedAllocs(t *testing.T) {
 			if set.Node.Chunks.Value() == 0 || set.Node.Samples.Value() == 0 {
 				t.Error("node metrics not populated")
 			}
-			if set.Stages.Stage(telemetry.StageAcquire).Count() == 0 {
+			if set.Stages.Stage(telemetry.StageAcquire).Snapshot().Count == 0 {
 				t.Error("acquire stage histogram empty")
 			}
 		})

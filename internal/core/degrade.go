@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-
-	"wbsn/internal/telemetry"
 )
 
 // This file implements channel-quality-driven graceful mode
@@ -87,30 +85,6 @@ type ModeController struct {
 	history     []float64
 	goodStreak  int
 	transitions []ModeTransition
-	// tel, when set, receives exactly one event per ladder transition
-	// (edge counter, current-mode gauge, bounded event history).
-	tel *telemetry.ModeMetrics
-}
-
-// ModeNames returns the display names of every mode in ladder order —
-// the argument telemetry.NewModeMetrics wants so edge counters carry
-// readable names.
-func ModeNames() []string {
-	names := make([]string, 0, int(ModeAFAlarm)+1)
-	for m := ModeRawStreaming; m <= ModeAFAlarm; m++ {
-		names = append(names, m.String())
-	}
-	return names
-}
-
-// SetTelemetry attaches (or detaches, with nil) the mode metric family
-// and seeds the current-mode gauge. Every subsequent ladder edge
-// records exactly one transition event.
-func (mc *ModeController) SetTelemetry(mm *telemetry.ModeMetrics) {
-	mc.tel = mm
-	if mm != nil {
-		mm.Current.Set(int64(mc.mode))
-	}
 }
 
 // NewModeController builds a controller starting at the given mode.
@@ -127,9 +101,6 @@ func NewModeController(start Mode, cfg DegradeConfig) (*ModeController, error) {
 	}
 	return &ModeController{cfg: c, mode: start}, nil
 }
-
-// Mode returns the controller's current operating mode.
-func (mc *ModeController) Mode() Mode { return mc.mode }
 
 // Transitions returns every mode change so far, in order.
 func (mc *ModeController) Transitions() []ModeTransition { return mc.transitions }
@@ -173,7 +144,6 @@ func (mc *ModeController) Observe(at int, deliveryRatio float64) (Mode, bool) {
 
 func (mc *ModeController) switchTo(at int, to Mode, quality float64) Mode {
 	mc.transitions = append(mc.transitions, ModeTransition{At: at, From: mc.mode, To: to, Quality: quality})
-	mc.tel.RecordTransition(at, int(mc.mode), int(to), quality)
 	mc.mode = to
 	return to
 }

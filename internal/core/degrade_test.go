@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"wbsn/internal/telemetry"
 )
 
 func TestModeControllerValidation(t *testing.T) {
@@ -23,8 +21,8 @@ func TestModeControllerDowngradesAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.Mode() != ModeCS {
-		t.Fatalf("start mode %v", mc.Mode())
+	if mc.mode != ModeCS {
+		t.Fatalf("start mode %v", mc.mode)
 	}
 	// A healthy link holds the mode.
 	for i := 0; i < 5; i++ {
@@ -36,8 +34,8 @@ func TestModeControllerDowngradesAndRecovers(t *testing.T) {
 	// controller downgrades one rung.
 	mc.Observe(5, 0.5)
 	mc.Observe(6, 0.5)
-	if mc.Mode() != ModeDelineation {
-		t.Fatalf("degraded link did not downgrade: mode %v", mc.Mode())
+	if mc.mode != ModeDelineation {
+		t.Fatalf("degraded link did not downgrade: mode %v", mc.mode)
 	}
 	// Default MaxMode stops at delineation.
 	for i := 7; i < 12; i++ {
@@ -47,7 +45,7 @@ func TestModeControllerDowngradesAndRecovers(t *testing.T) {
 	}
 	// Recovery requires the hold streak before upgrading.
 	mc.Observe(12, 1.0)
-	if mc.Mode() != ModeDelineation {
+	if mc.mode != ModeDelineation {
 		t.Fatal("upgraded without holding")
 	}
 	found := false
@@ -83,92 +81,14 @@ func TestModeControllerRespectsBounds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mc.Observe(i, 0)
 	}
-	if mc.Mode() != ModeAFAlarm {
-		t.Errorf("mode %v, want ModeAFAlarm at full degradation", mc.Mode())
+	if mc.mode != ModeAFAlarm {
+		t.Errorf("mode %v, want ModeAFAlarm at full degradation", mc.mode)
 	}
 	// And climb all the way back.
 	for i := 10; i < 30; i++ {
 		mc.Observe(i, 1)
 	}
-	if mc.Mode() != ModeRawStreaming {
-		t.Errorf("mode %v, want ModeRawStreaming after recovery", mc.Mode())
-	}
-}
-
-// TestModeControllerTelemetryLadderEdges walks the full ladder up and
-// back down and checks every edge emits exactly one telemetry event
-// with the correct from/to modes — the invariant the mode dashboard
-// depends on (a missed or doubled edge would desynchronise the
-// current-mode gauge from the controller).
-func TestModeControllerTelemetryLadderEdges(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	mm := telemetry.NewModeMetrics(reg, ModeNames())
-	mc, err := NewModeController(ModeRawStreaming, DegradeConfig{
-		Window:   1,
-		HoldGood: 1,
-		MinMode:  ModeRawStreaming,
-		MaxMode:  ModeAFAlarm,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc.SetTelemetry(mm)
-	if got := mm.Current.Value(); got != int64(ModeRawStreaming) {
-		t.Fatalf("current gauge seeded to %d, want %d", got, ModeRawStreaming)
-	}
-
-	// Quality 0 forces one upgrade-the-ladder step per observation;
-	// quality 1 (with HoldGood=1) one recovery step per observation.
-	at := 0
-	for i := 0; i < int(ModeAFAlarm); i++ {
-		if _, changed := mc.Observe(at, 0); !changed {
-			t.Fatalf("observation %d did not climb the ladder", at)
-		}
-		at++
-	}
-	for i := 0; i < int(ModeAFAlarm); i++ {
-		if _, changed := mc.Observe(at, 1); !changed {
-			t.Fatalf("observation %d did not recover", at)
-		}
-		at++
-	}
-
-	wantEdges := 2 * int(ModeAFAlarm)
-	if got := mm.Transitions.Value(); got != uint64(wantEdges) {
-		t.Fatalf("transition counter %d, want %d", got, wantEdges)
-	}
-	evs := mm.Events()
-	trs := mc.Transitions()
-	if len(evs) != wantEdges || len(trs) != wantEdges {
-		t.Fatalf("events %d / transitions %d, want %d each", len(evs), len(trs), wantEdges)
-	}
-	for i, ev := range evs {
-		// Expected edge i: up 0->1..3->4, then down 4->3..1->0.
-		wantFrom, wantTo := i, i+1
-		if i >= int(ModeAFAlarm) {
-			wantFrom = 2*int(ModeAFAlarm) - i
-			wantTo = wantFrom - 1
-		}
-		if ev.From != wantFrom || ev.To != wantTo {
-			t.Errorf("event %d edge %d->%d, want %d->%d", i, ev.From, ev.To, wantFrom, wantTo)
-		}
-		if ev.At != trs[i].At || ev.From != int(trs[i].From) || ev.To != int(trs[i].To) {
-			t.Errorf("event %d diverges from controller history: %+v vs %+v", i, ev, trs[i])
-		}
-		if ev.FromName != Mode(ev.From).String() || ev.ToName != Mode(ev.To).String() {
-			t.Errorf("event %d names %q->%q do not match modes", i, ev.FromName, ev.ToName)
-		}
-	}
-	// Exactly one hit per directed edge, both directions of every rung.
-	for m := int(ModeRawStreaming); m < int(ModeAFAlarm); m++ {
-		if got := mm.Edge(m, m+1).Value(); got != 1 {
-			t.Errorf("edge %d->%d counter %d, want 1", m, m+1, got)
-		}
-		if got := mm.Edge(m+1, m).Value(); got != 1 {
-			t.Errorf("edge %d->%d counter %d, want 1", m+1, m, got)
-		}
-	}
-	if got := mm.Current.Value(); got != int64(ModeRawStreaming) {
-		t.Errorf("current gauge %d after round trip, want %d", got, ModeRawStreaming)
+	if mc.mode != ModeRawStreaming {
+		t.Errorf("mode %v, want ModeRawStreaming after recovery", mc.mode)
 	}
 }

@@ -100,7 +100,7 @@ func runGolden(t *testing.T, cfg Config, leads [][]float64, block int) {
 	}
 	for i := 0; i < telemetry.NumStages; i++ {
 		st := telemetry.Stage(i)
-		if g, w := setNew.Stages.Stage(st).Count(), setOld.Stages.Stage(st).Count(); g != w {
+		if g, w := setNew.Stages.Stage(st).Snapshot().Count, setOld.Stages.Stage(st).Snapshot().Count; g != w {
 			t.Errorf("stage %v lap count: compiled %d, legacy %d", st, g, w)
 		}
 	}
@@ -249,10 +249,10 @@ func TestFilterCombineSingleLap(t *testing.T) {
 	if chunks == 0 {
 		t.Fatal("no chunks processed")
 	}
-	if laps := set.Stages.Stage(telemetry.StageFilter).Count(); laps != chunks {
+	if laps := set.Stages.Stage(telemetry.StageFilter).Snapshot().Count; laps != chunks {
 		t.Errorf("StageFilter laps %d over %d chunks, want exactly one per chunk", laps, chunks)
 	}
-	if laps := set.Stages.Stage(telemetry.StageDelineate).Count(); laps != chunks {
+	if laps := set.Stages.Stage(telemetry.StageDelineate).Snapshot().Count; laps != chunks {
 		t.Errorf("StageDelineate laps %d over %d chunks, want exactly one per chunk", laps, chunks)
 	}
 }

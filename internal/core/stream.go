@@ -162,19 +162,6 @@ func (s *Stream) Reset() {
 	}
 }
 
-// Push appends one multi-lead sample (one value per lead) and returns
-// any events that became ready.
-func (s *Stream) Push(sample []float64) ([]Event, error) {
-	if len(sample) != len(s.buf) {
-		return nil, ErrStream
-	}
-	for i, v := range sample {
-		s.buf[i] = append(s.buf[i], v)
-	}
-	s.pos++
-	return s.drain(false)
-}
-
 // PushBlock appends a block of samples per lead (lead-major:
 // block[lead][i]) and returns the events that became ready.
 func (s *Stream) PushBlock(block [][]float64) ([]Event, error) {

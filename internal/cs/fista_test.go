@@ -241,7 +241,7 @@ func TestOMPReconstructsSparseSignal(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		theta[rng.Intn(n)] = rng.NormFloat64() * 2
 	}
-	x, err := w.Inverse(theta, 4)
+	x, err := inverseDWT(w, theta, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,4 +345,44 @@ func TestReweightingImprovesHighCRRecovery(t *testing.T) {
 	if sRW <= sPlain {
 		t.Errorf("joint reweighting did not help: %.2f vs %.2f", sRW/3, sPlain/3)
 	}
+}
+
+// The helpers below are read only by the tests. Programs call the
+// multi-lead and batched entry points (ReconstructLeads[Warm],
+// ReconstructJoint[Warm], Reconstruct*Batch); Reconstruct and
+// ReconstructWarm are the one-lead forms the tests drive.
+
+// MeasurementBytes returns the payload size in bytes for one encoded
+// window at the given bits-per-measurement quantisation (the radio model
+// of Figure 6 charges energy per transmitted byte).
+func (e *Encoder) MeasurementBytes(bitsPerMeasurement int) int {
+	bits := e.phi.Rows() * bitsPerMeasurement
+	return (bits + 7) / 8
+}
+
+// Reconstruct solves min_θ ½||ΦΨθ − y||² + λ||Wθ||₁ with FISTA and
+// returns x̂ = Ψθ̂, using lead 0's sensing matrix. λ is set relative to
+// ||ΨᵀΦᵀy||∞.
+func (d *Decoder) Reconstruct(y []float64) ([]float64, error) {
+	x, _, err := d.ReconstructWarm(y, nil)
+	return x, err
+}
+
+// ReconstructWarm is Reconstruct seeded from (and feeding) a WarmState:
+// consecutive ECG windows are highly correlated, so the previous
+// window's coefficients start the solver near the solution and the
+// Tol-driven early exit converts that proximity into skipped
+// iterations. Falls back to a cold start when the warm solve diverges.
+// ws may be nil (plain cold solve with stats).
+func (d *Decoder) ReconstructWarm(y []float64, ws *WarmState) ([]float64, SolveStats, error) {
+	ys := [1][]float64{y}
+	xs, st, err := d.ReconstructLeadsWarm(ys[:], ws)
+	if err != nil {
+		// ErrSolver is the solver's only error. Returning the sentinel
+		// rather than err keeps ys on the stack: escape analysis does not
+		// tell a BatchItem's Y from its Err, so returning err would move
+		// ys to the heap and cost an allocation per window.
+		return nil, st, ErrSolver
+	}
+	return xs[0], st, nil
 }

@@ -131,9 +131,6 @@ func (s *SparseBinary) Rows() int { return s.m }
 // Cols returns the window length n.
 func (s *SparseBinary) Cols() int { return s.n }
 
-// Density returns d, the non-zeros per column.
-func (s *SparseBinary) Density() int { return s.d }
-
 // Apply computes y = Φx by walking the CSR companion: each measurement
 // reduces its contiguous column list into a register and stores once —
 // no output zeroing and no scattered read-modify-write. Bit-identical
@@ -180,61 +177,6 @@ func (s *SparseBinary) ApplyT(r, z []float64) {
 // encoder performs per window: d adds per input sample. This count feeds
 // the compression-energy model of Figure 6.
 func (s *SparseBinary) AddsPerWindow() int { return s.d * s.n }
-
-// Gaussian is a dense i.i.d. N(0, 1/m) sensing matrix, the classical CS
-// baseline against which the sparse-binary design is ablated.
-type Gaussian struct {
-	m, n int
-	a    []float64 // row-major m×n
-}
-
-// NewGaussian builds a dense Gaussian sensing matrix.
-func NewGaussian(m, n int, rng *rand.Rand) (*Gaussian, error) {
-	if m <= 0 || n <= 0 || m > n {
-		return nil, ErrDims
-	}
-	g := &Gaussian{m: m, n: n, a: make([]float64, m*n)}
-	sd := 1 / math.Sqrt(float64(m))
-	for i := range g.a {
-		g.a[i] = sd * rng.NormFloat64()
-	}
-	return g, nil
-}
-
-// Rows returns the number of measurements m.
-func (g *Gaussian) Rows() int { return g.m }
-
-// Cols returns the window length n.
-func (g *Gaussian) Cols() int { return g.n }
-
-// Apply computes y = Φx.
-func (g *Gaussian) Apply(x, y []float64) {
-	for i := 0; i < g.m; i++ {
-		row := g.a[i*g.n : (i+1)*g.n]
-		acc := 0.0
-		for j, v := range row {
-			acc += v * x[j]
-		}
-		y[i] = acc
-	}
-}
-
-// ApplyT computes z = Φᵀr.
-func (g *Gaussian) ApplyT(r, z []float64) {
-	for j := range z {
-		z[j] = 0
-	}
-	for i := 0; i < g.m; i++ {
-		ri := r[i]
-		if ri == 0 {
-			continue
-		}
-		row := g.a[i*g.n : (i+1)*g.n]
-		for j, v := range row {
-			z[j] += v * ri
-		}
-	}
-}
 
 // OperatorNorm estimates ||Φ||₂² (the largest squared singular value) by
 // power iteration; it upper-bounds the Lipschitz constant needed by the

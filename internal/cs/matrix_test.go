@@ -30,7 +30,7 @@ func TestSparseBinaryStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb.Rows() != m || sb.Cols() != n || sb.Density() != d {
+	if sb.Rows() != m || sb.Cols() != n || sb.d != d {
 		t.Error("dimensions not reported correctly")
 	}
 	for c := 0; c < n; c++ {
@@ -310,6 +310,62 @@ func TestSparseBinaryDeterministic(t *testing.T) {
 	for i := range a.idx {
 		if a.idx[i] != b.idx[i] {
 			t.Fatal("same seed gave different matrices")
+		}
+	}
+}
+
+// Gaussian is a dense i.i.d. N(0, 1/m) sensing matrix, the classical CS
+// baseline against which the sparse-binary design is ablated
+// (BenchmarkAblationPhiDensity). No program senses with it.
+type Gaussian struct {
+	m, n int
+	a    []float64 // row-major m×n
+}
+
+// NewGaussian builds a dense Gaussian sensing matrix.
+func NewGaussian(m, n int, rng *rand.Rand) (*Gaussian, error) {
+	if m <= 0 || n <= 0 || m > n {
+		return nil, ErrDims
+	}
+	g := &Gaussian{m: m, n: n, a: make([]float64, m*n)}
+	sd := 1 / math.Sqrt(float64(m))
+	for i := range g.a {
+		g.a[i] = sd * rng.NormFloat64()
+	}
+	return g, nil
+}
+
+// Rows returns the number of measurements m.
+func (g *Gaussian) Rows() int { return g.m }
+
+// Cols returns the window length n.
+func (g *Gaussian) Cols() int { return g.n }
+
+// Apply computes y = Φx.
+func (g *Gaussian) Apply(x, y []float64) {
+	for i := 0; i < g.m; i++ {
+		row := g.a[i*g.n : (i+1)*g.n]
+		acc := 0.0
+		for j, v := range row {
+			acc += v * x[j]
+		}
+		y[i] = acc
+	}
+}
+
+// ApplyT computes z = Φᵀr.
+func (g *Gaussian) ApplyT(r, z []float64) {
+	for j := range z {
+		z[j] = 0
+	}
+	for i := 0; i < g.m; i++ {
+		ri := r[i]
+		if ri == 0 {
+			continue
+		}
+		row := g.a[i*g.n : (i+1)*g.n]
+		for j, v := range row {
+			z[j] += v * ri
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package cs
 
-import "math"
+import (
+	"math"
+
+	"wbsn/internal/wavelet"
+)
 
 // OMP implements orthogonal matching pursuit over the wavelet-synthesis
 // dictionary A = ΦΨ, the greedy reconstruction baseline against which
@@ -11,7 +15,8 @@ import "math"
 // OMP materialises A column-by-column through the decoder's synthesis
 // operator; with n=512 this stays comfortably laptop-scale, but it is the
 // expensive baseline — the benchmarks show why the node-side design puts
-// all reconstruction cost on the receiver.
+// all reconstruction cost on the receiver. No program runs it;
+// BenchmarkAblationSolverVariants compares it with FISTA.
 func (d *Decoder) OMP(y []float64, maxAtoms int, tolFrac float64) ([]float64, error) {
 	if len(y) != d.m {
 		return nil, ErrSolver
@@ -154,4 +159,30 @@ func (d *Decoder) OMP(y []float64, maxAtoms int, tolFrac float64) ([]float64, er
 		}
 	}
 	return d.synth(theta), nil
+}
+
+// synth maps wavelet coefficients to the signal domain (x = Ψθ).
+func (d *Decoder) synth(theta []float64) []float64 {
+	x, err := inverseDWT(d.cfg.Wavelet, theta, d.cfg.Levels)
+	if err != nil {
+		panic("cs: internal synthesis error: " + err.Error())
+	}
+	return x
+}
+
+// analyze maps a signal to wavelet coefficients (θ = Ψᵀx).
+func (d *Decoder) analyze(x []float64) []float64 {
+	t := make([]float64, len(x))
+	var s wavelet.Scratch
+	if err := d.cfg.Wavelet.ForwardInto(x, d.cfg.Levels, t, &s); err != nil {
+		panic("cs: internal analysis error: " + err.Error())
+	}
+	return t
+}
+
+// inverseDWT is the allocating form of w.InverseInto.
+func inverseDWT(w *wavelet.Orthogonal, c []float64, levels int) ([]float64, error) {
+	x := make([]float64, len(c))
+	var s wavelet.Scratch
+	return x, w.InverseInto(c, levels, x, &s)
 }

@@ -23,9 +23,6 @@ func NewQuantizer(bits int, scale float64) (*Quantizer, error) {
 	return &Quantizer{bits: bits, scale: scale}, nil
 }
 
-// Bits returns the configured bit width.
-func (q *Quantizer) Bits() int { return q.bits }
-
 // Quantize maps a measurement to its integer code in
 // [-2^(bits-1), 2^(bits-1)-1].
 func (q *Quantizer) Quantize(v float64) int32 {

@@ -6,12 +6,12 @@ import (
 	"wbsn/internal/wavelet"
 )
 
-// solverScratch holds every intermediate buffer TreeIHT needs, so it
-// allocates nothing in steady state beyond the returned signal. One
-// scratch serves one reconstruction at a time; the Decoder hands them
-// out through a sync.Pool, which is what makes a single Decoder safe to
-// hammer from many goroutines at once. (FISTA draws its buffers from
-// the batch pool, batchScratch.)
+// solverScratch holds every intermediate buffer TreeIHT (tree_test.go)
+// needs, so it allocates nothing in steady state beyond the returned
+// signal. One scratch serves one reconstruction at a time; the Decoder
+// hands them out through a sync.Pool, which is what makes a single
+// Decoder safe to hammer from many goroutines at once. (FISTA draws its
+// buffers from the batch pool, batchScratch.)
 type solverScratch struct {
 	x    []float64 // n — signal-domain work vector
 	ax   []float64 // m — measurement-domain work vector

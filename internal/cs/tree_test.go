@@ -100,7 +100,7 @@ func TestTreeIHTReconstructsTreeSparseSignal(t *testing.T) {
 			i = child
 		}
 	}
-	x, err := w.Inverse(theta, levels)
+	x, err := inverseDWT(w, theta, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,4 +152,207 @@ func TestQuickSelect(t *testing.T) {
 	if !math.IsInf(quickSelect(xs, 9), -1) {
 		t.Error("k>len should be -Inf")
 	}
+}
+
+// The connected-tree IHT solver below (ref [17]) is not run by any
+// program; BenchmarkAblationSolverVariants compares it with FISTA.
+
+// synthInto is synth writing into out, drawing DWT intermediates from s.
+func (d *Decoder) synthInto(theta, out []float64, s *solverScratch) {
+	if err := d.cfg.Wavelet.InverseInto(theta, d.cfg.Levels, out, &s.ws); err != nil {
+		panic("cs: internal synthesis error: " + err.Error())
+	}
+}
+
+// analyzeInto is analyze writing into out, drawing DWT intermediates
+// from s.
+func (d *Decoder) analyzeInto(x, out []float64, s *solverScratch) {
+	if err := d.cfg.Wavelet.ForwardInto(x, d.cfg.Levels, out, &s.ws); err != nil {
+		panic("cs: internal analysis error: " + err.Error())
+	}
+}
+
+// gradInto computes ∇f(θ) = Ψᵀ Φᵀ(Φ Ψ θ − y) into dst for the given lead
+// matrix. It clobbers s.x, s.ax and s.z; dst must not alias them.
+func (d *Decoder) gradInto(phi Matrix, theta, y, dst []float64, s *solverScratch) {
+	d.synthInto(theta, s.x, s)
+	phi.Apply(s.x, s.ax)
+	for i := range s.ax {
+		s.ax[i] -= y[i]
+	}
+	phi.ApplyT(s.ax, s.z)
+	d.analyzeInto(s.z, dst, s)
+}
+
+// projectTree keeps the approximation band plus the best k detail
+// coefficients subject to the rooted-tree constraint, zeroing the rest
+// of theta in place. Selection is iterative greedy: at each step the
+// largest-magnitude coefficient whose parent is already kept joins the
+// support — the standard greedy approximation of the (harder) exact
+// tree projection used in model-based CS practice. kept is caller-owned
+// scratch of len(theta).
+func projectTree(theta []float64, parent []int, alen, k int, kept []bool) {
+	n := len(theta)
+	for i := 0; i < alen; i++ {
+		kept[i] = true // roots always survive
+	}
+	for i := alen; i < n; i++ {
+		kept[i] = false
+	}
+	if k >= n-alen {
+		return // everything admissible fits
+	}
+	for budget := k; budget > 0; budget-- {
+		best, bestMag := -1, 0.0
+		for i := alen; i < n; i++ {
+			if kept[i] || !kept[parent[i]] {
+				continue
+			}
+			if m := math.Abs(theta[i]); m > bestMag {
+				bestMag, best = m, i
+			}
+		}
+		if best < 0 || bestMag == 0 {
+			break
+		}
+		kept[best] = true
+	}
+	for i := alen; i < n; i++ {
+		if !kept[i] {
+			theta[i] = 0
+		}
+	}
+}
+
+// quickSelect returns the k-th largest value of xs (destructive).
+func quickSelect(xs []float64, k int) float64 {
+	if k <= 0 {
+		return math.Inf(1)
+	}
+	if k > len(xs) {
+		return math.Inf(-1)
+	}
+	lo, hi := 0, len(xs)-1
+	target := k - 1 // index in descending order
+	for {
+		if lo >= hi {
+			return xs[lo]
+		}
+		pivot := xs[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] > pivot {
+				i++
+			}
+			for xs[j] < pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		if target <= j {
+			hi = j
+		} else if target >= i {
+			lo = i
+		} else {
+			return xs[target]
+		}
+	}
+}
+
+// TreeIHT reconstructs a window from measurements with model-based
+// iterative hard thresholding over the rooted wavelet tree: k is the
+// detail-coefficient budget (the approximation band is always kept).
+// The step size is 1/L with L the decoder's Lipschitz estimate. The tree
+// tables are built once at decoder construction and all iteration state
+// comes from the decoder's scratch pool.
+func (d *Decoder) TreeIHT(y []float64, k, iters int) ([]float64, error) {
+	if len(y) != d.m {
+		return nil, ErrSolver
+	}
+	if k <= 0 || iters <= 0 {
+		return nil, ErrSolver
+	}
+	s := d.pool.Get().(*solverScratch)
+	defer d.pool.Put(s)
+	parent, alen := d.parent, d.alen
+	phi := d.phis[0]
+	theta := s.theta
+	for i := range theta {
+		theta[i] = 0
+	}
+	for it := 0; it < iters; it++ {
+		d.gradInto(phi, theta, y, s.grad, s)
+		// Normalized-IHT step (Blumensath-Davies): the optimal step for
+		// the gradient restricted to the current support,
+		// ||g_S||² / ||A g_S||², which keeps the iteration stable without
+		// a global Lipschitz bound. On the first iteration (empty
+		// support) the unrestricted gradient is used.
+		gS := s.gS
+		restricted := false
+		for i := range theta {
+			if theta[i] != 0 || i < alen {
+				gS[i] = s.grad[i]
+				restricted = true
+			} else {
+				gS[i] = 0
+			}
+		}
+		if !restricted {
+			copy(gS, s.grad)
+		}
+		d.synthInto(gS, s.x, s)
+		phi.Apply(s.x, s.ax)
+		var num, den float64
+		for _, v := range gS {
+			num += v * v
+		}
+		for _, v := range s.ax {
+			den += v * v
+		}
+		step := d.step
+		if den > 0 && num > 0 {
+			step = num / den
+		}
+		for i := range theta {
+			theta[i] -= step * s.grad[i]
+		}
+		projectTree(theta, parent, alen, k, s.kept)
+	}
+	// Debias: least squares restricted to the final support (gradient
+	// descent with the NIHT step keeps it matrix-free).
+	support := s.support
+	for i := range theta {
+		support[i] = theta[i] != 0 || i < alen
+	}
+	for it := 0; it < 60; it++ {
+		d.gradInto(phi, theta, y, s.grad, s)
+		for i := range s.grad {
+			if !support[i] {
+				s.grad[i] = 0
+			}
+		}
+		d.synthInto(s.grad, s.x, s)
+		phi.Apply(s.x, s.ax)
+		var num, den float64
+		for _, v := range s.grad {
+			num += v * v
+		}
+		for _, v := range s.ax {
+			den += v * v
+		}
+		if den == 0 || num == 0 {
+			break
+		}
+		step := num / den
+		for i := range theta {
+			theta[i] -= step * s.grad[i]
+		}
+	}
+	out := make([]float64, d.n)
+	d.synthInto(theta, out, s)
+	return out, nil
 }

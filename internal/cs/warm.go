@@ -37,18 +37,6 @@ func (w *WarmState) Reset() {
 	w.valid = false
 }
 
-// Valid reports whether the state holds coefficients from a completed
-// solve.
-func (w *WarmState) Valid() bool { return w != nil && w.valid }
-
-// Leads returns the number of per-lead slots currently allocated.
-func (w *WarmState) Leads() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.theta)
-}
-
 // prepare shapes the state for L leads of n coefficients. A shape
 // change invalidates any carried coefficients (they describe a
 // different problem). Slot storage is reused across windows, so the

@@ -29,7 +29,7 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 
 	r := NewWarmState()
 	r.RestoreFrom(buf, L, n)
-	if !r.Valid() {
+	if !r.valid {
 		t.Fatal("restored state not valid")
 	}
 	for li := 0; li < L; li++ {

@@ -125,11 +125,11 @@ func TestWarmResetPreventsCrossSeeding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !ws.Valid() {
+	if !ws.valid {
 		t.Fatal("warm state should be valid after solves")
 	}
 	ws.Reset()
-	if ws.Valid() {
+	if ws.valid {
 		t.Fatal("Reset did not invalidate the warm state")
 	}
 	got, st, err := dec.ReconstructWarm(yB, ws)
@@ -225,7 +225,7 @@ func TestWarmStateShape(t *testing.T) {
 	nilWS.prepare(2, 64)
 	nilWS.store(0, make([]float64, 64))
 	nilWS.commit()
-	if nilWS.Valid() || nilWS.Leads() != 0 || nilWS.seed(0, 64) != nil || nilWS.seedAll(1, 64) != nil {
+	if nilWS.seed(0, 64) != nil || nilWS.seedAll(1, 64) != nil {
 		t.Error("nil WarmState must stay cold")
 	}
 	ws := NewWarmState()
@@ -233,7 +233,7 @@ func TestWarmStateShape(t *testing.T) {
 	ws.store(0, make([]float64, 64))
 	ws.store(1, make([]float64, 64))
 	ws.commit()
-	if !ws.Valid() || ws.Leads() != 2 {
+	if !ws.valid || len(ws.theta) != 2 {
 		t.Fatal("state should be valid for 2×64")
 	}
 	if ws.seed(0, 64) == nil || ws.seed(2, 64) != nil || ws.seed(0, 128) != nil {
@@ -243,12 +243,12 @@ func TestWarmStateShape(t *testing.T) {
 		t.Error("seedAll shape checks wrong")
 	}
 	ws.prepare(3, 64) // lead-count growth invalidates
-	if ws.Valid() {
+	if ws.valid {
 		t.Error("lead growth must invalidate")
 	}
 	ws.commit()
 	ws.prepare(3, 128) // length change invalidates and reshapes
-	if ws.Valid() || len(ws.theta) != 3 || len(ws.theta[0]) != 128 {
+	if ws.valid || len(ws.theta) != 3 || len(ws.theta[0]) != 128 {
 		t.Error("length change must invalidate and reshape")
 	}
 }
@@ -342,5 +342,63 @@ func TestReconstructWarmAllocs(t *testing.T) {
 	})
 	if allocs > float64(len(ys)+2) {
 		t.Errorf("ReconstructJointWarm steady state allocates %.0f, want <= %d", allocs, len(ys)+2)
+	}
+}
+
+// benchWindowStream encodes eight consecutive 512-sample windows of one
+// lead — the contiguous stream a gateway receiver actually decodes, and
+// the workload where warm-starting pays off (window k seeds window k+1).
+func benchWindowStream(b *testing.B, seed int64) (phi Matrix, ys [][]float64) {
+	b.Helper()
+	const n, windows = 512, 8
+	rec := ecg.Generate(ecg.Config{Seed: seed, Duration: float64(windows*n)/256 + 2})
+	m := MeasurementsForCR(n, 65.9)
+	phi, err := NewSparseBinary(m, n, 4, rand.New(rand.NewSource(9)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := NewEncoder(phi)
+	ys = make([][]float64, windows)
+	for w := range ys {
+		ys[w] = enc.Encode(rec.Clean[0][w*n : (w+1)*n])
+	}
+	return phi, ys
+}
+
+// BenchmarkFISTAWarmVsCold isolates the two adaptive-solver levers on
+// the same window stream: the fixed-budget baseline, the convergence
+// early exit alone (cold seeds), and early exit plus warm-starting.
+func BenchmarkFISTAWarmVsCold(b *testing.B) {
+	phi, ys := benchWindowStream(b, 9)
+	variants := []struct {
+		name string
+		cfg  SolverConfig
+		warm bool
+	}{
+		{"cold-fixed", SolverConfig{Iters: 150}, false},
+		{"tol-only", SolverConfig{Iters: 150, Tol: 1e-3}, false},
+		{"warm+tol", SolverConfig{Iters: 150, Tol: 1e-3}, true},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			dec, err := NewDecoder(phi, v.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var ws *WarmState
+			if v.warm {
+				ws = NewWarmState()
+			}
+			var iters int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, st, err := dec.ReconstructWarm(ys[i%len(ys)], ws)
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters += st.Iters
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/solve")
+		})
 	}
 }

@@ -301,3 +301,34 @@ func TestIntervalsWithMissingWaves(t *testing.T) {
 		t.Error("empty summary should be NaN/0")
 	}
 }
+
+// BenchmarkAblationLeadCombine compares single-lead delineation with
+// RMS-combined multi-lead delineation under EMG noise (ref [11]).
+func BenchmarkAblationLeadCombine(b *testing.B) {
+	recs := ecg.GenerateSet(ecg.Config{Duration: 30, Noise: ecg.NoiseConfig{EMG: 0.12}}, 900, 3)
+	del, err := NewWaveletDelineator(Config{Fs: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seSingle, seComb float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var single, comb Report
+		for _, rec := range recs {
+			bs, err := del.Delineate(rec.Leads[2])
+			if err != nil {
+				b.Fatal(err)
+			}
+			bc, err := del.Delineate(dsp.CombineRMS(rec.Leads))
+			if err != nil {
+				b.Fatal(err)
+			}
+			single = Merge(single, Evaluate(rec, bs, DefaultTolerances()))
+			comb = Merge(comb, Evaluate(rec, bc, DefaultTolerances()))
+		}
+		seSingle = single.R.Se()
+		seComb = comb.R.Se()
+	}
+	b.ReportMetric(100*seSingle, "%Se-single-lead")
+	b.ReportMetric(100*seComb, "%Se-rms-combined")
+}

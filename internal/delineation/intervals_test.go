@@ -6,12 +6,11 @@ import (
 	"wbsn/internal/dsp"
 )
 
-// This file derives the clinical interval measurements from delineated
+// The clinical interval measurements below are derived from delineated
 // fiducials — the "information [that] enables the diagnosis of a large
-// set of cardiac conditions" (Section III.C). Intervals are the primary
-// payload a delineation-mode node transmits, and QT prolongation
-// monitoring is one of the morphology-level applications the paper's
-// Section II contrasts with rhythm-level ones.
+// set of cardiac conditions" (Section III.C). No program computes them (a
+// delineation-mode node transmits the fiducials); TestMeasureIntervals
+// checks that they recover the generator's construction.
 
 // Intervals holds one beat's interval measurements in seconds. NaN marks
 // intervals whose fiducials were not detected.

@@ -129,3 +129,89 @@ func TestCombinePanicsOnMismatch(t *testing.T) {
 		}()
 	}
 }
+
+// The combiners below are not run by any program. CombineRMSQ15 is kept
+// as the integer form of CombineRMS, CombineMean and CombineMaxAbs as the
+// alternatives ref [11] compares RMS aggregation with.
+
+// CombineRMSQ15 is the integer-only variant of CombineRMS: each
+// sample is sqrt(mean of squares) computed with the wide-accumulator MAC
+// pattern and the bit-by-bit integer square root from internal/fixedpt.
+// It panics on lead length mismatch; an empty set returns nil.
+func CombineRMSQ15(leads [][]fixedpt.Q15) []fixedpt.Q15 {
+	if len(leads) == 0 {
+		return nil
+	}
+	n := len(leads[0])
+	for _, l := range leads[1:] {
+		if len(l) != n {
+			panic("dsp: CombineRMSQ15 lead length mismatch")
+		}
+	}
+	out := make([]fixedpt.Q15, n)
+	m := uint64(len(leads))
+	for i := 0; i < n; i++ {
+		var acc uint64
+		for _, l := range leads {
+			v := int64(l[i])
+			acc += uint64(v * v) // Q30 each
+		}
+		mean := acc / m               // Q30
+		root := fixedpt.ISqrt64(mean) // sqrt of Q30 value is Q15
+		if root > 32767 {
+			root = 32767
+		}
+		out[i] = fixedpt.Q15(root)
+	}
+	return out
+}
+
+// CombineMean aggregates leads by per-sample arithmetic mean (baseline
+// strategy compared against RMS in ref [11]). Panics on length mismatch.
+func CombineMean(leads [][]float64) []float64 {
+	if len(leads) == 0 {
+		return nil
+	}
+	n := len(leads[0])
+	for _, l := range leads[1:] {
+		if len(l) != n {
+			panic("dsp: CombineMean lead length mismatch")
+		}
+	}
+	out := make([]float64, n)
+	inv := 1 / float64(len(leads))
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for _, l := range leads {
+			s += l[i]
+		}
+		out[i] = s * inv
+	}
+	return out
+}
+
+// CombineMaxAbs aggregates leads by taking, per sample, the value with the
+// largest magnitude across leads (sign preserved). Another light-weight
+// combiner evaluated in the comparative study of ref [11].
+func CombineMaxAbs(leads [][]float64) []float64 {
+	if len(leads) == 0 {
+		return nil
+	}
+	n := len(leads[0])
+	for _, l := range leads[1:] {
+		if len(l) != n {
+			panic("dsp: CombineMaxAbs lead length mismatch")
+		}
+	}
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		best := leads[0][i]
+		for _, l := range leads[1:] {
+			if math.Abs(l[i]) > math.Abs(best) {
+				best = l[i]
+			}
+		}
+		out[i] = best
+	}
+	return out
+}

@@ -259,3 +259,258 @@ func TestMedianFilter(t *testing.T) {
 		}
 	}
 }
+
+// The filters below (FIR, notch, the 0.5-40 Hz band-pass, the cascade's
+// in-place form, moving average, convolution, decimation, resampling,
+// sliding median) are not run by any program: the node's graph compiles
+// only its morphological filter. They stay beside their tests.
+
+// FIR is a finite-impulse-response filter defined by its tap coefficients.
+// The zero value is unusable; construct with NewFIR.
+type FIR struct {
+	taps  []float64
+	delay []float64 // circular delay line
+	pos   int
+}
+
+// NewFIR creates an FIR filter with the given tap coefficients
+// (b[0] applied to the newest sample).
+func NewFIR(taps []float64) (*FIR, error) {
+	if len(taps) == 0 {
+		return nil, ErrBadFilter
+	}
+	t := make([]float64, len(taps))
+	copy(t, taps)
+	return &FIR{taps: t, delay: make([]float64, len(taps))}, nil
+}
+
+// Taps returns a copy of the filter coefficients.
+func (f *FIR) Taps() []float64 {
+	t := make([]float64, len(f.taps))
+	copy(t, f.taps)
+	return t
+}
+
+// Reset clears the filter's delay line.
+func (f *FIR) Reset() {
+	for i := range f.delay {
+		f.delay[i] = 0
+	}
+	f.pos = 0
+}
+
+// Step filters one sample and returns the output.
+func (f *FIR) Step(x float64) float64 {
+	f.delay[f.pos] = x
+	acc := 0.0
+	idx := f.pos
+	for _, t := range f.taps {
+		acc += t * f.delay[idx]
+		idx--
+		if idx < 0 {
+			idx = len(f.delay) - 1
+		}
+	}
+	f.pos++
+	if f.pos == len(f.delay) {
+		f.pos = 0
+	}
+	return acc
+}
+
+// Apply filters the whole signal, returning a new slice of equal length.
+// The filter state is reset first, so Apply is deterministic.
+func (f *FIR) Apply(x []float64) []float64 {
+	return f.ApplyInto(x, nil)
+}
+
+// ApplyInto is Apply writing into out, which is reused when its capacity
+// suffices and grown otherwise — allocation-free with a warm buffer. out
+// may alias x (each input sample is read before its slot is written).
+// It returns the (possibly regrown) result slice.
+func (f *FIR) ApplyInto(x, out []float64) []float64 {
+	f.Reset()
+	if cap(out) < len(x) {
+		out = make([]float64, len(x))
+	}
+	out = out[:len(x)]
+	for i, v := range x {
+		out[i] = f.Step(v)
+	}
+	return out
+}
+
+// ApplyInto runs the cascade writing into out: the first section filters
+// x into out and the remaining sections run in place on out, so a warm
+// buffer makes the whole cascade allocation-free. out may alias x.
+// An empty chain copies x. It returns the (possibly regrown) slice.
+func (c Chain) ApplyInto(x, out []float64) []float64 {
+	if cap(out) < len(x) {
+		out = make([]float64, len(x))
+	}
+	out = out[:len(x)]
+	if len(c) == 0 {
+		copy(out, x)
+		return out
+	}
+	out = c[0].ApplyInto(x, out)
+	for _, s := range c[1:] {
+		out = s.ApplyInto(out, out)
+	}
+	return out
+}
+
+// NotchFilter designs a biquad notch at frequency f0 (Hz) with the given
+// quality factor q, for powerline-interference removal (50/60 Hz).
+func NotchFilter(f0, q, fs float64) (*Biquad, error) {
+	if f0 <= 0 || fs <= 0 || f0 >= fs/2 || q <= 0 {
+		return nil, ErrBadFilter
+	}
+	w0 := 2 * math.Pi * f0 / fs
+	alpha := math.Sin(w0) / (2 * q)
+	cw := math.Cos(w0)
+	return NewBiquad(
+		[3]float64{1, -2 * cw, 1},
+		[3]float64{1 + alpha, -2 * cw, 1 - alpha},
+	)
+}
+
+// BandpassECG returns the standard monitoring-bandwidth cascade
+// (0.5-40 Hz) used as the mandatory filtering stage of Section III before
+// any feature extraction.
+func BandpassECG(fs float64) (Chain, error) {
+	hp, err := Butterworth2Highpass(0.5, fs)
+	if err != nil {
+		return nil, err
+	}
+	lp, err := Butterworth2Lowpass(40, fs)
+	if err != nil {
+		return nil, err
+	}
+	return Chain{hp, lp}, nil
+}
+
+// MovingAverage is an O(1)-per-sample boxcar filter of length n.
+type MovingAverage struct {
+	buf []float64
+	pos int
+	sum float64
+	n   int // samples seen, saturates at len(buf)
+}
+
+// NewMovingAverage creates a moving average of window length n (n >= 1).
+func NewMovingAverage(n int) (*MovingAverage, error) {
+	if n < 1 {
+		return nil, ErrBadFilter
+	}
+	return &MovingAverage{buf: make([]float64, n)}, nil
+}
+
+// Step pushes a sample and returns the mean over the last min(seen, n)
+// samples.
+func (m *MovingAverage) Step(x float64) float64 {
+	m.sum += x - m.buf[m.pos]
+	m.buf[m.pos] = x
+	m.pos++
+	if m.pos == len(m.buf) {
+		m.pos = 0
+	}
+	if m.n < len(m.buf) {
+		m.n++
+	}
+	return m.sum / float64(m.n)
+}
+
+// Reset clears state.
+func (m *MovingAverage) Reset() {
+	for i := range m.buf {
+		m.buf[i] = 0
+	}
+	m.pos, m.n, m.sum = 0, 0, 0
+}
+
+// Convolve returns the full convolution of x and h
+// (length len(x)+len(h)-1). Either input may be empty, yielding nil.
+func Convolve(x, h []float64) []float64 {
+	if len(x) == 0 || len(h) == 0 {
+		return nil
+	}
+	y := make([]float64, len(x)+len(h)-1)
+	for i, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		for j, hv := range h {
+			y[i+j] += xv * hv
+		}
+	}
+	return y
+}
+
+// Decimate returns every k-th sample of x starting at index 0. A proper
+// anti-aliasing filter should be applied first; this is the raw decimator.
+func Decimate(x []float64, k int) []float64 {
+	if k <= 0 {
+		return nil
+	}
+	out := make([]float64, 0, (len(x)+k-1)/k)
+	for i := 0; i < len(x); i += k {
+		out = append(out, x[i])
+	}
+	return out
+}
+
+// ResampleLinear resamples x from rate fsIn to fsOut with linear
+// interpolation. This matches the light-weight rate conversion feasible on
+// the node (no polyphase filter bank).
+func ResampleLinear(x []float64, fsIn, fsOut float64) []float64 {
+	if len(x) == 0 || fsIn <= 0 || fsOut <= 0 {
+		return nil
+	}
+	n := int(math.Ceil(float64(len(x)) * fsOut / fsIn))
+	if n < 1 {
+		n = 1
+	}
+	out := make([]float64, n)
+	for i := range out {
+		t := float64(i) * fsIn / fsOut
+		j := int(t)
+		if j >= len(x)-1 {
+			out[i] = x[len(x)-1]
+			continue
+		}
+		frac := t - float64(j)
+		out[i] = x[j]*(1-frac) + x[j+1]*frac
+	}
+	return out
+}
+
+// MedianFilter returns the sliding-window median of x with a centred
+// window of length k (edge replication). The median filter is the
+// classic robust baseline estimator the morphological and spline methods
+// of Section III.B are measured against; it is O(n·k log k) and thus too
+// heavy for the node, which is part of the paper's argument.
+func MedianFilter(x []float64, k int) ([]float64, error) {
+	if k < 1 {
+		return nil, ErrBadFilter
+	}
+	n := len(x)
+	out := make([]float64, n)
+	half := k / 2
+	win := make([]float64, k)
+	var sortBuf []float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < k; j++ {
+			idx := i - half + j
+			if idx < 0 {
+				idx = 0
+			}
+			if idx >= n {
+				idx = n - 1
+			}
+			win[j] = x[idx]
+		}
+		out[i], sortBuf = MedianInto(win, sortBuf)
+	}
+	return out, nil
+}

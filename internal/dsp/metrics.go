@@ -55,15 +55,6 @@ func PRD(x, xhat []float64) float64 {
 	return 100 * math.Sqrt(num/den)
 }
 
-// SNRFromPRD converts a PRD percentage to the equivalent SNR in dB
-// (SNR = -20 log10(PRD/100)).
-func SNRFromPRD(prd float64) float64 {
-	if prd <= 0 {
-		return math.Inf(1)
-	}
-	return -20 * math.Log10(prd/100)
-}
-
 // GoodReconstructionSNR is the paper's quality threshold: an averaged SNR
 // over 20 dB "corresponds to good reconstruction quality [16]".
 const GoodReconstructionSNR = 20.0

@@ -238,3 +238,183 @@ func TestMetricPanicsOnMismatch(t *testing.T) {
 		}()
 	}
 }
+
+// The statistics below are read only by the tests.
+
+// SNRFromPRD converts a PRD percentage to the equivalent SNR in dB
+// (SNR = -20 log10(PRD/100)).
+func SNRFromPRD(prd float64) float64 {
+	if prd <= 0 {
+		return math.Inf(1)
+	}
+	return -20 * math.Log10(prd/100)
+}
+
+// Energy returns the sum of squares of x.
+func Energy(x []float64) float64 {
+	s := 0.0
+	for _, v := range x {
+		s += v * v
+	}
+	return s
+}
+
+// ArgMin returns the index of the minimum element of x (-1 if empty).
+func ArgMin(x []float64) int {
+	if len(x) == 0 {
+		return -1
+	}
+	best := 0
+	for i, v := range x {
+		if v < x[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// ArgAbsMax returns the index of the element with the largest absolute
+// value (-1 if empty).
+func ArgAbsMax(x []float64) int {
+	if len(x) == 0 {
+		return -1
+	}
+	best := 0
+	for i, v := range x {
+		if math.Abs(v) > math.Abs(x[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// Median returns the median of x without modifying it, or 0 for an empty
+// slice.
+func Median(x []float64) float64 {
+	m, _ := MedianInto(x, nil)
+	return m
+}
+
+// MedianInto is Median drawing its working copy from buf, which is
+// reused when its capacity suffices and grown otherwise — allocation-free
+// with a warm scratch. It returns the median and the (possibly regrown)
+// scratch for the next call.
+func MedianInto(x, buf []float64) (float64, []float64) {
+	if len(x) == 0 {
+		return 0, buf
+	}
+	if cap(buf) < len(x) {
+		buf = make([]float64, len(x))
+	}
+	buf = buf[:len(x)]
+	copy(buf, x)
+	quickSelectSort(buf)
+	n := len(buf)
+	if n%2 == 1 {
+		return buf[n/2], buf
+	}
+	return (buf[n/2-1] + buf[n/2]) / 2, buf
+}
+
+// quickSelectSort sorts in place with insertion sort for small inputs and
+// a simple quicksort otherwise; avoids importing sort for hot paths.
+func quickSelectSort(x []float64) {
+	if len(x) < 16 {
+		for i := 1; i < len(x); i++ {
+			v := x[i]
+			j := i - 1
+			for j >= 0 && x[j] > v {
+				x[j+1] = x[j]
+				j--
+			}
+			x[j+1] = v
+		}
+		return
+	}
+	pivot := x[len(x)/2]
+	lt, i, gt := 0, 0, len(x)
+	for i < gt {
+		switch {
+		case x[i] < pivot:
+			x[lt], x[i] = x[i], x[lt]
+			lt++
+			i++
+		case x[i] > pivot:
+			gt--
+			x[gt], x[i] = x[i], x[gt]
+		default:
+			i++
+		}
+	}
+	quickSelectSort(x[:lt])
+	quickSelectSort(x[gt:])
+}
+
+// Normalize scales x in place to zero mean and unit standard deviation.
+// Constant signals are left mean-removed only.
+func Normalize(x []float64) {
+	m := Mean(x)
+	sd := Std(x)
+	for i := range x {
+		x[i] -= m
+	}
+	if sd == 0 {
+		return
+	}
+	inv := 1 / sd
+	for i := range x {
+		x[i] *= inv
+	}
+}
+
+// Detrend removes the least-squares straight line from x in place.
+func Detrend(x []float64) {
+	n := len(x)
+	if n < 2 {
+		return
+	}
+	// Fit y = a + b*t with t = 0..n-1.
+	var st, sy, stt, sty float64
+	for i, v := range x {
+		t := float64(i)
+		st += t
+		sy += v
+		stt += t * t
+		sty += t * v
+	}
+	fn := float64(n)
+	den := fn*stt - st*st
+	if den == 0 {
+		return
+	}
+	b := (fn*sty - st*sy) / den
+	a := (sy - b*st) / fn
+	for i := range x {
+		x[i] -= a + b*float64(i)
+	}
+}
+
+// Diff returns the first difference x[i+1]-x[i] (length len(x)-1).
+func Diff(x []float64) []float64 {
+	if len(x) < 2 {
+		return nil
+	}
+	return DiffInto(x, nil)
+}
+
+// DiffInto is Diff writing into out (reused when capacity suffices,
+// grown otherwise). out may alias x. Inputs shorter than two samples
+// yield an empty slice. It returns the (possibly regrown) result.
+func DiffInto(x, out []float64) []float64 {
+	if len(x) < 2 {
+		return out[:0]
+	}
+	if cap(out) < len(x)-1 {
+		out = make([]float64, len(x)-1)
+	}
+	out = out[:len(x)-1]
+	for i := range out {
+		out[i] = x[i+1] - x[i]
+	}
+	return out
+}

@@ -1,10 +1,12 @@
 package ecg
 
-// This file assembles a standard synthetic record library that stands in
-// for the clinical databases (MIT-BIH Arrhythmia-style diversity) when
-// an experiment asks for results "averaged over all records": subjects
-// vary in heart rate, beat morphology (including wide-QRS bundle-branch
+// The standard synthetic record library below stands in for the
+// clinical databases (MIT-BIH Arrhythmia-style diversity) when an
+// experiment asks for results "averaged over all records": subjects vary
+// in heart rate, beat morphology (including wide-QRS bundle-branch
 // patterns and low-voltage recordings), ectopy load, rhythm and noise.
+// No program reads it; BenchmarkDatabaseDelineation averages the Text-1
+// evaluation over it.
 
 // WideQRSMorphology returns a bundle-branch-block-like beat: prolonged
 // ventricular depolarisation widens the QRS beyond 120 ms while the P

@@ -466,3 +466,65 @@ func TestMorphologyOverrideKeepsEctopy(t *testing.T) {
 		t.Error("morphology override should not suppress ectopy")
 	}
 }
+
+// The lead sets, record mix and AF lookup below are read only by the
+// tests.
+
+// LeadSetPseudoOrthogonal returns a 3-lead pseudo-orthogonal (X,Y,Z)
+// configuration used by some holter devices.
+func LeadSetPseudoOrthogonal() []Vec3 {
+	return []Vec3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+}
+
+// GenerateMixed synthesises a labelled mix of NSR and AF records for the
+// AF-detection experiment: nNSR normal records (with the given ectopy
+// rates) followed by nAF fibrillation records.
+func GenerateMixed(base Config, baseSeed int64, nNSR, nAF int) []*Record {
+	var out []*Record
+	for i := 0; i < nNSR; i++ {
+		c := base
+		c.Seed = baseSeed + int64(i)
+		c.Rhythm.Kind = RhythmNSR
+		out = append(out, Generate(c))
+	}
+	for i := 0; i < nAF; i++ {
+		c := base
+		c.Seed = baseSeed + int64(nNSR+i)
+		c.Rhythm.Kind = RhythmAF
+		out = append(out, Generate(c))
+	}
+	return out
+}
+
+// LeadSetStandard12 returns lead vectors approximating the projections
+// of the standard 12-lead ECG (limb leads I, II, III, augmented aVR,
+// aVL, aVF and precordial V1-V6) in a simplified torso geometry. The
+// augmented and precordial directions follow the conventional frontal
+// and horizontal plane angles.
+func LeadSetStandard12() []Vec3 {
+	return []Vec3{
+		{1, 0, 0},         // I
+		{0.5, 0.866, 0},   // II
+		{-0.5, 0.866, 0},  // III
+		{-0.866, -0.5, 0}, // aVR
+		{0.866, -0.5, 0},  // aVL
+		{0, 1, 0},         // aVF
+		{-0.2, 0.1, 0.97}, // V1
+		{0.1, 0.15, 0.98}, // V2
+		{0.35, 0.2, 0.91}, // V3
+		{0.6, 0.25, 0.76}, // V4
+		{0.8, 0.25, 0.55}, // V5
+		{0.95, 0.2, 0.25}, // V6
+	}
+}
+
+// InAF reports whether sample index i falls inside an annotated AF
+// segment.
+func (r *Record) InAF(i int) bool {
+	for _, seg := range r.AFSegments {
+		if i >= seg[0] && i < seg[1] {
+			return true
+		}
+	}
+	return false
+}

@@ -139,17 +139,6 @@ func (r *Record) RRIntervals() []float64 {
 	return out
 }
 
-// InAF reports whether sample index i falls inside an annotated AF
-// segment.
-func (r *Record) InAF(i int) bool {
-	for _, seg := range r.AFSegments {
-		if i >= seg[0] && i < seg[1] {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks structural invariants: equal lead lengths, ordered
 // beats, fiducials within range and internally ordered.
 func (r *Record) Validate() error {

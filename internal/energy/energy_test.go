@@ -163,3 +163,27 @@ func TestTxEnergyWithPER(t *testing.T) {
 		t.Errorf("extreme PER energy %v", e)
 	}
 }
+
+// TxEnergyWithPER returns the expected delivery energy for payloadBytes
+// under a per-frame packet-error rate: each frame is retransmitted until
+// acknowledged (geometric distribution, expected 1/(1−per) attempts),
+// which is how body-area links spend energy when the channel fades. PER
+// is clamped to [0, 0.95]. No program uses it: the link's ARQ charges
+// each attempt it makes through TxEnergyJ.
+func (r RadioModel) TxEnergyWithPER(payloadBytes int, per float64) float64 {
+	if payloadBytes <= 0 {
+		return 0
+	}
+	if per < 0 {
+		per = 0
+	}
+	if per > 0.95 {
+		per = 0.95
+	}
+	frames := r.Frames(payloadBytes)
+	airBytes := payloadBytes + frames*r.OverheadBytes
+	txTime := float64(airBytes*8) / r.BitrateBps
+	ackTime := float64(frames) * r.AckListenS
+	attempts := 1 / (1 - per)
+	return r.StartupJ + (txTime*r.TxPowerW+ackTime*r.RxPowerW)*attempts
+}

@@ -149,40 +149,3 @@ func (b Battery) LifetimeHours(avgPowerW float64) float64 {
 	}
 	return b.CapacityJ / avgPowerW / 3600
 }
-
-// ArqEnergyJ returns the radio energy of delivering payloadBytes with
-// the given total number of transmission attempts (1 = delivered first
-// try, no retransmission). Unlike TxEnergyWithPER — the *expected* cost
-// under a memoryless error rate — this prices an *observed* ARQ
-// outcome, so a link simulation can charge exactly the retransmissions
-// that happened. Each attempt pays the full burst cost including
-// startup: the radio powers down during the backoff between attempts.
-func (r RadioModel) ArqEnergyJ(payloadBytes, attempts int) float64 {
-	if attempts < 1 {
-		return 0
-	}
-	return float64(attempts) * r.TxEnergyJ(payloadBytes)
-}
-
-// TxEnergyWithPER returns the expected delivery energy for payloadBytes
-// under a per-frame packet-error rate: each frame is retransmitted until
-// acknowledged (geometric distribution, expected 1/(1−per) attempts),
-// which is how body-area links spend energy when the channel fades. PER
-// is clamped to [0, 0.95].
-func (r RadioModel) TxEnergyWithPER(payloadBytes int, per float64) float64 {
-	if payloadBytes <= 0 {
-		return 0
-	}
-	if per < 0 {
-		per = 0
-	}
-	if per > 0.95 {
-		per = 0.95
-	}
-	frames := r.Frames(payloadBytes)
-	airBytes := payloadBytes + frames*r.OverheadBytes
-	txTime := float64(airBytes*8) / r.BitrateBps
-	ackTime := float64(frames) * r.AckListenS
-	attempts := 1 / (1 - per)
-	return r.StartupJ + (txTime*r.TxPowerW+ackTime*r.RxPowerW)*attempts
-}

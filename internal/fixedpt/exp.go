@@ -45,9 +45,10 @@ func ExpNegLin4(u float64) float64 {
 	return 0
 }
 
-// expQ15Seg holds the Q15-quantised segment table used by the integer
-// variant. Breakpoints are in Q12 (u scaled by 4096 so the domain [0,4)
-// fits int16), values and slopes in Q15.
+// expQ15Seg holds the Q15-quantised segment table of the integer
+// variant, ExpNegLin4Q15, which only the tests run. Breakpoints are in
+// Q12 (u scaled by 4096 so the domain [0,4) fits int16), values and
+// slopes in Q15.
 type expQ15Seg struct {
 	loQ12 int32 // breakpoint, Q12
 	hiQ12 int32
@@ -69,54 +70,4 @@ func init() {
 			bQ17: int32(s.b * 8 * 2048),
 		}
 	}
-}
-
-// ExpNegLin4Q15 is the integer-only variant: u is given in Q12
-// (i.e. real u = uQ12/4096, valid domain [0, 4)), the result is Q15.
-// This is the form executed on the node; its cycle cost is three compares,
-// one subtract, one multiply and one shift.
-func ExpNegLin4Q15(uQ12 int32) Q15 {
-	if uQ12 <= 0 {
-		return MaxQ15
-	}
-	if uQ12 >= 4*4096 {
-		return 0
-	}
-	for _, s := range expQ15Segments {
-		if uQ12 < s.hiQ12 {
-			du := uQ12 - s.loQ12                // Q12
-			v := s.aQ15 - ((du * s.bQ17) >> 11) // Q15
-			if v < 0 {
-				v = 0
-			}
-			if v > 32767 {
-				v = 32767
-			}
-			return Q15(v)
-		}
-	}
-	return 0
-}
-
-// ExpNegLin4MaxError reports the maximum absolute error of the 4-segment
-// approximation against math.Exp over a uniform grid of n points in
-// [0, 4]. Exposed for the ablation bench that validates the "close to
-// optimal" claim of ref [14]. The exact exponential is passed in by the
-// caller to keep this package free of math imports on embedded builds.
-func ExpNegLin4MaxError(n int, exact func(float64) float64) float64 {
-	if n < 2 {
-		n = 2
-	}
-	maxErr := 0.0
-	for i := 0; i < n; i++ {
-		u := 4 * float64(i) / float64(n-1)
-		e := ExpNegLin4(u) - exact(-u)
-		if e < 0 {
-			e = -e
-		}
-		if e > maxErr {
-			maxErr = e
-		}
-	}
-	return maxErr
 }

@@ -3,31 +3,24 @@
 //
 // The WBSN platforms targeted by the paper (Section IV.A) operate at a few
 // MHz and support only integer arithmetic, so every algorithm that runs
-// on-node is expressed over Q15 (16-bit) or Q31 (32-bit) fixed-point
-// values. The float64 reference implementations elsewhere in this
-// repository are mirrored by Q15 versions whose operation counts drive the
-// cycle/energy models in internal/wbsn and internal/energy.
+// on-node is expressed over Q15 (16-bit) fixed-point values. The Q15
+// kernels that mirror the float64 implementations (morphology, lead
+// combination, à-trous bank, random projection, AF features, CS encoder)
+// are checked against them in their packages' tests.
 //
-// Q15 values represent the range [-1, 1) with 15 fractional bits; Q31
-// likewise with 31 fractional bits. All operations saturate rather than
-// wrap, matching the saturating DSP extensions of the MCU class described
-// in the paper.
+// Q15 values represent the range [-1, 1) with 15 fractional bits. All
+// operations saturate rather than wrap, matching the saturating DSP
+// extensions of the MCU class described in the paper.
 package fixedpt
 
 // Q15 is a signed 16-bit fixed-point number with 15 fractional bits,
 // representing values in [-1, 1-2^-15].
 type Q15 int16
 
-// Q31 is a signed 32-bit fixed-point number with 31 fractional bits,
-// representing values in [-1, 1-2^-31].
-type Q31 int32
-
 // Fixed-point limits.
 const (
 	MaxQ15 Q15 = 0x7FFF
 	MinQ15 Q15 = -0x8000
-	MaxQ31 Q31 = 0x7FFFFFFF
-	MinQ31 Q31 = -0x80000000
 
 	// OneQ15 is the closest Q15 representation of +1.0 (saturated).
 	OneQ15 = MaxQ15
@@ -56,33 +49,6 @@ func FromFloat(f float64) Q15 {
 // Float converts a Q15 value to float64.
 func (q Q15) Float() float64 { return float64(q) / 32768.0 }
 
-// FromFloat31 converts a float64 in [-1, 1) to Q31, saturating.
-func FromFloat31(f float64) Q31 {
-	v := f * 2147483648.0
-	if v >= 2147483647 {
-		return MaxQ31
-	}
-	if v <= -2147483648 {
-		return MinQ31
-	}
-	return Q31(int64(v))
-}
-
-// Float converts a Q31 value to float64.
-func (q Q31) Float() float64 { return float64(q) / 2147483648.0 }
-
-// SatAdd returns a+b with saturation.
-func SatAdd(a, b Q15) Q15 {
-	s := int32(a) + int32(b)
-	if s > 32767 {
-		return MaxQ15
-	}
-	if s < -32768 {
-		return MinQ15
-	}
-	return Q15(s)
-}
-
 // SatSub returns a-b with saturation.
 func SatSub(a, b Q15) Q15 {
 	s := int32(a) - int32(b)
@@ -93,147 +59,6 @@ func SatSub(a, b Q15) Q15 {
 		return MinQ15
 	}
 	return Q15(s)
-}
-
-// Mul returns the Q15 product a*b with rounding and saturation.
-// The only case that saturates is MinQ15*MinQ15.
-func Mul(a, b Q15) Q15 {
-	p := int32(a) * int32(b) // Q30
-	p += 1 << 14             // round
-	p >>= 15
-	if p > 32767 {
-		return MaxQ15
-	}
-	if p < -32768 {
-		return MinQ15
-	}
-	return Q15(p)
-}
-
-// MulQ31 returns the Q31 product of two Q15 values without precision loss
-// (a Q30 result shifted into Q31).
-func MulQ31(a, b Q15) Q31 {
-	return Q31(int32(a)*int32(b)) << 1
-}
-
-// MAC returns acc + a*b where acc is a Q30-scaled 64-bit accumulator.
-// Embedded inner products keep a wide accumulator and narrow once at the
-// end, which is what the MCU's MAC unit does; Acc exposes that pattern.
-func MAC(acc int64, a, b Q15) int64 {
-	return acc + int64(a)*int64(b)
-}
-
-// AccToQ15 narrows a Q30 accumulator (as produced by MAC) to Q15 with
-// rounding and saturation.
-func AccToQ15(acc int64) Q15 {
-	acc += 1 << 14
-	acc >>= 15
-	if acc > 32767 {
-		return MaxQ15
-	}
-	if acc < -32768 {
-		return MinQ15
-	}
-	return Q15(acc)
-}
-
-// Div returns the Q15 quotient a/b, saturating on overflow or division by
-// zero (returns MaxQ15 or MinQ15 according to the sign of a).
-func Div(a, b Q15) Q15 {
-	if b == 0 {
-		if a >= 0 {
-			return MaxQ15
-		}
-		return MinQ15
-	}
-	q := (int32(a) << 15) / int32(b)
-	if q > 32767 {
-		return MaxQ15
-	}
-	if q < -32768 {
-		return MinQ15
-	}
-	return Q15(q)
-}
-
-// Abs returns |q| with saturation (|MinQ15| saturates to MaxQ15).
-func Abs(q Q15) Q15 {
-	if q == MinQ15 {
-		return MaxQ15
-	}
-	if q < 0 {
-		return -q
-	}
-	return q
-}
-
-// Neg returns -q with saturation.
-func Neg(q Q15) Q15 {
-	if q == MinQ15 {
-		return MaxQ15
-	}
-	return -q
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi Q15) Q15 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Sqrt returns the square root of a non-negative Q15 value, computed with
-// the classic bit-by-bit integer algorithm (no floating point, no
-// multiply), matching the routine used on multiply-poor MCUs. Negative
-// inputs return 0.
-func Sqrt(q Q15) Q15 {
-	if q <= 0 {
-		return 0
-	}
-	// sqrt over Q15: result r such that r*r = q<<15 in integer domain.
-	x := uint32(q) << 15 // Q30 radicand
-	var res uint32
-	bit := uint32(1) << 30
-	for bit > x {
-		bit >>= 2
-	}
-	for bit != 0 {
-		if x >= res+bit {
-			x -= res + bit
-			res = (res >> 1) + bit
-		} else {
-			res >>= 1
-		}
-		bit >>= 2
-	}
-	if res > 32767 {
-		res = 32767
-	}
-	return Q15(res)
-}
-
-// ISqrt32 returns floor(sqrt(v)) for an arbitrary unsigned 32-bit integer.
-// Used by integer RMS computations (lead combination, feature extraction).
-func ISqrt32(v uint32) uint32 {
-	var res uint32
-	bit := uint32(1) << 30
-	for bit > v {
-		bit >>= 2
-	}
-	for bit != 0 {
-		if v >= res+bit {
-			v -= res + bit
-			res = (res >> 1) + bit
-		} else {
-			res >>= 1
-		}
-		bit >>= 2
-	}
-	return res
 }
 
 // ISqrt64 returns floor(sqrt(v)) for an unsigned 64-bit integer.
@@ -262,34 +87,4 @@ func FromSlice(xs []float64) []Q15 {
 		out[i] = FromFloat(x)
 	}
 	return out
-}
-
-// ToSlice converts a Q15 slice to float64.
-func ToSlice(qs []Q15) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = q.Float()
-	}
-	return out
-}
-
-// DotQ15 computes the saturating Q15 inner product of two equal-length
-// vectors using a wide accumulator, the canonical embedded MAC loop.
-// It panics if the lengths differ.
-func DotQ15(a, b []Q15) Q15 {
-	if len(a) != len(b) {
-		panic("fixedpt: length mismatch in DotQ15")
-	}
-	var acc int64
-	for i := range a {
-		acc = MAC(acc, a[i], b[i])
-	}
-	return AccToQ15(acc)
-}
-
-// ScaleQ15 multiplies every element of xs by k in place.
-func ScaleQ15(xs []Q15, k Q15) {
-	for i := range xs {
-		xs[i] = Mul(xs[i], k)
-	}
 }

@@ -2,6 +2,7 @@ package fixedpt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -360,4 +361,287 @@ func TestEntropyBitsQ15(t *testing.T) {
 	if EntropyBitsQ15(skew) >= EntropyBitsQ15(uniform) {
 		t.Error("skewed distribution should have lower entropy")
 	}
+}
+
+// The arithmetic below is not run by any program: the Q15 kernels the
+// node would run call only the conversions, SatSub, ISqrt64 and the
+// entropy routines kept in the package. It stays beside its tests as the
+// reference for the integer paths.
+
+// ExpNegLin4Q15 is the integer-only variant: u is given in Q12
+// (i.e. real u = uQ12/4096, valid domain [0, 4)), the result is Q15.
+// Its cycle cost is three compares, one subtract, one multiply and one
+// shift.
+func ExpNegLin4Q15(uQ12 int32) Q15 {
+	if uQ12 <= 0 {
+		return MaxQ15
+	}
+	if uQ12 >= 4*4096 {
+		return 0
+	}
+	for _, s := range expQ15Segments {
+		if uQ12 < s.hiQ12 {
+			du := uQ12 - s.loQ12                // Q12
+			v := s.aQ15 - ((du * s.bQ17) >> 11) // Q15
+			if v < 0 {
+				v = 0
+			}
+			if v > 32767 {
+				v = 32767
+			}
+			return Q15(v)
+		}
+	}
+	return 0
+}
+
+// ExpNegLin4MaxError reports the maximum absolute error of the 4-segment
+// approximation against math.Exp over a uniform grid of n points in
+// [0, 4], the "close to optimal" claim of ref [14] that
+// BenchmarkAblationLinGauss reports.
+func ExpNegLin4MaxError(n int, exact func(float64) float64) float64 {
+	if n < 2 {
+		n = 2
+	}
+	maxErr := 0.0
+	for i := 0; i < n; i++ {
+		u := 4 * float64(i) / float64(n-1)
+		e := ExpNegLin4(u) - exact(-u)
+		if e < 0 {
+			e = -e
+		}
+		if e > maxErr {
+			maxErr = e
+		}
+	}
+	return maxErr
+}
+
+// Q31 is a signed 32-bit fixed-point number with 31 fractional bits,
+// representing values in [-1, 1-2^-31].
+type Q31 int32
+
+// Q31 limits.
+const (
+	MaxQ31 Q31 = 0x7FFFFFFF
+	MinQ31 Q31 = -0x80000000
+)
+
+// FromFloat31 converts a float64 in [-1, 1) to Q31, saturating.
+func FromFloat31(f float64) Q31 {
+	v := f * 2147483648.0
+	if v >= 2147483647 {
+		return MaxQ31
+	}
+	if v <= -2147483648 {
+		return MinQ31
+	}
+	return Q31(int64(v))
+}
+
+// Float converts a Q31 value to float64.
+func (q Q31) Float() float64 { return float64(q) / 2147483648.0 }
+
+// SatAdd returns a+b with saturation.
+func SatAdd(a, b Q15) Q15 {
+	s := int32(a) + int32(b)
+	if s > 32767 {
+		return MaxQ15
+	}
+	if s < -32768 {
+		return MinQ15
+	}
+	return Q15(s)
+}
+
+// Mul returns the Q15 product a*b with rounding and saturation.
+// The only case that saturates is MinQ15*MinQ15.
+func Mul(a, b Q15) Q15 {
+	p := int32(a) * int32(b) // Q30
+	p += 1 << 14             // round
+	p >>= 15
+	if p > 32767 {
+		return MaxQ15
+	}
+	if p < -32768 {
+		return MinQ15
+	}
+	return Q15(p)
+}
+
+// MAC returns acc + a*b where acc is a Q30-scaled 64-bit accumulator.
+// Embedded inner products keep a wide accumulator and narrow once at the
+// end, which is what the MCU's MAC unit does; Acc exposes that pattern.
+func MAC(acc int64, a, b Q15) int64 {
+	return acc + int64(a)*int64(b)
+}
+
+// AccToQ15 narrows a Q30 accumulator (as produced by MAC) to Q15 with
+// rounding and saturation.
+func AccToQ15(acc int64) Q15 {
+	acc += 1 << 14
+	acc >>= 15
+	if acc > 32767 {
+		return MaxQ15
+	}
+	if acc < -32768 {
+		return MinQ15
+	}
+	return Q15(acc)
+}
+
+// Div returns the Q15 quotient a/b, saturating on overflow or division by
+// zero (returns MaxQ15 or MinQ15 according to the sign of a).
+func Div(a, b Q15) Q15 {
+	if b == 0 {
+		if a >= 0 {
+			return MaxQ15
+		}
+		return MinQ15
+	}
+	q := (int32(a) << 15) / int32(b)
+	if q > 32767 {
+		return MaxQ15
+	}
+	if q < -32768 {
+		return MinQ15
+	}
+	return Q15(q)
+}
+
+// Abs returns |q| with saturation (|MinQ15| saturates to MaxQ15).
+func Abs(q Q15) Q15 {
+	if q == MinQ15 {
+		return MaxQ15
+	}
+	if q < 0 {
+		return -q
+	}
+	return q
+}
+
+// Neg returns -q with saturation.
+func Neg(q Q15) Q15 {
+	if q == MinQ15 {
+		return MaxQ15
+	}
+	return -q
+}
+
+// Clamp limits v to [lo, hi].
+func Clamp(v, lo, hi Q15) Q15 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
+}
+
+// Sqrt returns the square root of a non-negative Q15 value, computed with
+// the classic bit-by-bit integer algorithm (no floating point, no
+// multiply), matching the routine used on multiply-poor MCUs. Negative
+// inputs return 0.
+func Sqrt(q Q15) Q15 {
+	if q <= 0 {
+		return 0
+	}
+	// sqrt over Q15: result r such that r*r = q<<15 in integer domain.
+	x := uint32(q) << 15 // Q30 radicand
+	var res uint32
+	bit := uint32(1) << 30
+	for bit > x {
+		bit >>= 2
+	}
+	for bit != 0 {
+		if x >= res+bit {
+			x -= res + bit
+			res = (res >> 1) + bit
+		} else {
+			res >>= 1
+		}
+		bit >>= 2
+	}
+	if res > 32767 {
+		res = 32767
+	}
+	return Q15(res)
+}
+
+// ISqrt32 returns floor(sqrt(v)) for an arbitrary unsigned 32-bit integer.
+// Used by integer RMS computations (lead combination, feature extraction).
+func ISqrt32(v uint32) uint32 {
+	var res uint32
+	bit := uint32(1) << 30
+	for bit > v {
+		bit >>= 2
+	}
+	for bit != 0 {
+		if v >= res+bit {
+			v -= res + bit
+			res = (res >> 1) + bit
+		} else {
+			res >>= 1
+		}
+		bit >>= 2
+	}
+	return res
+}
+
+// ToSlice converts a Q15 slice to float64.
+func ToSlice(qs []Q15) []float64 {
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		out[i] = q.Float()
+	}
+	return out
+}
+
+// DotQ15 computes the saturating Q15 inner product of two equal-length
+// vectors using a wide accumulator, the canonical embedded MAC loop.
+// It panics if the lengths differ.
+func DotQ15(a, b []Q15) Q15 {
+	if len(a) != len(b) {
+		panic("fixedpt: length mismatch in DotQ15")
+	}
+	var acc int64
+	for i := range a {
+		acc = MAC(acc, a[i], b[i])
+	}
+	return AccToQ15(acc)
+}
+
+// ScaleQ15 multiplies every element of xs by k in place.
+func ScaleQ15(xs []Q15, k Q15) {
+	for i := range xs {
+		xs[i] = Mul(xs[i], k)
+	}
+}
+
+// BenchmarkAblationLinGauss compares the four-segment linearized
+// exponential against math.Exp (ref [14]) in speed and worst-case error.
+func BenchmarkAblationLinGauss(b *testing.B) {
+	us := make([]float64, 1024)
+	rng := rand.New(rand.NewSource(4))
+	for i := range us {
+		us[i] = rng.Float64() * 4
+	}
+	b.Run("lin4", func(b *testing.B) {
+		s := 0.0
+		for i := 0; i < b.N; i++ {
+			s += ExpNegLin4(us[i%len(us)])
+		}
+		_ = s
+		// A metric of the parent benchmark is not printed once it has
+		// sub-benchmarks, so the error rides on this one.
+		b.ReportMetric(ExpNegLin4MaxError(4001, math.Exp), "max-abs-error")
+	})
+	b.Run("exact", func(b *testing.B) {
+		s := 0.0
+		for i := 0; i < b.N; i++ {
+			s += math.Exp(-us[i%len(us)])
+		}
+		_ = s
+	})
 }

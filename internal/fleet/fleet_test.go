@@ -328,10 +328,10 @@ func TestFleetTelemetryDigestIdentity(t *testing.T) {
 	if got := set.Fleet.PatientsDone.Value(); got != patients {
 		t.Errorf("patients done %d, want %d", got, patients)
 	}
-	if set.Fleet.DeliveryPermille.Count() != patients {
+	if set.Fleet.DeliveryPermille.Snapshot().Count != patients {
 		t.Error("delivery rollup missing patients")
 	}
-	if set.Fleet.PRDCentiPct.Count() == 0 {
+	if set.Fleet.PRDCentiPct.Snapshot().Count == 0 {
 		t.Error("PRD rollup empty")
 	}
 	if set.Fleet.RadioEnergyJ.Value() <= 0 {
@@ -346,9 +346,9 @@ func TestFleetTelemetryDigestIdentity(t *testing.T) {
 	if set.Gateway.Decoded.Value() == 0 {
 		t.Error("gateway metrics empty")
 	}
-	if set.Stages.Stage(telemetry.StageCS).Count() == 0 ||
-		set.Stages.Stage(telemetry.StageLink).Count() == 0 ||
-		set.Stages.Stage(telemetry.StageGatewayDecode).Count() == 0 {
+	if set.Stages.Stage(telemetry.StageCS).Snapshot().Count == 0 ||
+		set.Stages.Stage(telemetry.StageLink).Snapshot().Count == 0 ||
+		set.Stages.Stage(telemetry.StageGatewayDecode).Snapshot().Count == 0 {
 		t.Error("stage histograms missing pipeline coverage")
 	}
 	slotSum := uint64(0)

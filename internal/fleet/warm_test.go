@@ -89,8 +89,8 @@ func TestFleetWarmTelemetry(t *testing.T) {
 	if sm.EarlyExits.Value() == 0 {
 		t.Error("early exit never fired — the convergence criterion is dead under fleet load")
 	}
-	if sm.Iters.Count() != sm.Solves.Value() {
-		t.Errorf("iters histogram observations %d != solves %d", sm.Iters.Count(), sm.Solves.Value())
+	if sm.Iters.Snapshot().Count != sm.Solves.Value() {
+		t.Errorf("iters histogram observations %d != solves %d", sm.Iters.Snapshot().Count, sm.Solves.Value())
 	}
 	snap := sm.Iters.Snapshot()
 	budget := uint64(100 * 2) // SolverIters × (1 + default reweight pass)

@@ -179,16 +179,16 @@ func TestEngineBatchTelemetry(t *testing.T) {
 	if got := tm.Decoded.Value(); got != uint64(len(windows)) {
 		t.Errorf("decoded %d, want %d", got, len(windows))
 	}
-	dispatches := tm.BatchWindows.Count()
+	dispatches := tm.BatchWindows.Snapshot().Count
 	if dispatches == 0 || dispatches > uint64(len(windows)) {
 		t.Errorf("batch dispatches %d, want 1..%d", dispatches, len(windows))
 	}
-	if tm.BatchFillPct.Count() != dispatches {
-		t.Errorf("fill observations %d, want %d", tm.BatchFillPct.Count(), dispatches)
+	if tm.BatchFillPct.Snapshot().Count != dispatches {
+		t.Errorf("fill observations %d, want %d", tm.BatchFillPct.Snapshot().Count, dispatches)
 	}
 
-	if tm := run(1); tm.BatchWindows.Count() != 0 || tm.BatchFillPct.Count() != 0 {
+	if tm := run(1); tm.BatchWindows.Snapshot().Count != 0 || tm.BatchFillPct.Snapshot().Count != 0 {
 		t.Errorf("sequential engine reported batch histograms: %d/%d observations",
-			tm.BatchWindows.Count(), tm.BatchFillPct.Count())
+			tm.BatchWindows.Snapshot().Count, tm.BatchFillPct.Snapshot().Count)
 	}
 }

@@ -134,9 +134,6 @@ func NewEngine(cfg Config, ecfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.ecfg.Workers }
-
 func (e *Engine) worker(dec *cs.Decoder) {
 	defer e.wg.Done()
 	maxB := e.ecfg.Batch

@@ -221,8 +221,8 @@ func TestEngineCloseAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Workers() != 2 {
-		t.Errorf("Workers() = %d, want 2", eng.Workers())
+	if eng.ecfg.Workers != 2 {
+		t.Errorf("workers = %d, want 2", eng.ecfg.Workers)
 	}
 	// Shape validation happens before queueing.
 	if _, err := eng.Submit(make([][]float64, 1)); err != ErrGateway {
@@ -243,7 +243,7 @@ func TestEngineCloseAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range good {
-		good[i] = make([]float64, rx.MeasurementLen())
+		good[i] = make([]float64, rx.m)
 	}
 	if _, err := eng.Submit(good); err != ErrEngineClosed {
 		t.Errorf("submit after close: got %v, want ErrEngineClosed", err)
@@ -352,10 +352,10 @@ func TestEngineTelemetry(t *testing.T) {
 	if tm.Workers.Value() != 3 {
 		t.Errorf("workers gauge %d, want 3", tm.Workers.Value())
 	}
-	if tm.DecodeNs.Count() != uint64(windows) {
-		t.Errorf("decode latency observations %d, want %d", tm.DecodeNs.Count(), windows)
+	if tm.DecodeNs.Snapshot().Count != uint64(windows) {
+		t.Errorf("decode latency observations %d, want %d", tm.DecodeNs.Snapshot().Count, windows)
 	}
-	if got := tm.Stages.Stage(telemetry.StageGatewayDecode).Count(); got != uint64(windows) {
+	if got := tm.Stages.Stage(telemetry.StageGatewayDecode).Snapshot().Count; got != uint64(windows) {
 		t.Errorf("gateway_decode spans %d, want %d", got, windows)
 	}
 	if tm.QueueDepth.High() < 1 {

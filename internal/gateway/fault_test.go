@@ -16,7 +16,7 @@ func TestConsumePacketValidatesMeasurementLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := r.MeasurementLen()
+	m := r.m
 	if m <= 0 {
 		t.Fatalf("measurement length %d", m)
 	}

@@ -222,10 +222,6 @@ func (r *Receiver) resetWarm() {
 	}
 }
 
-// MeasurementLen returns the per-lead measurement count the receiver
-// expects in every packet.
-func (r *Receiver) MeasurementLen() int { return r.m }
-
 // WarmState exposes the receiver's warm-start state (nil when WarmStart
 // is off) so a fleet scheduler can tier it: snapshot the coefficients
 // when the patient leaves this rig, rehydrate them when it returns.

@@ -15,7 +15,7 @@ func goodWindow(t *testing.T, cfg Config) [][]float64 {
 	}
 	w := make([][]float64, cfg.Leads)
 	for i := range w {
-		w[i] = make([]float64, rx.MeasurementLen())
+		w[i] = make([]float64, rx.m)
 	}
 	return w
 }

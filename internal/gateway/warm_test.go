@@ -190,8 +190,8 @@ func TestEngineWarmMatchesInline(t *testing.T) {
 	if gm.Solver.WarmSolves.Value() == 0 {
 		t.Error("engine recorded no warm solves across a contiguous stream")
 	}
-	if gm.Solver.Iters.Count() != gm.Solver.Solves.Value() {
+	if gm.Solver.Iters.Snapshot().Count != gm.Solver.Solves.Value() {
 		t.Errorf("iters histogram has %d observations for %d solves",
-			gm.Solver.Iters.Count(), gm.Solver.Solves.Value())
+			gm.Solver.Iters.Snapshot().Count, gm.Solver.Solves.Value())
 	}
 }

@@ -93,19 +93,8 @@ type Value struct {
 	ok    bool
 }
 
-// Shape returns the value's static shape (zero Shape for an invalid
-// value).
-func (v Value) Shape() Shape { return v.shape }
-
-// Valid reports whether the value came from a successful op on a
-// healthy builder.
-func (v Value) Valid() bool { return v.ok }
-
 // NewBuilder returns an empty pipeline builder.
 func NewBuilder() *Builder { return &Builder{} }
-
-// Err returns the first construction error recorded so far.
-func (b *Builder) Err() error { return b.err }
 
 func (b *Builder) fail(format string, args ...any) Value {
 	if b.err == nil {

@@ -65,9 +65,6 @@ func (p *Plan) NewExec() *Exec {
 	return e
 }
 
-// Plan returns the compiled plan this executor runs.
-func (e *Exec) Plan() *Plan { return e.plan }
-
 // Run executes the plan over one lead-major chunk, firing each compiled
 // stage's telemetry laps on lp (when non-nil) as the stage completes.
 // The returned Result's Combined series is arena-backed and valid until

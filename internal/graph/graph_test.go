@@ -103,7 +103,7 @@ func TestBuilderErrPoisons(t *testing.T) {
 	b := NewBuilder()
 	in := b.Input(3, 64)
 	bad := b.MorphFilter(in, morpho.FilterConfig{}) // records the error
-	if bad.Valid() {
+	if bad.ok {
 		t.Fatal("op after error returned a valid value")
 	}
 	// Further ops on the poisoned builder are no-ops, not panics.
@@ -112,7 +112,7 @@ func TestBuilderErrPoisons(t *testing.T) {
 	if _, err := b.Build(); !errors.Is(err, ErrBuild) {
 		t.Fatalf("Build err = %v, want the first recorded ErrBuild", err)
 	}
-	if b.Err() == nil {
+	if b.err == nil {
 		t.Fatal("Err() lost the recorded error")
 	}
 }
@@ -445,7 +445,7 @@ func TestClassifyBeatBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.HasClassifier() {
+	if p.classify == nil {
 		t.Fatal("plan lost its classifier")
 	}
 	e := p.NewExec()
@@ -597,8 +597,8 @@ func TestDescribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ChunkLen() != n || p.Leads() != 3 {
-		t.Fatalf("getters: %d leads, %d chunk", p.Leads(), p.ChunkLen())
+	if p.ChunkLen() != n || p.leads != 3 {
+		t.Fatalf("getters: %d leads, %d chunk", p.leads, p.ChunkLen())
 	}
 	const want = "2 ops -> 1 stages (1 fused away), arena 56.0 KiB"
 	if got := p.Describe(); got != want {

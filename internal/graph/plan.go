@@ -95,13 +95,6 @@ type Plan struct {
 // for.
 func (p *Plan) ChunkLen() int { return p.chunkLen }
 
-// Leads returns the lead count the plan was built for.
-func (p *Plan) Leads() int { return p.leads }
-
-// HasClassifier reports whether the plan carries a per-beat classify
-// capability.
-func (p *Plan) HasClassifier() bool { return p.classify != nil }
-
 // Describe summarises the compiled plan for logs: op and stage counts,
 // fusion wins and the arena footprint.
 func (p *Plan) Describe() string {

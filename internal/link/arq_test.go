@@ -452,10 +452,10 @@ func TestLinkTelemetryMirrorsReport(t *testing.T) {
 	if got := tm.RadioEnergyJ.Value(); got < r.EnergyJ*0.999 || got > r.EnergyJ*1.001 {
 		t.Errorf("radio energy %.6e, report %.6e", got, r.EnergyJ)
 	}
-	if tm.PacketMicroJ.Count() != uint64(r.Packets) || tm.PacketAttempts.Count() != uint64(r.Packets) {
+	if tm.PacketMicroJ.Snapshot().Count != uint64(r.Packets) || tm.PacketAttempts.Snapshot().Count != uint64(r.Packets) {
 		t.Error("per-packet histograms incomplete")
 	}
-	if tm.Stages.Stage(telemetry.StageLink).Count() != uint64(r.Packets) {
+	if tm.Stages.Stage(telemetry.StageLink).Snapshot().Count != uint64(r.Packets) {
 		t.Error("link stage span count != packets")
 	}
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wbsn/internal/core"
+	"wbsn/internal/cs"
 	"wbsn/internal/delineation"
 	"wbsn/internal/dsp"
 	"wbsn/internal/ecg"
@@ -111,7 +112,7 @@ func TestEndToEndLossyChain(t *testing.T) {
 	cfg := node.Config()
 	bd := model.CSWindow("CS over lossy link",
 		energy.WindowSpec{SamplesPerLead: cfg.CSWindow, Leads: cfg.Leads, BitsPerSample: cfg.BitsPerSample},
-		rx.MeasurementLen(), cfg.CSWindow*core.CSDensity)
+		cs.MeasurementsForCR(cfg.CSWindow, cfg.CSRatio), cfg.CSWindow*core.CSDensity)
 	lossless := bd.TotalJ()
 	bd.RetxJ = retx / float64(report.Packets)
 	if bd.TotalJ() <= lossless {

@@ -191,14 +191,6 @@ func Decode(b []byte) (Packet, error) {
 	return p, nil
 }
 
-// FrameBytes returns the encoded size of an untraced (v1) packet with
-// the given geometry — what the radio model charges per attempt. The
-// ARQ path always puts v1 frames on the air, so this is the charging
-// geometry regardless of tracing.
-func FrameBytes(leads, measurementsPerLead int) int {
-	return headerLen + 4*leads*measurementsPerLead + crcLen
-}
-
 // satMicros converts a nanosecond duration to saturating uint32
 // microseconds (the wire resolution of the v2 encode-duration field).
 func satMicros(ns int64) uint32 {

@@ -149,3 +149,12 @@ func FuzzPacketDecode(f *testing.F) {
 		}
 	})
 }
+
+// FrameBytes returns the encoded size of an untraced (v1) packet with
+// the given geometry — what the radio model charges per attempt. The
+// ARQ path always puts v1 frames on the air, so this is the charging
+// geometry regardless of tracing. The tests use it as the size oracle
+// of the encoder.
+func FrameBytes(leads, measurementsPerLead int) int {
+	return headerLen + 4*leads*measurementsPerLead + crcLen
+}

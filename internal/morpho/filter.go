@@ -47,74 +47,18 @@ func (c *FilterConfig) withDefaults() FilterConfig {
 	return out
 }
 
-// BaselineEstimate returns the morphological baseline estimate of x:
-// opening with SE length L0 followed by closing with 1.5*L0. Subtracting
-// it removes baseline wander without distorting the QRS complex.
-func BaselineEstimate(x []float64, cfg FilterConfig) ([]float64, error) {
-	c := cfg.withDefaults()
-	l0 := c.BaselineSE
-	opened, err := OpenFlat(x, l0)
-	if err != nil {
-		return nil, err
-	}
-	return CloseFlat(opened, l0+l0/2)
-}
-
-// RemoveBaseline returns x minus its morphological baseline estimate.
-func RemoveBaseline(x []float64, cfg FilterConfig) ([]float64, error) {
-	base, err := BaselineEstimate(x, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - base[i]
-	}
-	return out, nil
-}
-
-// SuppressNoise applies the open/close averaging stage of ref [9]: the
-// result is (opening + closing)/2 with a short flat SE, clipping
-// impulsive artifacts of both polarities.
-func SuppressNoise(x []float64, cfg FilterConfig) ([]float64, error) {
-	c := cfg.withDefaults()
-	o, err := OpenFlat(x, c.NoiseSE)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := CloseFlat(x, c.NoiseSE)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = 0.5 * (o[i] + cl[i])
-	}
-	return out, nil
-}
-
-// Filter runs the full two-stage conditioning filter (baseline correction
-// then noise suppression). This is the "3L-MF" kernel of Figure 7 when
-// applied to each of the three leads.
-func Filter(x []float64, cfg FilterConfig) ([]float64, error) {
-	out := make([]float64, len(x))
-	var s Scratch
-	if err := FilterInto(x, cfg, out, &s); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FilterLeads applies Filter independently to every lead — the 3L-MF
-// multi-lead workload. Lead lengths may differ.
+// FilterLeads applies the conditioning filter (FilterInto) independently
+// to every lead — the 3L-MF multi-lead workload. Lead lengths may differ.
 func FilterLeads(leads [][]float64, cfg FilterConfig) ([][]float64, error) {
 	var s Scratch
 	return FilterLeadsInto(leads, cfg, nil, &s)
 }
 
-// BaselineEstimateInto is BaselineEstimate writing into out (len(x)),
-// drawing intermediates from s. out must be caller-owned and must not
-// alias x.
+// BaselineEstimateInto writes the morphological baseline estimate of x
+// into out (len(x)): opening with SE length L0 followed by closing with
+// 1.5*L0. Subtracting it removes baseline wander without distorting the
+// QRS complex. Intermediates come from s; out must be caller-owned and
+// must not alias x.
 func BaselineEstimateInto(x []float64, cfg FilterConfig, out []float64, s *Scratch) error {
 	c := cfg.withDefaults()
 	l0 := c.BaselineSE
@@ -125,8 +69,8 @@ func BaselineEstimateInto(x []float64, cfg FilterConfig, out []float64, s *Scrat
 	return CloseFlatInto(opened, l0+l0/2, out, s)
 }
 
-// RemoveBaselineInto is RemoveBaseline writing into out (len(x)). out
-// may alias x (in-place correction).
+// RemoveBaselineInto writes x minus its morphological baseline estimate
+// into out (len(x)). out may alias x (in-place correction).
 func RemoveBaselineInto(x []float64, cfg FilterConfig, out []float64, s *Scratch) error {
 	base := s.buffer(2, len(x))
 	if err := BaselineEstimateInto(x, cfg, base, s); err != nil {
@@ -138,7 +82,9 @@ func RemoveBaselineInto(x []float64, cfg FilterConfig, out []float64, s *Scratch
 	return nil
 }
 
-// SuppressNoiseInto is SuppressNoise writing into out (len(x)). out may
+// SuppressNoiseInto applies the open/close averaging stage of ref [9]
+// into out (len(x)): the result is (opening + closing)/2 with a short
+// flat SE, clipping impulsive artifacts of both polarities. out may
 // alias x.
 func SuppressNoiseInto(x []float64, cfg FilterConfig, out []float64, s *Scratch) error {
 	c := cfg.withDefaults()
@@ -156,8 +102,10 @@ func SuppressNoiseInto(x []float64, cfg FilterConfig, out []float64, s *Scratch)
 	return nil
 }
 
-// FilterInto is Filter writing into out (len(x)), allocation-free with a
-// warm scratch. out may alias x.
+// FilterInto runs the full two-stage conditioning filter (baseline
+// correction then noise suppression) into out (len(x)), allocation-free
+// with a warm scratch. This is the "3L-MF" kernel of Figure 7 when
+// applied to each of the three leads. out may alias x.
 func FilterInto(x []float64, cfg FilterConfig, out []float64, s *Scratch) error {
 	if len(out) != len(x) {
 		return ErrBadSE

@@ -186,3 +186,64 @@ func TestFilterConfigDefaults(t *testing.T) {
 		t.Error("BaselineSE floor of 3 not applied")
 	}
 }
+
+// The allocating filter stages below are read only by the tests;
+// programs call the Into forms.
+
+// BaselineEstimate returns the morphological baseline estimate of x:
+// opening with SE length L0 followed by closing with 1.5*L0. Subtracting
+// it removes baseline wander without distorting the QRS complex.
+func BaselineEstimate(x []float64, cfg FilterConfig) ([]float64, error) {
+	c := cfg.withDefaults()
+	l0 := c.BaselineSE
+	opened, err := OpenFlat(x, l0)
+	if err != nil {
+		return nil, err
+	}
+	return CloseFlat(opened, l0+l0/2)
+}
+
+// RemoveBaseline returns x minus its morphological baseline estimate.
+func RemoveBaseline(x []float64, cfg FilterConfig) ([]float64, error) {
+	base, err := BaselineEstimate(x, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(x))
+	for i := range x {
+		out[i] = x[i] - base[i]
+	}
+	return out, nil
+}
+
+// SuppressNoise applies the open/close averaging stage of ref [9]: the
+// result is (opening + closing)/2 with a short flat SE, clipping
+// impulsive artifacts of both polarities.
+func SuppressNoise(x []float64, cfg FilterConfig) ([]float64, error) {
+	c := cfg.withDefaults()
+	o, err := OpenFlat(x, c.NoiseSE)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := CloseFlat(x, c.NoiseSE)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(x))
+	for i := range x {
+		out[i] = 0.5 * (o[i] + cl[i])
+	}
+	return out, nil
+}
+
+// Filter runs the full two-stage conditioning filter (baseline correction
+// then noise suppression). This is the "3L-MF" kernel of Figure 7 when
+// applied to each of the three leads.
+func Filter(x []float64, cfg FilterConfig) ([]float64, error) {
+	out := make([]float64, len(x))
+	var s Scratch
+	if err := FilterInto(x, cfg, out, &s); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

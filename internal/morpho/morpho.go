@@ -57,55 +57,6 @@ func (s *Scratch) buffer(i, n int) []float64 {
 	return s.bufs[i][:n]
 }
 
-// ErodeFlatNaive computes flat erosion (sliding minimum) with a centred
-// window of length k using the direct O(n*k) algorithm. Borders use edge
-// replication. Kept as the baseline for BenchmarkAblationVanHerk.
-func ErodeFlatNaive(x []float64, k int) ([]float64, error) {
-	if k < 1 {
-		return nil, ErrBadSE
-	}
-	n := len(x)
-	out := make([]float64, n)
-	half := k / 2
-	for i := 0; i < n; i++ {
-		lo := i - half
-		hi := lo + k - 1
-		m := x[clampIdx(lo, n)]
-		for j := lo + 1; j <= hi; j++ {
-			v := x[clampIdx(j, n)]
-			if v < m {
-				m = v
-			}
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// DilateFlatNaive computes flat dilation (sliding maximum) with the
-// direct O(n*k) algorithm.
-func DilateFlatNaive(x []float64, k int) ([]float64, error) {
-	if k < 1 {
-		return nil, ErrBadSE
-	}
-	n := len(x)
-	out := make([]float64, n)
-	half := k / 2
-	for i := 0; i < n; i++ {
-		lo := i - half
-		hi := lo + k - 1
-		m := x[clampIdx(lo, n)]
-		for j := lo + 1; j <= hi; j++ {
-			v := x[clampIdx(j, n)]
-			if v > m {
-				m = v
-			}
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
 func clampIdx(i, n int) int {
 	if i < 0 {
 		return 0
@@ -253,29 +204,10 @@ func slidingMaxInto(x []float64, k int, out []float64, s *Scratch) error {
 	return nil
 }
 
-// OpenFlat computes morphological opening (erosion then dilation) with a
-// flat structuring element of length k: it removes positive peaks
-// narrower than k.
-func OpenFlat(x []float64, k int) ([]float64, error) {
-	e, err := ErodeFlat(x, k)
-	if err != nil {
-		return nil, err
-	}
-	return DilateFlat(e, k)
-}
-
-// CloseFlat computes morphological closing (dilation then erosion): it
-// fills negative pits narrower than k.
-func CloseFlat(x []float64, k int) ([]float64, error) {
-	d, err := DilateFlat(x, k)
-	if err != nil {
-		return nil, err
-	}
-	return ErodeFlat(d, k)
-}
-
-// OpenFlatInto is OpenFlat writing into out, with intermediates from s.
-// out must not alias x.
+// OpenFlatInto computes morphological opening (erosion then dilation)
+// with a flat structuring element of length k into out, with
+// intermediates from s: it removes positive peaks narrower than k. out
+// must not alias x.
 func OpenFlatInto(x []float64, k int, out []float64, s *Scratch) error {
 	t := s.buffer(0, len(x))
 	if err := ErodeFlatInto(x, k, t, s); err != nil {
@@ -284,8 +216,9 @@ func OpenFlatInto(x []float64, k int, out []float64, s *Scratch) error {
 	return DilateFlatInto(t, k, out, s)
 }
 
-// CloseFlatInto is CloseFlat writing into out, with intermediates from
-// s. out must not alias x.
+// CloseFlatInto computes morphological closing (dilation then erosion)
+// into out, with intermediates from s: it fills negative pits narrower
+// than k. out must not alias x.
 func CloseFlatInto(x []float64, k int, out []float64, s *Scratch) error {
 	t := s.buffer(0, len(x))
 	if err := DilateFlatInto(x, k, t, s); err != nil {

@@ -137,3 +137,142 @@ func TestMMDTransformQ15MatchesFloat(t *testing.T) {
 		}
 	}
 }
+
+// The Q15 morphology below is the integer form of the flat-SE
+// operators and the conditioning filter (Section IV.A). No program runs
+// it; the tests check it against the float path. Because flat-SE
+// erosion/dilation are pure order statistics, the Q15 versions are exact
+// (no rounding), so they match the float implementations bit-for-bit up
+// to input quantisation.
+
+// ErodeFlatQ15 computes flat erosion over Q15 samples with the monotonic
+// wedge (O(1) amortised comparisons per sample), mirroring ErodeFlat.
+func ErodeFlatQ15(x []fixedpt.Q15, k int) ([]fixedpt.Q15, error) {
+	return slidingExtremumQ15(x, k, true)
+}
+
+// DilateFlatQ15 computes flat dilation over Q15 samples.
+func DilateFlatQ15(x []fixedpt.Q15, k int) ([]fixedpt.Q15, error) {
+	return slidingExtremumQ15(x, k, false)
+}
+
+func slidingExtremumQ15(x []fixedpt.Q15, k int, min bool) ([]fixedpt.Q15, error) {
+	if k < 1 {
+		return nil, ErrBadSE
+	}
+	n := len(x)
+	out := make([]fixedpt.Q15, n)
+	if n == 0 {
+		return out, nil
+	}
+	half := k / 2
+	at := func(j int) fixedpt.Q15 { return x[clampIdx(j, n)] }
+	better := func(a, b fixedpt.Q15) bool {
+		if min {
+			return a <= b
+		}
+		return a >= b
+	}
+	deque := make([]int, 0, k+1)
+	lo := -half
+	for j := lo; j < lo+k-1; j++ {
+		for len(deque) > 0 && better(at(j), at(deque[len(deque)-1])) {
+			deque = deque[:len(deque)-1]
+		}
+		deque = append(deque, j)
+	}
+	for i := 0; i < n; i++ {
+		j := i - half + k - 1
+		for len(deque) > 0 && better(at(j), at(deque[len(deque)-1])) {
+			deque = deque[:len(deque)-1]
+		}
+		deque = append(deque, j)
+		start := i - half
+		for deque[0] < start {
+			deque = deque[1:]
+		}
+		out[i] = at(deque[0])
+	}
+	return out, nil
+}
+
+// OpenFlatQ15 computes opening (erosion then dilation) in Q15.
+func OpenFlatQ15(x []fixedpt.Q15, k int) ([]fixedpt.Q15, error) {
+	e, err := ErodeFlatQ15(x, k)
+	if err != nil {
+		return nil, err
+	}
+	return DilateFlatQ15(e, k)
+}
+
+// CloseFlatQ15 computes closing (dilation then erosion) in Q15.
+func CloseFlatQ15(x []fixedpt.Q15, k int) ([]fixedpt.Q15, error) {
+	d, err := DilateFlatQ15(x, k)
+	if err != nil {
+		return nil, err
+	}
+	return ErodeFlatQ15(d, k)
+}
+
+// FilterQ15 runs the full two-stage conditioning filter over Q15 samples
+// (baseline correction by open/close, then open/close-average noise
+// suppression), the node-resident form of Filter. The only rounding is
+// the final halving of the open+close average (one arithmetic shift).
+func FilterQ15(x []fixedpt.Q15, cfg FilterConfig) ([]fixedpt.Q15, error) {
+	c := cfg.withDefaults()
+	opened, err := OpenFlatQ15(x, c.BaselineSE)
+	if err != nil {
+		return nil, err
+	}
+	base, err := CloseFlatQ15(opened, c.BaselineSE+c.BaselineSE/2)
+	if err != nil {
+		return nil, err
+	}
+	corrected := make([]fixedpt.Q15, len(x))
+	for i := range x {
+		corrected[i] = fixedpt.SatSub(x[i], base[i])
+	}
+	o, err := OpenFlatQ15(corrected, c.NoiseSE)
+	if err != nil {
+		return nil, err
+	}
+	cl, err := CloseFlatQ15(corrected, c.NoiseSE)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]fixedpt.Q15, len(x))
+	for i := range out {
+		// (o + cl) / 2 without intermediate overflow: halve both first.
+		out[i] = fixedpt.Q15(int32(o[i])/2 + int32(cl[i])/2)
+	}
+	return out, nil
+}
+
+// MMDTransformQ15 computes the morphological derivative over Q15 samples
+// at scale s. The division by s is an integer division; the result is
+// exact for the window extrema arithmetic up to that single truncation.
+func MMDTransformQ15(x []fixedpt.Q15, s int) ([]fixedpt.Q15, error) {
+	if s < 1 {
+		return nil, ErrBadSE
+	}
+	dil, err := DilateFlatQ15(x, 2*s+1)
+	if err != nil {
+		return nil, err
+	}
+	ero, err := ErodeFlatQ15(x, 2*s+1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]fixedpt.Q15, len(x))
+	for i := range x {
+		v := (int32(dil[i]) + int32(ero[i]) - 2*int32(x[i])) / int32(s)
+		if v > 32767 {
+			v = 32767
+		}
+		if v < -32768 {
+			v = -32768
+		}
+		out[i] = fixedpt.Q15(v)
+	}
+	return out, nil
+}

@@ -43,85 +43,3 @@ func MMDTransform(x []float64, s int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// MMDMultiscale computes the transform at several scales and returns one
-// output per scale, in the given order. Delineators match extrema across
-// scales to separate QRS (sharp, strong at small scales) from P/T waves
-// (smooth, strong at larger scales).
-func MMDMultiscale(x []float64, scales []int) ([][]float64, error) {
-	out := make([][]float64, len(scales))
-	for i, s := range scales {
-		m, err := MMDTransform(x, s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// windowStat is the embedded streaming implementation hinted at in
-// Section IV.A: for a flat SE only the window centre value, maximum and
-// minimum are tracked while sliding. MMDStream exposes it as an online
-// transformer that emits one output sample per input sample after a
-// latency of 2s samples.
-type MMDStream struct {
-	s     int
-	buf   []float64 // circular window of length 2s+1
-	count int
-	pos   int
-}
-
-// NewMMDStream creates a streaming morphological-derivative transformer
-// at scale s.
-func NewMMDStream(s int) (*MMDStream, error) {
-	if s < 1 {
-		return nil, ErrBadSE
-	}
-	return &MMDStream{s: s, buf: make([]float64, 2*s+1)}, nil
-}
-
-// Latency returns the number of samples before the first valid output.
-func (m *MMDStream) Latency() int { return 2 * m.s }
-
-// Step pushes one sample; once the window is full it returns the
-// transform value for the window centre and ok=true.
-func (m *MMDStream) Step(x float64) (y float64, ok bool) {
-	m.buf[m.pos] = x
-	m.pos++
-	if m.pos == len(m.buf) {
-		m.pos = 0
-	}
-	if m.count < len(m.buf) {
-		m.count++
-		if m.count < len(m.buf) {
-			return 0, false
-		}
-	}
-	// Window is full: the transform needs only the window minimum,
-	// maximum and centre value — exactly the Section IV.A optimisation.
-	k := len(m.buf)
-	minV, maxV := m.buf[0], m.buf[0]
-	for _, v := range m.buf[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	centreIdx := m.pos - 1 - m.s
-	for centreIdx < 0 {
-		centreIdx += k
-	}
-	centre := m.buf[centreIdx]
-	return (maxV + minV - 2*centre) / float64(m.s), true
-}
-
-// Reset clears the stream state.
-func (m *MMDStream) Reset() {
-	m.count, m.pos = 0, 0
-	for i := range m.buf {
-		m.buf[i] = 0
-	}
-}

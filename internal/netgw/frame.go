@@ -28,8 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"wbsn/internal/link"
 )
 
 // ErrFrame is returned for structurally invalid frames (bad magic,
@@ -224,12 +222,4 @@ func parseDigest(p []byte) (StreamReport, error) {
 		Filled:     int(binary.BigEndian.Uint32(p[16:])),
 		Duplicates: int(binary.BigEndian.Uint32(p[20:])),
 	}, nil
-}
-
-// DecodeDataFrame validates one data frame's payload through the link
-// codec. It exists (exported) for the fuzz target: arbitrary bytes must
-// either decode into a structurally valid packet or fail cleanly with
-// link.ErrCodec / link.ErrCRC — never panic.
-func DecodeDataFrame(payload []byte) (link.Packet, error) {
-	return link.Decode(payload)
 }

@@ -171,7 +171,7 @@ func FuzzFrameDecode(f *testing.F) {
 		case frameDigest:
 			parseDigest(payload)
 		case frameData:
-			if pkt, err := DecodeDataFrame(payload); err == nil {
+			if pkt, err := link.Decode(payload); err == nil {
 				// A decodable packet must re-encode without error.
 				if _, err := link.Encode(pkt); err != nil {
 					t.Fatalf("decoded packet does not re-encode: %v", err)

@@ -1,13 +1,18 @@
-// Package spline implements the cubic-spline baseline-wander estimator of
-// ref [10] (Meyer & Keiser 1977), described in Section III.B of the
-// paper: the method "searches for 'knots' in a characteristic silent
-// region of the acquired signal (before each QRS complex), and
-// interpolates three consecutive knots to estimate the baseline".
+// Package spline holds, in test files only, the cubic-spline
+// baseline-wander estimator of ref [10] (Meyer & Keiser 1977), described
+// in Section III.B of the paper: the method "searches for 'knots' in a
+// characteristic silent region of the acquired signal (before each QRS
+// complex), and interpolates three consecutive knots to estimate the
+// baseline".
 //
 // A knot is placed in the PR segment of each beat — the isoelectric
 // interval preceding the QRS onset — where the only signal content is the
 // baseline itself. A cubic polynomial through consecutive knots then
 // tracks the low-frequency wander, which is subtracted from the signal.
+//
+// No program runs the estimator: it needs the QRS positions first, and
+// the node removes the baseline morphologically before it delineates.
+// BenchmarkAblationBaselineRemoval compares the two.
 package spline
 
 import (

@@ -58,14 +58,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(uint64(d))
 }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // saturationBucket is the index of the final bucket, covering
 // [2^63, 2^64-1]. No honest measurement lands there — a nanosecond
 // duration of 2^63 is three centuries — so its occupancy flags a
@@ -73,15 +65,6 @@ func (h *Histogram) Count() uint64 {
 // uint64). The soak watcher treats any saturated histogram as a
 // failure signal.
 const saturationBucket = histBuckets - 1
-
-// Saturated returns the number of observations that landed in the
-// overflow bucket (values ≥ 2^63).
-func (h *Histogram) Saturated() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.buckets[saturationBucket].Load()
-}
 
 // Bucket is one non-empty histogram bucket in a snapshot: Count values
 // were ≤ Le (and greater than the previous bucket's Le).

@@ -34,23 +34,10 @@ func publishExpvar(reg *Registry) {
 	})
 }
 
-// Handler returns the inspection mux for a registry (control-plane
-// surfaces disabled — see HandlerOpts).
-func Handler(reg *Registry) http.Handler {
-	return HandlerOpts(reg, HTTPOptions{})
-}
-
 // Server is a live telemetry listener.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
-}
-
-// Serve starts the inspection endpoint on addr (e.g. ":8080" or
-// "127.0.0.1:0") and returns once the listener is bound; requests are
-// served on a background goroutine until Close.
-func Serve(addr string, reg *Registry) (*Server, error) {
-	return ServeOpts(addr, reg, HTTPOptions{})
 }
 
 // Addr returns the bound listen address (with the real port when addr
@@ -72,6 +59,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return err
 }
-
-// Close stops the listener immediately, cutting in-flight requests.
-func (s *Server) Close() error { return s.srv.Close() }

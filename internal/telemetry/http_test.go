@@ -17,11 +17,11 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	set.Stages.Record(StageCS, 1500)
 	set.Link.RadioEnergyJ.Add(0.012)
 
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeOpts("127.0.0.1:0", reg, HTTPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
 
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 	if err != nil {
@@ -70,7 +70,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 func TestServerShutdownDrains(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test.shutdown").Add(7)
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeOpts("127.0.0.1:0", reg, HTTPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,24 +105,23 @@ func TestServerShutdownDrains(t *testing.T) {
 		t.Error("scrape after Shutdown succeeded, want connection error")
 	}
 
-	// Second Shutdown and Close after Shutdown are safe no-ops.
+	// A second Shutdown is a safe no-op.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	srv.Shutdown(ctx) //nolint:errcheck — must simply not panic
-	srv.Close()       //nolint:errcheck
 }
 
 func TestServeTwiceDoesNotPanic(t *testing.T) {
 	// expvar registration is global and panics on duplicates; Serve must
 	// absorb repeated use (tests, multiple runs in one process).
-	a, err := Serve("127.0.0.1:0", NewRegistry())
+	a, err := ServeOpts("127.0.0.1:0", NewRegistry(), HTTPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b, err := Serve("127.0.0.1:0", NewRegistry())
+	defer a.Shutdown(context.Background()) //nolint:errcheck
+	b, err := ServeOpts("127.0.0.1:0", NewRegistry(), HTTPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
+	defer b.Shutdown(context.Background()) //nolint:errcheck
 }

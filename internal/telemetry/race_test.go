@@ -76,7 +76,7 @@ func TestTelemetryRaceHammer(t *testing.T) {
 	}
 	total := uint64(0)
 	for s := 0; s < NumStages; s++ {
-		total += set.Stages.Stage(Stage(s)).Count()
+		total += set.Stages.Stage(Stage(s)).Snapshot().Count
 	}
 	if total != writers*rounds {
 		t.Errorf("stage observations %d, want %d", total, writers*rounds)

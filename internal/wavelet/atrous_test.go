@@ -213,3 +213,130 @@ func TestReflectIndexing(t *testing.T) {
 }
 
 func sq(x float64) float64 { return x * x }
+
+// The allocating and integer à-trous banks below are read only by the
+// tests, which check AtrousInto and the integer path against them.
+
+// Atrous computes the undecimated quadratic-spline wavelet transform of x
+// at the given number of dyadic scales (1..8). It returns one
+// equal-length signal per scale, w[k] being the transform at scale
+// 2^(k+1). Border samples use symmetric extension. An empty input returns
+// nil; invalid scale counts return ErrLevels.
+func Atrous(x []float64, scales int) ([][]float64, error) {
+	if scales < 1 || scales > 8 {
+		return nil, ErrLevels
+	}
+	if len(x) == 0 {
+		return nil, nil
+	}
+	n := len(x)
+	out := make([][]float64, scales)
+	approx := make([]float64, n)
+	copy(approx, x)
+	for s := 0; s < scales; s++ {
+		hole := 1 << uint(s) // zero-insertion factor at this stage
+		// Detail: high-pass of current approximation.
+		w := make([]float64, n)
+		for i := 0; i < n; i++ {
+			var acc float64
+			for k, g := range atrousHigh {
+				j := i - k*hole
+				acc += g * approx[reflect(j, n)]
+			}
+			w[i] = acc
+		}
+		out[s] = w
+		// Next approximation: low-pass of current approximation.
+		next := make([]float64, n)
+		for i := 0; i < n; i++ {
+			var acc float64
+			for k, h := range atrousLow {
+				j := i - (k-1)*hole // centre the 4-tap kernel
+				acc += h * approx[reflect(j, n)]
+			}
+			next[i] = acc
+		}
+		approx = next
+	}
+	return out, nil
+}
+
+// AtrousWithApprox is Atrous but additionally returns the final smoothed
+// approximation signal, useful for baseline tracking.
+func AtrousWithApprox(x []float64, scales int) (details [][]float64, approx []float64, err error) {
+	if scales < 1 || scales > 8 {
+		return nil, nil, ErrLevels
+	}
+	if len(x) == 0 {
+		return nil, nil, nil
+	}
+	n := len(x)
+	details = make([][]float64, scales)
+	cur := make([]float64, n)
+	copy(cur, x)
+	for s := 0; s < scales; s++ {
+		hole := 1 << uint(s)
+		w := make([]float64, n)
+		for i := 0; i < n; i++ {
+			var acc float64
+			for k, g := range atrousHigh {
+				j := i - k*hole
+				acc += g * cur[reflect(j, n)]
+			}
+			w[i] = acc
+		}
+		details[s] = w
+		next := make([]float64, n)
+		for i := 0; i < n; i++ {
+			var acc float64
+			for k, h := range atrousLow {
+				j := i - (k-1)*hole
+				acc += h * cur[reflect(j, n)]
+			}
+			next[i] = acc
+		}
+		cur = next
+	}
+	return details, cur, nil
+}
+
+// AtrousInt is the integer-only variant of Atrous used on the node: input
+// samples are int32 (raw ADC counts), the low-pass is computed as
+// (x[j-1] + 3x[j] + 3x[j+1] + x[j+2]) >> 3 and the high-pass as
+// 2(x[j] - x[j+1]), i.e. shifts and adds only. Because of the >>3
+// truncation the results differ from the float transform by bounded
+// rounding error; the delineator thresholds absorb it. The cycle cost of
+// this routine is what the Figure 7 energy model charges for 3L-MMD-style
+// kernels.
+func AtrousInt(x []int32, scales int) ([][]int32, error) {
+	if scales < 1 || scales > 8 {
+		return nil, ErrLevels
+	}
+	if len(x) == 0 {
+		return nil, nil
+	}
+	n := len(x)
+	out := make([][]int32, scales)
+	cur := make([]int32, n)
+	copy(cur, x)
+	for s := 0; s < scales; s++ {
+		hole := 1 << uint(s)
+		w := make([]int32, n)
+		for i := 0; i < n; i++ {
+			a := cur[reflect(i, n)]
+			b := cur[reflect(i-hole, n)]
+			w[i] = 2 * (a - b) // matches float path: 2*x[i] - 2*x[i-hole]
+		}
+		out[s] = w
+		next := make([]int32, n)
+		for i := 0; i < n; i++ {
+			xm1 := int64(cur[reflect(i+hole, n)])
+			x0 := int64(cur[reflect(i, n)])
+			x1 := int64(cur[reflect(i-hole, n)])
+			x2 := int64(cur[reflect(i-2*hole, n)])
+			next[i] = int32((x1*3 + x0*3 + xm1 + x2) >> 3)
+		}
+		cur = next
+	}
+	return out, nil
+}

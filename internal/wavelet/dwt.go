@@ -71,22 +71,10 @@ func newOrthogonal(name string, h []float64) *Orthogonal {
 // Name returns the wavelet's conventional name.
 func (w *Orthogonal) Name() string { return w.name }
 
-// Taps returns the number of filter taps.
-func (w *Orthogonal) Taps() int { return len(w.h) }
-
 // Haar returns the 2-tap Haar wavelet.
 func Haar() *Orthogonal {
 	s := 0.7071067811865476
 	return newOrthogonal("haar", []float64{s, s})
-}
-
-// Daubechies4 returns the 4-tap Daubechies wavelet (db2 in MATLAB
-// nomenclature, 2 vanishing moments).
-func Daubechies4() *Orthogonal {
-	return newOrthogonal("db4", []float64{
-		0.48296291314469025, 0.83651630373746899,
-		0.22414386804185735, -0.12940952255092145,
-	})
 }
 
 // Daubechies8 returns the 8-tap Daubechies wavelet (db4 in MATLAB
@@ -98,16 +86,6 @@ func Daubechies8() *Orthogonal {
 		0.63088076792959036, -0.02798376941698385,
 		-0.18703481171888114, 0.03084138183598697,
 		0.03288301166698295, -0.01059740178499728,
-	})
-}
-
-// Symlet8 returns the 8-tap least-asymmetric Daubechies (sym4) wavelet.
-func Symlet8() *Orthogonal {
-	return newOrthogonal("sym8", []float64{
-		-0.07576571478927333, -0.02963552764599851,
-		0.49761866763201545, 0.80373875180591614,
-		0.29785779560527736, -0.09921954357684722,
-		-0.01260396726203783, 0.03222310060404270,
 	})
 }
 
@@ -259,21 +237,10 @@ func (s *Scratch) buffers(n int) ([]float64, []float64) {
 	return s.a[:n], s.b[:n]
 }
 
-// Forward computes a 'levels'-deep periodic DWT of x and returns the
-// coefficient vector laid out as [a_L | d_L | d_{L-1} | ... | d_1], the
-// standard pyramid order. len(x) must pass CheckLength.
-func (w *Orthogonal) Forward(x []float64, levels int) ([]float64, error) {
-	out := make([]float64, len(x))
-	var s Scratch
-	if err := w.ForwardInto(x, levels, out, &s); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForwardInto is Forward writing the pyramid-ordered coefficients into
-// out (len(x)) and drawing all intermediates from s — allocation-free in
-// steady state.
+// ForwardInto computes a 'levels'-deep periodic DWT of x into out
+// (len(x)), laid out as [a_L | d_L | d_{L-1} | ... | d_1], the standard
+// pyramid order. len(x) must pass CheckLength. All intermediates come
+// from s — allocation-free in steady state.
 func (w *Orthogonal) ForwardInto(x []float64, levels int, out []float64, s *Scratch) error {
 	n := len(x)
 	if err := w.CheckLength(n, levels); err != nil {
@@ -297,19 +264,9 @@ func (w *Orthogonal) ForwardInto(x []float64, levels int, out []float64, s *Scra
 	return nil
 }
 
-// Inverse reconstructs the signal from a pyramid-ordered coefficient
-// vector produced by Forward with the same number of levels.
-func (w *Orthogonal) Inverse(c []float64, levels int) ([]float64, error) {
-	out := make([]float64, len(c))
-	var s Scratch
-	if err := w.InverseInto(c, levels, out, &s); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InverseInto is Inverse writing the reconstructed signal into out
-// (len(c)) and drawing all intermediates from s — allocation-free in
+// InverseInto reconstructs into out (len(c)) the signal whose
+// pyramid-ordered coefficients ForwardInto produced with the same number
+// of levels, drawing all intermediates from s — allocation-free in
 // steady state.
 func (w *Orthogonal) InverseInto(c []float64, levels int, out []float64, s *Scratch) error {
 	n := len(c)

@@ -238,3 +238,48 @@ func TestLevelSlicesCoverWholeVector(t *testing.T) {
 		t.Errorf("ranges cover %d samples, want %d", covered, n)
 	}
 }
+
+// The extra bases and the allocating transforms below are read only by
+// the tests; programs run Daubechies8 through ForwardInto/InverseInto.
+
+// Daubechies4 returns the 4-tap Daubechies wavelet (db2 in MATLAB
+// nomenclature, 2 vanishing moments).
+func Daubechies4() *Orthogonal {
+	return newOrthogonal("db4", []float64{
+		0.48296291314469025, 0.83651630373746899,
+		0.22414386804185735, -0.12940952255092145,
+	})
+}
+
+// Symlet8 returns the 8-tap least-asymmetric Daubechies (sym4) wavelet.
+func Symlet8() *Orthogonal {
+	return newOrthogonal("sym8", []float64{
+		-0.07576571478927333, -0.02963552764599851,
+		0.49761866763201545, 0.80373875180591614,
+		0.29785779560527736, -0.09921954357684722,
+		-0.01260396726203783, 0.03222310060404270,
+	})
+}
+
+// Forward computes a 'levels'-deep periodic DWT of x and returns the
+// coefficient vector laid out as [a_L | d_L | d_{L-1} | ... | d_1], the
+// standard pyramid order. len(x) must pass CheckLength.
+func (w *Orthogonal) Forward(x []float64, levels int) ([]float64, error) {
+	out := make([]float64, len(x))
+	var s Scratch
+	if err := w.ForwardInto(x, levels, out, &s); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Inverse reconstructs the signal from a pyramid-ordered coefficient
+// vector produced by Forward with the same number of levels.
+func (w *Orthogonal) Inverse(c []float64, levels int) ([]float64, error) {
+	out := make([]float64, len(c))
+	var s Scratch
+	if err := w.InverseInto(c, levels, out, &s); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

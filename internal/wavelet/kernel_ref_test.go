@@ -93,7 +93,7 @@ func sameBits(got, want []float64) int {
 func TestKernelsMatchFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, w := range allWavelets() {
-		for n := w.Taps(); n <= 1024; n += 2 {
+		for n := len(w.h); n <= 1024; n += 2 {
 			half := n / 2
 			x := make([]float64, n)
 			kernelInput(x, rng)
@@ -128,7 +128,7 @@ func TestShortLevelRejected(t *testing.T) {
 	var s Scratch
 	for _, w := range allWavelets() {
 		for _, tc := range []struct{ n, levels int }{{64, 5}, {32, 4}, {16, 3}, {8, 3}} {
-			short := tc.n>>uint(tc.levels-1) < w.Taps()
+			short := tc.n>>uint(tc.levels-1) < len(w.h)
 			x := randSignal(tc.n, 3)
 			out := make([]float64, tc.n)
 			errs := []error{

@@ -382,58 +382,3 @@ func RunCompound(em EnergyModel, seed int64) (AppResult, error) {
 		Reduction: Reduction(scPow, mcPow),
 	}, nil
 }
-
-// RunCoreScaling sweeps the core count for an 8-lead conditioning
-// workload (each of P cores filters 8/P leads serially, in lock-step
-// with its peers): the curve behind Section IV.B's claim that the high
-// degree of parallelism in cardiac workloads converts directly into
-// voltage-scaling headroom. Valid core counts divide 8.
-func RunCoreScaling(em EnergyModel, seed int64, coreCounts []int) ([]AppResult, error) {
-	const leads = 8
-	var out []AppResult
-	for _, p := range coreCounts {
-		if p < 1 || leads%p != 0 {
-			return nil, ErrMachine
-		}
-		perCoreLeads := leads / p
-		b := NewBuilder("8L-MF", 0)
-		b.Repeat(256, func(b *Builder) {
-			b.Repeat(perCoreLeads, func(b *Builder) {
-				perSampleMF(b)
-				if p > 1 {
-					// Re-align after every lead's data-dependent branch
-					// (the paper's barrier-insertion technique).
-					b.Barrier()
-				}
-			})
-		})
-		prog, err := b.Build()
-		if err != nil {
-			return nil, err
-		}
-		progs := make([]*Program, p)
-		for i := range progs {
-			progs[i] = prog
-		}
-		m, err := NewMachine(MachineConfig{
-			Cores: p, IMemBanks: 2, DMemBanks: p, Broadcast: true, Seed: seed,
-		}, progs)
-		if err != nil {
-			return nil, err
-		}
-		st := m.Run(50_000_000)
-		pow := em.Power(labelForCores(p), st, p, 1.0, 0.08, 1.0)
-		out = append(out, AppResult{App: labelForCores(p), MC: pow, MCStats: st})
-	}
-	// Express each point's reduction against the single-core entry.
-	for i := range out {
-		out[i].SC = out[0].MC
-		out[i].SCStats = out[0].MCStats
-		out[i].Reduction = Reduction(out[0].MC, out[i].MC)
-	}
-	return out, nil
-}
-
-func labelForCores(p int) string {
-	return "8L-MF-" + string(rune('0'+p)) + "c"
-}

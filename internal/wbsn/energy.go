@@ -131,31 +131,6 @@ func Reduction(sc, mc PowerBreakdown) float64 {
 	return (t - mc.TotalW()) / t
 }
 
-// MemoryFootprintBytes estimates the program + data memory footprint of
-// a program set: instructions at 2 bytes (16-bit ISA) plus the given data
-// bytes. Used by the Text-1 experiment to check the 7.2 kB figure.
-func MemoryFootprintBytes(progs []*Program, dataBytes int) int {
-	seen := map[*Program]bool{}
-	total := dataBytes
-	for _, p := range progs {
-		if p == nil || seen[p] {
-			continue
-		}
-		seen[p] = true
-		total += 2 * len(p.Instrs)
-	}
-	return total
-}
-
-// CyclesForDeadline returns the frequency (Hz) needed to execute the
-// given cycle count within the deadline seconds at the duty-cycle cap.
-func CyclesForDeadline(cycles int64, deadline, dutyCap float64) float64 {
-	if dutyCap <= 0 || dutyCap > 1 {
-		dutyCap = 1
-	}
-	return float64(cycles) / (deadline * dutyCap)
-}
-
 // DutyCycleAt returns the active fraction of the deadline when the given
 // cycle count runs at frequency f — the figure behind the paper's "7% of
 // the duty cycle" delineation result.

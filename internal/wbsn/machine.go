@@ -93,13 +93,6 @@ type Machine struct {
 	coreStats []CoreStats
 }
 
-// CoreStats returns the per-core statistics of the last Run.
-func (m *Machine) CoreStats() []CoreStats {
-	out := make([]CoreStats, len(m.coreStats))
-	copy(out, m.coreStats)
-	return out
-}
-
 // NewMachine builds a machine and assigns each core its program. A nil
 // program leaves the core idle. Core i's private data bank is
 // i % DMemBanks.

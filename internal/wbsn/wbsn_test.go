@@ -1,6 +1,7 @@
 package wbsn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -510,5 +511,150 @@ func TestCoreScalingCurve(t *testing.T) {
 	// Invalid core counts rejected.
 	if _, err := RunCoreScaling(DefaultEnergy(), 1, []int{3}); err != ErrMachine {
 		t.Error("core count not dividing 8 should fail")
+	}
+}
+
+// The sweeps and estimates below are read only by the tests and
+// benchmarks: no program prints the core-count curve or the memory and
+// deadline figures.
+
+// RunCoreScaling sweeps the core count for an 8-lead conditioning
+// workload (each of P cores filters 8/P leads serially, in lock-step
+// with its peers): the curve behind Section IV.B's claim that the high
+// degree of parallelism in cardiac workloads converts directly into
+// voltage-scaling headroom. Valid core counts divide 8.
+func RunCoreScaling(em EnergyModel, seed int64, coreCounts []int) ([]AppResult, error) {
+	const leads = 8
+	var out []AppResult
+	for _, p := range coreCounts {
+		if p < 1 || leads%p != 0 {
+			return nil, ErrMachine
+		}
+		perCoreLeads := leads / p
+		b := NewBuilder("8L-MF", 0)
+		b.Repeat(256, func(b *Builder) {
+			b.Repeat(perCoreLeads, func(b *Builder) {
+				perSampleMF(b)
+				if p > 1 {
+					// Re-align after every lead's data-dependent branch
+					// (the paper's barrier-insertion technique).
+					b.Barrier()
+				}
+			})
+		})
+		prog, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		progs := make([]*Program, p)
+		for i := range progs {
+			progs[i] = prog
+		}
+		m, err := NewMachine(MachineConfig{
+			Cores: p, IMemBanks: 2, DMemBanks: p, Broadcast: true, Seed: seed,
+		}, progs)
+		if err != nil {
+			return nil, err
+		}
+		st := m.Run(50_000_000)
+		pow := em.Power(labelForCores(p), st, p, 1.0, 0.08, 1.0)
+		out = append(out, AppResult{App: labelForCores(p), MC: pow, MCStats: st})
+	}
+	// Express each point's reduction against the single-core entry.
+	for i := range out {
+		out[i].SC = out[0].MC
+		out[i].SCStats = out[0].MCStats
+		out[i].Reduction = Reduction(out[0].MC, out[i].MC)
+	}
+	return out, nil
+}
+
+func labelForCores(p int) string {
+	return "8L-MF-" + string(rune('0'+p)) + "c"
+}
+
+// MemoryFootprintBytes estimates the program + data memory footprint of
+// a program set: instructions at 2 bytes (16-bit ISA) plus the given data
+// bytes. Used by the Text-1 experiment to check the 7.2 kB figure.
+func MemoryFootprintBytes(progs []*Program, dataBytes int) int {
+	seen := map[*Program]bool{}
+	total := dataBytes
+	for _, p := range progs {
+		if p == nil || seen[p] {
+			continue
+		}
+		seen[p] = true
+		total += 2 * len(p.Instrs)
+	}
+	return total
+}
+
+// CyclesForDeadline returns the frequency (Hz) needed to execute the
+// given cycle count within the deadline seconds at the duty-cycle cap.
+func CyclesForDeadline(cycles int64, deadline, dutyCap float64) float64 {
+	if dutyCap <= 0 || dutyCap > 1 {
+		dutyCap = 1
+	}
+	return float64(cycles) / (deadline * dutyCap)
+}
+
+// CoreStats returns the per-core statistics of the last Run.
+func (m *Machine) CoreStats() []CoreStats {
+	out := make([]CoreStats, len(m.coreStats))
+	copy(out, m.coreStats)
+	return out
+}
+
+// BenchmarkCoreScaling sweeps the platform's core count on an 8-lead
+// conditioning workload (Section IV.B: parallelism converts into
+// voltage-scaling headroom, with diminishing returns at the leakage
+// floor).
+func BenchmarkCoreScaling(b *testing.B) {
+	var res []AppResult
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = RunCoreScaling(DefaultEnergy(), 1, []int{1, 2, 4, 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, r := range res {
+		b.ReportMetric(r.MC.TotalW()*1e6, fmt.Sprintf("µW-%dcores", 1<<i))
+	}
+}
+
+// BenchmarkAblationBroadcast quantifies the broadcast interconnect of
+// ref [18]: cycles and program-memory accesses with merging on vs off.
+func BenchmarkAblationBroadcast(b *testing.B) {
+	app := App3LMF()
+	mcProg, _, err := app.Programs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	progs := []*Program{mcProg, mcProg, mcProg}
+	var on, off Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mOn, err := NewMachine(MachineConfig{
+			Cores: 3, IMemBanks: 2, DMemBanks: 3, Broadcast: true, Seed: 1,
+		}, progs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		on = mOn.Run(50e6)
+		mOff, err := NewMachine(MachineConfig{
+			Cores: 3, IMemBanks: 2, DMemBanks: 3, Broadcast: false, Seed: 1,
+		}, progs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		off = mOff.Run(50e6)
+	}
+	b.ReportMetric(float64(on.FetchAccesses), "imem-accesses-on")
+	b.ReportMetric(float64(off.FetchAccesses), "imem-accesses-off")
+	b.ReportMetric(float64(off.Cycles)/float64(on.Cycles), "cycle-penalty-off")
+	if off.Cycles <= on.Cycles {
+		b.Error("disabling broadcast should cost cycles")
 	}
 }
