@@ -70,7 +70,7 @@ func BenchmarkFig5SNRvsCR(b *testing.B) {
 
 func BenchmarkFig6EnergyBreakdown(b *testing.B) {
 	node := energy.DefaultNode()
-	w := energy.WindowSpec{SamplesPerLead: 512, Leads: 3, BitsPerSample: 12}
+	w := energy.WindowSpec{SamplesPerLead: 512, Leads: 3}
 	var redSL, redML float64
 	for i := 0; i < b.N; i++ {
 		raw := node.RawStreamingWindow(w)
@@ -249,9 +249,10 @@ func BenchmarkCSEncodeQ15(b *testing.B) {
 	for i := range x {
 		x[i] = fixedpt.FromFloat(rng.Float64()*0.5 - 0.25)
 	}
+	y := make([]int32, 175)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.EncodeQ15(x)
+		enc.EncodeQ15(x, y)
 	}
 }
 

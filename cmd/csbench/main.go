@@ -15,9 +15,11 @@ import (
 	"math"
 	"os"
 
+	"wbsn/internal/core"
 	"wbsn/internal/cs"
 	"wbsn/internal/ecg"
 	"wbsn/internal/energy"
+	"wbsn/internal/link"
 )
 
 func main() {
@@ -77,7 +79,7 @@ func runFig5(records, windows, iters, reweights, density int, seed int64) {
 func runFig6(density int) {
 	fmt.Println("== Figure 6: node energy breakdown per 2-second window ==")
 	node := energy.DefaultNode()
-	w := energy.WindowSpec{SamplesPerLead: 512, Leads: 3, BitsPerSample: 12}
+	w := energy.WindowSpec{SamplesPerLead: 512, Leads: 3}
 	raw := node.RawStreamingWindow(w)
 	adds := density * w.SamplesPerLead
 	sl := node.CSWindow("Single-Lead CS", w, cs.MeasurementsForCR(w.SamplesPerLead, 65.9), adds)
@@ -87,11 +89,60 @@ func runFig6(density int) {
 		fmt.Printf("%-16s %10.1f %10.1f %10.2f %10.1f %10.1f\n",
 			b.Label, b.RadioJ*1e6, b.SampleJ*1e6, b.CompJ*1e6, b.OSJ*1e6, b.TotalJ()*1e6)
 	}
+	fmt.Println("\nmeasured: the node's coded CS frames over a lossless link")
+	for _, b := range []energy.Breakdown{sl, ml} {
+		cr := 65.9
+		if b.Label == ml.Label {
+			cr = 72.7
+		}
+		radioJ, frame, payload := wireRadio(cr)
+		fmt.Printf("%-16s %10.1f   (%d-byte frames: %d payload + %d framing)\n",
+			b.Label, radioJ*1e6, frame, payload, frame-payload)
+	}
 	fmt.Printf("\npower reduction vs raw: single-lead %.1f%% (paper: 44.7%%), multi-lead %.1f%% (paper: 56.1%%)\n",
 		100*energy.PowerReduction(raw, sl), 100*energy.PowerReduction(raw, ml))
 	bat := energy.DefaultBattery()
 	for _, b := range []energy.Breakdown{raw, sl, ml} {
 		avg := b.TotalJ() / 2 // window is 2 s
 		fmt.Printf("battery lifetime (%s): %.1f days\n", b.Label, bat.LifetimeHours(avg)/24)
+	}
+}
+
+// wireRadio streams a synthetic 3-lead record through the CS node at
+// compression ratio cr, sends every packet over a lossless link and
+// returns the link's radio energy per window, the coded frame size and
+// the node's accounted payload per window.
+func wireRadio(cr float64) (radioJ float64, frame, payload int) {
+	node, err := core.NewNode(core.Config{Mode: core.ModeCS, CSRatio: cr})
+	check(err)
+	stream, err := node.NewStream()
+	check(err)
+	events, err := stream.PushBlock(ecg.Generate(ecg.Config{Seed: 1, Duration: 20}).Leads)
+	check(err)
+	ch, err := link.NewChannel(link.ChannelConfig{})
+	check(err)
+	lk, err := link.NewLink(link.ARQConfig{}, ch, discard{})
+	check(err)
+	for _, e := range events {
+		_, err := lk.SendMeasurements(e.At, e.Measurements)
+		check(err)
+		f, err := link.Encode(link.Packet{Measurements: e.Measurements})
+		check(err)
+		frame, payload = len(f), e.Bytes
+	}
+	rep := lk.Report()
+	return rep.EnergyJ / float64(rep.Packets), frame, payload
+}
+
+// discard is a link.Sink that drops every window.
+type discard struct{}
+
+func (discard) ConsumePacket([][]float64) error { return nil }
+func (discard) ConsumeLostPacket()              {}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "csbench:", err)
+		os.Exit(1)
 	}
 }

@@ -22,7 +22,7 @@ type Prototype struct {
 // class is the one with the largest membership.
 type Classifier struct {
 	rp      *RPMatrix
-	classes []int // class labels in training order
+	classes []int // class labels, ascending: the training order
 	protos  map[int][]Prototype
 	// UseLinExp selects the embedded four-segment exponential instead of
 	// math.Exp (the Section IV.A approximation).
@@ -60,8 +60,20 @@ func Train(rp *RPMatrix, samples map[int][][]float64, cfg TrainConfig) (*Classif
 		return nil, ErrNoSamples
 	}
 	cl := &Classifier{rp: rp, protos: make(map[int][]Prototype)}
+	// Train the classes in label order: k-means draws every class's seeds
+	// from the one rng, so a fixed order makes the classifier a function
+	// of its seed.
+	for label := range samples {
+		cl.classes = append(cl.classes, label)
+	}
+	for i := 1; i < len(cl.classes); i++ {
+		for j := i; j > 0 && cl.classes[j] < cl.classes[j-1]; j-- {
+			cl.classes[j], cl.classes[j-1] = cl.classes[j-1], cl.classes[j]
+		}
+	}
 	rng := rand.New(rand.NewSource(c.Seed + 99))
-	for label, vecs := range samples {
+	for _, label := range cl.classes {
+		vecs := samples[label]
 		if len(vecs) == 0 {
 			return nil, ErrNoSamples
 		}
@@ -110,13 +122,6 @@ func Train(rp *RPMatrix, samples map[int][][]float64, cfg TrainConfig) (*Classif
 				Center:       ctr,
 				InvTwoSigma2: 1 / (2 * sigma * sigma),
 			})
-		}
-		cl.classes = append(cl.classes, label)
-	}
-	// Deterministic class order.
-	for i := 1; i < len(cl.classes); i++ {
-		for j := i; j > 0 && cl.classes[j] < cl.classes[j-1]; j-- {
-			cl.classes[j], cl.classes[j-1] = cl.classes[j-1], cl.classes[j]
 		}
 	}
 	return cl, nil

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -187,6 +188,38 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if _, err := Train(rp, map[int][][]float64{1: {}}, TrainConfig{}); err != ErrNoSamples {
 		t.Error("class with no samples should fail")
+	}
+}
+
+// TestTrainIsAFunctionOfItsSeed: k-means seeds every class from one
+// shared rng, so training must visit the classes in a fixed order —
+// ranging over the sample map would make the prototypes depend on Go's
+// map iteration order.
+func TestTrainIsAFunctionOfItsSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	rp, _ := NewRPMatrix(4, 16, rng)
+	samples := map[int][][]float64{}
+	for label := 0; label < 5; label++ {
+		for i := 0; i < 12; i++ {
+			v := make([]float64, 4)
+			for j := range v {
+				v[j] = float64(label) + rng.NormFloat64()
+			}
+			samples[label] = append(samples[label], v)
+		}
+	}
+	var want string
+	for run := 0; run < 20; run++ {
+		cl, err := Train(rp, samples, TrainConfig{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%v", cl.protos)
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("training %d gave different prototypes from the same samples and seed", run)
+		}
 	}
 }
 

@@ -23,9 +23,6 @@ func TestConfigRejectsNonFiniteFields(t *testing.T) {
 		{Mode: ModeCS, CSRatio: inf},
 		{Mode: ModeDelineation, Leads: -1},
 		{Mode: ModeCS, CSWindow: -512},
-		{Mode: ModeCS, BitsPerSample: -12},
-		{Mode: ModeCS, BitsPerSample: 48},
-		{Mode: ModeCS, QuantBits: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewNode(cfg); !errors.Is(err, ErrConfig) {

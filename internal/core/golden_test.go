@@ -142,7 +142,6 @@ func TestGoldenBitIdentity(t *testing.T) {
 	}{
 		{"raw", Config{Mode: ModeRawStreaming}, clean, 257},
 		{"cs", Config{Mode: ModeCS, CSRatio: 60, Seed: 7}, clean, 511},
-		{"cs-quant8", Config{Mode: ModeCS, CSRatio: 60, QuantBits: 8, Seed: 7}, clean, 512},
 		{"delineation", Config{Mode: ModeDelineation}, clean, 64},
 		{"delineation-gated", Config{Mode: ModeDelineation, GateLeads: true}, corrupted, 257},
 		{"delineation-gated-clean", Config{Mode: ModeDelineation, GateLeads: true}, clean, 128},

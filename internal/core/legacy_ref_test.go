@@ -4,9 +4,10 @@ import (
 	"time"
 
 	"wbsn/internal/af"
-	"wbsn/internal/cs"
 	"wbsn/internal/delineation"
 	"wbsn/internal/dsp"
+	"wbsn/internal/energy"
+	"wbsn/internal/link"
 	"wbsn/internal/morpho"
 	"wbsn/internal/telemetry"
 )
@@ -156,7 +157,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 	var events []Event
 	switch n.cfg.Mode {
 	case ModeRawStreaming:
-		bytes := (len(chunk)*len(chunk[0])*n.cfg.BitsPerSample + 7) / 8
+		bytes := (len(chunk)*len(chunk[0])*energy.SampleBits + 7) / 8
 		events = append(events, Event{Kind: EventPacket, At: base, Bytes: bytes})
 		if tm := s.tel; tm != nil {
 			tm.Packets.Inc()
@@ -164,19 +165,13 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 		}
 	case ModeCS:
 		if len(chunk[0]) == n.cfg.CSWindow {
-			ys := n.enc.EncodeLeads(chunk)
-			bits := n.cfg.BitsPerSample
-			if n.cfg.QuantBits > 0 {
-				bits = n.cfg.QuantBits
-				for li := range ys {
-					q, err := cs.NewQuantizer(bits, cs.AutoScale(ys[li], 1.05))
-					if err != nil {
-						return nil, err
-					}
-					ys[li], _ = q.QuantizeSlice(ys[li])
+			ys := n.enc.EncodeLeadsQ15(chunk)
+			for _, y := range ys {
+				if err := link.QuantizeLead(y); err != nil {
+					return nil, err
 				}
 			}
-			bytes := (n.enc.MeasurementLen()*len(chunk)*bits + 7) / 8
+			bytes := (n.enc.MeasurementLen()*len(chunk)*energy.SampleBits + 7) / 8
 			events = append(events, Event{Kind: EventPacket, At: base, Bytes: bytes, Measurements: ys})
 			if tm := s.tel; tm != nil {
 				s.stageLap(telemetry.StageCS)

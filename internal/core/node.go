@@ -87,14 +87,6 @@ type Config struct {
 	CSRatio float64
 	// Classifier is required in ModeClassification.
 	Classifier *classify.Classifier
-	// BitsPerSample quantises raw samples and CS measurements
-	// (default 12).
-	BitsPerSample int
-	// QuantBits, when positive, passes streamed CS measurements through
-	// an explicit uniform quantiser of that many bits before
-	// transmission (the payload knob of Figure 6); 0 transmits at
-	// BitsPerSample without modelling the rounding.
-	QuantBits int
 	// Seed drives sensing-matrix generation.
 	Seed int64
 	// GateLeads enables per-lead signal-quality gating in the analysis
@@ -123,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if out.CSRatio <= 0 {
 		out.CSRatio = 65.9
-	}
-	if out.BitsPerSample <= 0 {
-		out.BitsPerSample = 12
 	}
 	return out
 }
@@ -156,14 +145,10 @@ func (c Config) validate() error {
 		v    int
 	}{
 		{"Leads", c.Leads}, {"CSWindow", c.CSWindow},
-		{"BitsPerSample", c.BitsPerSample}, {"QuantBits", c.QuantBits},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%w: %s must be non-negative, got %d", ErrConfig, f.name, f.v)
 		}
-	}
-	if c.BitsPerSample > 32 || c.QuantBits > 32 {
-		return fmt.Errorf("%w: sample quantisation beyond 32 bits", ErrConfig)
 	}
 	return nil
 }
@@ -244,17 +229,10 @@ func (n *Node) buildPlan() (*graph.Plan, error) {
 	b := graph.NewBuilder()
 	switch c.Mode {
 	case ModeRawStreaming:
-		v := b.Input(c.Leads, c.CSWindow)
-		b.Packetize(v, c.BitsPerSample)
+		b.Packetize(b.Input(c.Leads, c.CSWindow))
 	case ModeCS:
-		v := b.Input(c.Leads, c.CSWindow)
-		v = b.CSEncode(v, n.enc)
-		bits := c.BitsPerSample
-		if c.QuantBits > 0 {
-			bits = c.QuantBits
-			v = b.Quantize(v, bits)
-		}
-		v = b.Packetize(v, bits)
+		v := b.CSEncode(b.Input(c.Leads, c.CSWindow), n.enc)
+		v = b.Packetize(v)
 		b.Lap(v, telemetry.StageCS)
 	default:
 		// Analysis chunk: 4 s with 1 s overlap (the stream's hop) keeps
@@ -329,11 +307,11 @@ func (n *Node) Process(rec *ecg.Record) (*Result, error) {
 	compOps := 0
 	switch n.cfg.Mode {
 	case ModeRawStreaming:
-		res.TxBytes = (samples*n.cfg.BitsPerSample + 7) / 8
+		res.TxBytes = (samples*energy.SampleBits + 7) / 8
 	case ModeCS:
 		windows := rec.Len() / n.cfg.CSWindow
 		mPerWin := n.enc.MeasurementLen() * len(rec.Leads)
-		res.TxBytes = windows * ((mPerWin*n.cfg.BitsPerSample + 7) / 8)
+		res.TxBytes = windows * ((mPerWin*energy.SampleBits + 7) / 8)
 		compOps = windows * n.enc.Matrix().(*cs.SparseBinary).AddsPerWindow() * len(rec.Leads)
 	default:
 		beats, used, ops, err := n.analyze(rec)

@@ -38,7 +38,8 @@ type Event struct {
 	Bytes int
 	// Measurements holds the per-lead CS measurement vectors of a
 	// ModeCS packet (nil for raw packets), for receiver-side
-	// reconstruction.
+	// reconstruction. They are on the radio's 12-bit grid: exactly the
+	// values link.Decode returns for the packet's frame.
 	Measurements [][]float64
 	// Beat is set for EventBeat.
 	Beat BeatOutput

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"wbsn/internal/ecg"
+	"wbsn/internal/energy"
+	"wbsn/internal/link"
 )
 
 // pushRecord feeds a whole record through a stream in blocks and returns
@@ -182,58 +185,70 @@ func TestStreamSampleBySample(t *testing.T) {
 	}
 }
 
+// TestStreamQuantizedCS pins the node's CS packets to the radio grid:
+// each packet is charged energy.SampleBits per measurement, every lead
+// is already coded, so re-quantising it (link.QuantizeLead, the codec's
+// own rounding) changes no bit and link.Decode(link.Encode(...)) hands
+// back the event's measurements exactly; and they stay within half a
+// code step (plus the Q15 front end's rounding) of the float encoder.
 func TestStreamQuantizedCS(t *testing.T) {
 	rec := ecg.Generate(ecg.Config{Seed: 6, Duration: 8})
-	run := func(bits int) (bytes int, meas [][]float64) {
-		node, _ := NewNode(Config{Mode: ModeCS, QuantBits: bits, Seed: 3})
-		s, _ := node.NewStream()
-		chunk := make([][]float64, len(rec.Leads))
-		for li := range chunk {
-			chunk[li] = rec.Clean[li]
+	node, err := NewNode(Config{Mode: ModeCS, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := node.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := s.PushBlock(rec.Leads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := node.enc.MeasurementLen()
+	if len(events) != rec.Len()/node.Config().CSWindow {
+		t.Fatalf("%d packets, want %d", len(events), rec.Len()/node.Config().CSWindow)
+	}
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: measurement %d is %v, want %v", what, i, got[i], want[i])
+			}
 		}
-		events, err := s.PushBlock(chunk)
+	}
+	for w, e := range events {
+		if want := (m*len(rec.Leads)*energy.SampleBits + 7) / 8; e.Bytes != want {
+			t.Fatalf("packet %d charged %d bytes, want %d", w, e.Bytes, want)
+		}
+		frame, err := link.Encode(link.Packet{Seq: uint32(w), Measurements: e.Measurements})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range events {
-			bytes += e.Bytes
-			meas = e.Measurements
+		wire, err := link.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return bytes, meas
-	}
-	bFull, mFull := run(0)
-	bQ8, mQ8 := run(8)
-	// 8-bit payload is two thirds of the 12-bit payload.
-	if bQ8 >= bFull {
-		t.Errorf("8-bit payload %d not smaller than 12-bit %d", bQ8, bFull)
-	}
-	// Quantisation changes measurement values but only slightly.
-	var maxRel float64
-	for li := range mFull {
-		scale := 0.0
-		for _, v := range mFull[li] {
-			if a := v; a < 0 {
-				v = -v
+		win := e.At
+		for li, y := range e.Measurements {
+			again := append([]float64(nil), y...)
+			if err := link.QuantizeLead(again); err != nil {
+				t.Fatal(err)
 			}
-			if v > scale {
-				scale = v
+			sameBits("re-quantised", again, y)
+			sameBits("decoded", wire.Measurements[li], y)
+			ref := node.enc.Encode(rec.Leads[li][win : win+node.Config().CSWindow])
+			peak := 0.0
+			for _, v := range y {
+				peak = max(peak, math.Abs(v))
 			}
-		}
-		for i := range mFull[li] {
-			d := mQ8[li][i] - mFull[li][i]
-			if d < 0 {
-				d = -d
-			}
-			if rel := d / scale; rel > maxRel {
-				maxRel = rel
+			tol := peak/2048 + math.Ldexp(1, -12)
+			for i := range ref {
+				if d := math.Abs(y[i] - ref[i]); d > tol {
+					t.Fatalf("packet %d lead %d measurement %d: %v vs float %v (tolerance %.3g)", w, li, i, y[i], ref[i], tol)
+				}
 			}
 		}
-	}
-	if maxRel == 0 {
-		t.Error("quantisation had no effect on the measurements")
-	}
-	if maxRel > 0.01 {
-		t.Errorf("8-bit quantisation error %.4f of full scale, want < 1%%", maxRel)
 	}
 }
 

@@ -109,9 +109,7 @@ type Decoder struct {
 	n, m    int
 	weights []float64  // per-coefficient penalty weights (0 = unpenalised)
 	alen    int        // approximation-band length n >> Levels
-	parent  []int      // rooted wavelet-tree parents (TreeIHT model)
-	pool    *sync.Pool // *solverScratch (TreeIHT)
-	bpool   *sync.Pool // *batchScratch (FISTA)
+	bpool   *sync.Pool // *batchScratch
 }
 
 // NewDecoder builds a decoder in which every lead shares the one sensing
@@ -160,23 +158,16 @@ func NewJointDecoder(phis []Matrix, cfg SolverConfig) (*Decoder, error) {
 	for i := d.alen; i < n; i++ {
 		d.weights[i] = 1
 	}
-	parent, err := treeStructure(n, c.Levels)
-	if err != nil {
-		return nil, err
-	}
-	d.parent = parent
-	d.pool = newScratchPool(n, m)
 	d.bpool = newBatchPool()
 	return d, nil
 }
 
 // Clone returns a decoder that shares every piece of immutable derived
-// state — sensing matrices, Lipschitz bound, penalty weights, tree
-// tables — but owns a private scratch pool. Engine workers use clones so
-// their steady-state buffers never migrate between OS threads.
+// state — sensing matrices, Lipschitz bound, penalty weights — but owns
+// a private scratch pool. Engine workers use clones so their
+// steady-state buffers never migrate between OS threads.
 func (d *Decoder) Clone() *Decoder {
 	out := *d
-	out.pool = newScratchPool(d.n, d.m)
 	out.bpool = newBatchPool()
 	return &out
 }

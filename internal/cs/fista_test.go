@@ -64,7 +64,8 @@ func TestEncodeQ15MatchesFloat(t *testing.T) {
 		xf[i] = rng.Float64()*1.2 - 0.6
 	}
 	xq := fixedpt.FromSlice(xf)
-	yq := enc.EncodeQ15(xq)
+	yq := make([]int32, 32)
+	enc.EncodeQ15(xq, yq)
 	yf := enc.Encode(xf)
 	// yq is unscaled (integer adds); yf = scaled by 1/sqrt(d). Compare
 	// after normalising.
@@ -85,7 +86,7 @@ func TestEncodeQ15RequiresSparseBinary(t *testing.T) {
 			t.Error("EncodeQ15 on Gaussian should panic")
 		}
 	}()
-	enc.EncodeQ15(make([]fixedpt.Q15, 64))
+	enc.EncodeQ15(make([]fixedpt.Q15, 64), make([]int32, 16))
 }
 
 func TestNewDecoderValidation(t *testing.T) {
@@ -385,4 +386,15 @@ func (d *Decoder) ReconstructWarm(y []float64, ws *WarmState) ([]float64, SolveS
 		return nil, st, ErrSolver
 	}
 	return xs[0], st, nil
+}
+
+// EncodeLeads compresses one window per lead with the shared sensing
+// matrix (the multi-lead setting of ref [6] uses the same Φ on every
+// lead so the receiver can exploit the common support).
+func (e *Encoder) EncodeLeads(leads [][]float64) [][]float64 {
+	out := make([][]float64, len(leads))
+	for i, l := range leads {
+		out[i] = e.Encode(l)
+	}
+	return out
 }

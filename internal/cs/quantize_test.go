@@ -2,11 +2,11 @@ package cs
 
 import "math"
 
-// This file models the measurement quantisation on the radio path: the
-// node transmits each CS measurement at a fixed bit width, and the
-// receiver reconstructs from the dequantised values. The bits-per-
-// measurement setting trades payload size against quantisation noise —
-// the knob behind Figure 6's payload accounting.
+// This file holds a bit-width-swept uniform quantiser: the reference
+// the quantisation tests and BenchmarkAblationQuantBits sweep to show
+// what payload size costs in reconstruction quality. The radio path
+// itself rounds every lead onto one fixed 12-bit grid
+// (link.QuantizeLead).
 
 // Quantizer is a uniform mid-rise quantiser over a symmetric range.
 type Quantizer struct {

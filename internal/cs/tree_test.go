@@ -9,6 +9,77 @@ import (
 	"wbsn/internal/wavelet"
 )
 
+// This file implements the connected-tree recovery model of ref [17]
+// (Duarte, Wakin, Baraniuk, SPARS'05), which Section IV.A describes:
+// "wavelet coefficients are naturally organized into a tree structure,
+// and the largest coefficients cluster along the branches of this tree.
+// A CS reconstruction algorithm based on the connected tree model has
+// been proposed in [17]."
+//
+// TreeIHT is a model-based iterative hard thresholding:
+// the gradient step is followed by a projection onto
+// rooted-connected-tree supports — a child detail coefficient survives
+// only if its parent at the next coarser scale survives — which encodes
+// the persistence of ECG wave edges across scales. No program runs it;
+// BenchmarkAblationSolverVariants compares it with FISTA.
+
+// treeStructure precomputes the parent index of every pyramid-ordered
+// coefficient (approximation coefficients are roots with parent -1).
+func treeStructure(n, levels int) ([]int, error) {
+	if levels < 1 || n == 0 || n%(1<<uint(levels)) != 0 {
+		return nil, ErrSolver
+	}
+	parent := make([]int, n)
+	// Pyramid order: the approximation band [0, alen), then the detail
+	// bands d_L, d_{L-1}, ..., d_1, the band starting at lo spanning
+	// [lo, 2·lo). The coarsest details attach one-to-one to the
+	// approximation band; a finer detail coefficient's parent is the
+	// coefficient at half its in-band offset in the next coarser band.
+	alen := n >> uint(levels)
+	for i := 0; i < alen; i++ {
+		parent[i] = -1
+		parent[alen+i] = i
+	}
+	for lo := 2 * alen; lo < n; lo *= 2 {
+		for i := lo; i < 2*lo; i++ {
+			parent[i] = lo/2 + (i-lo)/2
+		}
+	}
+	return parent, nil
+}
+
+// solverScratch holds every intermediate buffer of one TreeIHT
+// reconstruction. Each call builds its own, so one Decoder may run
+// TreeIHT from many goroutines at once. (FISTA draws its buffers from
+// the decoder's batch pool, batchScratch.)
+type solverScratch struct {
+	x    []float64 // n — signal-domain work vector
+	ax   []float64 // m — measurement-domain work vector
+	z    []float64 // n — back-projection work vector
+	grad []float64 // n — current gradient
+
+	theta []float64 // n — iterate
+
+	ws wavelet.Scratch // DWT ping-pong buffers
+
+	gS      []float64 // n — support-restricted gradient
+	kept    []bool    // n — tree-projection membership
+	support []bool    // n — debias support
+}
+
+func newSolverScratch(n, m int) *solverScratch {
+	return &solverScratch{
+		x:       make([]float64, n),
+		ax:      make([]float64, m),
+		z:       make([]float64, n),
+		grad:    make([]float64, n),
+		theta:   make([]float64, n),
+		gS:      make([]float64, n),
+		kept:    make([]bool, n),
+		support: make([]bool, n),
+	}
+}
+
 func TestTreeStructure(t *testing.T) {
 	parent, err := treeStructure(64, 3)
 	if err != nil {
@@ -266,9 +337,8 @@ func quickSelect(xs []float64, k int) float64 {
 // TreeIHT reconstructs a window from measurements with model-based
 // iterative hard thresholding over the rooted wavelet tree: k is the
 // detail-coefficient budget (the approximation band is always kept).
-// The step size is 1/L with L the decoder's Lipschitz estimate. The tree
-// tables are built once at decoder construction and all iteration state
-// comes from the decoder's scratch pool.
+// The step size is 1/L with L the decoder's Lipschitz estimate. Each
+// call builds its tree table and iteration state.
 func (d *Decoder) TreeIHT(y []float64, k, iters int) ([]float64, error) {
 	if len(y) != d.m {
 		return nil, ErrSolver
@@ -276,9 +346,12 @@ func (d *Decoder) TreeIHT(y []float64, k, iters int) ([]float64, error) {
 	if k <= 0 || iters <= 0 {
 		return nil, ErrSolver
 	}
-	s := d.pool.Get().(*solverScratch)
-	defer d.pool.Put(s)
-	parent, alen := d.parent, d.alen
+	parent, err := treeStructure(d.n, d.cfg.Levels)
+	if err != nil {
+		return nil, err
+	}
+	s := newSolverScratch(d.n, d.m)
+	alen := d.alen
 	phi := d.phis[0]
 	theta := s.theta
 	for i := range theta {

@@ -67,7 +67,7 @@ func TestBatteryLifetime(t *testing.T) {
 
 func TestRawStreamingBreakdownShape(t *testing.T) {
 	node := DefaultNode()
-	w := WindowSpec{SamplesPerLead: 512, Leads: 3, BitsPerSample: 12}
+	w := WindowSpec{SamplesPerLead: 512, Leads: 3}
 	raw := node.RawStreamingWindow(w)
 	if raw.CompJ != 0 {
 		t.Error("raw streaming should have no compression energy")
@@ -86,7 +86,7 @@ func TestFigure6Reductions(t *testing.T) {
 	// compression cost; multi-lead (higher CR) saves more than
 	// single-lead; both reductions land in the paper's 40-60% band.
 	node := DefaultNode()
-	w := WindowSpec{SamplesPerLead: 512, Leads: 3, BitsPerSample: 12}
+	w := WindowSpec{SamplesPerLead: 512, Leads: 3}
 	raw := node.RawStreamingWindow(w)
 	mSL := cs.MeasurementsForCR(512, 65.9)
 	mML := cs.MeasurementsForCR(512, 72.7)

@@ -36,21 +36,25 @@ func DefaultNode() NodeModel {
 	return NodeModel{Radio: DefaultRadio(), ADC: DefaultADC(), CPU: DefaultCPU(), OS: DefaultOS()}
 }
 
+// SampleBits is the width of every value the node puts on the air: one
+// raw ADC sample or one CS measurement code. The node's payload
+// accounting, the radio codec (internal/link) and this model all charge
+// it.
+const SampleBits = 12
+
 // WindowSpec describes one processing window of the streaming pipeline.
 type WindowSpec struct {
 	// SamplesPerLead is the window length n.
 	SamplesPerLead int
 	// Leads is the lead count (3 for the SmartCardia device).
 	Leads int
-	// BitsPerSample quantises raw samples and CS measurements alike.
-	BitsPerSample int
 }
 
 // RawStreamingWindow returns the no-compression bar: every sample of
 // every lead is transmitted raw.
 func (m NodeModel) RawStreamingWindow(w WindowSpec) Breakdown {
 	samples := w.SamplesPerLead * w.Leads
-	payload := (samples*w.BitsPerSample + 7) / 8
+	payload := (samples*SampleBits + 7) / 8
 	return Breakdown{
 		Label:   "No Comp.",
 		RadioJ:  m.Radio.TxEnergyJ(payload),
@@ -64,7 +68,7 @@ func (m NodeModel) RawStreamingWindow(w WindowSpec) Breakdown {
 // measurements are transmitted.
 func (m NodeModel) CSWindow(label string, w WindowSpec, measurementsPerLead, addsPerLead int) Breakdown {
 	samples := w.SamplesPerLead * w.Leads
-	payload := (measurementsPerLead*w.Leads*w.BitsPerSample + 7) / 8
+	payload := (measurementsPerLead*w.Leads*SampleBits + 7) / 8
 	return Breakdown{
 		Label:   label,
 		RadioJ:  m.Radio.TxEnergyJ(payload),

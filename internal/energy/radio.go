@@ -79,16 +79,14 @@ type ADCModel struct {
 	// EnergyPerSampleJ is the per-conversion energy including the analog
 	// front-end's share.
 	EnergyPerSampleJ float64
-	// BitsPerSample is the converter resolution.
-	BitsPerSample int
 }
 
-// DefaultADC returns a low-power biosignal front-end: 12-bit conversions
-// at ~0.65 µJ each. The instrumentation amplifier dominates this figure —
+// DefaultADC returns a low-power biosignal front-end: SampleBits-wide
+// conversions at ~0.65 µJ each. The instrumentation amplifier dominates this figure —
 // the SAR conversion itself is tens of nanojoules, but the analog
 // front-end must stay biased through the acquisition.
 func DefaultADC() ADCModel {
-	return ADCModel{EnergyPerSampleJ: 0.65e-6, BitsPerSample: 12}
+	return ADCModel{EnergyPerSampleJ: 0.65e-6}
 }
 
 // SamplingEnergyJ returns the acquisition energy for n samples.

@@ -129,8 +129,8 @@ func TestClusterDigestGolden(t *testing.T) {
 			SessionS:    8,
 			CarryWarm:   true,
 		}
-		round0 := []uint64{0x2c097f9c06e44dca, 0x20c7fb0ff12eb3c6, 0x57248817b9831304, 0x242028331cc9a1ff}
-		const fold3 = 0x63743538bc350ddf
+		round0 := []uint64{0x84f4fbe872909b70, 0x71ead37799f93a99, 0x8db0e4819e73678c, 0x2f6138c7cadc6a48}
+		const fold3 = 0x6a06aed75f72f200
 
 		cl, err := NewCluster(cfg)
 		if err != nil {

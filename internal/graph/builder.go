@@ -22,7 +22,6 @@ const (
 	opDelineate
 	opClassify
 	opCSEncode
-	opQuantize
 	opPacketize
 )
 
@@ -44,8 +43,6 @@ func (k opKind) String() string {
 		return "classify"
 	case opCSEncode:
 		return "cs-encode"
-	case opQuantize:
-		return "quantize"
 	case opPacketize:
 		return "packetize"
 	default:
@@ -67,7 +64,6 @@ type irNode struct {
 	cls     *classify.Classifier // opClassify
 	beatWin classify.BeatWindow  // opClassify
 	enc     *cs.Encoder          // opCSEncode
-	bits    int                  // opQuantize/opPacketize
 	fs      float64              // opGateLeads
 
 	// lap tags recorded after this op's compiled stage completes.
@@ -243,8 +239,11 @@ func (b *Builder) Classify(v Value, cls *classify.Classifier, win classify.BeatW
 	return b.add(&irNode{kind: opClassify, in: n.id, cls: cls, beatWin: win}, Shape{Class: ShapeBeats})
 }
 
-// CSEncode projects each lead of a full chunk through the compressed-
-// sensing measurement matrix. Chunks shorter than the encoder's window
+// CSEncode runs the node's integer compressed-sensing stage over each
+// lead of a full chunk: digitise to Q15, project through the sensing
+// matrix (cs.Encoder.EncodeLeadsQ15) and round each lead's measurements
+// onto the 12-bit radio grid (link.QuantizeLead), so they are the
+// values the wire carries. Chunks shorter than the encoder's window
 // produce no packet at run time (trailing flush).
 func (b *Builder) CSEncode(v Value, enc *cs.Encoder) Value {
 	n := b.take(v, opCSEncode, ShapeLeads)
@@ -261,31 +260,14 @@ func (b *Builder) CSEncode(v Value, enc *cs.Encoder) Value {
 		Shape{Class: ShapeMeasurements, Leads: n.shape.Leads})
 }
 
-// Quantize passes CS measurements through an explicit uniform quantiser
-// of the given bit depth (per-window auto-scaled); the packetiser then
-// charges that depth per measurement.
-func (b *Builder) Quantize(v Value, bits int) Value {
-	n := b.take(v, opQuantize, ShapeMeasurements)
-	if n == nil {
-		return Value{id: -1}
-	}
-	if bits < 1 || bits > 32 {
-		return b.fail("quantize: bit depth %d outside [1, 32]", bits)
-	}
-	return b.add(&irNode{kind: opQuantize, in: n.id, bits: bits}, n.shape)
-}
-
 // Packetize terminates a raw or CS pipeline: it sizes the radio payload
-// at the given bits per sample (or per measurement).
-func (b *Builder) Packetize(v Value, bits int) Value {
+// at energy.SampleBits per sample (or per measurement code).
+func (b *Builder) Packetize(v Value) Value {
 	n := b.take(v, opPacketize, ShapeLeads, ShapeMeasurements)
 	if n == nil {
 		return Value{id: -1}
 	}
-	if bits < 1 || bits > 32 {
-		return b.fail("packetize: bit depth %d outside [1, 32]", bits)
-	}
-	return b.add(&irNode{kind: opPacketize, in: n.id, bits: bits}, Shape{Class: ShapePacket})
+	return b.add(&irNode{kind: opPacketize, in: n.id}, Shape{Class: ShapePacket})
 }
 
 // Lap tags a value's producing op with a telemetry stage: the compiled

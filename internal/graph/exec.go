@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"wbsn/internal/cs"
 	"wbsn/internal/dsp"
+	"wbsn/internal/energy"
 	"wbsn/internal/link"
 	"wbsn/internal/morpho"
 	"wbsn/internal/wavelet"
@@ -40,7 +40,10 @@ func execErr(format string, args ...any) error {
 // NewExec allocates an executor for the plan: the scratch slab and
 // header tables, then runs the plan once over a zero chunk so
 // demand-grown scratch (morphological wedges, wavelet ping-pong
-// buffers, delineator pools) is warm before the first real chunk.
+// buffers, delineator pools) is warm before the first real chunk. The
+// stages that keep such scratch all write arena buffers; a plan with
+// no arena (raw and CS packetisers) has nothing to warm and skips the
+// run.
 func (p *Plan) NewExec() *Exec {
 	e := &Exec{
 		plan:    p,
@@ -55,6 +58,9 @@ func (p *Plan) NewExec() *Exec {
 	}
 	if p.classify != nil {
 		e.beatBuf = make([]float64, 0, p.classify.beatWin.Len())
+	}
+	if p.slabLen == 0 {
+		return e
 	}
 	warm := make([][]float64, p.leads)
 	zero := make([]float64, p.chunkLen)
@@ -154,24 +160,20 @@ func (e *Exec) Run(chunk [][]float64, lp Lapper) (Result, error) {
 				res.Combined = series
 				return res, nil
 			}
-			res.Measurements = sg.enc.EncodeLeads(leads)
-
-		case stageQuantize:
-			for li := range res.Measurements {
-				q, err := cs.NewQuantizer(sg.bits, cs.AutoScale(res.Measurements[li], 1.05))
-				if err != nil {
+			res.Measurements = sg.enc.EncodeLeadsQ15(leads)
+			for _, y := range res.Measurements {
+				if err := link.QuantizeLead(y); err != nil {
 					return Result{}, err
 				}
-				res.Measurements[li], _ = q.QuantizeSlice(res.Measurements[li])
 			}
 
 		case stagePacketRaw:
 			res.HasPacket = true
-			res.PacketBytes = (len(leads)*n*sg.bits + 7) / 8
+			res.PacketBytes = (len(leads)*n*energy.SampleBits + 7) / 8
 
 		case stagePacketMeas:
 			res.HasPacket = true
-			res.PacketBytes = (len(res.Measurements[0])*len(res.Measurements)*sg.bits + 7) / 8
+			res.PacketBytes = (len(res.Measurements[0])*len(res.Measurements)*energy.SampleBits + 7) / 8
 		}
 		if lp != nil {
 			for _, tag := range sg.laps {

@@ -21,11 +21,11 @@ func FuzzBuilder(f *testing.F) {
 	// CS chain, a raw chain, some junk, and an unfused filter feeding a
 	// fused one with a classifier on the combined series.
 	f.Add([]byte{3, 1, 2, 3, 4, 5})
-	f.Add([]byte{3, 7, 8, 9})
-	f.Add([]byte{2, 9})
+	f.Add([]byte{3, 7, 8})
+	f.Add([]byte{2, 8})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{3, 3, 3, 4, 4})
-	f.Add([]byte{1, 2, 2, 3, 6, 10})
+	f.Add([]byte{1, 2, 2, 3, 6, 9})
 
 	const chunkLen = 64
 	del, err := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
@@ -82,7 +82,7 @@ func FuzzBuilder(f *testing.F) {
 			if i+1 < len(script) {
 				arg = int(script[i+1])
 			}
-			switch op % 11 {
+			switch op % 10 {
 			case 0:
 				v = b.Input(arg%5, chunkLen) // usually a duplicate-input error
 			case 1:
@@ -100,10 +100,8 @@ func FuzzBuilder(f *testing.F) {
 			case 7:
 				v = b.CSEncode(v, enc)
 			case 8:
-				v = b.Quantize(v, arg%36)
+				v = b.Packetize(v)
 			case 9:
-				v = b.Packetize(v, arg%36)
-			case 10:
 				b.Lap(v, telemetry.Stage(arg%10))
 			}
 		}
@@ -124,8 +122,7 @@ func FuzzBuilder(f *testing.F) {
 				chunk[li][i] = float64((i+li)%7) - 3
 			}
 		}
-		// Runtime config errors (e.g. quantiser bit ranges) are
-		// acceptable; only panics fail the fuzz.
+		// Runtime errors are acceptable; only panics fail the fuzz.
 		_, _ = e.Run(chunk, nil)
 		short := make([][]float64, leads)
 		for li := range short {

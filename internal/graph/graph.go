@@ -2,9 +2,9 @@
 // node's per-chunk DSP pipelines. A pipeline is assembled through a
 // Builder — one op per processing stage the node runs (lead gating,
 // morphological conditioning, lead combination, à-trous decomposition,
-// delineation, classification, CS encoding, quantisation,
-// packetisation) — validated structurally and shape-wise at build
-// time, and compiled into an immutable Plan:
+// delineation, classification, integer CS encoding onto the radio's
+// 12-bit grid, packetisation) — validated structurally and shape-wise
+// at build time, and compiled into an immutable Plan:
 //
 //   - the morphological-filter tail feeding the RMS lead combiner is
 //     fused into a single pass, which is bit-identical to the unfused
@@ -112,8 +112,9 @@ type Result struct {
 	// PacketBytes is the payload size when HasPacket is set.
 	PacketBytes int
 	// Measurements holds the per-lead CS measurement vectors of a CS
-	// packet (nil for raw packets). Freshly allocated per Run; safe to
-	// retain (they travel inside emitted events).
+	// packet (nil for raw packets), already on the radio's 12-bit grid.
+	// Freshly allocated per Run; safe to retain (they travel inside
+	// emitted events).
 	Measurements [][]float64
 }
 

@@ -11,6 +11,7 @@ import (
 	"wbsn/internal/delineation"
 	"wbsn/internal/dsp"
 	"wbsn/internal/ecg"
+	"wbsn/internal/energy"
 	"wbsn/internal/link"
 	"wbsn/internal/morpho"
 	"wbsn/internal/telemetry"
@@ -48,7 +49,7 @@ func TestBuilderValidation(t *testing.T) {
 		name  string
 		build func(b *Builder)
 	}{
-		{"no input", func(b *Builder) { b.Packetize(Value{}, 12) }},
+		{"no input", func(b *Builder) { b.Packetize(Value{}) }},
 		{"empty builder", func(b *Builder) {}},
 		{"two inputs", func(b *Builder) { b.Input(3, 64); b.Input(3, 64) }},
 		{"zero leads", func(b *Builder) { b.Input(0, 64) }},
@@ -75,10 +76,7 @@ func TestBuilderValidation(t *testing.T) {
 			b.Classify(b.CombineRMS(b.Input(3, 64)), nil, classify.DefaultBeatWindow(256))
 		}},
 		{"cs nil encoder", func(b *Builder) { b.CSEncode(b.Input(3, 64), nil) }},
-		{"quantize on leads", func(b *Builder) { b.Quantize(b.Input(3, 64), 8) }},
-		{"packetize zero bits", func(b *Builder) { b.Packetize(b.Input(3, 64), 0) }},
-		{"packetize wide bits", func(b *Builder) { b.Packetize(b.Input(3, 64), 33) }},
-		{"packetize series", func(b *Builder) { b.Packetize(b.CombineRMS(b.Input(3, 64)), 12) }},
+		{"packetize series", func(b *Builder) { b.Packetize(b.CombineRMS(b.Input(3, 64))) }},
 		{"foreign value", func(b *Builder) {
 			other := NewBuilder()
 			v := other.Input(3, 64)
@@ -108,7 +106,7 @@ func TestBuilderErrPoisons(t *testing.T) {
 	}
 	// Further ops on the poisoned builder are no-ops, not panics.
 	b.CombineRMS(bad)
-	b.Packetize(bad, 12)
+	b.Packetize(bad)
 	if _, err := b.Build(); !errors.Is(err, ErrBuild) {
 		t.Fatalf("Build err = %v, want the first recorded ErrBuild", err)
 	}
@@ -311,19 +309,18 @@ func newTestEncoder(t *testing.T, window int) *cs.Encoder {
 	return cs.NewEncoder(phi)
 }
 
-// TestCSPlanBitIdentity checks the CS encode → quantize → packetize
-// chain against the streaming node's reference arithmetic, including
-// the no-packet trailing-flush behaviour and its lap suppression.
+// TestCSPlanBitIdentity checks the CS encode → packetize chain against
+// the node's reference arithmetic (the integer encoder, then the radio
+// grid), including the no-packet trailing-flush behaviour and its lap
+// suppression.
 func TestCSPlanBitIdentity(t *testing.T) {
 	const window = 512
 	chunk := testLeads(t, 3, window, 51)
 	enc := newTestEncoder(t, window)
-	const bits = 8
 
 	b := NewBuilder()
 	v := b.CSEncode(b.Input(3, window), enc)
-	v = b.Quantize(v, bits)
-	v = b.Packetize(v, bits)
+	v = b.Packetize(v)
 	b.Lap(v, telemetry.StageCS)
 	p, err := b.Build()
 	if err != nil {
@@ -339,15 +336,13 @@ func TestCSPlanBitIdentity(t *testing.T) {
 		t.Fatal("full window produced no packet")
 	}
 
-	ys := enc.EncodeLeads(chunk)
+	ys := enc.EncodeLeadsQ15(chunk)
 	for li := range ys {
-		q, err := cs.NewQuantizer(bits, cs.AutoScale(ys[li], 1.05))
-		if err != nil {
+		if err := link.QuantizeLead(ys[li]); err != nil {
 			t.Fatal(err)
 		}
-		ys[li], _ = q.QuantizeSlice(ys[li])
 	}
-	wantBytes := (enc.MeasurementLen()*len(chunk)*bits + 7) / 8
+	wantBytes := (enc.MeasurementLen()*len(chunk)*energy.SampleBits + 7) / 8
 	if res.PacketBytes != wantBytes {
 		t.Fatalf("packet bytes %d != %d", res.PacketBytes, wantBytes)
 	}
@@ -380,7 +375,7 @@ func TestRawPacketPlan(t *testing.T) {
 	const n = 512
 	chunk := testLeads(t, 2, n, 61)
 	b := NewBuilder()
-	b.Packetize(b.Input(2, n), 12)
+	b.Packetize(b.Input(2, n))
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ const (
 	stageAtrous
 	stageDelineate
 	stageEncode
-	stageQuantize
 	stagePacketRaw
 	stagePacketMeas
 )
@@ -42,8 +41,6 @@ func (k stageKind) String() string {
 		return "delineate"
 	case stageEncode:
 		return "cs-encode"
-	case stageQuantize:
-		return "quantize"
 	case stagePacketRaw:
 		return "packet-raw"
 	case stagePacketMeas:
@@ -64,7 +61,6 @@ type stage struct {
 	scales     int
 	del        *delineation.WaveletDelineator
 	enc        *cs.Encoder
-	bits       int
 	fs         float64
 
 	out []bufRef // lane (or scale) output buffers in the arena
@@ -146,14 +142,12 @@ func compile(b *Builder, chain []*irNode, cn *irNode) (*Plan, error) {
 			p.stages = append(p.stages, stage{kind: stageDelineate, del: n.del, laps: n.laps})
 		case opCSEncode:
 			p.stages = append(p.stages, stage{kind: stageEncode, enc: n.enc, laps: n.laps})
-		case opQuantize:
-			p.stages = append(p.stages, stage{kind: stageQuantize, bits: n.bits, laps: n.laps})
 		case opPacketize:
 			kind := stagePacketRaw
 			if b.nodes[n.in].shape.Class == ShapeMeasurements {
 				kind = stagePacketMeas
 			}
-			p.stages = append(p.stages, stage{kind: kind, bits: n.bits, laps: n.laps})
+			p.stages = append(p.stages, stage{kind: kind, laps: n.laps})
 		default:
 			return nil, buildErr("op %v cannot be compiled", n.kind)
 		}

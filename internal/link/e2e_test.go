@@ -6,6 +6,7 @@ package link_test
 // pulls in core and gateway, which themselves import link.
 
 import (
+	"math"
 	"testing"
 
 	"wbsn/internal/core"
@@ -16,6 +17,7 @@ import (
 	"wbsn/internal/energy"
 	"wbsn/internal/gateway"
 	"wbsn/internal/link"
+	"wbsn/internal/telemetry"
 )
 
 // TestEndToEndLossyChain runs the acceptance scenario: ~10%
@@ -111,7 +113,7 @@ func TestEndToEndLossyChain(t *testing.T) {
 	model := energy.DefaultNode()
 	cfg := node.Config()
 	bd := model.CSWindow("CS over lossy link",
-		energy.WindowSpec{SamplesPerLead: cfg.CSWindow, Leads: cfg.Leads, BitsPerSample: cfg.BitsPerSample},
+		energy.WindowSpec{SamplesPerLead: cfg.CSWindow, Leads: cfg.Leads},
 		cs.MeasurementsForCR(cfg.CSWindow, cfg.CSRatio), cfg.CSWindow*core.CSDensity)
 	lossless := bd.TotalJ()
 	bd.RetxJ = retx / float64(report.Packets)
@@ -177,5 +179,89 @@ func TestEndToEndLeadOffFallback(t *testing.T) {
 	rep := delineation.Evaluate(rec, dets, delineation.DefaultTolerances())
 	if se := rep.R.Se(); se < 0.9 {
 		t.Errorf("single-lead fallback QRS Se %.3f, want >= 0.9", se)
+	}
+}
+
+// windowSink records every delivered window.
+type windowSink struct{ got [][][]float64 }
+
+func (s *windowSink) ConsumePacket(m [][]float64) error {
+	s.got = append(s.got, m)
+	return nil
+}
+func (s *windowSink) ConsumeLostPacket() { s.got = append(s.got, nil) }
+
+// TestLosslessLinkChargesTheWireFrame makes Figure 6's radio term a
+// live measurement. On a lossless link each 3-lead CR-60 window leaves
+// as one coded frame whose length is the node's accounted payload (12
+// bits per measurement: 923 bytes) plus the codec's fixed framing — a
+// 14-byte header, one exponent byte per lead and a 4-byte CRC — so 944
+// bytes. The link charges each window exactly
+// energy.DefaultRadio().TxEnergyJ of that frame, and the receiver gets
+// the node's measurements bit for bit.
+func TestLosslessLinkChargesTheWireFrame(t *testing.T) {
+	rec := ecg.Generate(ecg.Config{Seed: 12, Duration: 20})
+	node, err := core.NewNode(core.Config{Mode: core.ModeCS, CSRatio: 60, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := node.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := telemetry.NewSet(telemetry.NewRegistry())
+	stream.SetTelemetry(set.Node)
+	ch, err := link.NewChannel(link.ChannelConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &windowSink{}
+	lk, err := link.NewLink(link.ARQConfig{Seed: 2}, ch, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk.SetTelemetry(set.Link)
+	events, err := stream.PushBlock(rec.Leads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leads := len(rec.Leads)
+	const framing = 14 + 4 // header and CRC, plus one exponent byte per lead
+	for i, e := range events {
+		frame, err := link.Encode(link.Packet{Seq: uint32(i), WindowStart: uint32(e.At), Measurements: e.Measurements})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != e.Bytes+framing+leads || len(frame) != 944 {
+			t.Fatalf("window %d: %d-byte frame for %d accounted payload bytes, want %d + %d = 944",
+				i, len(frame), e.Bytes, e.Bytes, framing+leads)
+		}
+		if ok, err := lk.SendMeasurements(e.At, e.Measurements); err != nil || !ok {
+			t.Fatalf("window %d: delivered %v, err %v", i, ok, err)
+		}
+	}
+	if err := lk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	windows := uint64(len(events))
+	if windows != 10 || set.Node.TxBytes.Value() != windows*923 {
+		t.Fatalf("%d windows accounting %d bytes, want 10 of 923", windows, set.Node.TxBytes.Value())
+	}
+	wantJ := energy.DefaultRadio().TxEnergyJ(944)
+	snap := set.Link.PacketMicroJ.Snapshot()
+	if want := uint64(wantJ * 1e6); snap.Count != windows || snap.Min != want || snap.Max != want || snap.Sum != windows*want {
+		t.Fatalf("link.radio.packet_uj %+v, want %d windows of %d µJ", snap, windows, want)
+	}
+	if rep := lk.Report(); rep.Attempts != int(windows) || math.Abs(rep.EnergyJ-float64(windows)*wantJ) > 1e-12 {
+		t.Fatalf("report: %d attempts, %.9g J; want %d attempts, %.9g J", rep.Attempts, rep.EnergyJ, windows, float64(windows)*wantJ)
+	}
+	for i, e := range events {
+		for li, y := range e.Measurements {
+			for k, v := range y {
+				if math.Float64bits(sink.got[i][li][k]) != math.Float64bits(v) {
+					t.Fatalf("window %d lead %d value %d: received %v, sent %v", i, li, k, sink.got[i][li][k], v)
+				}
+			}
+		}
 	}
 }

@@ -3,9 +3,10 @@
 // the energy ladder (Figure 1) silently assumes to be perfect. It
 // provides:
 //
-//   - a sequence-numbered packet codec with CRC-32 integrity
-//     (packet.go), so corrupted frames are detected rather than
-//     consumed;
+//   - a sequence-numbered packet codec (packet.go) that carries each
+//     lead's measurements as 12-bit codes under one power-of-two
+//     exponent, with CRC-32 integrity so corrupted frames are detected
+//     rather than consumed;
 //   - a deterministic Gilbert–Elliott burst-loss channel with
 //     state-dependent bit errors, duplication and reordering
 //     (channel.go), the canonical model for fading body-area links;
@@ -29,42 +30,61 @@ import (
 	"hash/crc32"
 	"math"
 
+	"wbsn/internal/energy"
 	"wbsn/internal/telemetry/trace"
 )
 
 // Codec errors.
 var (
 	// ErrCodec is returned for structurally malformed packets (bad
-	// magic, impossible sizes, truncation).
+	// magic, impossible sizes, truncation, non-canonical codes) and for
+	// measurements the wire cannot carry (NaN, ±Inf, beyond ±2047·2^127).
 	ErrCodec = errors.New("link: malformed packet")
 	// ErrCRC is returned when a packet's checksum does not match its
 	// contents — the frame was corrupted in flight.
 	ErrCRC = errors.New("link: packet CRC mismatch")
 )
 
-// Wire-format constants. Version 1 is the original frame; version 2
-// inserts a 12-byte trace extension — trace id (8) plus the node-side
+// Wire-format constants. Every version opens with the same 14-byte
+// header. Versions 1 and 2 carry each measurement as a float32; version
+// 2 inserts a 12-byte trace extension — trace id (8) plus the node-side
 // encode duration in µs (4) — between the header and the payload.
-// Encode emits v2 only for traced packets, so untraced traffic is
-// byte-identical to version 1 and old decoders keep working on it;
-// Decode accepts both versions.
+// Versions 3 and 4 are the coded forms of 1 and 2: the payload is one
+// exponent byte per lead, then every lead's 12-bit measurement codes,
+// bit-packed big-endian in lead-major order with the last byte
+// zero-padded. Encode emits only versions 3 (untraced) and 4 (traced);
+// Decode accepts all four.
 const (
-	packetMagic0        = 'W'
-	packetMagic1        = 'L'
-	packetVersion       = 1
-	packetVersionTraced = 2
-	headerLen           = 14 // magic(2) version(1) leads(1) seq(4) window(4) mlen(2)
-	traceExtLen         = 12 // trace(8) encode_us(4)
-	crcLen              = 4
+	packetMagic0       = 'W'
+	packetMagic1       = 'L'
+	versionFloat       = 1
+	versionFloatTraced = 2
+	versionCoded       = 3
+	versionCodedTraced = 4
+	headerLen          = 14 // magic(2) version(1) leads(1) seq(4) window(4) mlen(2)
+	traceExtLen        = 12 // trace(8) encode_us(4)
+	crcLen             = 4
 	// MaxLeads bounds the lead count a packet may carry.
 	MaxLeads = 64
 	// MaxMeasurements bounds the per-lead measurement count.
 	MaxMeasurements = 4096
 )
 
-// Packet is one radio payload: the CS measurements (or raw samples) of
-// one acquisition window for every lead, tagged with a sequence number
-// so the receiver can detect duplicates, reordering and gaps.
+// The wire quantiser. A lead travels as codes c in [-2047, 2047] under
+// one power-of-two exponent e, each value being c·2^e. The exponent is
+// the smallest (at least minExp) at which the lead's peak rounds into
+// range, so unless e is minExp the peak code is at least halfCode.
+const (
+	codeMax  = 1<<(energy.SampleBits-1) - 1
+	halfCode = 1 << (energy.SampleBits - 2)
+	codeMask = 1<<energy.SampleBits - 1
+	minExp   = math.MinInt8
+	maxExp   = math.MaxInt8
+)
+
+// Packet is one radio payload: the CS measurements of one acquisition
+// window for every lead, tagged with a sequence number so the receiver
+// can detect duplicates, reordering and gaps.
 type Packet struct {
 	// Seq is the link-layer sequence number, assigned monotonically by
 	// the sender.
@@ -72,10 +92,11 @@ type Packet struct {
 	// WindowStart is the absolute sample index of the window's first
 	// sample, so a late-joining receiver can align the stream.
 	WindowStart uint32
-	// Measurements holds one equal-length vector per lead.
+	// Measurements holds one equal-length vector per lead. Encode
+	// rounds them onto the wire grid (QuantizeLead).
 	Measurements [][]float64
 	// Trace, when nonzero, is the window's end-to-end trace ID and
-	// selects the v2 frame format. The ARQ path never sets it on the
+	// selects the traced frame format. The ARQ path never sets it on the
 	// wire (trace bytes would change the frame length and with it the
 	// bit-error channel's corruption odds — see Link.SendTraced); the
 	// TCP transport embeds it freely.
@@ -86,8 +107,63 @@ type Packet struct {
 	EncodeNs int64
 }
 
-// Encode serialises the packet: a fixed header, lead-major float32
-// payload, and a trailing CRC-32 (IEEE) over everything before it.
+// QuantizeLead rounds one lead's measurements in place onto the 12-bit
+// wire grid. It returns ErrCodec, leaving v unchanged, if a value is
+// not finite or too large to carry. The grid of a rounded lead is the
+// grid it was rounded on, so rounding again changes no bit: the node
+// rounds its measurements with it, Encode re-derives the same codes,
+// and Decode returns the node's values exactly.
+func QuantizeLead(v []float64) error {
+	e, err := leadExp(v)
+	if err != nil {
+		return err
+	}
+	down, up := pow2(-e), pow2(e)
+	for i, x := range v {
+		v[i] = float64(code(x, down)) * up
+	}
+	return nil
+}
+
+// leadExp returns the wire exponent of one lead: the smallest e ≥
+// minExp at which every value rounds to a code of magnitude ≤ codeMax.
+func leadExp(v []float64) (int, error) {
+	peak := 0.0
+	for _, x := range v {
+		a := math.Abs(x)
+		if !(a <= math.MaxFloat64) { // NaN or ±Inf
+			return 0, ErrCodec
+		}
+		if a > peak {
+			peak = a
+		}
+	}
+	// peak = f·2^k with f in [0.5, 1), k its biased exponent less 1022
+	// (a subnormal peak reads a smaller k, and clamps to minExp anyway).
+	k := int(math.Float64bits(peak)>>52) - 1022
+	e := k - (energy.SampleBits - 1) // peak·2^-e in [2^10, 2^11); e ≤ 1013
+	if e < minExp {
+		return minExp, nil
+	}
+	if code(peak, pow2(-e)) > codeMax {
+		e++ // the peak rounded up to 2^11
+	}
+	if e > maxExp {
+		return 0, ErrCodec
+	}
+	return e, nil
+}
+
+// code rounds x·down (down = 2^-e) to its integer code, half away from
+// zero. The integer conversion also maps -0 to 0.
+func code(x, down float64) int32 { return int32(math.Round(x * down)) }
+
+// pow2 returns 2^e for a normal-range exponent e.
+func pow2(e int) float64 { return math.Float64frombits(uint64(e+1023) << 52) }
+
+// Encode serialises the packet as a coded frame: the header, the trace
+// extension for a traced packet, the per-lead exponents and 12-bit
+// codes, and a trailing CRC-32 (IEEE) over everything before it.
 func Encode(p Packet) ([]byte, error) {
 	leads := len(p.Measurements)
 	if leads < 1 || leads > MaxLeads {
@@ -106,35 +182,57 @@ func Encode(p Packet) ([]byte, error) {
 	if p.Trace != 0 {
 		ext = traceExtLen
 	}
-	buf := make([]byte, headerLen+ext+4*leads*mlen+crcLen)
+	buf := make([]byte, headerLen+ext+leads+codeBytes(leads, mlen)+crcLen)
 	buf[0] = packetMagic0
 	buf[1] = packetMagic1
-	buf[2] = packetVersion
+	buf[2] = versionCoded
 	buf[3] = byte(leads)
 	binary.BigEndian.PutUint32(buf[4:], p.Seq)
 	binary.BigEndian.PutUint32(buf[8:], p.WindowStart)
 	binary.BigEndian.PutUint16(buf[12:], uint16(mlen))
 	off := headerLen
 	if ext > 0 {
-		buf[2] = packetVersionTraced
+		buf[2] = versionCodedTraced
 		binary.BigEndian.PutUint64(buf[off:], uint64(p.Trace))
 		binary.BigEndian.PutUint32(buf[off+8:], satMicros(p.EncodeNs))
 		off += ext
 	}
-	for _, l := range p.Measurements {
-		for _, v := range l {
-			binary.BigEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
-			off += 4
+	exps := buf[off : off+leads]
+	off += leads
+	var acc uint32 // bit accumulator; its low nbits bits are unwritten
+	nbits := 0
+	for li, l := range p.Measurements {
+		e, err := leadExp(l)
+		if err != nil {
+			return nil, err
 		}
+		exps[li] = byte(int8(e))
+		down := pow2(-e)
+		for _, x := range l {
+			acc = acc<<energy.SampleBits | uint32(code(x, down))&codeMask
+			for nbits += energy.SampleBits; nbits >= 8; off++ {
+				nbits -= 8
+				buf[off] = byte(acc >> nbits)
+			}
+		}
+	}
+	if nbits > 0 {
+		buf[off] = byte(acc << (8 - nbits))
+		off++
 	}
 	binary.BigEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
 	return buf, nil
 }
 
-// Decode parses and validates one frame. Structural problems return
-// ErrCodec; an intact structure with a bad checksum returns ErrCRC
-// (the receiver treats both as "frame not received" and lets ARQ
-// recover it).
+// codeBytes is the size of the packed code block.
+func codeBytes(leads, mlen int) int { return (leads*mlen*energy.SampleBits + 7) / 8 }
+
+// Decode parses and validates one frame of any version. Structural
+// problems return ErrCodec; an intact structure with a bad checksum
+// returns ErrCRC (the receiver treats both as "frame not received" and
+// lets ARQ recover it). A coded frame must be the one Encode writes for
+// its values: a code of -2048, an exponent above the smallest that fits
+// its lead or nonzero padding is ErrCodec.
 func Decode(b []byte) (Packet, error) {
 	if len(b) < headerLen+crcLen {
 		return Packet{}, ErrCodec
@@ -142,21 +240,24 @@ func Decode(b []byte) (Packet, error) {
 	if b[0] != packetMagic0 || b[1] != packetMagic1 {
 		return Packet{}, ErrCodec
 	}
-	ext := 0
-	switch b[2] {
-	case packetVersion:
-	case packetVersionTraced:
-		ext = traceExtLen
-	default:
+	version := b[2]
+	if version < versionFloat || version > versionCodedTraced {
 		return Packet{}, ErrCodec
+	}
+	ext := 0
+	if version == versionFloatTraced || version == versionCodedTraced {
+		ext = traceExtLen
 	}
 	leads := int(b[3])
 	mlen := int(binary.BigEndian.Uint16(b[12:]))
 	if leads < 1 || leads > MaxLeads || mlen < 1 || mlen > MaxMeasurements {
 		return Packet{}, ErrCodec
 	}
-	want := headerLen + ext + 4*leads*mlen + crcLen
-	if len(b) != want {
+	payload := 4 * leads * mlen
+	if version >= versionCoded {
+		payload = leads + codeBytes(leads, mlen)
+	}
+	if len(b) != headerLen+ext+payload+crcLen {
 		return Packet{}, ErrCodec
 	}
 	body := len(b) - crcLen
@@ -171,28 +272,62 @@ func Decode(b []byte) (Packet, error) {
 	off := headerLen
 	if ext > 0 {
 		p.Trace = trace.ID(binary.BigEndian.Uint64(b[off:]))
-		// A v2 frame carrying the reserved zero trace ID is malformed:
-		// untraced packets canonically encode as v1 (keeps decode→encode
-		// an identity for the fuzz harness).
+		// A traced frame carrying the reserved zero trace ID is
+		// malformed: untraced packets encode without the extension
+		// (keeps decode→encode an identity for the fuzz harness).
 		if p.Trace == 0 {
 			return Packet{}, ErrCodec
 		}
 		p.EncodeNs = int64(binary.BigEndian.Uint32(b[off+8:])) * 1000
 		off += ext
 	}
+	if version < versionCoded {
+		for li := range p.Measurements {
+			l := make([]float64, mlen)
+			for i := range l {
+				l[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(b[off:])))
+				off += 4
+			}
+			p.Measurements[li] = l
+		}
+		return p, nil
+	}
+	// Coded payload: the exponents, then the packed codes. Any code or
+	// exponent Encode would not write is refused.
+	exps, codes := b[off:off+leads], b[off+leads:body]
+	var acc uint32 // bit accumulator; its low nbits bits are unread
+	nbits := 0
 	for li := range p.Measurements {
+		e := int(int8(exps[li]))
+		up := pow2(e)
 		l := make([]float64, mlen)
+		var peak int32
 		for i := range l {
-			l[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(b[off:])))
-			off += 4
+			for ; nbits < energy.SampleBits; nbits += 8 {
+				acc = acc<<8 | uint32(codes[0])
+				codes = codes[1:]
+			}
+			nbits -= energy.SampleBits
+			c := int32(acc>>nbits&codeMask<<(32-energy.SampleBits)) >> (32 - energy.SampleBits)
+			if c < -codeMax {
+				return Packet{}, ErrCodec
+			}
+			peak = max(peak, c, -c)
+			l[i] = float64(c) * up
+		}
+		if peak < halfCode && e != minExp {
+			return Packet{}, ErrCodec
 		}
 		p.Measurements[li] = l
+	}
+	if acc&(1<<nbits-1) != 0 {
+		return Packet{}, ErrCodec // nonzero padding
 	}
 	return p, nil
 }
 
 // satMicros converts a nanosecond duration to saturating uint32
-// microseconds (the wire resolution of the v2 encode-duration field).
+// microseconds (the wire resolution of the encode-duration field).
 func satMicros(ns int64) uint32 {
 	if ns <= 0 {
 		return 0

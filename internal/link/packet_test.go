@@ -1,8 +1,12 @@
 package link
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -32,9 +36,137 @@ func TestPacketRoundTrip(t *testing.T) {
 	}
 	for li := range p.Measurements {
 		for i, v := range p.Measurements[li] {
-			if got.Measurements[li][i] != v { // all values float32-exact
+			if got.Measurements[li][i] != v { // all values on the 12-bit grid
 				t.Errorf("lead %d sample %d: %v != %v", li, i, got.Measurements[li][i], v)
 			}
+		}
+	}
+}
+
+// TestEncodeRoundsOntoTheGrid: arbitrary measurements come back as
+// QuantizeLead rounds them — each within half a code step of the input
+// — and a second round trip changes no bit.
+func TestEncodeRoundsOntoTheGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := Packet{Seq: 1, Measurements: make([][]float64, 3)}
+	for li := range p.Measurements {
+		l := make([]float64, 205)
+		scale := math.Ldexp(1, li*7-6)
+		for i := range l {
+			l[i] = rng.NormFloat64() * scale
+		}
+		p.Measurements[li] = l
+	}
+	frame, err := Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != FrameBytes(3, 205) || FrameBytes(3, 205) != 944 {
+		t.Fatalf("3x205 frame is %d bytes, want 944", len(frame))
+	}
+	got, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, l := range p.Measurements {
+		want := append([]float64(nil), l...)
+		if err := QuantizeLead(want); err != nil {
+			t.Fatal(err)
+		}
+		peak := 0.0
+		for _, v := range l {
+			peak = max(peak, math.Abs(v))
+		}
+		for i, v := range l {
+			if math.Float64bits(got.Measurements[li][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("lead %d value %d decoded %v, QuantizeLead %v", li, i, got.Measurements[li][i], want[i])
+			}
+			if d := math.Abs(want[i] - v); d > peak/2048 {
+				t.Fatalf("lead %d value %d rounded by %v, more than half a step of peak %v", li, i, d, peak)
+			}
+		}
+	}
+	again, err := Encode(got)
+	if err != nil || !bytes.Equal(again, frame) {
+		t.Fatalf("re-encoding the decoded packet changed the frame (err %v)", err)
+	}
+}
+
+// TestQuantizeLead pins the quantiser's grid: the smallest exponent at
+// which the peak fits, rounding that changes no bit when repeated, and
+// the values the wire cannot carry.
+func TestQuantizeLead(t *testing.T) {
+	exp := func(v []float64) int {
+		t.Helper()
+		e, err := leadExp(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	cases := []struct {
+		in   []float64
+		want []float64
+		exp  int
+	}{
+		{[]float64{2047, -1}, []float64{2047, -1}, 0},
+		{[]float64{2047.5, 1}, []float64{2048, 2}, 1}, // the peak rounds up to 2^11: next exponent
+		{[]float64{4094, 3}, []float64{4094, 4}, 1},   // 1.5 rounds half away from zero
+		{[]float64{-0.75, 0.25}, []float64{-0.75, 0.25}, -11},
+		{[]float64{0, math.Copysign(0, -1)}, []float64{0, 0}, minExp}, // -0 travels as 0
+		{[]float64{math.SmallestNonzeroFloat64}, []float64{0}, minExp},
+		{[]float64{-2047 * math.Ldexp(1, maxExp)}, []float64{-2047 * math.Ldexp(1, maxExp)}, maxExp},
+	}
+	for ci, c := range cases {
+		v := append([]float64(nil), c.in...)
+		if e := exp(v); e != c.exp {
+			t.Errorf("case %d: exponent %d, want %d", ci, e, c.exp)
+		}
+		if err := QuantizeLead(v); err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
+		for i := range v {
+			if math.Float64bits(v[i]) != math.Float64bits(c.want[i]) {
+				t.Errorf("case %d value %d: %v, want %v", ci, i, v[i], c.want[i])
+			}
+		}
+		if e := exp(v); e != c.exp {
+			t.Errorf("case %d: re-quantised exponent %d, want %d", ci, e, c.exp)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		v := make([]float64, 1+rng.Intn(40))
+		scale := math.Ldexp(1, rng.Intn(60)-30)
+		for i := range v {
+			v[i] = rng.NormFloat64() * scale
+		}
+		if err := QuantizeLead(v); err != nil {
+			t.Fatal(err)
+		}
+		e := exp(v)
+		again := append([]float64(nil), v...)
+		if err := QuantizeLead(again); err != nil {
+			t.Fatal(err)
+		}
+		if exp(again) != e {
+			t.Fatalf("trial %d: exponent moved on re-quantising", trial)
+		}
+		for i := range v {
+			if math.Float64bits(again[i]) != math.Float64bits(v[i]) {
+				t.Fatalf("trial %d value %d: %v re-quantised to %v", trial, i, v[i], again[i])
+			}
+		}
+	}
+	for _, bad := range [][]float64{
+		{1, math.NaN()}, {math.Inf(-1)}, {2047.5 * math.Ldexp(1, maxExp)},
+	} {
+		v := append([]float64(nil), bad...)
+		if err := QuantizeLead(v); !errors.Is(err, ErrCodec) {
+			t.Errorf("%v: got %v, want ErrCodec", bad, err)
+		}
+		if v[0] != bad[0] && !math.IsNaN(bad[0]) {
+			t.Errorf("%v: a refused lead was modified to %v", bad, v)
 		}
 	}
 }
@@ -47,6 +179,9 @@ func TestEncodeRejectsBadGeometry(t *testing.T) {
 		{Measurements: [][]float64{{1, 2}, {1}}},
 		{Measurements: [][]float64{make([]float64, MaxMeasurements+1)}},
 		{Measurements: make([][]float64, MaxLeads+1)},
+		{Measurements: [][]float64{{1, math.NaN()}}},
+		{Measurements: [][]float64{{1}, {math.Inf(1)}}},
+		{Measurements: [][]float64{{math.MaxFloat64}}},
 	}
 	for i, p := range cases {
 		if len(p.Measurements) == MaxLeads+1 {
@@ -91,11 +226,32 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if _, err := Decode(bad); !errors.Is(err, ErrCRC) {
 		t.Errorf("corrupted crc: got %v, want ErrCRC", err)
 	}
+	// Intact checksums over codes Encode never writes: each must be
+	// refused, or decode→encode would not be an identity. The payload is
+	// exponent -9, then codes 512, 1024, 1536 packed as 20 04 00 60 00
+	// (the last nibble is padding).
+	for _, c := range []struct {
+		name string
+		edit func(b []byte)
+	}{
+		{"code -2048", func(b []byte) { b[headerLen+1], b[headerLen+2] = 0x80, 0x04 }},
+		{"exponent above the smallest", func(b []byte) { clear(b[headerLen+1 : len(b)-crcLen]) }},
+		{"nonzero padding", func(b []byte) { b[len(b)-crcLen-1] |= 0x01 }},
+	} {
+		bad := append([]byte(nil), frame...)
+		c.edit(bad)
+		if _, err := Decode(fixCRC(bad)); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: got %v, want ErrCodec", c.name, err)
+		}
+	}
 }
 
-// FuzzPacketDecode exercises the codec against arbitrary frames: Decode
-// must never panic, must reject anything whose re-encoding does not
-// reproduce the input, and accepted packets must round-trip.
+// FuzzPacketDecode exercises the codec against arbitrary frames:
+// Decode must never panic. A coded frame (versions 3 and 4) that it
+// accepts must re-encode to the same bytes. A float frame (versions 1
+// and 2) is decode-only: Encode codes it, refusing only values the grid
+// cannot carry, and the coded frame decodes to those values as
+// QuantizeLead rounds them, with the header and trace intact.
 func FuzzPacketDecode(f *testing.F) {
 	seed := Packet{Seq: 3, WindowStart: 1024, Measurements: [][]float64{{1, -1, 0.5}, {2, -2, 0.25}}}
 	frame, err := Encode(seed)
@@ -115,46 +271,91 @@ func FuzzPacketDecode(f *testing.F) {
 	f.Add([]byte{'W', 'L', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	short := append([]byte(nil), frame...)
 	f.Add(short[:headerLen+crcLen])
+	f.Add(encodeFloat(seed))
+	f.Add(encodeFloat(traced))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {
 			return
 		}
 		re, err := Encode(p)
+		if data[2] >= versionCoded {
+			if err != nil {
+				t.Fatalf("accepted coded packet failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(re, data) {
+				t.Fatalf("coded frame did not round-trip:\n in %x\nout %x", data, re)
+			}
+			return
+		}
+		want := make([][]float64, len(p.Measurements))
+		fits := true
+		for li, l := range p.Measurements {
+			want[li] = append([]float64(nil), l...)
+			fits = fits && QuantizeLead(want[li]) == nil
+		}
 		if err != nil {
-			t.Fatalf("accepted packet failed to re-encode: %v", err)
+			if fits || !errors.Is(err, ErrCodec) {
+				t.Fatalf("float packet QuantizeLead accepts failed to encode: %v", err)
+			}
+			return
 		}
-		if len(re) != len(data) {
-			t.Fatalf("re-encoded length %d != input %d", len(re), len(data))
-		}
-		// The float payload survives bit-exactly unless it held a NaN
-		// (NaN payload bits are not canonical); compare field-wise.
 		q, err := Decode(re)
 		if err != nil {
-			t.Fatalf("re-encoded packet rejected: %v", err)
+			t.Fatalf("coded re-encoding rejected: %v", err)
 		}
-		if q.Seq != p.Seq || q.WindowStart != p.WindowStart || len(q.Measurements) != len(p.Measurements) {
-			t.Fatal("round-trip header mismatch")
+		if re[2] != data[2]+versionCoded-versionFloat {
+			t.Fatalf("float version %d re-encoded as version %d", data[2], re[2])
 		}
-		if q.Trace != p.Trace || q.EncodeNs != p.EncodeNs {
-			t.Fatalf("round-trip trace mismatch: %v/%d vs %v/%d", p.Trace, p.EncodeNs, q.Trace, q.EncodeNs)
+		if q.Seq != p.Seq || q.WindowStart != p.WindowStart || q.Trace != p.Trace || q.EncodeNs != p.EncodeNs {
+			t.Fatalf("round-trip header mismatch: %+v vs %+v", q, p)
 		}
-		for li := range p.Measurements {
-			for i := range p.Measurements[li] {
-				a, b := p.Measurements[li][i], q.Measurements[li][i]
-				if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-					t.Fatalf("round-trip value mismatch at lead %d sample %d: %v vs %v", li, i, a, b)
+		for li := range want {
+			for i, w := range want[li] {
+				if math.Float64bits(q.Measurements[li][i]) != math.Float64bits(w) {
+					t.Fatalf("lead %d value %d: decoded %v, want %v", li, i, q.Measurements[li][i], w)
 				}
 			}
 		}
 	})
 }
 
-// FrameBytes returns the encoded size of an untraced (v1) packet with
-// the given geometry — what the radio model charges per attempt. The
-// ARQ path always puts v1 frames on the air, so this is the charging
-// geometry regardless of tracing. The tests use it as the size oracle
-// of the encoder.
+// FrameBytes returns the encoded size of an untraced packet with the
+// given geometry — what the radio model charges per attempt. The ARQ
+// path never puts the trace extension on the air, so this is the
+// charging geometry regardless of tracing. The tests use it as the size
+// oracle of the encoder.
 func FrameBytes(leads, measurementsPerLead int) int {
-	return headerLen + 4*leads*measurementsPerLead + crcLen
+	return headerLen + leads + codeBytes(leads, measurementsPerLead) + crcLen
+}
+
+// encodeFloat writes a version-1 frame (version 2 with a trace): the
+// float32 format Encode wrote before the coded versions. Decode still
+// reads it; the tests make such frames with it.
+func encodeFloat(p Packet) []byte {
+	leads, mlen := len(p.Measurements), len(p.Measurements[0])
+	ext := 0
+	if p.Trace != 0 {
+		ext = traceExtLen
+	}
+	buf := make([]byte, headerLen+ext+4*leads*mlen+crcLen)
+	buf[0], buf[1], buf[2], buf[3] = packetMagic0, packetMagic1, versionFloat, byte(leads)
+	binary.BigEndian.PutUint32(buf[4:], p.Seq)
+	binary.BigEndian.PutUint32(buf[8:], p.WindowStart)
+	binary.BigEndian.PutUint16(buf[12:], uint16(mlen))
+	off := headerLen
+	if ext > 0 {
+		buf[2] = versionFloatTraced
+		binary.BigEndian.PutUint64(buf[off:], uint64(p.Trace))
+		binary.BigEndian.PutUint32(buf[off+8:], satMicros(p.EncodeNs))
+		off += ext
+	}
+	for _, l := range p.Measurements {
+		for _, v := range l {
+			binary.BigEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
+			off += 4
+		}
+	}
+	binary.BigEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
+	return buf
 }

@@ -10,6 +10,9 @@ import (
 	"wbsn/internal/telemetry/trace"
 )
 
+// TestPacketV2RoundTrip: a traced float frame (version 2) still
+// decodes, values and trace fields intact, and a traced packet encodes
+// as version 4 and round-trips the same fields.
 func TestPacketV2RoundTrip(t *testing.T) {
 	p := Packet{
 		Seq:          9,
@@ -18,52 +21,56 @@ func TestPacketV2RoundTrip(t *testing.T) {
 		Trace:        trace.NewID(3, 9),
 		EncodeNs:     1_234_000, // µs-aligned so the wire resolution is exact
 	}
-	frame, err := Encode(p)
+	coded, err := Encode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[2] != packetVersionTraced {
-		t.Fatalf("version byte %d, want %d", frame[2], packetVersionTraced)
+	if coded[2] != versionCodedTraced {
+		t.Fatalf("version byte %d, want %d", coded[2], versionCodedTraced)
 	}
-	if want := FrameBytes(2, 3) + traceExtLen; len(frame) != want {
-		t.Fatalf("v2 frame length %d, want %d", len(frame), want)
+	if want := FrameBytes(2, 3) + traceExtLen; len(coded) != want {
+		t.Fatalf("traced frame length %d, want %d", len(coded), want)
 	}
-	got, err := Decode(frame)
-	if err != nil {
-		t.Fatal(err)
+	v2 := encodeFloat(p)
+	if v2[2] != versionFloatTraced {
+		t.Fatalf("float frame version byte %d, want %d", v2[2], versionFloatTraced)
 	}
-	if got.Trace != p.Trace || got.EncodeNs != p.EncodeNs {
-		t.Fatalf("trace fields: got %v/%d, want %v/%d", got.Trace, got.EncodeNs, p.Trace, p.EncodeNs)
-	}
-	if got.Seq != p.Seq || got.WindowStart != p.WindowStart {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	for li := range p.Measurements {
-		for i, v := range p.Measurements[li] {
-			if got.Measurements[li][i] != v {
-				t.Fatalf("lead %d sample %d: %v != %v", li, i, got.Measurements[li][i], v)
+	for _, frame := range [][]byte{coded, v2} {
+		got, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Trace != p.Trace || got.EncodeNs != p.EncodeNs {
+			t.Fatalf("version %d trace fields: got %v/%d, want %v/%d", frame[2], got.Trace, got.EncodeNs, p.Trace, p.EncodeNs)
+		}
+		if got.Seq != p.Seq || got.WindowStart != p.WindowStart {
+			t.Fatalf("version %d header mismatch: %+v", frame[2], got)
+		}
+		for li := range p.Measurements {
+			for i, v := range p.Measurements[li] {
+				if got.Measurements[li][i] != v {
+					t.Fatalf("version %d lead %d sample %d: %v != %v", frame[2], li, i, got.Measurements[li][i], v)
+				}
 			}
 		}
 	}
 }
 
-// TestPacketUntracedStaysV1 pins the compatibility contract: a packet
-// without a trace ID encodes byte-identically to the version-1 format,
-// so pre-v2 decoders (and the bit-neutrality digests) are unaffected.
-func TestPacketUntracedStaysV1(t *testing.T) {
+// TestPacketUntracedIsV3 pins the two coded versions: a packet without
+// a trace ID encodes as version 3, and its traced encoding differs only
+// by the version byte, the extension block and the CRC.
+func TestPacketUntracedIsV3(t *testing.T) {
 	p := Packet{Seq: 5, WindowStart: 2560, Measurements: [][]float64{{1, 2, 3, 4}}}
 	frame, err := Encode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[2] != packetVersion {
-		t.Fatalf("untraced version byte %d, want %d", frame[2], packetVersion)
+	if frame[2] != versionCoded {
+		t.Fatalf("untraced version byte %d, want %d", frame[2], versionCoded)
 	}
 	if len(frame) != FrameBytes(1, 4) {
 		t.Fatalf("untraced frame length %d, want %d", len(frame), FrameBytes(1, 4))
 	}
-	// And the traced encoding of the same payload differs only by the
-	// version byte, the extension block and the CRC.
 	tp := p
 	tp.Trace = trace.NewID(1, 5)
 	tframe, err := Encode(tp)
@@ -71,28 +78,30 @@ func TestPacketUntracedStaysV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(frame[:2], tframe[:2]) || !bytes.Equal(frame[3:headerLen], tframe[3:headerLen]) {
-		t.Fatal("v2 header diverged beyond the version byte")
+		t.Fatal("traced header diverged beyond the version byte")
 	}
 	if !bytes.Equal(frame[headerLen:len(frame)-crcLen], tframe[headerLen+traceExtLen:len(tframe)-crcLen]) {
-		t.Fatal("v2 payload bytes diverged from v1")
+		t.Fatal("traced payload bytes diverged from the untraced ones")
 	}
 }
 
 func TestPacketV2ZeroTraceRejected(t *testing.T) {
 	p := Packet{Seq: 1, Measurements: [][]float64{{1}}, Trace: trace.NewID(1, 1)}
-	frame, err := Encode(p)
+	coded, err := Encode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero out the trace ID and fix the CRC: structurally valid v2 frame
-	// with the reserved untraced ID — the codec must reject it so
-	// decode→encode stays an identity.
-	for i := headerLen; i < headerLen+8; i++ {
-		frame[i] = 0
-	}
-	frame = fixCRC(frame)
-	if _, err := Decode(frame); !errors.Is(err, ErrCodec) {
-		t.Fatalf("zero-trace v2 frame: got %v, want ErrCodec", err)
+	// Zero out the trace ID and fix the CRC: structurally valid traced
+	// frames with the reserved untraced ID — the codec must reject them
+	// so decode→encode stays an identity.
+	for _, frame := range [][]byte{encodeFloat(p), coded} {
+		for i := headerLen; i < headerLen+8; i++ {
+			frame[i] = 0
+		}
+		frame = fixCRC(frame)
+		if _, err := Decode(frame); !errors.Is(err, ErrCodec) {
+			t.Fatalf("zero-trace version %d frame: got %v, want ErrCodec", frame[2], err)
+		}
 	}
 }
 

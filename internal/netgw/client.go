@@ -9,7 +9,8 @@ import (
 )
 
 // ErrClient is returned when a stream gives up: the configured number
-// of consecutive connection attempts failed without progress.
+// of consecutive connection attempts failed without progress, or the
+// server resumes the stream beyond the end of the record.
 var ErrClient = errors.New("netgw: stream gave up after repeated connection failures")
 
 // ClientConfig parameterises one stream's sender — the wearable side
@@ -34,8 +35,9 @@ type ClientConfig struct {
 	// Timeout is the per-operation I/O deadline (default 5s): a read or
 	// write that cannot finish within it fails the connection over.
 	Timeout time.Duration
-	// MaxAttempts bounds consecutive failed connection cycles before
-	// the stream gives up (default 10); any completed handshake resets
+	// MaxAttempts bounds consecutive connection cycles without progress
+	// before the stream gives up (default 10); a cycle in which the
+	// server acknowledges windows it had not acknowledged before resets
 	// the count.
 	MaxAttempts int
 	// BackoffBase/BackoffFactor/BackoffMax shape the redial backoff
@@ -93,13 +95,14 @@ type StreamResult struct {
 // packet with sequence number i — and returns the server's digest
 // report. It survives connection resets, truncated writes, corrupted
 // frames and server-side shedding by redialing and resuming; it fails
-// only when MaxAttempts consecutive connection cycles make no
-// progress.
+// when MaxAttempts consecutive connection cycles make no progress, and
+// at once when the server resumes the stream beyond the record's end.
 func SendRecord(cfg ClientConfig, frames [][]byte) (StreamResult, error) {
 	c := cfg.withDefaults()
 	rng := rand.New(rand.NewSource(c.JitterSeed ^ int64(c.StreamID*0x9e3779b97f4a7c15)))
 	total := uint32(len(frames))
 	var res StreamResult
+	var acked uint32 // the furthest point the server has acknowledged
 	fails := 0
 	attempts := 0
 	for {
@@ -111,16 +114,19 @@ func SendRecord(cfg ClientConfig, frames [][]byte) (StreamResult, error) {
 			backoffSleep(c, rng, fails)
 		}
 		attempts++
-		done, err := runConn(c, rng, frames, total, &res, attempts > 1)
-		if done {
+		done, reached, err := runConn(c, rng, frames, total, &res, attempts > 1)
+		switch {
+		case done:
 			return res, nil
-		}
-		if err == nil {
-			// Progressed to a welcome before failing: reset the giving-up
-			// counter so a long record under a flaky transport is not
-			// misread as an unreachable server.
+		case errors.Is(err, ErrClient):
+			return res, err
+		case reached > acked:
+			// The server acknowledged new windows before the cycle
+			// failed: reset the giving-up counter so a long record under
+			// a flaky transport is not misread as an unreachable server.
+			acked = reached
 			fails = 1
-		} else {
+		default:
 			fails++
 		}
 	}
@@ -146,17 +152,18 @@ func backoffSleep(c ClientConfig, rng *rand.Rand, fails int) {
 
 // runConn runs one connection cycle: dial, handshake, resume, pump
 // windows until the record completes or the connection fails. done
-// reports completion; err is nil when the cycle at least reached a
-// welcome (progress), non-nil otherwise.
-func runConn(c ClientConfig, rng *rand.Rand, frames [][]byte, total uint32, res *StreamResult, isResume bool) (bool, error) {
+// reports completion; reached is the furthest point the server
+// acknowledged in the cycle (its welcome's resume point or an ack); err
+// wraps ErrClient when the stream must give up at once.
+func runConn(c ClientConfig, rng *rand.Rand, frames [][]byte, total uint32, res *StreamResult, isResume bool) (done bool, reached uint32, err error) {
 	conn, err := dialStream(c, rng, frames)
 	if err != nil {
-		return false, err
+		return false, 0, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(c.Timeout))
 	if err := writeFrame(conn, frameHello, helloPayload(c.StreamID)); err != nil {
-		return false, err
+		return false, 0, err
 	}
 	var buf []byte
 	typ, payload, buf, err := readFrame(conn, buf)
@@ -164,14 +171,19 @@ func runConn(c ClientConfig, rng *rand.Rand, frames [][]byte, total uint32, res 
 		if err == nil {
 			err = ErrFrame
 		}
-		return false, err
+		return false, 0, err
 	}
 	id, next, err := parseWelcome(payload)
 	if err != nil || id != c.StreamID {
 		if err == nil {
 			err = ErrFrame
 		}
-		return false, err
+		return false, 0, err
+	}
+	if next > total {
+		// The stream ID is in use by a longer record: no redial can
+		// change that.
+		return false, next, fmt.Errorf("%w (stream %d: server resumes at frame %d of %d)", ErrClient, c.StreamID, next, total)
 	}
 	if isResume {
 		res.Resumes++
@@ -185,26 +197,26 @@ func runConn(c ClientConfig, rng *rand.Rand, frames [][]byte, total uint32, res 
 		conn.SetDeadline(time.Now().Add(c.Timeout))
 		for cursor < total && cursor-acked < uint32(c.InFlight) {
 			if err := writeFrame(conn, frameData, frames[cursor]); err != nil {
-				return false, nil // connection failed after progress
+				return false, acked, err
 			}
 			cursor++
 			res.FramesSent++
 		}
 		if acked == total && !finSent {
 			if err := writeFrame(conn, frameFin, finPayload(total)); err != nil {
-				return false, nil
+				return false, acked, err
 			}
 			finSent = true
 		}
 		typ, payload, buf, err = readFrame(conn, buf)
 		if err != nil {
-			return false, nil
+			return false, acked, err
 		}
 		switch typ {
 		case frameAck:
-			n, flags, perr := parseAck(payload)
-			if perr != nil {
-				return false, nil
+			n, flags, err := parseAck(payload)
+			if err != nil {
+				return false, acked, err
 			}
 			acked = n
 			if flags&ackFlagRewind != 0 {
@@ -217,14 +229,14 @@ func runConn(c ClientConfig, rng *rand.Rand, frames [][]byte, total uint32, res 
 				finSent = false
 			}
 		case frameDigest:
-			rep, perr := parseDigest(payload)
-			if perr != nil {
-				return false, nil
+			rep, err := parseDigest(payload)
+			if err != nil {
+				return false, acked, err
 			}
 			res.Report = rep
-			return true, nil
+			return true, acked, nil
 		default:
-			return false, nil
+			return false, acked, ErrFrame
 		}
 	}
 }

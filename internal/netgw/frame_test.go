@@ -2,7 +2,9 @@ package netgw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -133,17 +135,36 @@ func TestMaxFramePayloadFitsLinkCodec(t *testing.T) {
 // FuzzFrameDecode feeds arbitrary bytes through the two wire parsers a
 // gateway session runs on untrusted input — readFrame and the link
 // packet codec — asserting they never panic and that anything readFrame
-// accepts round-trips back to identical bytes.
+// accepts round-trips back to identical bytes. A data frame's coded
+// packet (link versions 3 and 4) must re-encode to the same bytes; a
+// float packet (versions 1 and 2) is decode-only, and its re-encoding
+// may only be refused with link.ErrCodec (a value the 12-bit grid
+// cannot carry).
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'W', 'G', 1, frameData, 0, 0, 0, 0})
 	f.Add([]byte{'W', 'G', 1, frameHello, 0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{'X', 'G', 1, frameData, 0, 0, 0, 1, 0})
-	if enc, err := link.Encode(link.Packet{Seq: 3, Measurements: [][]float64{{1, 2}, {3, 4}}}); err == nil {
+	p := link.Packet{Seq: 3, Measurements: [][]float64{{1, 2}, {3, 4}}}
+	traced := p
+	traced.Trace = 0x0000000300000003
+	// A version-1 packet: one lead, one float32 measurement (1.0).
+	v1 := []byte{'W', 'L', 1, 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1, 0x3f, 0x80, 0, 0}
+	v1 = binary.BigEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	plain, err := link.Encode(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tenc, err := link.Encode(traced)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, enc := range [][]byte{plain, tenc, v1} {
 		var b bytes.Buffer
-		if writeFrame(&b, frameData, enc) == nil {
-			f.Add(b.Bytes())
+		if err := writeFrame(&b, frameData, enc); err != nil {
+			f.Fatal(err)
 		}
+		f.Add(b.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, _, err := readFrame(bytes.NewReader(data), nil)
@@ -172,9 +193,13 @@ func FuzzFrameDecode(f *testing.F) {
 			parseDigest(payload)
 		case frameData:
 			if pkt, err := link.Decode(payload); err == nil {
-				// A decodable packet must re-encode without error.
-				if _, err := link.Encode(pkt); err != nil {
-					t.Fatalf("decoded packet does not re-encode: %v", err)
+				re, err := link.Encode(pkt)
+				coded := payload[2] >= 3 // the version byte: 3 and 4 carry codes
+				if coded && (err != nil || !bytes.Equal(re, payload)) {
+					t.Fatalf("coded packet does not re-encode to its bytes (err %v)", err)
+				}
+				if err != nil && !errors.Is(err, link.ErrCodec) {
+					t.Fatalf("float packet re-encode returned foreign error: %v", err)
 				}
 			} else if !errors.Is(err, link.ErrCodec) && !errors.Is(err, link.ErrCRC) {
 				t.Fatalf("data decode returned foreign error: %v", err)

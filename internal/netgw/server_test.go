@@ -386,3 +386,38 @@ func TestNetGatewayFarSeqFrameFillsNothing(t *testing.T) {
 		t.Fatalf("record after the far frame: %s, want digest %016x with nothing filled", res.Report, tr.digests[0])
 	}
 }
+
+// TestSendRecordGivesUpBeyondTheRecord: a stream ID reused for a
+// shorter record is welcomed at the first session's resume point, past
+// the new record's last frame. No redial can change that, so SendRecord
+// must return ErrClient at once instead of redialing forever (a welcome
+// alone is not progress; only an ack that advances is).
+func TestSendRecordGivesUpBeyondTheRecord(t *testing.T) {
+	srv, _ := startServer(t, nil)
+	cfg := testLoadgen(srv.Addr(), 1, 1)
+	cfg.DurationS = 8 // four CS windows
+	cfg = cfg.withDefaults()
+	tr, err := buildTraffic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := tr.frames[0]
+	if len(frames) != 4 {
+		t.Fatalf("record has %d windows, want 4", len(frames))
+	}
+	ccfg := cfg.Client
+	ccfg.Addr = srv.Addr()
+	ccfg.StreamID = 7
+	if _, err := SendRecord(ccfg, frames); err != nil {
+		t.Fatal(err)
+	}
+	ccfg.Timeout = 300 * time.Millisecond
+	start := time.Now()
+	res, err := SendRecord(ccfg, frames[:2])
+	if !errors.Is(err, ErrClient) {
+		t.Fatalf("2-window record under a 4-window stream ID: err %v, want ErrClient", err)
+	}
+	if took := time.Since(start); took > 5*time.Second || res.Redials != 0 {
+		t.Fatalf("gave up after %v and %d redials, want at once", took, res.Redials)
+	}
+}

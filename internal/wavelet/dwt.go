@@ -294,26 +294,3 @@ func (w *Orthogonal) InverseInto(c []float64, levels int, out []float64, s *Scra
 	}
 	return nil
 }
-
-// LevelSlices describes the pyramid layout: it returns the [start,end)
-// ranges of the approximation band followed by detail bands d_L..d_1 for
-// a length-n, 'levels'-deep transform. Used by the group-sparse CS solver
-// to form coefficient groups.
-func LevelSlices(n, levels int) ([][2]int, error) {
-	if levels < 1 {
-		return nil, ErrLevels
-	}
-	if n == 0 || n%(1<<uint(levels)) != 0 {
-		return nil, ErrLength
-	}
-	var out [][2]int
-	alen := n >> uint(levels)
-	out = append(out, [2]int{0, alen})
-	pos := alen
-	for lev := levels; lev >= 1; lev-- {
-		dlen := n >> uint(lev)
-		out = append(out, [2]int{pos, pos + dlen})
-		pos += dlen
-	}
-	return out, nil
-}
