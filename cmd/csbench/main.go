@@ -30,7 +30,6 @@ func main() {
 		windows = flag.Int("windows", 2, "windows per record")
 		iters   = flag.Int("iters", 150, "FISTA iterations per pass")
 		rwts    = flag.Int("reweights", 2, "iterative-reweighting passes")
-		density = flag.Int("density", 4, "sparse-binary nonzeros per column")
 		seed    = flag.Int64("seed", 42, "experiment seed")
 	)
 	flag.Parse()
@@ -39,19 +38,18 @@ func main() {
 		os.Exit(2)
 	}
 	if *fig5 {
-		runFig5(*records, *windows, *iters, *rwts, *density, *seed)
+		runFig5(*records, *windows, *iters, *rwts, *seed)
 	}
 	if *fig6 {
-		runFig6(*density)
+		runFig6()
 	}
 }
 
-func runFig5(records, windows, iters, reweights, density int, seed int64) {
+func runFig5(records, windows, iters, reweights int, seed int64) {
 	fmt.Println("== Figure 5: averaged output SNR vs compression ratio ==")
 	set := ecg.GenerateSet(ecg.Config{Duration: 20}, seed, records)
 	crs := []float64{20, 30, 40, 50, 55, 60, 65, 70, 75, 80, 85, 90}
 	cfg := cs.SweepConfig{
-		Density:             density,
 		MaxWindowsPerRecord: windows,
 		Seed:                seed,
 		Solver:              cs.SolverConfig{Iters: iters, Reweights: reweights},
@@ -76,12 +74,12 @@ func runFig5(records, windows, iters, reweights, density int, seed int64) {
 	}
 }
 
-func runFig6(density int) {
+func runFig6() {
 	fmt.Println("== Figure 6: node energy breakdown per 2-second window ==")
 	node := energy.DefaultNode()
 	w := energy.WindowSpec{SamplesPerLead: 512, Leads: 3}
 	raw := node.RawStreamingWindow(w)
-	adds := density * w.SamplesPerLead
+	adds := cs.Density * w.SamplesPerLead
 	sl := node.CSWindow("Single-Lead CS", w, cs.MeasurementsForCR(w.SamplesPerLead, 65.9), adds)
 	ml := node.CSWindow("Multi-Lead CS", w, cs.MeasurementsForCR(w.SamplesPerLead, 72.7), adds)
 	fmt.Printf("%-16s %10s %10s %10s %10s %10s\n", "config", "radio(µJ)", "sample(µJ)", "comp(µJ)", "os(µJ)", "total(µJ)")

@@ -97,11 +97,6 @@ type Config struct {
 	GateLeads bool
 }
 
-// CSDensity is the column density of the sparse-binary sensing matrix:
-// the nonzeros per column of Φ, clamped to the measurement count. The
-// gateway regenerates Φ from the shared seed at the same density.
-const CSDensity = 4
-
 func (c Config) withDefaults() Config {
 	out := c
 	if out.Fs <= 0 {
@@ -183,7 +178,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{cfg: c, energy: energy.DefaultNode(), beatWin: classify.DefaultBeatWindow(c.Fs)}
 	if c.Mode == ModeCS {
 		m := cs.MeasurementsForCR(c.CSWindow, c.CSRatio)
-		phi, err := cs.NewSparseBinary(m, c.CSWindow, min(CSDensity, m), rand.New(rand.NewSource(c.Seed)))
+		phi, err := cs.NewSparseBinary(m, c.CSWindow, min(cs.Density, m), rand.New(rand.NewSource(c.Seed)))
 		if err != nil {
 			return nil, err
 		}
@@ -305,14 +300,17 @@ func (n *Node) Process(rec *ecg.Record) (*Result, error) {
 	res := &Result{Mode: n.cfg.Mode, DurationS: rec.Duration()}
 	samples := rec.Len() * len(rec.Leads)
 	compOps := 0
+	var radioJ float64 // ModeCS prices its link frames; the rest one burst of TxBytes
 	switch n.cfg.Mode {
 	case ModeRawStreaming:
 		res.TxBytes = (samples*energy.SampleBits + 7) / 8
 	case ModeCS:
 		windows := rec.Len() / n.cfg.CSWindow
-		mPerWin := n.enc.MeasurementLen() * len(rec.Leads)
-		res.TxBytes = windows * ((mPerWin*energy.SampleBits + 7) / 8)
+		m := n.enc.MeasurementLen()
+		res.TxBytes = windows * ((m*len(rec.Leads)*energy.SampleBits + 7) / 8)
 		compOps = windows * n.enc.Matrix().(*cs.SparseBinary).AddsPerWindow() * len(rec.Leads)
+		// Each window leaves as one coded link frame.
+		radioJ = float64(windows) * n.energy.Radio.TxEnergyJ(link.FrameBytes(len(rec.Leads), m))
 	default:
 		beats, used, ops, err := n.analyze(rec)
 		if err != nil {
@@ -339,12 +337,15 @@ func (n *Node) Process(rec *ecg.Record) (*Result, error) {
 			res.TxBytes = len(res.AFDecisions)
 		}
 	}
+	if n.cfg.Mode != ModeCS {
+		radioJ = n.energy.Radio.TxEnergyJ(res.TxBytes)
+	}
 	if res.DurationS > 0 {
 		res.TxBytesPerSecond = float64(res.TxBytes) / res.DurationS
 	}
 	res.Energy = energy.Breakdown{
 		Label:   n.cfg.Mode.String(),
-		RadioJ:  n.energy.Radio.TxEnergyJ(res.TxBytes),
+		RadioJ:  radioJ,
 		SampleJ: n.energy.ADC.SamplingEnergyJ(samples),
 		CompJ:   n.energy.CPU.ComputeEnergyJ(compOps),
 		OSJ:     n.energy.OS.EnergyPerWindowJ * res.DurationS,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"wbsn/internal/ecg"
+	"wbsn/internal/link"
 )
 
 func testRecord(seed int64, dur float64) *ecg.Record {
@@ -41,6 +43,58 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
+
+// TestProcessPricesCSWindowsAsTheLink: Process charges a CS record one
+// coded link frame per window — startup, frame rounding and the codec's
+// framing included — so its radio energy per window equals what a
+// lossless link charges for the node's stream of the same record.
+func TestProcessPricesCSWindowsAsTheLink(t *testing.T) {
+	rec := testRecord(3, 20)
+	n, err := NewNode(Config{Mode: ModeCS, CSRatio: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := n.Process(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := n.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := stream.PushBlock(rec.Leads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := link.NewChannel(link.ChannelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := link.NewLink(link.ARQConfig{}, ch, dropSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if ok, err := lk.SendMeasurements(e.At, e.Measurements); err != nil || !ok {
+			t.Fatalf("window at %d: delivered %v, err %v", e.At, ok, err)
+		}
+	}
+	rep := lk.Report()
+	windows := rec.Len() / n.Config().CSWindow
+	if rep.Packets != windows || rep.Attempts != windows {
+		t.Fatalf("link sent %d packets in %d attempts, want %d windows", rep.Packets, rep.Attempts, windows)
+	}
+	got, want := res.Energy.RadioJ/float64(windows), rep.EnergyJ/float64(rep.Packets)
+	if math.Abs(got-want) > 1e-9*want {
+		t.Errorf("Process radio %.6f µJ per window, lossless link %.6f µJ", got*1e6, want*1e6)
+	}
+}
+
+// dropSink is a link.Sink that discards every window.
+type dropSink struct{}
+
+func (dropSink) ConsumePacket([][]float64) error { return nil }
+func (dropSink) ConsumeLostPacket()              {}
 
 func TestRawStreamingBandwidth(t *testing.T) {
 	rec := testRecord(1, 30)

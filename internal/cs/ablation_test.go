@@ -87,11 +87,11 @@ func BenchmarkAblationSolverVariants(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		x2, err := rw.TreeIHT(y, 80, 150)
+		x2, err := rw.TreeIHT(y, levels, 80, 150)
 		if err != nil {
 			b.Fatal(err)
 		}
-		x3, err := rw.OMP(y, 80, 1e-5)
+		x3, err := rw.OMP(y, levels, 80, 1e-5)
 		if err != nil {
 			b.Fatal(err)
 		}

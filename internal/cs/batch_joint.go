@@ -1,11 +1,12 @@
 package cs
 
-// Batched joint (group-sparse ℓ2,1) reconstruction. Each item's L lead
-// planes advance in lockstep under one per-item control state — the
-// group soft-threshold couples a window's leads, so the joint batch
-// state machine is per item where the leads solver's is per plane. The
-// gradient, still per plane, is shared with the leads solver's batched
-// pipeline.
+// Batched joint (group-sparse ℓ2,1) reconstruction: the package's one
+// FISTA state machine. Each item's L lead planes advance in lockstep
+// under one per-item control state, because the group soft-threshold
+// couples a window's leads; the gradient runs per plane through the
+// batched pipeline of batch.go. A one-lead item is the independent ℓ1
+// solve: over a single lead the group norm is the coefficient's
+// magnitude (ReconstructLeads).
 
 import "math"
 
@@ -20,7 +21,7 @@ func (d *Decoder) objectiveItem(jt *jointState, bs *batchScratch) float64 {
 	for l := 0; l < jt.L; l++ {
 		pi := jt.planeBase + l
 		th := nStripe(bs.theta, pi, n)
-		if err := d.cfg.Wavelet.InverseInto(th, d.cfg.Levels, objX, &bs.sws); err != nil {
+		if err := basis.InverseInto(th, levels, objX, &bs.sws); err != nil {
 			panic("cs: internal synthesis error: " + err.Error())
 		}
 		bs.planes[pi].phi.Apply(objX, objAx)
@@ -49,9 +50,10 @@ func (d *Decoder) objectiveItem(jt *jointState, bs *batchScratch) float64 {
 	return 0.5*data + jt.lambda*pen
 }
 
-// divergedItem is divergedPlane for one item's joint iterate: the
-// summed data term must not exceed the energy of the (unit-RMS)
-// measurements.
+// divergedItem reports whether one item's final iterate explains the
+// data worse than the zero vector — the summed data term exceeds the
+// energy of the (unit-RMS) measurements, or is not finite. It is the
+// warm-start fallback trigger.
 func (d *Decoder) divergedItem(jt *jointState, bs *batchScratch) bool {
 	n := d.n
 	objX := bs.objX[:n]
@@ -60,7 +62,7 @@ func (d *Decoder) divergedItem(jt *jointState, bs *batchScratch) bool {
 	for l := 0; l < jt.L; l++ {
 		pi := jt.planeBase + l
 		th := nStripe(bs.theta, pi, n)
-		if err := d.cfg.Wavelet.InverseInto(th, d.cfg.Levels, objX, &bs.sws); err != nil {
+		if err := basis.InverseInto(th, levels, objX, &bs.sws); err != nil {
 			panic("cs: internal synthesis error: " + err.Error())
 		}
 		bs.planes[pi].phi.Apply(objX, objAx)
@@ -76,9 +78,11 @@ func (d *Decoder) divergedItem(jt *jointState, bs *batchScratch) bool {
 	return !(num <= den)
 }
 
-// seedJointPass is seedPlanePass for one item's planes (the per-lead
-// unit-RMS-domain seeds on a warm pass 0), resetting the item's
-// per-pass momentum/objective state.
+// seedJointPass seeds one reweighting pass of an item's planes — pass 0
+// of a warm solve from the carried per-lead unit-RMS-domain
+// coefficients, later warm passes from the running estimate, cold
+// passes from zero — and resets the item's per-pass momentum/objective
+// state.
 func (d *Decoder) seedJointPass(jt *jointState, items []*BatchItem, bs *batchScratch) {
 	n := d.n
 	for l := 0; l < jt.L; l++ {
@@ -215,7 +219,7 @@ func (d *Decoder) stepJoint(ji int, items []*BatchItem, bs *batchScratch) bool {
 			st.Restarts++
 		}
 	}
-	if adaptive && jt.it+1 >= d.cfg.MinIters && diffSq <= tol*tol*(normSq+tinyNormSq) {
+	if adaptive && jt.it+1 >= minIters && diffSq <= tol*tol*(normSq+tinyNormSq) {
 		obj := d.objectiveItem(jt, bs)
 		if jt.objValid && obj >= jt.lastObj*(1-tol) {
 			st.EarlyExit = true
@@ -298,7 +302,7 @@ func (d *Decoder) endJointPass(ji int, items []*BatchItem, bs *batchScratch) boo
 		th := nStripe(bs.theta, pi, n)
 		item.Warm.store(l, th)
 		out := item.X[l]
-		if err := d.cfg.Wavelet.InverseInto(th, d.cfg.Levels, out, &bs.sws); err != nil {
+		if err := basis.InverseInto(th, levels, out, &bs.sws); err != nil {
 			panic("cs: internal synthesis error: " + err.Error())
 		}
 		gain := bs.gains[pi]
@@ -342,7 +346,8 @@ func (d *Decoder) ReconstructJointBatch(items []*BatchItem) {
 	if total == 0 {
 		return
 	}
-	bs := d.getBatchScratch(total, len(items), maxL)
+	bs := d.bpool.Get().(*batchScratch)
+	bs.ensure(total, d.n, d.m, len(d.phis), maxL)
 	defer d.bpool.Put(bs)
 	bs.planes = bs.planes[:0]
 	bs.joints = bs.joints[:0]
@@ -372,9 +377,7 @@ func (d *Decoder) ReconstructJointBatch(items []*BatchItem) {
 			for i, v := range y {
 				ystripe[i] = v * inv
 			}
-			bs.planes = append(bs.planes, planeState{
-				item: ii, lead: l, phi: d.matrixFor(l), mi: d.matrixIndexFor(l),
-			})
+			bs.planes = append(bs.planes, planeState{phi: d.matrixFor(l), mi: d.matrixIndexFor(l)})
 		}
 		bs.joints = append(bs.joints, jointState{item: ii, planeBase: base, L: L})
 	}
@@ -404,7 +407,7 @@ func (d *Decoder) ReconstructJointBatch(items []*BatchItem) {
 				groupMax = g
 			}
 		}
-		jt.lambda = d.cfg.LambdaRel * math.Sqrt(groupMax)
+		jt.lambda = lambdaRel * math.Sqrt(groupMax)
 		it.Warm.prepare(jt.L, d.n)
 		jt.warm = it.Warm.seedAll(jt.L, d.n) != nil
 		rw := nStripe(bs.rw, jt.planeBase, d.n)

@@ -57,12 +57,11 @@ func expectIdentical(t *testing.T, label string, it *BatchItem, ref [][]float64,
 }
 
 // TestBatchBitIdentity pins the central contract: for every batch size,
-// solver family (independent ℓ1 / joint ℓ2,1), budget mode (fixed /
-// Tol-adaptive) and seeding (cold / warm across two windows), the
-// batched solver's outputs and stats equal K solves of the frozen
-// scalar oracle bit for bit. K=1 is the path every Reconstruct* call
-// and every single-window engine dispatch takes; the larger K prove the
-// SoA kernels preserve per-window FP order.
+// budget mode (fixed / Tol-adaptive) and seeding (cold / warm across
+// two windows), the batched joint solver's outputs and stats equal K
+// solves of the frozen scalar oracle bit for bit. K=1 is the path every
+// Reconstruct* call and every single-window engine dispatch takes; the
+// larger K prove the SoA kernels preserve per-window FP order.
 func TestBatchBitIdentity(t *testing.T) {
 	const n = 512
 	phi, meas := batchFixture(t, n, 2, 21)
@@ -78,52 +77,34 @@ func TestBatchBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, joint := range []bool{false, true} {
-			mode := "leads"
-			if joint {
-				mode = "joint"
-			}
-			for _, K := range []int{1, 2, 4, 8} {
-				// K independent streams, two windows each: window 0 solves
-				// cold, window 1 warm — batched along the stream axis.
-				seqOut := make([][][][]float64, K)
-				seqSt := make([][]SolveStats, K)
-				for s := 0; s < K; s++ {
-					ws := NewWarmState()
-					for w := 0; w < 2; w++ {
-						var x [][]float64
-						var st SolveStats
-						var err error
-						if joint {
-							x, st, err = dec.refReconstructJointWarm(meas[w], ws)
-						} else {
-							x, st, err = dec.refReconstructLeadsWarm(meas[w], ws)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						seqOut[s] = append(seqOut[s], x)
-						seqSt[s] = append(seqSt[s], st)
-					}
-				}
-				states := make([]*WarmState, K)
-				for s := range states {
-					states[s] = NewWarmState()
-				}
+		for _, K := range []int{1, 2, 4, 8} {
+			// K independent streams, two windows each: window 0 solves
+			// cold, window 1 warm — batched along the stream axis.
+			seqOut := make([][][][]float64, K)
+			seqSt := make([][]SolveStats, K)
+			for s := 0; s < K; s++ {
+				ws := NewWarmState()
 				for w := 0; w < 2; w++ {
-					items := make([]*BatchItem, K)
-					for s := 0; s < K; s++ {
-						items[s] = &BatchItem{Y: meas[w], Warm: states[s]}
+					x, st, err := dec.refReconstructJointWarm(meas[w], ws)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if joint {
-						dec.ReconstructJointBatch(items)
-					} else {
-						dec.ReconstructLeadsBatch(items)
-					}
-					for s := 0; s < K; s++ {
-						label := tc.name + "/" + mode
-						expectIdentical(t, label, items[s], seqOut[s][w], seqSt[s][w], nil)
-					}
+					seqOut[s] = append(seqOut[s], x)
+					seqSt[s] = append(seqSt[s], st)
+				}
+			}
+			states := make([]*WarmState, K)
+			for s := range states {
+				states[s] = NewWarmState()
+			}
+			for w := 0; w < 2; w++ {
+				items := make([]*BatchItem, K)
+				for s := 0; s < K; s++ {
+					items[s] = &BatchItem{Y: meas[w], Warm: states[s]}
+				}
+				dec.ReconstructJointBatch(items)
+				for s := 0; s < K; s++ {
+					expectIdentical(t, tc.name, items[s], seqOut[s][w], seqSt[s][w], nil)
 				}
 			}
 		}
@@ -131,10 +112,13 @@ func TestBatchBitIdentity(t *testing.T) {
 }
 
 // TestReconstructMatchesOracle pins the one-item wrappers: every
-// Reconstruct* entry point is a K=1 batch and must return the scalar
-// oracle's signals and stats bit for bit — shared and per-lead sensing
-// matrices, fixed budget and Tol, cold and warm streams. A K=2 batch
-// over the per-lead matrices covers the per-matrix plane grouping.
+// Reconstruct* entry point is a K=1 joint batch and must return the
+// scalar oracle's signals and stats bit for bit — shared and per-lead
+// sensing matrices, fixed budget and Tol, cold and warm streams. The
+// one-lead forms match the joint oracle on that lead alone:
+// Reconstruct[Warm] with lead 0's matrix, and ReconstructLeads lead by
+// lead with each lead's matrix at the decoder's step. A K=2 batch over
+// the per-lead matrices covers the per-matrix plane grouping.
 func TestReconstructMatchesOracle(t *testing.T) {
 	const n, windows = 512, 2
 	m := MeasurementsForCR(n, 65.9)
@@ -165,22 +149,28 @@ func TestReconstructMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws1, wsL, wsJ := NewWarmState(), NewWarmState(), NewWarmState()
-			rs1, rsL, rsJ := NewWarmState(), NewWarmState(), NewWarmState()
+			ws1, wsJ := NewWarmState(), NewWarmState()
+			rs1, rsJ := NewWarmState(), NewWarmState()
 			for _, ys := range meas {
 				x, err := dec.Reconstruct(ys[0])
-				ref, refErr := dec.refReconstruct(ys[0])
-				expectIdentical(t, "Reconstruct", got([][]float64{x}, SolveStats{}, err), [][]float64{ref}, SolveStats{}, refErr)
+				refs, refErr := dec.refReconstructJoint(ys[:1])
+				expectIdentical(t, "Reconstruct", got([][]float64{x}, SolveStats{}, err), refs, SolveStats{}, refErr)
 				x, st, err := dec.ReconstructWarm(ys[0], ws1)
-				ref, refSt, refErr := dec.refReconstructWarm(ys[0], rs1)
-				expectIdentical(t, "ReconstructWarm", got([][]float64{x}, st, err), [][]float64{ref}, refSt, refErr)
+				refs, refSt, refErr := dec.refReconstructJointWarm(ys[:1], rs1)
+				expectIdentical(t, "ReconstructWarm", got([][]float64{x}, st, err), refs, refSt, refErr)
 
 				xs, err := dec.ReconstructLeads(ys)
-				refs, refErr := dec.refReconstructLeads(ys)
-				expectIdentical(t, "ReconstructLeads", got(xs, SolveStats{}, err), refs, SolveStats{}, refErr)
-				xs, st, err = dec.ReconstructLeadsWarm(ys, wsL)
-				refs, refSt, refErr = dec.refReconstructLeadsWarm(ys, rsL)
-				expectIdentical(t, "ReconstructLeadsWarm", got(xs, st, err), refs, refSt, refErr)
+				refs = make([][]float64, len(ys))
+				for i := range ys {
+					one := *dec
+					one.phis = dec.phis[dec.matrixIndexFor(i):][:1]
+					ref, err := one.refReconstructJoint(ys[i : i+1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					refs[i] = ref[0]
+				}
+				expectIdentical(t, "ReconstructLeads", got(xs, SolveStats{}, err), refs, SolveStats{}, nil)
 
 				xs, err = dec.ReconstructJoint(ys)
 				refs, refErr = dec.refReconstructJoint(ys)
@@ -189,27 +179,14 @@ func TestReconstructMatchesOracle(t *testing.T) {
 				refs, refSt, refErr = dec.refReconstructJointWarm(ys, rsJ)
 				expectIdentical(t, "ReconstructJointWarm", got(xs, st, err), refs, refSt, refErr)
 			}
-			for _, joint := range []bool{false, true} {
-				items := make([]*BatchItem, len(meas))
-				for w := range meas {
-					items[w] = &BatchItem{Y: meas[w]}
-				}
-				if joint {
-					dec.ReconstructJointBatch(items)
-				} else {
-					dec.ReconstructLeadsBatch(items)
-				}
-				for w := range meas {
-					var refs [][]float64
-					var refSt SolveStats
-					var refErr error
-					if joint {
-						refs, refSt, refErr = dec.refReconstructJointWarm(meas[w], nil)
-					} else {
-						refs, refSt, refErr = dec.refReconstructLeadsWarm(meas[w], nil)
-					}
-					expectIdentical(t, "per-lead matrix batch", items[w], refs, refSt, refErr)
-				}
+			items := make([]*BatchItem, len(meas))
+			for w := range meas {
+				items[w] = &BatchItem{Y: meas[w]}
+			}
+			dec.ReconstructJointBatch(items)
+			for w := range meas {
+				refs, refSt, refErr := dec.refReconstructJointWarm(meas[w], nil)
+				expectIdentical(t, "per-lead matrix batch", items[w], refs, refSt, refErr)
 			}
 		}
 	}
@@ -368,7 +345,7 @@ func TestBatchWarmCommitAcrossRecords(t *testing.T) {
 func TestBatchColdFallback(t *testing.T) {
 	const n = 512
 	phi, meas := batchFixture(t, n, 2, 61)
-	dec, err := NewDecoder(phi, SolverConfig{Iters: 3, MinIters: 1, Tol: 1e-3})
+	dec, err := NewDecoder(phi, SolverConfig{Iters: 3, Tol: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,49 +362,36 @@ func TestBatchColdFallback(t *testing.T) {
 		ws.commit()
 		return ws
 	}
-	for _, joint := range []bool{false, true} {
-		solveSeq := func(y [][]float64, ws *WarmState) ([][]float64, SolveStats) {
-			var x [][]float64
-			var st SolveStats
-			var err error
-			if joint {
-				x, st, err = dec.refReconstructJointWarm(y, ws)
-			} else {
-				x, st, err = dec.refReconstructLeadsWarm(y, ws)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return x, st
+	solveSeq := func(y [][]float64, ws *WarmState) ([][]float64, SolveStats) {
+		x, st, err := dec.refReconstructJointWarm(y, ws)
+		if err != nil {
+			t.Fatal(err)
 		}
-		coldX, _ := solveSeq(meas[0], nil)
-		refPoisonX, refPoisonSt := solveSeq(meas[0], poison(len(meas[0])))
-		cleanX, cleanSt := solveSeq(meas[1], nil)
-		items := []*BatchItem{
-			{Y: meas[0], Warm: poison(len(meas[0]))},
-			{Y: meas[1]},
-		}
-		if joint {
-			dec.ReconstructJointBatch(items)
-		} else {
-			dec.ReconstructLeadsBatch(items)
-		}
-		if !items[0].Stats.ColdFallback {
-			t.Fatal("poisoned warm seed did not trigger the batched cold fallback")
-		}
-		if items[0].Stats.Warm {
-			t.Error("fallback item still flagged warm")
-		}
-		expectIdentical(t, "fallback", items[0], refPoisonX, refPoisonSt, nil)
-		for l := range coldX {
-			for i := range coldX[l] {
-				if items[0].X[l][i] != coldX[l][i] {
-					t.Fatalf("fallback output differs from cold at lead %d sample %d", l, i)
-				}
-			}
-		}
-		expectIdentical(t, "batchmate", items[1], cleanX, cleanSt, nil)
+		return x, st
 	}
+	coldX, _ := solveSeq(meas[0], nil)
+	refPoisonX, refPoisonSt := solveSeq(meas[0], poison(len(meas[0])))
+	cleanX, cleanSt := solveSeq(meas[1], nil)
+	items := []*BatchItem{
+		{Y: meas[0], Warm: poison(len(meas[0]))},
+		{Y: meas[1]},
+	}
+	dec.ReconstructJointBatch(items)
+	if !items[0].Stats.ColdFallback {
+		t.Fatal("poisoned warm seed did not trigger the batched cold fallback")
+	}
+	if items[0].Stats.Warm {
+		t.Error("fallback item still flagged warm")
+	}
+	expectIdentical(t, "fallback", items[0], refPoisonX, refPoisonSt, nil)
+	for l := range coldX {
+		for i := range coldX[l] {
+			if items[0].X[l][i] != coldX[l][i] {
+				t.Fatalf("fallback output differs from cold at lead %d sample %d", l, i)
+			}
+		}
+	}
+	expectIdentical(t, "batchmate", items[1], cleanX, cleanSt, nil)
 }
 
 // TestBatchRejectsMalformedItems checks a geometry-mismatched item gets
@@ -454,15 +418,6 @@ func TestBatchRejectsMalformedItems(t *testing.T) {
 		t.Fatalf("malformed items: err = %v, %v, want ErrSolver", items[0].Err, items[2].Err)
 	}
 	expectIdentical(t, "survivor", items[1], ref, refSt, nil)
-	dec.ReconstructLeadsBatch(items[:2])
-	if items[0].Err != ErrSolver {
-		t.Fatalf("leads batch malformed item: err = %v", items[0].Err)
-	}
-	lref, lrefSt, err := dec.refReconstructLeadsWarm(meas[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectIdentical(t, "leads survivor", items[1], lref, lrefSt, nil)
 }
 
 // TestBatchKernelsMatchScalar pins the bit-identity of the batched

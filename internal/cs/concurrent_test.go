@@ -44,7 +44,7 @@ func TestReconstructDeterministicUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refTree, err := dec.TreeIHT(y, 60, 40)
+	refTree, err := dec.TreeIHT(y, levels, 60, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestReconstructDeterministicUnderConcurrency(t *testing.T) {
 						}
 					}
 				}
-				gotT, err := dec.TreeIHT(y, 60, 40)
+				gotT, err := dec.TreeIHT(y, levels, 60, 40)
 				if err != nil {
 					errs <- err
 					return

@@ -19,30 +19,22 @@ type SweepPoint struct {
 	SNRMulti  float64
 }
 
-// SweepConfig parameterises the CR sweep.
+// SweepConfig parameterises the CR sweep. Windows are sweepWindow
+// samples and Φ has Density nonzeros per column, as on the node.
 type SweepConfig struct {
-	// Window is the CS window length n (default 512).
-	Window int
-	// Density is the sparse-binary nonzeros per column (default 4).
-	Density int
 	// Solver configures the FISTA decoders.
 	Solver SolverConfig
 	// Seed drives sensing-matrix generation.
 	Seed int64
 	// MaxWindowsPerRecord bounds work per record (default 4).
 	MaxWindowsPerRecord int
-	// SkipMulti disables the joint reconstruction (for quick sweeps).
-	SkipMulti bool
 }
+
+// sweepWindow is the sweep's CS window length n.
+const sweepWindow = 512
 
 func (c SweepConfig) withDefaults() SweepConfig {
 	out := c
-	if out.Window <= 0 {
-		out.Window = 512
-	}
-	if out.Density <= 0 {
-		out.Density = 4
-	}
 	if out.MaxWindowsPerRecord <= 0 {
 		out.MaxWindowsPerRecord = 4
 	}
@@ -73,11 +65,12 @@ func windowsOf(rec *ecg.Record, n, maxW int) [][][]float64 {
 // at one compression ratio over the record set. Each lead channel has its
 // own sparse-binary sensing matrix (one seed per read-out channel, as the
 // distributed-CS setting of ref [6] allows); the single-lead strategy
-// decodes each lead independently from the same measurements the joint
-// strategy uses, so the comparison isolates the reconstruction model.
+// decodes each lead independently (a one-lead joint solve per lead)
+// from the same measurements the joint strategy uses, so the comparison
+// isolates the reconstruction model.
 func EvaluateCR(records []*ecg.Record, cr float64, cfg SweepConfig) (SweepPoint, error) {
 	c := cfg.withDefaults()
-	n := c.Window
+	n := sweepWindow
 	m := MeasurementsForCR(n, cr)
 	rng := rand.New(rand.NewSource(c.Seed))
 	numLeads := 3
@@ -87,7 +80,7 @@ func EvaluateCR(records []*ecg.Record, cr float64, cfg SweepConfig) (SweepPoint,
 	phis := make([]Matrix, numLeads)
 	encs := make([]*Encoder, numLeads)
 	for l := 0; l < numLeads; l++ {
-		phi, err := NewSparseBinary(m, n, minInt(c.Density, m), rng)
+		phi, err := NewSparseBinary(m, n, minInt(Density, m), rng)
 		if err != nil {
 			return SweepPoint{}, err
 		}
@@ -112,22 +105,16 @@ func EvaluateCR(records []*ecg.Record, cr float64, cfg SweepConfig) (SweepPoint,
 			for li := range leads {
 				snrS = append(snrS, clampSNR(dsp.SNRdB(leads[li], xs[li])))
 			}
-			if !c.SkipMulti {
-				xj, err := dec.ReconstructJoint(ys)
-				if err != nil {
-					return SweepPoint{}, err
-				}
-				for li := range leads {
-					snrM = append(snrM, clampSNR(dsp.SNRdB(leads[li], xj[li])))
-				}
+			xj, err := dec.ReconstructJoint(ys)
+			if err != nil {
+				return SweepPoint{}, err
+			}
+			for li := range leads {
+				snrM = append(snrM, clampSNR(dsp.SNRdB(leads[li], xj[li])))
 			}
 		}
 	}
-	pt := SweepPoint{CR: cr, SNRSingle: dsp.Mean(snrS)}
-	if !c.SkipMulti {
-		pt.SNRMulti = dsp.Mean(snrM)
-	}
-	return pt, nil
+	return SweepPoint{CR: cr, SNRSingle: dsp.Mean(snrS), SNRMulti: dsp.Mean(snrM)}, nil
 }
 
 // clampSNR bounds pathological per-window values so averages stay

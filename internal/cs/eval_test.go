@@ -41,7 +41,6 @@ func TestSweepMonotonicity(t *testing.T) {
 	recs := smallRecordSet()
 	pts, err := Sweep(recs, []float64{30, 60, 90}, SweepConfig{
 		MaxWindowsPerRecord: 1,
-		SkipMulti:           true,
 		Solver:              SolverConfig{Iters: 80},
 	})
 	if err != nil {
@@ -120,7 +119,8 @@ func TestWindowsOf(t *testing.T) {
 // TestFigure5Crossings pins the paper's central CS result as a
 // regression test: on the EXPERIMENTS.md Figure 5 setup (4 synthetic
 // 3-lead records, 3 windows each, d=4, 150 iterations, 2 reweighting
-// passes) the averaged SNR crosses 20 dB at CR 66.3 single-lead and
+// passes; single-lead is a one-lead joint solve per lead) the averaged
+// SNR crosses 20 dB at CR 66.3 single-lead and
 // 71.7 multi-lead (paper: 65.9 and 72.7). Both crossings must stay
 // within ±0.5 CR of those measurements, and joint multi-lead recovery
 // must beat independent single-lead recovery at every sampled CR.
@@ -130,7 +130,6 @@ func TestFigure5Crossings(t *testing.T) {
 	}
 	recs := ecg.GenerateSet(ecg.Config{Duration: 20}, 42, 4)
 	pts, err := Sweep(recs, []float64{65, 70, 75}, SweepConfig{
-		Density:             4,
 		Seed:                42,
 		MaxWindowsPerRecord: 3,
 		Solver:              SolverConfig{Iters: 150, Reweights: 2},

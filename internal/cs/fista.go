@@ -11,25 +11,19 @@ import (
 // ErrSolver is returned when solver inputs are inconsistent.
 var ErrSolver = errors.New("cs: inconsistent solver inputs")
 
-// SolverConfig parameterises the FISTA reconstructions.
+// SolverConfig parameterises the FISTA reconstructions: the knobs the
+// gateway, the fleet, netgw and the benchmarks set. The sparsity basis
+// (Daubechies-8 over five levels), the penalty weight and the
+// early-exit floor are the constants below.
 type SolverConfig struct {
-	// Wavelet is the orthonormal sparsity basis (default Daubechies8).
-	Wavelet *wavelet.Orthogonal
-	// Levels is the DWT depth (default 5).
-	Levels int
 	// Iters is the FISTA iteration budget per pass (default 200). With
 	// Tol == 0 the solver always runs the full budget.
 	Iters int
-	// LambdaRel sets the ℓ1 weight as a fraction of ||ΨᵀΦᵀy||∞
-	// (default 0.01).
-	LambdaRel float64
 	// Reweights is the number of iterative-reweighting passes after the
 	// first solve (Candès-Wakin-Boyd style: w_i ∝ 1/(|θ_i|+ε), a
 	// log-penalty surrogate that sharpens recovery of the large
 	// coefficients). 0 disables reweighting.
 	Reweights int
-	// Seed drives the power iteration for the Lipschitz estimate.
-	Seed int64
 	// Tol enables the convergence-aware solver: a pass stops early once
 	// the relative iterate change ‖θ_k − θ_{k−1}‖/‖θ_k‖ drops below Tol
 	// AND the objective has stopped decreasing by more than a Tol
@@ -38,35 +32,36 @@ type SolverConfig struct {
 	// default) keeps the fixed-budget solver bit-identical to the
 	// pre-convergence-aware implementation.
 	Tol float64
-	// MinIters floors the iteration count of each pass before the
-	// convergence test may fire (default 10 when Tol > 0). It guards
-	// against exiting on the flat early iterations of a cold start.
-	MinIters int
 }
+
+// The solver's fixed parameters.
+const (
+	// levels is the DWT depth of the sparsity basis.
+	levels = 5
+	// lambdaRel sets the penalty weight λ as a fraction of the largest
+	// group norm of the back-projected measurements ΨᵀΦᵀy.
+	lambdaRel = 0.01
+	// minIters floors the iteration count of each pass before the Tol
+	// test may fire. It guards against exiting on the flat early
+	// iterations of a cold start.
+	minIters = 10
+	// powerSeed seeds the power iteration of the Lipschitz estimate.
+	powerSeed = 777
+)
+
+// basis is the orthonormal sparsity basis Ψ.
+var basis = wavelet.Daubechies8()
 
 func (c SolverConfig) withDefaults() SolverConfig {
 	out := c
-	if out.Wavelet == nil {
-		out.Wavelet = wavelet.Daubechies8()
-	}
-	if out.Levels <= 0 {
-		out.Levels = 5
-	}
 	if out.Iters <= 0 {
 		out.Iters = 200
-	}
-	if out.LambdaRel <= 0 {
-		out.LambdaRel = 0.01
-	}
-	if out.Tol > 0 && out.MinIters <= 0 {
-		out.MinIters = 10
 	}
 	return out
 }
 
 // SolveStats reports one reconstruction's convergence behaviour. All
-// counters aggregate over reweighting passes (and, for the multi-lead
-// independent solver, over leads).
+// counters aggregate over reweighting passes.
 type SolveStats struct {
 	// Iters is the number of FISTA iterations actually executed.
 	Iters int
@@ -108,7 +103,6 @@ type Decoder struct {
 	step    float64 // 1/lip, the FISTA gradient step (cached)
 	n, m    int
 	weights []float64  // per-coefficient penalty weights (0 = unpenalised)
-	alen    int        // approximation-band length n >> Levels
 	bpool   *sync.Pool // *batchScratch
 }
 
@@ -135,10 +129,10 @@ func NewJointDecoder(phis []Matrix, cfg SolverConfig) (*Decoder, error) {
 	// The window must divide into the DWT pyramid, and every level must
 	// hold at least the wavelet's taps (db8 over 64 samples at 5 levels
 	// would leave a 4-sample last level).
-	if c.Wavelet.CheckLength(n, c.Levels) != nil {
+	if basis.CheckLength(n, levels) != nil {
 		return nil, ErrSolver
 	}
-	rng := rand.New(rand.NewSource(c.Seed + 777))
+	rng := rand.New(rand.NewSource(powerSeed))
 	lip := 0.0
 	for _, p := range phis {
 		if l := OperatorNorm(p, 30, rng); l > lip {
@@ -150,12 +144,11 @@ func NewJointDecoder(phis []Matrix, cfg SolverConfig) (*Decoder, error) {
 	}
 	d := &Decoder{phis: phis, cfg: c, lip: lip * 1.02, n: n, m: m}
 	d.step = 1 / d.lip
-	d.alen = n >> uint(c.Levels)
-	// The coarse approximation band stays unpenalised (weight 0): its few
-	// coefficients carry the signal trend and are not sparse — standard
-	// practice in wavelet-CS.
+	// The coarse approximation band (the first n >> levels coefficients)
+	// stays unpenalised (weight 0): its few coefficients carry the signal
+	// trend and are not sparse — standard practice in wavelet-CS.
 	d.weights = make([]float64, n)
-	for i := d.alen; i < n; i++ {
+	for i := n >> levels; i < n; i++ {
 		d.weights[i] = 1
 	}
 	d.bpool = newBatchPool()
@@ -180,39 +173,29 @@ func (d *Decoder) matrixFor(l int) Matrix {
 	return d.phis[len(d.phis)-1]
 }
 
-// softThreshold applies the ℓ1 proximal operator elementwise.
-func softThreshold(v, t float64) float64 {
-	switch {
-	case v > t:
-		return v - t
-	case v < -t:
-		return v + t
-	default:
-		return 0
-	}
-}
-
 // Every FISTA reconstruction below is a one-item batch: the batched
 // structure-of-arrays solver (batch.go, batch_joint.go) is the only
 // implementation, so a window decodes bit-identically whether it was
 // solved alone or folded into a K-window dispatch.
 
 // ReconstructLeads reconstructs each lead independently — the
-// "Single-Lead CS" strategy of Figure 5 applied per lead. Lead l uses
-// its own sensing matrix when the decoder was built with per-lead
-// matrices.
+// "Single-Lead CS" strategy of Figure 5 applied per lead. Over a
+// one-lead group the ℓ2,1 penalty is the ℓ1 norm, so each lead is a
+// one-lead joint solve against that lead's sensing matrix, at the
+// decoder's step.
 func (d *Decoder) ReconstructLeads(ys [][]float64) ([][]float64, error) {
-	xs, _, err := d.ReconstructLeadsWarm(ys, nil)
-	return xs, err
-}
-
-// ReconstructLeadsWarm is ReconstructLeads carrying one warm slot per
-// lead. Stats aggregate across leads. ws may be nil.
-func (d *Decoder) ReconstructLeadsWarm(ys [][]float64, ws *WarmState) ([][]float64, SolveStats, error) {
-	it := BatchItem{Y: ys, Warm: ws}
-	items := [1]*BatchItem{&it}
-	d.ReconstructLeadsBatch(items[:])
-	return it.X, it.Stats, it.Err
+	out := make([][]float64, len(ys))
+	for i := range ys {
+		mi := d.matrixIndexFor(i)
+		dl := *d
+		dl.phis = d.phis[mi : mi+1]
+		x, err := dl.ReconstructJoint(ys[i : i+1])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = x[0]
+	}
+	return out, nil
 }
 
 // ReconstructJoint solves the multi-lead problem of ref [6]: the leads

@@ -97,19 +97,16 @@ func TestNewDecoderValidation(t *testing.T) {
 	}
 }
 
-// TestNewDecoderRejectsShortLevels: a 64-sample window at the default 5
-// levels leaves db8 a 4-sample last level, which the DWT refuses. The
-// decoder must refuse that geometry at construction rather than panic
-// in its first reconstruction; 128 samples (an 8-sample last level)
-// and the 2-tap Haar basis over 64 samples still build.
+// TestNewDecoderRejectsShortLevels: a 64-sample window at the 5 levels
+// of the db8 basis leaves a 4-sample last level, which the DWT refuses.
+// The decoder must refuse that geometry at construction rather than
+// panic in its first reconstruction; 128 samples (an 8-sample last
+// level) still build.
 func TestNewDecoderRejectsShortLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	phi64, _ := NewSparseBinary(26, 64, 4, rng)
 	if _, err := NewDecoder(phi64, SolverConfig{}); err != ErrSolver {
 		t.Errorf("db8 over 64 samples at 5 levels: err = %v, want ErrSolver", err)
-	}
-	if _, err := NewDecoder(phi64, SolverConfig{Wavelet: wavelet.Haar()}); err != nil {
-		t.Errorf("Haar over 64 samples: %v", err)
 	}
 	phi128, _ := NewSparseBinary(51, 128, 4, rng)
 	dec, err := NewDecoder(phi128, SolverConfig{Iters: 5})
@@ -249,11 +246,11 @@ func TestOMPReconstructsSparseSignal(t *testing.T) {
 	m := 128
 	phi, _ := NewGaussian(m, n, rng)
 	enc := NewEncoder(phi)
-	dec, err := NewDecoder(phi, SolverConfig{Levels: 4})
+	dec, err := NewDecoder(phi, SolverConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	xhat, err := dec.OMP(enc.Encode(x), 24, 1e-6)
+	xhat, err := dec.OMP(enc.Encode(x), 4, 24, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +263,11 @@ func TestOMPValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	phi, _ := NewSparseBinary(64, 256, 4, rng)
 	dec, _ := NewDecoder(phi, SolverConfig{Iters: 10})
-	if _, err := dec.OMP(make([]float64, 10), 5, 0); err != ErrSolver {
+	if _, err := dec.OMP(make([]float64, 10), levels, 5, 0); err != ErrSolver {
 		t.Error("bad measurement length should fail")
 	}
 	// Zero measurements reconstruct to zero.
-	xhat, err := dec.OMP(make([]float64, 64), 5, 0)
+	xhat, err := dec.OMP(make([]float64, 64), levels, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,8 +346,8 @@ func TestReweightingImprovesHighCRRecovery(t *testing.T) {
 }
 
 // The helpers below are read only by the tests. Programs call the
-// multi-lead and batched entry points (ReconstructLeads[Warm],
-// ReconstructJoint[Warm], Reconstruct*Batch); Reconstruct and
+// multi-lead and batched entry points (ReconstructLeads,
+// ReconstructJoint[Warm], ReconstructJointBatch); Reconstruct and
 // ReconstructWarm are the one-lead forms the tests drive.
 
 // MeasurementBytes returns the payload size in bytes for one encoded
@@ -362,8 +359,9 @@ func (e *Encoder) MeasurementBytes(bitsPerMeasurement int) int {
 }
 
 // Reconstruct solves min_θ ½||ΦΨθ − y||² + λ||Wθ||₁ with FISTA and
-// returns x̂ = Ψθ̂, using lead 0's sensing matrix. λ is set relative to
-// ||ΨᵀΦᵀy||∞.
+// returns x̂ = Ψθ̂, using lead 0's sensing matrix: a one-lead joint
+// solve, whose ℓ2,1 penalty is the ℓ1 norm. λ is set relative to
+// ||ΨᵀΦᵀy||∞ of the unit-RMS measurements.
 func (d *Decoder) Reconstruct(y []float64) ([]float64, error) {
 	x, _, err := d.ReconstructWarm(y, nil)
 	return x, err
@@ -377,7 +375,7 @@ func (d *Decoder) Reconstruct(y []float64) ([]float64, error) {
 // ws may be nil (plain cold solve with stats).
 func (d *Decoder) ReconstructWarm(y []float64, ws *WarmState) ([]float64, SolveStats, error) {
 	ys := [1][]float64{y}
-	xs, st, err := d.ReconstructLeadsWarm(ys[:], ws)
+	xs, st, err := d.ReconstructJointWarm(ys[:], ws)
 	if err != nil {
 		// ErrSolver is the solver's only error. Returning the sentinel
 		// rather than err keeps ys on the stack: escape analysis does not

@@ -68,6 +68,11 @@ type SparseBinary struct {
 	scale   float64
 }
 
+// Density is the column density of the node's sparse-binary sensing
+// matrix: the nonzeros per column of Φ, clamped to the measurement
+// count. The node, the gateway and the Figure 5 sweep draw Φ at it.
+const Density = 4
+
 // NewSparseBinary builds an m×n sparse-binary sensing matrix with d
 // non-zeros per column, drawn from rng (deterministic per seed).
 func NewSparseBinary(m, n, d int, rng *rand.Rand) (*SparseBinary, error) {

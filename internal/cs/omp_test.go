@@ -7,17 +7,17 @@ import (
 )
 
 // OMP implements orthogonal matching pursuit over the wavelet-synthesis
-// dictionary A = ΦΨ, the greedy reconstruction baseline against which
-// convex (FISTA) recovery is compared. It selects atoms until either
-// maxAtoms coefficients are active or the residual drops below
-// tolFrac·||y||.
+// dictionary A = ΦΨ, Ψ the basis at the given DWT depth, the greedy
+// reconstruction baseline against which convex (FISTA) recovery is
+// compared. It selects atoms until either maxAtoms coefficients are
+// active or the residual drops below tolFrac·||y||.
 //
 // OMP materialises A column-by-column through the decoder's synthesis
 // operator; with n=512 this stays comfortably laptop-scale, but it is the
 // expensive baseline — the benchmarks show why the node-side design puts
 // all reconstruction cost on the receiver. No program runs it;
 // BenchmarkAblationSolverVariants compares it with FISTA.
-func (d *Decoder) OMP(y []float64, maxAtoms int, tolFrac float64) ([]float64, error) {
+func (d *Decoder) OMP(y []float64, levels, maxAtoms int, tolFrac float64) ([]float64, error) {
 	if len(y) != d.m {
 		return nil, ErrSolver
 	}
@@ -35,7 +35,7 @@ func (d *Decoder) OMP(y []float64, maxAtoms int, tolFrac float64) ([]float64, er
 		}
 		e := make([]float64, d.n)
 		e[j] = 1
-		x := d.synth(e)
+		x := synth(e, levels)
 		c := make([]float64, d.m)
 		d.phis[0].Apply(x, c)
 		colCache[j] = c
@@ -60,7 +60,7 @@ func (d *Decoder) OMP(y []float64, maxAtoms int, tolFrac float64) ([]float64, er
 		// Correlations via Aᵀr = Ψᵀ Φᵀ r.
 		z := make([]float64, d.n)
 		d.phis[0].ApplyT(residual, z)
-		corr := d.analyze(z)
+		corr := analyze(z, levels)
 		best, bestAbs := -1, 0.0
 		for j, v := range corr {
 			if inSupport[j] {
@@ -158,12 +158,12 @@ func (d *Decoder) OMP(y []float64, maxAtoms int, tolFrac float64) ([]float64, er
 			theta[j] = coef[i]
 		}
 	}
-	return d.synth(theta), nil
+	return synth(theta, levels), nil
 }
 
 // synth maps wavelet coefficients to the signal domain (x = Ψθ).
-func (d *Decoder) synth(theta []float64) []float64 {
-	x, err := inverseDWT(d.cfg.Wavelet, theta, d.cfg.Levels)
+func synth(theta []float64, levels int) []float64 {
+	x, err := inverseDWT(basis, theta, levels)
 	if err != nil {
 		panic("cs: internal synthesis error: " + err.Error())
 	}
@@ -171,10 +171,10 @@ func (d *Decoder) synth(theta []float64) []float64 {
 }
 
 // analyze maps a signal to wavelet coefficients (θ = Ψᵀx).
-func (d *Decoder) analyze(x []float64) []float64 {
+func analyze(x []float64, levels int) []float64 {
 	t := make([]float64, len(x))
 	var s wavelet.Scratch
-	if err := d.cfg.Wavelet.ForwardInto(x, d.cfg.Levels, t, &s); err != nil {
+	if err := basis.ForwardInto(x, levels, t, &s); err != nil {
 		panic("cs: internal analysis error: " + err.Error())
 	}
 	return t

@@ -83,6 +83,28 @@ func recordPRD(rec *ecg.Record, xhat [][]float64) float64 {
 	return 100 * math.Sqrt(num/den)
 }
 
+// reconstructRecord cuts a record into consecutive n-sample windows
+// across its leads, solves each window's measurements and returns the
+// reconstructed leads over the windowed span.
+func reconstructRecord(t *testing.T, rec *ecg.Record, n int, solve func(win [][]float64) ([][]float64, error)) [][]float64 {
+	t.Helper()
+	out := make([][]float64, len(rec.Leads))
+	for at := 0; at+n <= rec.Len(); at += n {
+		win := make([][]float64, len(rec.Leads))
+		for li, l := range rec.Leads {
+			win[li] = l[at : at+n]
+		}
+		xs, err := solve(win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li := range out {
+			out[li] = append(out[li], xs[li]...)
+		}
+	}
+	return out
+}
+
 // TestWirePathPRDBudget accepts the node's integer CS stage and 12-bit
 // radio codes through the PRD budget: reconstructions from the
 // measurements the wire delivers (Q15 front end, EncodeQ15, the radio
@@ -106,21 +128,9 @@ func TestWirePathPRDBudget(t *testing.T) {
 	}
 	decode := func(measure func([][]float64) [][]float64) func(*ecg.Record) [][]float64 {
 		return func(rec *ecg.Record) [][]float64 {
-			out := make([][]float64, len(rec.Leads))
-			for at := 0; at+n <= rec.Len(); at += n {
-				win := make([][]float64, len(rec.Leads))
-				for li, l := range rec.Leads {
-					win[li] = l[at : at+n]
-				}
-				xs, err := dec.ReconstructJoint(measure(win))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for li := range out {
-					out[li] = append(out[li], xs[li]...)
-				}
-			}
-			return out
+			return reconstructRecord(t, rec, n, func(win [][]float64) ([][]float64, error) {
+				return dec.ReconstructJoint(measure(win))
+			})
 		}
 	}
 	wire := func(win [][]float64) [][]float64 {
@@ -142,4 +152,51 @@ func TestWirePathPRDBudget(t *testing.T) {
 	}
 	budget := prdBudget{MeanPP: 0.1, MaxPP: 0.5, Records: cohortRecords()}
 	budget.check(t, decode(enc.EncodeLeads), decode(wire))
+}
+
+// TestSingleLeadPRDBudget accepts single-lead CS as a one-lead joint
+// solve through the PRD budget. ReconstructLeads solves each lead's
+// unit-RMS measurements under a one-lead ℓ2,1 penalty, which is the ℓ1
+// norm, so it solves the same problem as the frozen ℓ1 oracle
+// refReconstructLeads without its bit identity. Both decode every
+// record with per-lead sensing matrices and Figure 5's solver (150
+// iterations, 2 reweighting passes) at CR 60 and at the paper's two
+// Figure 5 crossings, 65.9 and 72.7.
+func TestSingleLeadPRDBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("per-lead scalar-oracle reconstructions at three CRs; too slow under -race")
+	}
+	const n = 512
+	budget := prdBudget{MeanPP: 0.1, MaxPP: 0.5, Records: cohortRecords()}
+	for _, cr := range []float64{60, 65.9, 72.7} {
+		t.Run(fmt.Sprintf("CR%.1f", cr), func(t *testing.T) {
+			m := MeasurementsForCR(n, cr)
+			rng := rand.New(rand.NewSource(12))
+			phis := make([]Matrix, 3)
+			encs := make([]*Encoder, 3)
+			for l := range phis {
+				phi, err := NewSparseBinary(m, n, Density, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				phis[l], encs[l] = phi, NewEncoder(phi)
+			}
+			dec, err := NewJointDecoder(phis, SolverConfig{Iters: 150, Reweights: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			decode := func(solve func([][]float64) ([][]float64, error)) func(*ecg.Record) [][]float64 {
+				return func(rec *ecg.Record) [][]float64 {
+					return reconstructRecord(t, rec, n, func(win [][]float64) ([][]float64, error) {
+						ys := make([][]float64, len(win))
+						for li, x := range win {
+							ys[li] = encs[li].Encode(x)
+						}
+						return solve(ys)
+					})
+				}
+			}
+			budget.check(t, decode(dec.refReconstructLeads), decode(dec.ReconstructLeads))
+		})
+	}
 }

@@ -10,8 +10,14 @@ package cs
 // reference code. Do not "fix" or modernise this file: its value is
 // that it does not change. The only edits from the original are
 // mechanical: the scratch type, its DWT helpers and the public entry
-// points carry a ref prefix, and each solve allocates its scratch
-// instead of drawing it from the decoder's pool.
+// points carry a ref prefix, each solve allocates its scratch instead
+// of drawing it from the decoder's pool, the basis, depth, λ fraction
+// and early-exit floor, once SolverConfig fields, are the package
+// constants at the same values, and the single-lead entry points no
+// test calls any more are gone. The single-lead ℓ1 solver has no
+// batched counterpart: the package decodes a single lead as a one-lead
+// joint solve, and TestSingleLeadPRDBudget scores that against
+// refReconstructLeads.
 
 import (
 	"math"
@@ -69,18 +75,9 @@ func (s *refScratch) ensureLeads(L, n, m int) {
 	}
 }
 
-// add accumulates another solve's counters (per-lead aggregation).
-func (st *SolveStats) add(o SolveStats) {
-	st.Iters += o.Iters
-	st.Restarts += o.Restarts
-	st.EarlyExit = st.EarlyExit || o.EarlyExit
-	st.Warm = st.Warm || o.Warm
-	st.ColdFallback = st.ColdFallback || o.ColdFallback
-}
-
 // refSynthInto is synth writing into out, drawing DWT intermediates from s.
 func (d *Decoder) refSynthInto(theta, out []float64, s *refScratch) {
-	if err := d.cfg.Wavelet.InverseInto(theta, d.cfg.Levels, out, &s.ws); err != nil {
+	if err := basis.InverseInto(theta, levels, out, &s.ws); err != nil {
 		panic("cs: internal synthesis error: " + err.Error())
 	}
 }
@@ -88,7 +85,7 @@ func (d *Decoder) refSynthInto(theta, out []float64, s *refScratch) {
 // refAnalyzeInto is analyze writing into out, drawing DWT intermediates
 // from s.
 func (d *Decoder) refAnalyzeInto(x, out []float64, s *refScratch) {
-	if err := d.cfg.Wavelet.ForwardInto(x, d.cfg.Levels, out, &s.ws); err != nil {
+	if err := basis.ForwardInto(x, levels, out, &s.ws); err != nil {
 		panic("cs: internal analysis error: " + err.Error())
 	}
 }
@@ -162,7 +159,7 @@ func (d *Decoder) solveSingle(phi Matrix, y []float64, s *refScratch, warm []flo
 			maxAbs = a
 		}
 	}
-	lambda := d.cfg.LambdaRel * maxAbs
+	lambda := lambdaRel * maxAbs
 	step := d.step
 	adaptive := d.cfg.Tol > 0
 	tol := d.cfg.Tol
@@ -225,7 +222,7 @@ func (d *Decoder) solveSingle(phi Matrix, y []float64, s *refScratch, warm []flo
 					}
 				}
 			}
-			if adaptive && it+1 >= d.cfg.MinIters && diffSq <= tol*tol*(normSq+tinyNormSq) {
+			if adaptive && it+1 >= minIters && diffSq <= tol*tol*(normSq+tinyNormSq) {
 				// Relative change has flattened; confirm the objective has
 				// stopped decreasing before stopping (a momentum stall can
 				// flatten θ while F still has room to fall).
@@ -267,11 +264,16 @@ func (d *Decoder) solveSingle(phi Matrix, y []float64, s *refScratch, warm []flo
 	}
 }
 
-// refReconstruct solves min_θ ½||ΦΨθ − y||² + λ||Wθ||₁ with FISTA and
-// returns x̂ = Ψθ̂, using lead 0's sensing matrix. λ is set relative to
-// ||ΨᵀΦᵀy||∞.
-func (d *Decoder) refReconstruct(y []float64) ([]float64, error) {
-	return d.reconstructWith(d.phis[0], y)
+// softThreshold applies the ℓ1 proximal operator elementwise.
+func softThreshold(v, t float64) float64 {
+	switch {
+	case v > t:
+		return v - t
+	case v < -t:
+		return v + t
+	default:
+		return 0
+	}
 }
 
 func (d *Decoder) reconstructWith(phi Matrix, y []float64) ([]float64, error) {
@@ -305,24 +307,6 @@ func (d *Decoder) reconstructWarmWith(phi Matrix, y []float64, ws *WarmState, le
 	return out, st, nil
 }
 
-// refReconstructWarm is refReconstruct seeded from (and feeding) a WarmState:
-// consecutive ECG windows are highly correlated, so the previous
-// window's coefficients start the solver near the solution and the
-// Tol-driven early exit converts that proximity into skipped
-// iterations. Falls back to a cold start when the warm solve diverges.
-// ws may be nil (plain cold solve with stats).
-func (d *Decoder) refReconstructWarm(y []float64, ws *WarmState) ([]float64, SolveStats, error) {
-	if ws != nil {
-		ws.prepare(1, d.n)
-	}
-	x, st, err := d.reconstructWarmWith(d.phis[0], y, ws, 0)
-	if err != nil {
-		return nil, st, err
-	}
-	ws.commit()
-	return x, st, nil
-}
-
 // refReconstructLeads reconstructs each lead independently — the
 // "Single-Lead CS" strategy of Figure 5 applied per lead. Lead l uses
 // its own sensing matrix when the decoder was built with per-lead
@@ -337,26 +321,6 @@ func (d *Decoder) refReconstructLeads(ys [][]float64) ([][]float64, error) {
 		out[i] = x
 	}
 	return out, nil
-}
-
-// refReconstructLeadsWarm is refReconstructLeads carrying one warm slot per
-// lead. Stats aggregate across leads. ws may be nil.
-func (d *Decoder) refReconstructLeadsWarm(ys [][]float64, ws *WarmState) ([][]float64, SolveStats, error) {
-	var st SolveStats
-	if ws != nil {
-		ws.prepare(len(ys), d.n)
-	}
-	out := make([][]float64, len(ys))
-	for i, y := range ys {
-		x, lst, err := d.reconstructWarmWith(d.matrixFor(i), y, ws, i)
-		if err != nil {
-			return nil, st, err
-		}
-		st.add(lst)
-		out[i] = x
-	}
-	ws.commit()
-	return out, st, nil
 }
 
 // refReconstructJoint solves the multi-lead problem of ref [6]: the leads
@@ -433,7 +397,7 @@ func (d *Decoder) reconstructJoint(ys [][]float64, ws *WarmState) ([][]float64, 
 			groupMax = g
 		}
 	}
-	lambda := d.cfg.LambdaRel * math.Sqrt(groupMax)
+	lambda := lambdaRel * math.Sqrt(groupMax)
 	if ws != nil {
 		ws.prepare(L, d.n)
 	}
@@ -604,7 +568,7 @@ func (d *Decoder) solveJoint(ysn [][]float64, L int, lambda float64, s *refScrat
 					}
 				}
 			}
-			if adaptive && it+1 >= d.cfg.MinIters && diffSq <= tol*tol*(normSq+tinyNormSq) {
+			if adaptive && it+1 >= minIters && diffSq <= tol*tol*(normSq+tinyNormSq) {
 				obj := d.objectiveJoint(ysn, L, lambda, s)
 				if objValid && obj >= lastObj*(1-tol) {
 					if st != nil {

@@ -60,15 +60,17 @@ type solverScratch struct {
 
 	theta []float64 // n — iterate
 
-	ws wavelet.Scratch // DWT ping-pong buffers
+	ws     wavelet.Scratch // DWT ping-pong buffers
+	levels int             // DWT depth of the tree
 
 	gS      []float64 // n — support-restricted gradient
 	kept    []bool    // n — tree-projection membership
 	support []bool    // n — debias support
 }
 
-func newSolverScratch(n, m int) *solverScratch {
+func newSolverScratch(n, m, levels int) *solverScratch {
 	return &solverScratch{
+		levels:  levels,
 		x:       make([]float64, n),
 		ax:      make([]float64, m),
 		z:       make([]float64, n),
@@ -178,11 +180,11 @@ func TestTreeIHTReconstructsTreeSparseSignal(t *testing.T) {
 	m := 100
 	phi, _ := NewGaussian(m, n, rng)
 	enc := NewEncoder(phi)
-	dec, err := NewDecoder(phi, SolverConfig{Levels: levels})
+	dec, err := NewDecoder(phi, SolverConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	xhat, err := dec.TreeIHT(enc.Encode(x), detail+10, 400)
+	xhat, err := dec.TreeIHT(enc.Encode(x), levels, detail+10, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +197,13 @@ func TestTreeIHTValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	phi, _ := NewSparseBinary(64, 256, 4, rng)
 	dec, _ := NewDecoder(phi, SolverConfig{})
-	if _, err := dec.TreeIHT(make([]float64, 10), 5, 10); err != ErrSolver {
+	if _, err := dec.TreeIHT(make([]float64, 10), levels, 5, 10); err != ErrSolver {
 		t.Error("bad measurement length should fail")
 	}
-	if _, err := dec.TreeIHT(make([]float64, 64), 0, 10); err != ErrSolver {
+	if _, err := dec.TreeIHT(make([]float64, 64), levels, 0, 10); err != ErrSolver {
 		t.Error("zero budget should fail")
 	}
-	if _, err := dec.TreeIHT(make([]float64, 64), 5, 0); err != ErrSolver {
+	if _, err := dec.TreeIHT(make([]float64, 64), levels, 5, 0); err != ErrSolver {
 		t.Error("zero iterations should fail")
 	}
 }
@@ -230,7 +232,7 @@ func TestQuickSelect(t *testing.T) {
 
 // synthInto is synth writing into out, drawing DWT intermediates from s.
 func (d *Decoder) synthInto(theta, out []float64, s *solverScratch) {
-	if err := d.cfg.Wavelet.InverseInto(theta, d.cfg.Levels, out, &s.ws); err != nil {
+	if err := basis.InverseInto(theta, s.levels, out, &s.ws); err != nil {
 		panic("cs: internal synthesis error: " + err.Error())
 	}
 }
@@ -238,7 +240,7 @@ func (d *Decoder) synthInto(theta, out []float64, s *solverScratch) {
 // analyzeInto is analyze writing into out, drawing DWT intermediates
 // from s.
 func (d *Decoder) analyzeInto(x, out []float64, s *solverScratch) {
-	if err := d.cfg.Wavelet.ForwardInto(x, d.cfg.Levels, out, &s.ws); err != nil {
+	if err := basis.ForwardInto(x, s.levels, out, &s.ws); err != nil {
 		panic("cs: internal analysis error: " + err.Error())
 	}
 }
@@ -335,23 +337,24 @@ func quickSelect(xs []float64, k int) float64 {
 }
 
 // TreeIHT reconstructs a window from measurements with model-based
-// iterative hard thresholding over the rooted wavelet tree: k is the
-// detail-coefficient budget (the approximation band is always kept).
+// iterative hard thresholding over the rooted wavelet tree of a
+// levels-deep DWT: k is the detail-coefficient budget (the
+// approximation band is always kept).
 // The step size is 1/L with L the decoder's Lipschitz estimate. Each
 // call builds its tree table and iteration state.
-func (d *Decoder) TreeIHT(y []float64, k, iters int) ([]float64, error) {
+func (d *Decoder) TreeIHT(y []float64, levels, k, iters int) ([]float64, error) {
 	if len(y) != d.m {
 		return nil, ErrSolver
 	}
 	if k <= 0 || iters <= 0 {
 		return nil, ErrSolver
 	}
-	parent, err := treeStructure(d.n, d.cfg.Levels)
+	parent, err := treeStructure(d.n, levels)
 	if err != nil {
 		return nil, err
 	}
-	s := newSolverScratch(d.n, d.m)
-	alen := d.alen
+	s := newSolverScratch(d.n, d.m, levels)
+	alen := d.n >> uint(levels)
 	phi := d.phis[0]
 	theta := s.theta
 	for i := range theta {

@@ -175,7 +175,7 @@ func TestWarmColdFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := NewEncoder(phi)
-	dec, err := NewDecoder(phi, SolverConfig{Iters: 3, MinIters: 1, Tol: 1e-3})
+	dec, err := NewDecoder(phi, SolverConfig{Iters: 3, Tol: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

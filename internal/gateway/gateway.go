@@ -36,7 +36,7 @@ var ErrEngineClosed = errors.New("gateway: engine closed")
 
 // Config parameterises the receiver. It must mirror the node's CS
 // configuration (window, ratio, seed, lead count); the sensing matrix's
-// column density is core.CSDensity on both sides.
+// column density is cs.Density on both sides.
 type Config struct {
 	// Fs is the sampling rate in Hz.
 	Fs float64
@@ -85,9 +85,8 @@ func (c Config) withDefaults() Config {
 }
 
 // decoderKey identifies one immutable decoder build: the sensing-matrix
-// geometry and seed plus the full solver configuration. SolverConfig is
-// comparable (scalars and one basis pointer), so the key is usable as a
-// map key directly.
+// geometry and seed plus the full solver configuration. SolverConfig
+// holds three scalars, so the key is usable as a map key directly.
 type decoderKey struct {
 	window int
 	ratio  float64
@@ -127,7 +126,7 @@ func (c Config) buildDecoder() (*cs.Decoder, int, error) {
 	if base != nil {
 		return base.Clone(), m, nil
 	}
-	phi, err := cs.NewSparseBinary(m, c.CSWindow, min(core.CSDensity, m), rand.New(rand.NewSource(c.Seed)))
+	phi, err := cs.NewSparseBinary(m, c.CSWindow, min(cs.Density, m), rand.New(rand.NewSource(c.Seed)))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -114,7 +114,7 @@ func TestEndToEndLossyChain(t *testing.T) {
 	cfg := node.Config()
 	bd := model.CSWindow("CS over lossy link",
 		energy.WindowSpec{SamplesPerLead: cfg.CSWindow, Leads: cfg.Leads},
-		cs.MeasurementsForCR(cfg.CSWindow, cfg.CSRatio), cfg.CSWindow*core.CSDensity)
+		cs.MeasurementsForCR(cfg.CSWindow, cfg.CSRatio), cfg.CSWindow*cs.Density)
 	lossless := bd.TotalJ()
 	bd.RetxJ = retx / float64(report.Packets)
 	if bd.TotalJ() <= lossless {

@@ -45,20 +45,17 @@ var (
 	ErrCRC = errors.New("link: packet CRC mismatch")
 )
 
-// Wire-format constants. Every version opens with the same 14-byte
-// header. Versions 1 and 2 carry each measurement as a float32; version
-// 2 inserts a 12-byte trace extension — trace id (8) plus the node-side
-// encode duration in µs (4) — between the header and the payload.
-// Versions 3 and 4 are the coded forms of 1 and 2: the payload is one
-// exponent byte per lead, then every lead's 12-bit measurement codes,
-// bit-packed big-endian in lead-major order with the last byte
-// zero-padded. Encode emits only versions 3 (untraced) and 4 (traced);
-// Decode accepts all four.
+// Wire-format constants. A frame opens with a 14-byte header; version 4
+// then inserts a 12-byte trace extension — trace id (8) plus the
+// node-side encode duration in µs (4) — that version 3 omits. The
+// payload is one exponent byte per lead, then every lead's 12-bit
+// measurement codes, bit-packed big-endian in lead-major order with the
+// last byte zero-padded. Versions 1 and 2, which carried each
+// measurement as a float32 and so could carry NaN and ±Inf, are
+// refused.
 const (
 	packetMagic0       = 'W'
 	packetMagic1       = 'L'
-	versionFloat       = 1
-	versionFloatTraced = 2
 	versionCoded       = 3
 	versionCodedTraced = 4
 	headerLen          = 14 // magic(2) version(1) leads(1) seq(4) window(4) mlen(2)
@@ -182,7 +179,7 @@ func Encode(p Packet) ([]byte, error) {
 	if p.Trace != 0 {
 		ext = traceExtLen
 	}
-	buf := make([]byte, headerLen+ext+leads+codeBytes(leads, mlen)+crcLen)
+	buf := make([]byte, FrameBytes(leads, mlen)+ext)
 	buf[0] = packetMagic0
 	buf[1] = packetMagic1
 	buf[2] = versionCoded
@@ -227,12 +224,20 @@ func Encode(p Packet) ([]byte, error) {
 // codeBytes is the size of the packed code block.
 func codeBytes(leads, mlen int) int { return (leads*mlen*energy.SampleBits + 7) / 8 }
 
-// Decode parses and validates one frame of any version. Structural
-// problems return ErrCodec; an intact structure with a bad checksum
-// returns ErrCRC (the receiver treats both as "frame not received" and
-// lets ARQ recover it). A coded frame must be the one Encode writes for
-// its values: a code of -2048, an exponent above the smallest that fits
-// its lead or nonzero padding is ErrCodec.
+// FrameBytes returns the encoded size of an untraced packet with the
+// given geometry — what the radio model charges per attempt. The ARQ
+// path never puts the trace extension on the air, so this is the
+// charging geometry regardless of tracing.
+func FrameBytes(leads, measurementsPerLead int) int {
+	return headerLen + leads + codeBytes(leads, measurementsPerLead) + crcLen
+}
+
+// Decode parses and validates one frame. Structural problems return
+// ErrCodec; an intact structure with a bad checksum returns ErrCRC (the
+// receiver treats both as "frame not received" and lets ARQ recover
+// it). A frame must be the one Encode writes for its values: a version
+// other than 3 or 4, a code of -2048, an exponent above the smallest
+// that fits its lead or nonzero padding is ErrCodec.
 func Decode(b []byte) (Packet, error) {
 	if len(b) < headerLen+crcLen {
 		return Packet{}, ErrCodec
@@ -241,23 +246,17 @@ func Decode(b []byte) (Packet, error) {
 		return Packet{}, ErrCodec
 	}
 	version := b[2]
-	if version < versionFloat || version > versionCodedTraced {
+	if version < versionCoded || version > versionCodedTraced {
 		return Packet{}, ErrCodec
 	}
 	ext := 0
-	if version == versionFloatTraced || version == versionCodedTraced {
+	if version == versionCodedTraced {
 		ext = traceExtLen
 	}
 	leads := int(b[3])
 	mlen := int(binary.BigEndian.Uint16(b[12:]))
-	if leads < 1 || leads > MaxLeads || mlen < 1 || mlen > MaxMeasurements {
-		return Packet{}, ErrCodec
-	}
-	payload := 4 * leads * mlen
-	if version >= versionCoded {
-		payload = leads + codeBytes(leads, mlen)
-	}
-	if len(b) != headerLen+ext+payload+crcLen {
+	if leads < 1 || leads > MaxLeads || mlen < 1 || mlen > MaxMeasurements ||
+		len(b) != FrameBytes(leads, mlen)+ext {
 		return Packet{}, ErrCodec
 	}
 	body := len(b) - crcLen
@@ -281,19 +280,8 @@ func Decode(b []byte) (Packet, error) {
 		p.EncodeNs = int64(binary.BigEndian.Uint32(b[off+8:])) * 1000
 		off += ext
 	}
-	if version < versionCoded {
-		for li := range p.Measurements {
-			l := make([]float64, mlen)
-			for i := range l {
-				l[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(b[off:])))
-				off += 4
-			}
-			p.Measurements[li] = l
-		}
-		return p, nil
-	}
-	// Coded payload: the exponents, then the packed codes. Any code or
-	// exponent Encode would not write is refused.
+	// The exponents, then the packed codes. Any code or exponent Encode
+	// would not write is refused.
 	exps, codes := b[off:off+leads], b[off+leads:body]
 	var acc uint32 // bit accumulator; its low nbits bits are unread
 	nbits := 0

@@ -247,11 +247,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 }
 
 // FuzzPacketDecode exercises the codec against arbitrary frames:
-// Decode must never panic. A coded frame (versions 3 and 4) that it
-// accepts must re-encode to the same bytes. A float frame (versions 1
-// and 2) is decode-only: Encode codes it, refusing only values the grid
-// cannot carry, and the coded frame decodes to those values as
-// QuantizeLead rounds them, with the header and trace intact.
+// Decode must never panic, a frame it accepts must re-encode to the
+// same bytes, and a float frame (versions 1 and 2) must be ErrCodec.
 func FuzzPacketDecode(f *testing.F) {
 	seed := Packet{Seq: 3, WindowStart: 1024, Measurements: [][]float64{{1, -1, 0.5}, {2, -2, 0.25}}}
 	frame, err := Encode(seed)
@@ -275,63 +272,32 @@ func FuzzPacketDecode(f *testing.F) {
 	f.Add(encodeFloat(traced))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
+		if len(data) > 2 && (data[2] == versionFloat || data[2] == versionFloatTraced) && !errors.Is(err, ErrCodec) {
+			t.Fatalf("float frame version %d: got %v, want ErrCodec", data[2], err)
+		}
 		if err != nil {
 			return
 		}
 		re, err := Encode(p)
-		if data[2] >= versionCoded {
-			if err != nil {
-				t.Fatalf("accepted coded packet failed to re-encode: %v", err)
-			}
-			if !bytes.Equal(re, data) {
-				t.Fatalf("coded frame did not round-trip:\n in %x\nout %x", data, re)
-			}
-			return
-		}
-		want := make([][]float64, len(p.Measurements))
-		fits := true
-		for li, l := range p.Measurements {
-			want[li] = append([]float64(nil), l...)
-			fits = fits && QuantizeLead(want[li]) == nil
-		}
 		if err != nil {
-			if fits || !errors.Is(err, ErrCodec) {
-				t.Fatalf("float packet QuantizeLead accepts failed to encode: %v", err)
-			}
-			return
+			t.Fatalf("accepted packet failed to re-encode: %v", err)
 		}
-		q, err := Decode(re)
-		if err != nil {
-			t.Fatalf("coded re-encoding rejected: %v", err)
-		}
-		if re[2] != data[2]+versionCoded-versionFloat {
-			t.Fatalf("float version %d re-encoded as version %d", data[2], re[2])
-		}
-		if q.Seq != p.Seq || q.WindowStart != p.WindowStart || q.Trace != p.Trace || q.EncodeNs != p.EncodeNs {
-			t.Fatalf("round-trip header mismatch: %+v vs %+v", q, p)
-		}
-		for li := range want {
-			for i, w := range want[li] {
-				if math.Float64bits(q.Measurements[li][i]) != math.Float64bits(w) {
-					t.Fatalf("lead %d value %d: decoded %v, want %v", li, i, q.Measurements[li][i], w)
-				}
-			}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("frame did not round-trip:\n in %x\nout %x", data, re)
 		}
 	})
 }
 
-// FrameBytes returns the encoded size of an untraced packet with the
-// given geometry — what the radio model charges per attempt. The ARQ
-// path never puts the trace extension on the air, so this is the
-// charging geometry regardless of tracing. The tests use it as the size
-// oracle of the encoder.
-func FrameBytes(leads, measurementsPerLead int) int {
-	return headerLen + leads + codeBytes(leads, measurementsPerLead) + crcLen
-}
+// The float frame versions Encode wrote before the coded ones. Decode
+// refuses both.
+const (
+	versionFloat       = 1
+	versionFloatTraced = 2
+)
 
-// encodeFloat writes a version-1 frame (version 2 with a trace): the
-// float32 format Encode wrote before the coded versions. Decode still
-// reads it; the tests make such frames with it.
+// encodeFloat writes a version-1 frame (version 2 with a trace): one
+// float32 per measurement. The tests make such frames with it to check
+// that Decode refuses them.
 func encodeFloat(p Packet) []byte {
 	leads, mlen := len(p.Measurements), len(p.Measurements[0])
 	ext := 0

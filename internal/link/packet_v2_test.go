@@ -5,14 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"testing"
 
 	"wbsn/internal/telemetry/trace"
 )
 
-// TestPacketV2RoundTrip: a traced float frame (version 2) still
-// decodes, values and trace fields intact, and a traced packet encodes
-// as version 4 and round-trips the same fields.
+// TestPacketV2RoundTrip: a traced packet encodes as version 4 and
+// round-trips its values and trace fields, and the same packet as a
+// traced float frame (version 2) is refused.
 func TestPacketV2RoundTrip(t *testing.T) {
 	p := Packet{
 		Seq:          9,
@@ -31,27 +32,54 @@ func TestPacketV2RoundTrip(t *testing.T) {
 	if want := FrameBytes(2, 3) + traceExtLen; len(coded) != want {
 		t.Fatalf("traced frame length %d, want %d", len(coded), want)
 	}
+	got, err := Decode(coded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Trace != p.Trace || got.EncodeNs != p.EncodeNs {
+		t.Fatalf("trace fields: got %v/%d, want %v/%d", got.Trace, got.EncodeNs, p.Trace, p.EncodeNs)
+	}
+	if got.Seq != p.Seq || got.WindowStart != p.WindowStart {
+		t.Fatalf("header mismatch: %+v", got)
+	}
+	for li := range p.Measurements {
+		for i, v := range p.Measurements[li] {
+			if got.Measurements[li][i] != v {
+				t.Fatalf("lead %d sample %d: %v != %v", li, i, got.Measurements[li][i], v)
+			}
+		}
+	}
 	v2 := encodeFloat(p)
 	if v2[2] != versionFloatTraced {
 		t.Fatalf("float frame version byte %d, want %d", v2[2], versionFloatTraced)
 	}
-	for _, frame := range [][]byte{coded, v2} {
-		got, err := Decode(frame)
-		if err != nil {
-			t.Fatal(err)
+	if _, err := Decode(v2); !errors.Is(err, ErrCodec) {
+		t.Fatalf("version-2 frame: got %v, want ErrCodec", err)
+	}
+}
+
+// TestDecodeRefusesFloatFrames: a CRC-valid float frame is ErrCodec,
+// finite or not. A version-1 frame was the one way a NaN measurement
+// reached the gateway — a 3-lead CR-60 window with one NaN decoded, and
+// the joint solver spread it to every reconstructed sample.
+func TestDecodeRefusesFloatFrames(t *testing.T) {
+	leads := make([][]float64, 3)
+	for li := range leads {
+		leads[li] = make([]float64, 205)
+		for i := range leads[li] {
+			leads[li][i] = float64(i%7) - 3
 		}
-		if got.Trace != p.Trace || got.EncodeNs != p.EncodeNs {
-			t.Fatalf("version %d trace fields: got %v/%d, want %v/%d", frame[2], got.Trace, got.EncodeNs, p.Trace, p.EncodeNs)
+	}
+	p := Packet{Seq: 7, WindowStart: 3584, Measurements: leads}
+	finite := encodeFloat(p)
+	leads[1][17] = math.NaN()
+	withNaN := encodeFloat(p)
+	for name, frame := range map[string][]byte{"finite": finite, "NaN": withNaN} {
+		if frame[2] != versionFloat {
+			t.Fatalf("%s frame version byte %d, want %d", name, frame[2], versionFloat)
 		}
-		if got.Seq != p.Seq || got.WindowStart != p.WindowStart {
-			t.Fatalf("version %d header mismatch: %+v", frame[2], got)
-		}
-		for li := range p.Measurements {
-			for i, v := range p.Measurements[li] {
-				if got.Measurements[li][i] != v {
-					t.Fatalf("version %d lead %d sample %d: %v != %v", frame[2], li, i, got.Measurements[li][i], v)
-				}
-			}
+		if _, err := Decode(frame); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s version-1 frame: got %v, want ErrCodec", name, err)
 		}
 	}
 }
@@ -91,17 +119,14 @@ func TestPacketV2ZeroTraceRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero out the trace ID and fix the CRC: structurally valid traced
-	// frames with the reserved untraced ID — the codec must reject them
-	// so decode→encode stays an identity.
-	for _, frame := range [][]byte{encodeFloat(p), coded} {
-		for i := headerLen; i < headerLen+8; i++ {
-			frame[i] = 0
-		}
-		frame = fixCRC(frame)
-		if _, err := Decode(frame); !errors.Is(err, ErrCodec) {
-			t.Fatalf("zero-trace version %d frame: got %v, want ErrCodec", frame[2], err)
-		}
+	// Zero out the trace ID and fix the CRC: a structurally valid traced
+	// frame with the reserved untraced ID — the codec must reject it so
+	// decode→encode stays an identity.
+	for i := headerLen; i < headerLen+8; i++ {
+		coded[i] = 0
+	}
+	if _, err := Decode(fixCRC(coded)); !errors.Is(err, ErrCodec) {
+		t.Fatalf("zero-trace version-4 frame: got %v, want ErrCodec", err)
 	}
 }
 

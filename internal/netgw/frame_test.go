@@ -135,11 +135,9 @@ func TestMaxFramePayloadFitsLinkCodec(t *testing.T) {
 // FuzzFrameDecode feeds arbitrary bytes through the two wire parsers a
 // gateway session runs on untrusted input — readFrame and the link
 // packet codec — asserting they never panic and that anything readFrame
-// accepts round-trips back to identical bytes. A data frame's coded
-// packet (link versions 3 and 4) must re-encode to the same bytes; a
-// float packet (versions 1 and 2) is decode-only, and its re-encoding
-// may only be refused with link.ErrCodec (a value the 12-bit grid
-// cannot carry).
+// accepts round-trips back to identical bytes. A data frame's packet
+// that link.Decode accepts must re-encode to the same bytes, and a
+// float packet (link versions 1 and 2) must be link.ErrCodec.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'W', 'G', 1, frameData, 0, 0, 0, 0})
@@ -192,16 +190,16 @@ func FuzzFrameDecode(f *testing.F) {
 		case frameDigest:
 			parseDigest(payload)
 		case frameData:
-			if pkt, err := link.Decode(payload); err == nil {
-				re, err := link.Encode(pkt)
-				coded := payload[2] >= 3 // the version byte: 3 and 4 carry codes
-				if coded && (err != nil || !bytes.Equal(re, payload)) {
-					t.Fatalf("coded packet does not re-encode to its bytes (err %v)", err)
+			pkt, err := link.Decode(payload)
+			float := len(payload) > 2 && (payload[2] == 1 || payload[2] == 2) // the version byte
+			switch {
+			case float && !errors.Is(err, link.ErrCodec):
+				t.Fatalf("float packet version %d: got %v, want ErrCodec", payload[2], err)
+			case err == nil:
+				if re, err := link.Encode(pkt); err != nil || !bytes.Equal(re, payload) {
+					t.Fatalf("packet does not re-encode to its bytes (err %v)", err)
 				}
-				if err != nil && !errors.Is(err, link.ErrCodec) {
-					t.Fatalf("float packet re-encode returned foreign error: %v", err)
-				}
-			} else if !errors.Is(err, link.ErrCodec) && !errors.Is(err, link.ErrCRC) {
+			case !errors.Is(err, link.ErrCodec) && !errors.Is(err, link.ErrCRC):
 				t.Fatalf("data decode returned foreign error: %v", err)
 			}
 		}

@@ -39,9 +39,8 @@ var (
 // high-pass mirror and the synthesis gather taps are derived once at
 // construction so the per-level transform kernels never allocate.
 type Orthogonal struct {
-	name string
-	h    []float64 // analysis low-pass
-	gf   []float64 // analysis high-pass (alternating-flip of h)
+	h  []float64 // analysis low-pass
+	gf []float64 // analysis high-pass (alternating-flip of h)
 	// syn holds the synthesis taps in gather order, one row per step t
 	// of the L/2 taps an output sums: {h[L-2-2t], h[L-1-2t], g[L-2-2t],
 	// g[L-1-2t]}, so output 2m+p adds syn[t][p]·a[m-L/2+1+t] +
@@ -51,7 +50,7 @@ type Orthogonal struct {
 
 // newOrthogonal derives the quadrature-mirror high-pass at construction,
 // g[k] = (-1)^k h[L-1-k], and the gather-ordered synthesis taps.
-func newOrthogonal(name string, h []float64) *Orthogonal {
+func newOrthogonal(h []float64) *Orthogonal {
 	L := len(h)
 	g := make([]float64, L)
 	for k := 0; k < L; k++ {
@@ -61,27 +60,18 @@ func newOrthogonal(name string, h []float64) *Orthogonal {
 			g[k] = -h[L-1-k]
 		}
 	}
-	w := &Orthogonal{name: name, h: h, gf: g}
+	var syn [][4]float64
 	for k := L - 2; k >= 0; k -= 2 {
-		w.syn = append(w.syn, [4]float64{h[k], h[k+1], g[k], g[k+1]})
+		syn = append(syn, [4]float64{h[k], h[k+1], g[k], g[k+1]})
 	}
-	return w
-}
-
-// Name returns the wavelet's conventional name.
-func (w *Orthogonal) Name() string { return w.name }
-
-// Haar returns the 2-tap Haar wavelet.
-func Haar() *Orthogonal {
-	s := 0.7071067811865476
-	return newOrthogonal("haar", []float64{s, s})
+	return &Orthogonal{h: h, gf: g, syn: syn}
 }
 
 // Daubechies8 returns the 8-tap Daubechies wavelet (db4 in MATLAB
 // nomenclature, 4 vanishing moments) — the standard ECG sparsity basis in
 // the CS literature the paper builds on.
 func Daubechies8() *Orthogonal {
-	return newOrthogonal("db8", []float64{
+	return newOrthogonal([]float64{
 		0.23037781330885523, 0.71484657055254153,
 		0.63088076792959036, -0.02798376941698385,
 		-0.18703481171888114, 0.03084138183598697,
