@@ -116,7 +116,7 @@ func BenchmarkFig7MulticorePower(b *testing.B) {
 
 func BenchmarkText1Delineation(b *testing.B) {
 	recs := ecg.GenerateSet(ecg.Config{Duration: 30, Noise: ecg.AmbulatoryNoise()}, 600, 3)
-	del, err := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
+	node, err := core.NewNode(core.Config{Mode: core.ModeDelineation})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,15 +125,7 @@ func BenchmarkText1Delineation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total = delineation.Report{}
 		for _, rec := range recs {
-			filtered, err := morpho.FilterLeads(rec.Leads, morpho.FilterConfig{Fs: 256})
-			if err != nil {
-				b.Fatal(err)
-			}
-			beats, err := del.Delineate(dsp.CombineRMS(filtered))
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = delineation.Merge(total, delineation.Evaluate(rec, beats, delineation.DefaultTolerances()))
+			total = delineation.Merge(total, nodeDelineation(b, node, rec))
 		}
 	}
 	b.ReportMetric(100*total.R.Se(), "%Se-R")
@@ -150,6 +142,20 @@ func BenchmarkText1Delineation(b *testing.B) {
 	}
 	duty := wbsn.DutyCycleAt(res.SCStats.Cycles, 2e6, 1.0)
 	b.ReportMetric(100*duty, "%duty-cycle")
+}
+
+// nodeDelineation scores the beats a delineation node emits for rec.
+func nodeDelineation(b *testing.B, node *core.Node, rec *ecg.Record) delineation.Report {
+	b.Helper()
+	res, err := node.Process(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	beats := make([]delineation.BeatFiducials, len(res.Beats))
+	for i, bo := range res.Beats {
+		beats[i] = bo.Fiducials
+	}
+	return delineation.Evaluate(rec, beats, delineation.DefaultTolerances())
 }
 
 // ---------------------------------------------------------------------
@@ -304,6 +310,8 @@ func BenchmarkDelineateOneSecond(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/60, "ns/signal-s")
 }
 
+// BenchmarkAFDetect times the node's AF decisions over a delineated
+// record: the features and fuzzy score of every window.
 func BenchmarkAFDetect(b *testing.B) {
 	rec := ecg.Generate(ecg.Config{Seed: 13, Duration: 120, Rhythm: ecg.RhythmConfig{Kind: ecg.RhythmAF}})
 	del, _ := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
@@ -311,13 +319,11 @@ func BenchmarkAFDetect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	det, err := af.NewDetector(af.Config{Fs: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Detect(beats)
+		for s := 0; s+af.WindowBeats <= len(beats); s += af.WindowBeats / 2 {
+			af.Score(af.ExtractFeatures(beats[s:s+af.WindowBeats], 256))
+		}
 	}
 }
 
@@ -530,11 +536,11 @@ func BenchmarkThroughputEngineBatched(b *testing.B) {
 }
 
 // BenchmarkNoiseStressDelineation reproduces the classic noise-stress
-// protocol: R-peak detection quality as EMG noise grows, with and
-// without the conditioning chain. Published delineators degrade
-// gracefully until the noise approaches the wave amplitudes.
+// protocol: the delineation node's R-peak detection quality as EMG
+// noise grows. Published delineators degrade gracefully until the
+// noise approaches the wave amplitudes.
 func BenchmarkNoiseStressDelineation(b *testing.B) {
-	wd, err := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
+	node, err := core.NewNode(core.Config{Mode: core.ModeDelineation})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -549,15 +555,7 @@ func BenchmarkNoiseStressDelineation(b *testing.B) {
 					Seed: 950 + seed, Duration: 30,
 					Noise: ecg.NoiseConfig{EMG: emg},
 				})
-				filtered, err := morpho.FilterLeads(rec.Leads, morpho.FilterConfig{Fs: 256})
-				if err != nil {
-					b.Fatal(err)
-				}
-				beats, err := wd.Delineate(dsp.CombineRMS(filtered))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep = delineation.Merge(rep, delineation.Evaluate(rec, beats, delineation.DefaultTolerances()))
+				rep = delineation.Merge(rep, nodeDelineation(b, node, rec))
 			}
 			results[emg] = rep.R.Se()
 		}

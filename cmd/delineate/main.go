@@ -1,8 +1,9 @@
 // Command delineate reproduces the paper's delineation result (Section V,
-// "Text-1"): it runs the wavelet-based (or morphological) delineator over
-// synthetic annotated records and reports per-fiducial sensitivity and
-// PPV — the paper claims "above 90% in all cases" — together with the
-// embedded resource estimates (≈7% duty cycle, ≤7.2 kB memory).
+// "Text-1"): it runs the delineation node (or the morphological
+// delineator) over synthetic annotated records and reports per-fiducial
+// sensitivity and PPV — the paper claims "above 90% in all cases" —
+// together with the embedded resource estimates (≈7% duty cycle,
+// ≤7.2 kB memory).
 //
 // Usage:
 //
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"os"
 
+	"wbsn/internal/core"
 	"wbsn/internal/delineation"
 	"wbsn/internal/dsp"
 	"wbsn/internal/ecg"
@@ -62,25 +64,33 @@ func main() {
 	if *noise == "ambulatory" {
 		ncfg = ecg.AmbulatoryNoise()
 	}
-	var delineate func([]float64) ([]delineation.BeatFiducials, error)
+	// The wavelet method is the delineation node itself; the
+	// morphological delineator has no node plan and keeps its own chain.
+	var delineate func(*ecg.Record) ([]delineation.BeatFiducials, error)
 	switch *method {
 	case "wavelet":
-		d, err := delineation.NewWaveletDelineator(delineation.Config{Fs: fs})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		delineate = d.Delineate
+		delineate = nodeBeats
 	case "morph":
 		d, err := delineation.NewMorphDelineator(delineation.Config{Fs: fs})
 		if err != nil {
 			fatalf("%v", err)
 		}
-		delineate = d.Delineate
+		delineate = func(rec *ecg.Record) ([]delineation.BeatFiducials, error) {
+			leads := rec.Leads
+			if *noise == "ambulatory" && external == nil {
+				f, err := morpho.FilterLeads(leads, morpho.FilterConfig{Fs: fs})
+				if err != nil {
+					return nil, err
+				}
+				leads = f
+			}
+			return d.Delineate(dsp.CombineRMS(leads))
+		}
 	default:
 		fatalf("unknown method %q", *method)
 	}
 	if external != nil {
-		beats, err := delineate(dsp.CombineRMS(external.Leads))
+		beats, err := delineate(external)
 		if err != nil {
 			fatalf("delineate: %v", err)
 		}
@@ -94,15 +104,7 @@ func main() {
 	var total delineation.Report
 	for i := 0; i < *records; i++ {
 		rec := ecg.Generate(ecg.Config{Seed: *seed + int64(i), Duration: *dur, Noise: ncfg})
-		leads := rec.Leads
-		if *noise == "ambulatory" {
-			f, err := morpho.FilterLeads(leads, morpho.FilterConfig{Fs: fs})
-			if err != nil {
-				fatalf("filter: %v", err)
-			}
-			leads = f
-		}
-		beats, err := delineate(dsp.CombineRMS(leads))
+		beats, err := delineate(rec)
 		if err != nil {
 			fatalf("delineate: %v", err)
 		}
@@ -121,6 +123,23 @@ func main() {
 	app := wbsn.App3LMMD()
 	fmt.Println("\n== Embedded resource estimate ==")
 	emulateResources(app)
+}
+
+// nodeBeats returns the beats a delineation node sized to rec emits.
+func nodeBeats(rec *ecg.Record) ([]delineation.BeatFiducials, error) {
+	node, err := core.NewNode(core.Config{Mode: core.ModeDelineation, Fs: rec.Fs, Leads: len(rec.Leads)})
+	if err != nil {
+		return nil, err
+	}
+	res, err := node.Process(rec)
+	if err != nil {
+		return nil, err
+	}
+	beats := make([]delineation.BeatFiducials, len(res.Beats))
+	for i, b := range res.Beats {
+		beats[i] = b.Fiducials
+	}
+	return beats, nil
 }
 
 func emulateResources(app wbsn.AppSpec) {

@@ -9,14 +9,18 @@
 package af
 
 import (
-	"errors"
 	"math"
 
 	"wbsn/internal/delineation"
 )
 
-// ErrConfig is returned for invalid detector configurations.
-var ErrConfig = errors.New("af: invalid configuration")
+// The node decides over windows of WindowBeats consecutive beats,
+// hopping by half a window, and declares a window AF when its score
+// reaches Threshold.
+const (
+	WindowBeats = 24
+	Threshold   = 0.5
+)
 
 // Features are the per-window AF evidence values.
 type Features struct {
@@ -33,50 +37,6 @@ type Features struct {
 	// PAbsence is the fraction of beats in the window without a detected
 	// P wave.
 	PAbsence float64
-}
-
-// Config parameterises the detector.
-type Config struct {
-	// WindowBeats is the number of consecutive beats per decision
-	// (default 24).
-	WindowBeats int
-	// Fs is the sampling rate used to convert fiducials to seconds.
-	Fs float64
-	// Threshold is the fuzzy score above which a window is declared AF
-	// (default 0.5).
-	Threshold float64
-}
-
-func (c Config) withDefaults() (Config, error) {
-	out := c
-	if out.Fs <= 0 {
-		return out, ErrConfig
-	}
-	if out.WindowBeats <= 0 {
-		out.WindowBeats = 24
-	}
-	if out.WindowBeats < 6 {
-		return out, ErrConfig
-	}
-	if out.Threshold <= 0 {
-		out.Threshold = 0.5
-	}
-	return out, nil
-}
-
-// Detector evaluates AF evidence over sliding windows of delineated
-// beats.
-type Detector struct {
-	cfg Config
-}
-
-// NewDetector validates the configuration.
-func NewDetector(cfg Config) (*Detector, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	return &Detector{cfg: c}, nil
 }
 
 // ExtractFeatures computes the AF features over one window of beats.
@@ -165,7 +125,7 @@ func ramp(v, lo, hi float64) float64 {
 // Score fuses the features into an AF likelihood in [0,1]. The fuzzy
 // rules follow ref [25]: strong evidence requires both an irregular
 // rhythm AND a missing P wave; either alone yields an intermediate score.
-func (d *Detector) Score(f Features) float64 {
+func Score(f Features) float64 {
 	// Rhythm irregularity: OR-combination (max) of the three RR views.
 	irr := math.Max(ramp(f.NRMSSD, 0.06, 0.18),
 		math.Max(ramp(f.TPR, 0.40, 0.62), ramp(f.RREntropy, 0.45, 0.75)))
@@ -190,32 +150,6 @@ type Decision struct {
 	AF bool
 	// Features are the window's evidence values.
 	Features Features
-}
-
-// Detect slides the window over the delineated beats (hop = half window)
-// and returns one decision per window. Fewer beats than one window yield
-// a single decision over all of them.
-func (d *Detector) Detect(beats []delineation.BeatFiducials) []Decision {
-	w := d.cfg.WindowBeats
-	if len(beats) == 0 {
-		return nil
-	}
-	if len(beats) < w {
-		f := ExtractFeatures(beats, d.cfg.Fs)
-		s := d.Score(f)
-		return []Decision{{StartBeat: 0, Score: s, AF: s >= d.cfg.Threshold, Features: f}}
-	}
-	var out []Decision
-	hop := w / 2
-	if hop < 1 {
-		hop = 1
-	}
-	for start := 0; start+w <= len(beats); start += hop {
-		f := ExtractFeatures(beats[start:start+w], d.cfg.Fs)
-		s := d.Score(f)
-		out = append(out, Decision{StartBeat: start, Score: s, AF: s >= d.cfg.Threshold, Features: f})
-	}
-	return out
 }
 
 // RecordVerdict reduces windowed decisions to one per-record verdict: AF

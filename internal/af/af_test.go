@@ -9,18 +9,6 @@ import (
 	"wbsn/internal/ecg"
 )
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := NewDetector(Config{}); err != ErrConfig {
-		t.Error("missing Fs should fail")
-	}
-	if _, err := NewDetector(Config{Fs: 256, WindowBeats: 3}); err != ErrConfig {
-		t.Error("tiny window should fail")
-	}
-	if _, err := NewDetector(Config{Fs: 256}); err != nil {
-		t.Error("valid config should pass")
-	}
-}
-
 // mkBeats builds a synthetic delineation output with the given RR pattern
 // (in seconds) and P-wave presence flags.
 func mkBeats(rrs []float64, hasP []bool, fs float64) []delineation.BeatFiducials {
@@ -98,19 +86,18 @@ func TestExtractFeaturesDegenerate(t *testing.T) {
 }
 
 func TestScoreRules(t *testing.T) {
-	d, _ := NewDetector(Config{Fs: 256})
 	// Regular rhythm with P: no AF evidence.
-	low := d.Score(Features{NRMSSD: 0.02, TPR: 0.2, RREntropy: 0.2, PAbsence: 0})
+	low := Score(Features{NRMSSD: 0.02, TPR: 0.2, RREntropy: 0.2, PAbsence: 0})
 	if low > 0.1 {
 		t.Errorf("quiet features score %v", low)
 	}
 	// Irregular + absent P: strong evidence.
-	high := d.Score(Features{NRMSSD: 0.3, TPR: 0.7, RREntropy: 0.9, PAbsence: 0.9})
+	high := Score(Features{NRMSSD: 0.3, TPR: 0.7, RREntropy: 0.9, PAbsence: 0.9})
 	if high < 0.9 {
 		t.Errorf("full AF evidence scores %v", high)
 	}
 	// Irregular but P present (ectopy): sub-threshold.
-	ect := d.Score(Features{NRMSSD: 0.3, TPR: 0.7, RREntropy: 0.9, PAbsence: 0.05})
+	ect := Score(Features{NRMSSD: 0.3, TPR: 0.7, RREntropy: 0.9, PAbsence: 0.05})
 	if ect >= 0.5 {
 		t.Errorf("ectopy-only evidence scores %v, must stay below threshold", ect)
 	}
@@ -118,8 +105,8 @@ func TestScoreRules(t *testing.T) {
 		t.Error("ectopy should still raise suspicion above quiet baseline")
 	}
 	// Monotonicity in PAbsence.
-	s1 := d.Score(Features{NRMSSD: 0.2, PAbsence: 0.4})
-	s2 := d.Score(Features{NRMSSD: 0.2, PAbsence: 0.8})
+	s1 := Score(Features{NRMSSD: 0.2, PAbsence: 0.4})
+	s2 := Score(Features{NRMSSD: 0.2, PAbsence: 0.8})
 	if s2 < s1 {
 		t.Error("score should not decrease with more absent P waves")
 	}
@@ -134,9 +121,20 @@ func TestRampEdges(t *testing.T) {
 	}
 }
 
+// decide scores every decision window of beats as the node's stream
+// does: WindowBeats consecutive beats, hopping by half a window.
+func decide(beats []delineation.BeatFiducials, fs float64) []Decision {
+	var out []Decision
+	for start := 0; start+WindowBeats <= len(beats); start += WindowBeats / 2 {
+		f := ExtractFeatures(beats[start:start+WindowBeats], fs)
+		s := Score(f)
+		out = append(out, Decision{StartBeat: start, Score: s, AF: s >= Threshold, Features: f})
+	}
+	return out
+}
+
 func TestDetectWindowing(t *testing.T) {
 	fs := 256.0
-	d, _ := NewDetector(Config{Fs: fs, WindowBeats: 10})
 	rrs := make([]float64, 40)
 	hasP := make([]bool, 41)
 	for i := range rrs {
@@ -145,27 +143,14 @@ func TestDetectWindowing(t *testing.T) {
 	for i := range hasP {
 		hasP[i] = true
 	}
-	beats := mkBeats(rrs, hasP, fs)
-	decs := d.Detect(beats)
+	decs := decide(mkBeats(rrs, hasP, fs), fs)
 	if len(decs) == 0 {
 		t.Fatal("no decisions")
 	}
-	// Hop = 5 beats, 41 beats, windows starting 0,5,...,30: 7 decisions.
-	if len(decs) != 7 {
-		t.Errorf("got %d decisions, want 7", len(decs))
-	}
 	for _, dec := range decs {
 		if dec.AF {
-			t.Error("regular rhythm flagged as AF")
+			t.Errorf("regular rhythm window at beat %d flagged as AF (score %.3f)", dec.StartBeat, dec.Score)
 		}
-	}
-	// Short input: single decision.
-	short := d.Detect(beats[:5])
-	if len(short) != 1 {
-		t.Errorf("short input gave %d decisions", len(short))
-	}
-	if d.Detect(nil) != nil {
-		t.Error("no beats should give no decisions")
 	}
 }
 
@@ -200,10 +185,6 @@ func TestEndToEndAFDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDetector(Config{Fs: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var tp, fn, fp, tn int
 	for seed := int64(0); seed < 8; seed++ {
 		cfgN := ecg.Config{Seed: seed, Duration: 90, Noise: ecg.NoiseConfig{EMG: 0.02}}
@@ -216,7 +197,7 @@ func TestEndToEndAFDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if RecordVerdict(det.Detect(beats), 0.5) {
+		if RecordVerdict(decide(beats, fs), 0.5) {
 			fp++
 		} else {
 			tn++
@@ -230,7 +211,7 @@ func TestEndToEndAFDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if RecordVerdict(det.Detect(beatsA), 0.5) {
+		if RecordVerdict(decide(beatsA, fs), 0.5) {
 			tp++
 		} else {
 			fn++
@@ -276,7 +257,6 @@ func TestQ15FeaturesDriveSameDecisions(t *testing.T) {
 	// The Q15 path must produce the same AF verdicts as the float path on
 	// real delineation output.
 	fs := 256.0
-	det, _ := NewDetector(Config{Fs: fs})
 	del, err := delineation.NewWaveletDelineator(delineation.Config{Fs: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -291,8 +271,8 @@ func TestQ15FeaturesDriveSameDecisions(t *testing.T) {
 			t.Fatal("not enough beats")
 		}
 		w := beats[:24]
-		sFloat := det.Score(ExtractFeatures(w, fs))
-		sQ15 := det.Score(ExtractFeaturesQ15(w, fs).Float())
+		sFloat := Score(ExtractFeatures(w, fs))
+		sQ15 := Score(ExtractFeaturesQ15(w, fs).Float())
 		if (sFloat >= 0.5) != (sQ15 >= 0.5) {
 			t.Errorf("%v: decisions diverge (float %.3f vs Q15 %.3f)", kind, sFloat, sQ15)
 		}

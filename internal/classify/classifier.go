@@ -138,16 +138,6 @@ func (c *Classifier) kernel(u float64) float64 {
 	return math.Exp(-u)
 }
 
-// Predict projects the raw beat window and returns the most likely class
-// label and its membership.
-func (c *Classifier) Predict(beat []float64) (label int, membership float64, err error) {
-	z, err := c.rp.Project(beat)
-	if err != nil {
-		return 0, 0, err
-	}
-	return c.PredictProjected(z)
-}
-
 // PredictProjected classifies an already-projected feature vector. When
 // every kernel response underflows (the linearized exponential truncates
 // at 4σ, so a far-off beat can score zero in every class) the decision

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"wbsn/internal/delineation"
@@ -41,7 +42,7 @@ func TestConfigRejectsNonFiniteFields(t *testing.T) {
 
 // runDelineation processes the faulted record at ModeDelineation and
 // scores the detected beats against the original ground truth.
-func runDelineation(t *testing.T, truth *ecg.Record, faulted [][]float64, gate bool) (delineation.Report, *Result) {
+func runDelineation(t *testing.T, truth *ecg.Record, faulted [][]float64, gate bool) delineation.Report {
 	t.Helper()
 	frec := *truth
 	frec.Leads = faulted
@@ -57,7 +58,7 @@ func runDelineation(t *testing.T, truth *ecg.Record, faulted [][]float64, gate b
 	for i, b := range res.Beats {
 		dets[i] = b.Fiducials
 	}
-	return delineation.Evaluate(truth, dets, delineation.DefaultTolerances()), res
+	return delineation.Evaluate(truth, dets, delineation.DefaultTolerances())
 }
 
 // TestLeadGatingSurvivesSaturatedLead pins one lead to the front-end
@@ -71,11 +72,10 @@ func TestLeadGatingSurvivesSaturatedLead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, resGated := runDelineation(t, rec, faulted, true)
-	if want := []bool{true, false, true}; len(resGated.LeadsUsed) != 3 ||
-		resGated.LeadsUsed[0] != want[0] || resGated.LeadsUsed[1] != want[1] || resGated.LeadsUsed[2] != want[2] {
-		t.Errorf("LeadsUsed = %v, want %v", resGated.LeadsUsed, want)
+	if got, want := link.GoodLeads(faulted, rec.Fs), []bool{true, false, true}; !slices.Equal(got, want) {
+		t.Errorf("gate keeps leads %v, want %v", got, want)
 	}
+	gated := runDelineation(t, rec, faulted, true)
 	if se := gated.R.Se(); se < 0.9 {
 		t.Errorf("gated QRS Se %.3f with saturated lead, want >= 0.9", se)
 	}
@@ -99,11 +99,11 @@ func TestLeadGatingRejectsArtifactLead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, resGated := runDelineation(t, rec, faulted, true)
-	ungated, _ := runDelineation(t, rec, faulted, false)
-	if resGated.LeadsUsed[1] {
-		t.Errorf("artifact lead not gated: %v", resGated.LeadsUsed)
+	if mask := link.GoodLeads(faulted, fs); mask[1] {
+		t.Errorf("artifact lead not gated: %v", mask)
 	}
+	gated := runDelineation(t, rec, faulted, true)
+	ungated := runDelineation(t, rec, faulted, false)
 	if se := gated.R.Se(); se < 0.9 {
 		t.Errorf("gated QRS Se %.3f under artifact, want >= 0.9", se)
 	}
@@ -130,30 +130,10 @@ func TestLeadGatingFallsBackToSingleLead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frec := *rec
-	frec.Leads = faulted
-	node, err := NewNode(Config{Mode: ModeDelineation, GateLeads: true})
-	if err != nil {
-		t.Fatal(err)
+	if got, want := link.GoodLeads(faulted, rec.Fs), []bool{false, true, false}; !slices.Equal(got, want) {
+		t.Errorf("gate keeps leads %v, want only lead 1", got)
 	}
-	res, err := node.Process(&frec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := 0
-	for _, u := range res.LeadsUsed {
-		if u {
-			used++
-		}
-	}
-	if used != 1 || !res.LeadsUsed[1] {
-		t.Errorf("LeadsUsed = %v, want only lead 1", res.LeadsUsed)
-	}
-	dets := make([]delineation.BeatFiducials, len(res.Beats))
-	for i, b := range res.Beats {
-		dets[i] = b.Fiducials
-	}
-	rep := delineation.Evaluate(rec, dets, delineation.DefaultTolerances())
+	rep := runDelineation(t, rec, faulted, true)
 	if se := rep.R.Se(); se < 0.9 {
 		t.Errorf("single-lead fallback QRS Se %.3f, want >= 0.9", se)
 	}
@@ -186,14 +166,7 @@ func TestStreamGatingIsPerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events = append(events, tail...)
-	var dets []delineation.BeatFiducials
-	for _, e := range events {
-		if e.Kind == EventBeat {
-			dets = append(dets, e.Beat.Fiducials)
-		}
-	}
-	rep := delineation.Evaluate(rec, dets, delineation.DefaultTolerances())
+	rep := delineation.Evaluate(rec, beatEvents(append(events, tail...)), delineation.DefaultTolerances())
 	if se := rep.R.Se(); se < 0.9 {
 		t.Errorf("streaming QRS Se %.3f under partial saturation, want >= 0.9", se)
 	}

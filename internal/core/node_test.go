@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"wbsn/internal/af"
 	"wbsn/internal/ecg"
+	"wbsn/internal/energy"
 	"wbsn/internal/link"
 )
 
@@ -44,50 +46,71 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// TestProcessPricesCSWindowsAsTheLink: Process charges a CS record one
-// coded link frame per window — startup, frame rounding and the codec's
-// framing included — so its radio energy per window equals what a
-// lossless link charges for the node's stream of the same record.
+// TestProcessPricesCSWindowsAsTheLink: Process charges a record one
+// radio frame per window. A CS window is one coded link frame — startup,
+// frame rounding and the codec's framing included — so its radio energy
+// per window equals what a lossless link charges for the node's stream
+// of the same record; a raw window is the 2,304-byte packet that
+// Fig. 6's raw row charges.
 func TestProcessPricesCSWindowsAsTheLink(t *testing.T) {
 	rec := testRecord(3, 20)
-	n, err := NewNode(Config{Mode: ModeCS, CSRatio: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Process(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := n.NewStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := stream.PushBlock(rec.Leads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := link.NewChannel(link.ChannelConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lk, err := link.NewLink(link.ARQConfig{}, ch, dropSink{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
-		if ok, err := lk.SendMeasurements(e.At, e.Measurements); err != nil || !ok {
-			t.Fatalf("window at %d: delivered %v, err %v", e.At, ok, err)
+	t.Run("cs", func(t *testing.T) {
+		n, err := NewNode(Config{Mode: ModeCS, CSRatio: 60})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	rep := lk.Report()
-	windows := rec.Len() / n.Config().CSWindow
-	if rep.Packets != windows || rep.Attempts != windows {
-		t.Fatalf("link sent %d packets in %d attempts, want %d windows", rep.Packets, rep.Attempts, windows)
-	}
-	got, want := res.Energy.RadioJ/float64(windows), rep.EnergyJ/float64(rep.Packets)
-	if math.Abs(got-want) > 1e-9*want {
-		t.Errorf("Process radio %.6f µJ per window, lossless link %.6f µJ", got*1e6, want*1e6)
-	}
+		res, err := n.Process(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := n.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := stream.PushBlock(rec.Leads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := link.NewChannel(link.ChannelConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lk, err := link.NewLink(link.ARQConfig{}, ch, dropSink{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			if ok, err := lk.SendMeasurements(e.At, e.Measurements); err != nil || !ok {
+				t.Fatalf("window at %d: delivered %v, err %v", e.At, ok, err)
+			}
+		}
+		rep := lk.Report()
+		windows := rec.Len() / n.Config().CSWindow
+		if rep.Packets != windows || rep.Attempts != windows {
+			t.Fatalf("link sent %d packets in %d attempts, want %d windows", rep.Packets, rep.Attempts, windows)
+		}
+		got, want := res.Energy.RadioJ/float64(windows), rep.EnergyJ/float64(rep.Packets)
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("Process radio %.6f µJ per window, lossless link %.6f µJ", got*1e6, want*1e6)
+		}
+	})
+	t.Run("raw", func(t *testing.T) {
+		n, err := NewNode(Config{Mode: ModeRawStreaming})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := n.Process(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := energy.WindowSpec{SamplesPerLead: n.Config().CSWindow, Leads: len(rec.Leads)}
+		windows := rec.Len() / w.SamplesPerLead
+		got := res.Energy.RadioJ / float64(windows)
+		want := energy.DefaultNode().RawStreamingWindow(w).RadioJ
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("Process radio %.6f µJ per window, Fig. 6 raw window %.6f µJ", got*1e6, want*1e6)
+		}
+	})
 }
 
 // dropSink is a link.Sink that discards every window.
@@ -234,8 +257,16 @@ func TestAFAlarmMode(t *testing.T) {
 	if !resA.AFAlarm {
 		t.Error("AF record did not raise an alarm")
 	}
-	if len(resA.AFDecisions) == 0 {
-		t.Error("no AF decisions recorded")
+	// One decision per window of af.WindowBeats beats, hopping by half
+	// a window.
+	hop := af.WindowBeats / 2
+	if want := (len(resA.Beats)-af.WindowBeats)/hop + 1; len(resA.AFDecisions) != want {
+		t.Errorf("%d AF decisions over %d beats, want %d", len(resA.AFDecisions), len(resA.Beats), want)
+	}
+	for i, d := range resA.AFDecisions {
+		if d.StartBeat != i*hop || d.AF != (d.Score >= af.Threshold) {
+			t.Errorf("decision %d: start beat %d, score %.3f, AF %v", i, d.StartBeat, d.Score, d.AF)
+		}
 	}
 	// Alarm mode transmits almost nothing.
 	if resA.TxBytesPerSecond > 5 {

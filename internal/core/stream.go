@@ -68,8 +68,6 @@ type Stream struct {
 	// exec runs the node's compiled plan; it owns every per-stream work
 	// buffer (scratch arena, filter states, classification windows).
 	exec *graph.Exec
-	// absolute index of the next sample to be pushed.
-	pos int
 	// per-lead buffered samples (absolute start at bufStart).
 	buf      [][]float64
 	bufStart int
@@ -152,7 +150,6 @@ func (n *Node) NewStream() (*Stream, error) {
 // while keeping its allocated buffers, so one stream can replay many
 // records without reconstruction cost.
 func (s *Stream) Reset() {
-	s.pos = 0
 	s.bufStart = 0
 	s.lastBeatR = -1
 	s.afBeats = s.afBeats[:0]
@@ -178,7 +175,6 @@ func (s *Stream) PushBlock(block [][]float64) ([]Event, error) {
 	for i := range block {
 		s.buf[i] = append(s.buf[i], block[i]...)
 	}
-	s.pos += n
 	return s.drain(false)
 }
 
@@ -280,15 +276,11 @@ func (s *Stream) processChunk(chunk [][]float64, base int) ([]Event, error) {
 		}
 	default:
 		refractory := int(0.2 * n.cfg.Fs)
+		lo, hi := beatSpan(base, len(chunk[0]), s.chunkLen, s.hop)
 		for _, b := range res.Beats {
 			absR := b.R + base
-			if absR <= s.lastBeatR+refractory {
-				continue // already emitted by the previous overlapping chunk
-			}
-			// Skip beats in the trailing overlap region; the next chunk
-			// sees them with full context (unless this is the last data).
-			if b.R >= s.hop && len(chunk[0]) == s.chunkLen {
-				continue
+			if b.R < lo || b.R >= hi || absR <= s.lastBeatR+refractory {
+				continue // another chunk emits it, or already emitted it
 			}
 			s.lastBeatR = absR
 			bo := BeatOutput{Fiducials: offsetBeat(b, base), Label: -1}
@@ -311,20 +303,38 @@ func (s *Stream) processChunk(chunk [][]float64, base int) ([]Event, error) {
 			}
 		}
 		if n.cfg.Mode == ModeAFAlarm {
-			w := 24 // detector window
+			w := af.WindowBeats
 			for s.afEmit+w <= len(s.afBeats) {
 				f := af.ExtractFeatures(s.afBeats[s.afEmit:s.afEmit+w], n.cfg.Fs)
-				score := n.afd.Score(f)
+				score := af.Score(f)
 				events = append(events, Event{
 					Kind: EventAF,
 					At:   s.afBeats[s.afEmit].R,
-					AF:   af.Decision{StartBeat: s.afEmit, Score: score, AF: score >= 0.5, Features: f},
+					AF:   af.Decision{StartBeat: s.afEmit, Score: score, AF: score >= af.Threshold, Features: f},
 				})
 				s.afEmit += w / 2
 			}
 		}
 	}
 	return events, nil
+}
+
+// beatSpan returns the chunk-local range [lo, hi) of R peaks that a
+// chunk of take samples at absolute index base emits. Chunks overlap by
+// chunkLen-hop samples and each emits [lead, hop+lead), lead being half
+// the overlap, so every beat keeps lead samples of context on both
+// sides for its P and T searches and classification window. The first
+// chunk emits from its start and a final short chunk to its end.
+func beatSpan(base, take, chunkLen, hop int) (lo, hi int) {
+	lead := (chunkLen - hop) / 2
+	lo, hi = lead, hop+lead
+	if base == 0 {
+		lo = 0
+	}
+	if take < chunkLen {
+		hi = take
+	}
+	return lo, hi
 }
 
 // offsetBeat shifts a beat's fiducials by the chunk base (absent waves

@@ -2,11 +2,16 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"wbsn/internal/cs"
+	"wbsn/internal/delineation"
+	"wbsn/internal/dsp"
 	"wbsn/internal/ecg"
 	"wbsn/internal/energy"
 	"wbsn/internal/link"
+	"wbsn/internal/morpho"
 )
 
 // pushRecord feeds a whole record through a stream in blocks and returns
@@ -59,8 +64,8 @@ func TestStreamRawPacketisation(t *testing.T) {
 	s, _ := node.NewStream()
 	rec := ecg.Generate(ecg.Config{Seed: 1, Duration: 10})
 	events := pushRecord(t, s, rec, 100)
-	if len(events) == 0 {
-		t.Fatal("no packets emitted")
+	if want := rec.Len() / node.Config().CSWindow; len(events) != want {
+		t.Fatalf("%d packets, want %d", len(events), want)
 	}
 	total := 0
 	for _, e := range events {
@@ -69,13 +74,9 @@ func TestStreamRawPacketisation(t *testing.T) {
 		}
 		total += e.Bytes
 	}
-	// Whole-record processing gives the same byte count.
-	res, err := node.Process(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := total - res.TxBytes; diff < -100 || diff > 100 {
-		t.Errorf("streamed bytes %d vs batch %d", total, res.TxBytes)
+	// Every sample of every lead leaves at energy.SampleBits.
+	if want := rec.Len() * len(rec.Leads) * energy.SampleBits / 8; total != want {
+		t.Errorf("streamed %d bytes, want %d", total, want)
 	}
 }
 
@@ -95,48 +96,103 @@ func TestStreamCSPacketisation(t *testing.T) {
 	}
 }
 
+// text1Records is Text-1's record set (cmd/delineate's defaults): five
+// 60 s records with ambulatory noise, seeds 7 to 11.
+func text1Records(rhythm ecg.RhythmConfig) []*ecg.Record {
+	recs := make([]*ecg.Record, 5)
+	for i := range recs {
+		recs[i] = ecg.Generate(ecg.Config{Seed: 7 + int64(i), Duration: 60, Rhythm: rhythm, Noise: ecg.AmbulatoryNoise()})
+	}
+	return recs
+}
+
+// beatEvents returns the fiducials of the stream's beat events.
+func beatEvents(events []Event) []delineation.BeatFiducials {
+	var out []delineation.BeatFiducials
+	for _, e := range events {
+		if e.Kind == EventBeat {
+			out = append(out, e.Beat.Fiducials)
+		}
+	}
+	return out
+}
+
+// TestStreamBeatsMatchBatch: over Text-1's records, the beats the
+// delineation stream emits chunk by chunk score exactly as the
+// whole-record chain (conditioning filter, RMS lead combination,
+// delineator over the full record) does: every fiducial's TP, FP and FN
+// are equal. Beats near chunk edges keep their P and T waves, and the
+// short final chunk places no R peak on a T wave.
 func TestStreamBeatsMatchBatch(t *testing.T) {
 	node, _ := NewNode(Config{Mode: ModeDelineation})
-	s, _ := node.NewStream()
-	rec := ecg.Generate(ecg.Config{Seed: 3, Duration: 30})
-	events := pushRecord(t, s, rec, 64)
-	var streamed []int
-	for _, e := range events {
-		if e.Kind != EventBeat {
-			continue
-		}
-		streamed = append(streamed, e.At)
-	}
-	res, err := node.Process(rec)
+	del, err := delineation.NewWaveletDelineator(delineation.Config{Fs: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every batch beat must be matched by a streamed beat within 3
-	// samples; no large surplus.
-	matched := 0
-	for _, b := range res.Beats {
-		for _, r := range streamed {
-			d := r - b.Fiducials.R
-			if d < 0 {
-				d = -d
+	var streamed, batch delineation.Report
+	for _, rec := range text1Records(ecg.RhythmConfig{}) {
+		s, _ := node.NewStream()
+		beats := beatEvents(pushRecord(t, s, rec, 64))
+		for i := 1; i < len(beats); i++ {
+			if beats[i].R <= beats[i-1].R {
+				t.Fatalf("%s: streamed beats out of order", rec.Name)
 			}
-			if d <= 3 {
-				matched++
-				break
+		}
+		streamed = delineation.Merge(streamed, delineation.Evaluate(rec, beats, delineation.DefaultTolerances()))
+		filtered, err := morpho.FilterLeads(rec.Leads, morpho.FilterConfig{Fs: rec.Fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := del.Delineate(dsp.CombineRMS(filtered))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = delineation.Merge(batch, delineation.Evaluate(rec, whole, delineation.DefaultTolerances()))
+	}
+	counts := func(r delineation.Report) []delineation.PointScore {
+		out := []delineation.PointScore{r.R, r.QRSOn, r.QRSOff, r.POn, r.PPeak, r.POff, r.TOn, r.TPeak, r.TOff}
+		for i := range out {
+			out[i].ErrSumMs = 0
+		}
+		return out
+	}
+	if !slices.Equal(counts(streamed), counts(batch)) {
+		t.Errorf("stream and whole record score differently\nstream:\n%swhole record:\n%s", streamed, batch)
+	}
+}
+
+// TestStreamClassifiesEveryBeat: in classification mode the stream
+// labels every beat whose classification window fits in the record,
+// wherever its chunk edges fall.
+func TestStreamClassifiesEveryBeat(t *testing.T) {
+	train := ecg.GenerateSet(ecg.Config{
+		Duration: 90,
+		Rhythm:   ecg.RhythmConfig{PVCRate: 0.1, APBRate: 0.05},
+	}, 800, 3)
+	cl, err := TrainClassifier(train, 256, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(Config{Mode: ModeClassification, Classifier: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := node.beatWin
+	beats := 0
+	for _, rec := range text1Records(ecg.RhythmConfig{PVCRate: 0.05}) {
+		s, _ := node.NewStream()
+		for _, e := range pushRecord(t, s, rec, 256) {
+			if e.Kind != EventBeat {
+				continue
+			}
+			beats++
+			if r := e.At; r-win.Before >= 0 && r+win.After <= rec.Len() && e.Beat.Label < 0 {
+				t.Errorf("%s: beat at R %d is unlabelled", rec.Name, r)
 			}
 		}
 	}
-	if matched < len(res.Beats)-1 {
-		t.Errorf("streamed beats matched %d/%d batch beats", matched, len(res.Beats))
-	}
-	if len(streamed) > len(res.Beats)+2 {
-		t.Errorf("streamed %d beats vs batch %d (duplicates?)", len(streamed), len(res.Beats))
-	}
-	// Events are time-ordered and strictly increasing.
-	for i := 1; i < len(streamed); i++ {
-		if streamed[i] <= streamed[i-1] {
-			t.Error("streamed beats out of order")
-		}
+	if beats == 0 {
+		t.Fatal("no beats emitted")
 	}
 }
 
@@ -205,7 +261,7 @@ func TestStreamQuantizedCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := node.enc.MeasurementLen()
+	m := cs.MeasurementsForCR(node.Config().CSWindow, node.Config().CSRatio)
 	if len(events) != rec.Len()/node.Config().CSWindow {
 		t.Fatalf("%d packets, want %d", len(events), rec.Len()/node.Config().CSWindow)
 	}
@@ -262,6 +318,5 @@ func (s *Stream) Push(sample []float64) ([]Event, error) {
 	for i, v := range sample {
 		s.buf[i] = append(s.buf[i], v)
 	}
-	s.pos++
 	return s.drain(false)
 }

@@ -18,9 +18,6 @@ func (e *Encoder) Matrix() Matrix { return e.phi }
 // WindowLen returns the input window length n.
 func (e *Encoder) WindowLen() int { return e.phi.Cols() }
 
-// MeasurementLen returns the output measurement count m.
-func (e *Encoder) MeasurementLen() int { return e.phi.Rows() }
-
 // Encode compresses one window, returning a fresh measurement slice.
 // It panics if len(x) differs from the window length.
 func (e *Encoder) Encode(x []float64) []float64 {

@@ -26,7 +26,7 @@ func TestEncoderBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	phi, _ := NewSparseBinary(128, 512, 4, rng)
 	enc := NewEncoder(phi)
-	if enc.WindowLen() != 512 || enc.MeasurementLen() != 128 {
+	if enc.WindowLen() != 512 || enc.Matrix().Rows() != 128 {
 		t.Error("encoder dims wrong")
 	}
 	if enc.Matrix() != Matrix(phi) {

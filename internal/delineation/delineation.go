@@ -142,53 +142,11 @@ func (d *WaveletDelineator) Delineate(x []float64) ([]BeatFiducials, error) {
 	return d.DelineateCoeffs(w)
 }
 
-// MinInputLen is the shortest signal Delineate will process; shorter
-// inputs return no beats.
-const MinInputLen = 32
-
-// DelineateCoeffs runs detection and wave bracketing over a precomputed
-// à-trous transform (wavelet.AtrousScales equal-length scales of one
-// signal, as produced by wavelet.AtrousInto). Callers that already own
-// the transform — e.g. a compiled pipeline whose arena holds the detail
-// buffers — skip the internal transform pool entirely; Delineate is
-// exactly AtrousInto followed by this.
-func (d *WaveletDelineator) DelineateCoeffs(w [][]float64) ([]BeatFiducials, error) {
-	if len(w) < 4 {
-		return nil, ErrConfig
-	}
-	n := len(w[0])
-	for _, ws := range w {
-		if len(ws) != n {
-			return nil, ErrConfig
-		}
-	}
-	if n < MinInputLen {
-		return nil, nil
-	}
-	rPeaks, qrsMM := d.detectQRS(w)
-	beats := make([]BeatFiducials, 0, len(rPeaks))
-	for i, r := range rPeaks {
-		b := BeatFiducials{R: r}
-		b.QRS = d.bracketQRS(w, r)
-		b.QRS.Peak = r
-		prevEnd := 0
-		if i > 0 {
-			prevEnd = rPeaks[i-1]
-		}
-		nextStart := n
-		if i+1 < len(rPeaks) {
-			nextStart = rPeaks[i+1]
-		}
-		b.T = d.findT(w, b.QRS, nextStart, qrsMM[i])
-		b.P = d.findP(w, b.QRS, prevEnd, qrsMM[i])
-		beats = append(beats, b)
-	}
-	return beats, nil
-}
-
 // detectQRS finds R peaks as zero-crossings between opposite-sign
 // modulus-maxima pairs on detection scale 2² that co-occur at scale 2³,
-// with a block-adaptive threshold and refractory blanking. It also
+// with a threshold set per 2 s block and refractory blanking. A shorter
+// trailing block joins the block before it: the RMS of a short tail is
+// too low a floor and lets T waves through as R peaks. It also
 // returns each beat's QRS modulus-maximum magnitude (used to scale the
 // P/T acceptance thresholds).
 func (d *WaveletDelineator) detectQRS(w [][]float64) (rs []int, mm []float64) {
@@ -203,9 +161,9 @@ func (d *WaveletDelineator) detectQRS(w [][]float64) (rs []int, mm []float64) {
 	}
 	i := 0
 	lastR := -refractory
-	for start := 0; start < n; start += block {
-		end := start + block
-		if end > n {
+	for start, end := 0, 0; start < n; start = end {
+		end = start + block
+		if end+block > n {
 			end = n
 		}
 		thr := d.cfg.QRSThreshold * dsp.RMS(w2[start:end])
@@ -275,6 +233,50 @@ func (d *WaveletDelineator) detectQRS(w [][]float64) (rs []int, mm []float64) {
 		}
 	}
 	return rs, mm
+}
+
+// MinInputLen is the shortest signal Delineate will process; shorter
+// inputs return no beats.
+const MinInputLen = 32
+
+// DelineateCoeffs runs detection and wave bracketing over a precomputed
+// à-trous transform (wavelet.AtrousScales equal-length scales of one
+// signal, as produced by wavelet.AtrousInto). Callers that already own
+// the transform — e.g. a compiled pipeline whose arena holds the detail
+// buffers — skip the internal transform pool entirely; Delineate is
+// exactly AtrousInto followed by this.
+func (d *WaveletDelineator) DelineateCoeffs(w [][]float64) ([]BeatFiducials, error) {
+	if len(w) < 4 {
+		return nil, ErrConfig
+	}
+	n := len(w[0])
+	for _, ws := range w {
+		if len(ws) != n {
+			return nil, ErrConfig
+		}
+	}
+	if n < MinInputLen {
+		return nil, nil
+	}
+	rPeaks, qrsMM := d.detectQRS(w)
+	beats := make([]BeatFiducials, 0, len(rPeaks))
+	for i, r := range rPeaks {
+		b := BeatFiducials{R: r}
+		b.QRS = d.bracketQRS(w, r)
+		b.QRS.Peak = r
+		prevEnd := 0
+		if i > 0 {
+			prevEnd = rPeaks[i-1]
+		}
+		nextStart := n
+		if i+1 < len(rPeaks) {
+			nextStart = rPeaks[i+1]
+		}
+		b.T = d.findT(w, b.QRS, nextStart, qrsMM[i])
+		b.P = d.findP(w, b.QRS, prevEnd, qrsMM[i])
+		beats = append(beats, b)
+	}
+	return beats, nil
 }
 
 // qrsLag is the group delay, in samples, of the scale-2² transform.

@@ -99,6 +99,44 @@ func TestWaveletDelineatorNoisyAccuracy(t *testing.T) {
 	}
 }
 
+// TestTrailingPartialBlock delineates signals that end in a partial
+// 2 s threshold block: the last 3 s of Text-1's records, conditioned as
+// the delineation node conditions its final stream chunk. The 1 s tail
+// block joins the block before it, so no T wave passes for an R peak:
+// every detected R lies within the R tolerance of a true beat.
+func TestTrailingPartialBlock(t *testing.T) {
+	wd, _ := NewWaveletDelineator(Config{Fs: 256})
+	for seed := int64(7); seed < 12; seed++ {
+		rec := ecg.Generate(ecg.Config{Seed: seed, Duration: 60, Noise: ecg.AmbulatoryNoise()})
+		from := rec.Len() - int(3*rec.Fs)
+		tail := make([][]float64, len(rec.Leads))
+		for i, l := range rec.Leads {
+			tail[i] = l[from:]
+		}
+		filtered, err := morpho.FilterLeads(tail, morpho.FilterConfig{Fs: rec.Fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		beats, err := wd.Delineate(dsp.CombineRMS(filtered))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(beats) == 0 {
+			t.Fatalf("seed %d: no beat in the last 3 s", seed)
+		}
+		tol := int(DefaultTolerances().RPeak * rec.Fs / 1000)
+		for _, b := range beats {
+			d := len(rec.Leads[0])
+			for _, tb := range rec.Beats {
+				d = min(d, max(tb.Fid.RPeak-(from+b.R), from+b.R-tb.Fid.RPeak))
+			}
+			if d > tol {
+				t.Errorf("seed %d: R at %d is %d samples from any true beat", seed, from+b.R, d)
+			}
+		}
+	}
+}
+
 func TestDelineatorSuppressesPInAF(t *testing.T) {
 	wd, _ := NewWaveletDelineator(Config{Fs: 256})
 	rec := ecg.Generate(ecg.Config{Seed: 9, Duration: 60, Rhythm: ecg.RhythmConfig{Kind: ecg.RhythmAF}})

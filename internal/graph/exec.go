@@ -232,7 +232,7 @@ func (e *Exec) runFilterCombine(sg *stage, leads [][]float64, n int) []float64 {
 // ClassifyBeat classifies the beat at chunk-local R index r of the last
 // Run's combined series, firing the classify op's telemetry laps on lp.
 // classified is false when the beat window falls off the series borders
-// (the beat keeps its default label, as in batch processing).
+// (the beat keeps its default label).
 func (e *Exec) ClassifyBeat(r int, lp Lapper) (label int, membership float64, classified bool, err error) {
 	c := e.plan.classify
 	if c == nil {

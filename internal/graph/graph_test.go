@@ -342,7 +342,7 @@ func TestCSPlanBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantBytes := (enc.MeasurementLen()*len(chunk)*energy.SampleBits + 7) / 8
+	wantBytes := (enc.Matrix().Rows()*len(chunk)*energy.SampleBits + 7) / 8
 	if res.PacketBytes != wantBytes {
 		t.Fatalf("packet bytes %d != %d", res.PacketBytes, wantBytes)
 	}

@@ -159,6 +159,9 @@ func TestEndToEndLeadOffFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if mask := link.GoodLeads(faulted, rec.Fs); len(mask) != 3 || mask[0] || !mask[1] || mask[2] {
+		t.Errorf("gate keeps leads %v, want only lead 1", mask)
+	}
 	frec := *rec
 	frec.Leads = faulted
 	node, err := core.NewNode(core.Config{Mode: core.ModeDelineation, GateLeads: true})
@@ -168,9 +171,6 @@ func TestEndToEndLeadOffFallback(t *testing.T) {
 	res, err := node.Process(&frec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.LeadsUsed) != 3 || res.LeadsUsed[0] || !res.LeadsUsed[1] || res.LeadsUsed[2] {
-		t.Errorf("LeadsUsed = %v, want only lead 1", res.LeadsUsed)
 	}
 	dets := make([]delineation.BeatFiducials, len(res.Beats))
 	for i, b := range res.Beats {
