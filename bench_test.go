@@ -1,17 +1,15 @@
-// Package wbsn_test hosts the experiment benchmarks: one per table or
-// figure of the paper's evaluation (Section V), micro-benchmarks of the
-// kernels the programs run, and the engine and fleet benchmarks. The
-// benchmarks regenerate the paper's rows/series and publish the headline
-// values as custom metrics (b.ReportMetric), so `go test -bench=.
-// -benchmem` reproduces the evaluation. The ablations of DESIGN.md §5
-// live beside the code they ablate, in each package's tests
-// (`go test -run '^$' -bench Ablation ./...`).
+// Package wbsn_test hosts micro-benchmarks of the kernels the programs
+// run, the engine and fleet benchmarks and the noise-stress delineation
+// sweep, which publish their headline values as custom metrics
+// (b.ReportMetric). The paper's six results are regenerated by
+// internal/paper, whose tests pin each one's text in EXPERIMENTS.md; the
+// ablations of DESIGN.md §5 live beside the code they ablate, in each
+// package's tests (`go test -run '^$' -bench Ablation ./...`).
 package wbsn_test
 
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -23,222 +21,15 @@ import (
 	"wbsn/internal/delineation"
 	"wbsn/internal/dsp"
 	"wbsn/internal/ecg"
-	"wbsn/internal/energy"
 	"wbsn/internal/fixedpt"
 	"wbsn/internal/fleet"
 	"wbsn/internal/gateway"
 	"wbsn/internal/morpho"
+	"wbsn/internal/paper"
 	"wbsn/internal/telemetry"
 	"wbsn/internal/wavelet"
 	"wbsn/internal/wbsn"
 )
-
-// ---------------------------------------------------------------------
-// Figure 5 — averaged output SNR vs compression ratio, single-lead vs
-// multi-lead CS. Reports the 20 dB crossings (paper: 65.9 / 72.7).
-// ---------------------------------------------------------------------
-
-func BenchmarkFig5SNRvsCR(b *testing.B) {
-	records := ecg.GenerateSet(ecg.Config{Duration: 15}, 42, 2)
-	cfg := cs.SweepConfig{
-		MaxWindowsPerRecord: 2,
-		Seed:                42,
-		Solver:              cs.SolverConfig{Iters: 120, Reweights: 2},
-	}
-	crs := []float64{50, 60, 66, 72, 78, 86}
-	var slCross, mlCross float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := cs.Sweep(records, crs, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		slCross = cs.CrossingCR(pts, dsp.GoodReconstructionSNR, false)
-		mlCross = cs.CrossingCR(pts, dsp.GoodReconstructionSNR, true)
-	}
-	b.ReportMetric(slCross, "CR@20dB-single")
-	b.ReportMetric(mlCross, "CR@20dB-multi")
-	if !math.IsNaN(slCross) && !math.IsNaN(mlCross) && mlCross <= slCross {
-		b.Errorf("multi-lead crossing %.1f should exceed single-lead %.1f", mlCross, slCross)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Figure 6 — node energy breakdown (Radio / Sampling / Comp.) and total
-// power reduction of CS vs raw streaming (paper: 44.7% / 56.1%).
-// ---------------------------------------------------------------------
-
-func BenchmarkFig6EnergyBreakdown(b *testing.B) {
-	node := energy.DefaultNode()
-	w := energy.WindowSpec{SamplesPerLead: 512, Leads: 3}
-	var redSL, redML float64
-	for i := 0; i < b.N; i++ {
-		raw := node.RawStreamingWindow(w)
-		sl := node.CSWindow("SL", w, cs.MeasurementsForCR(512, 65.9), 4*512)
-		ml := node.CSWindow("ML", w, cs.MeasurementsForCR(512, 72.7), 4*512)
-		redSL = energy.PowerReduction(raw, sl)
-		redML = energy.PowerReduction(raw, ml)
-	}
-	b.ReportMetric(100*redSL, "%reduction-single")
-	b.ReportMetric(100*redML, "%reduction-multi")
-	if redML <= redSL {
-		b.Error("multi-lead CS must reduce more energy than single-lead")
-	}
-}
-
-// ---------------------------------------------------------------------
-// Figure 7 — average power of the synchronized multi-core platform vs a
-// single-core equivalent for 3L-MF, 3L-MMD, RP-CLASS (paper: up to 40%
-// reduction).
-// ---------------------------------------------------------------------
-
-func BenchmarkFig7MulticorePower(b *testing.B) {
-	var results []wbsn.AppResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = wbsn.RunFigure7(wbsn.DefaultEnergy(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range results {
-		b.ReportMetric(100*r.Reduction, "%red-"+r.App)
-		if r.Reduction <= 0 {
-			b.Errorf("%s: multi-core did not save power", r.App)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Text-1 — wavelet delineation accuracy (paper: Se/Sp > 90% for all
-// fiducials) and the embedded duty cycle (paper: 7%).
-// ---------------------------------------------------------------------
-
-func BenchmarkText1Delineation(b *testing.B) {
-	recs := ecg.GenerateSet(ecg.Config{Duration: 30, Noise: ecg.AmbulatoryNoise()}, 600, 3)
-	node, err := core.NewNode(core.Config{Mode: core.ModeDelineation})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var total delineation.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total = delineation.Report{}
-		for _, rec := range recs {
-			total = delineation.Merge(total, nodeDelineation(b, node, rec))
-		}
-	}
-	b.ReportMetric(100*total.R.Se(), "%Se-R")
-	b.ReportMetric(100*total.PPeak.Se(), "%Se-Ppeak")
-	b.ReportMetric(100*total.TPeak.Se(), "%Se-Tpeak")
-	b.ReportMetric(100*total.R.PPV(), "%PPV-R")
-	if !total.AllAbove(0.90) {
-		b.Errorf("delineation below the 90%% target:\n%s", total.String())
-	}
-	// Embedded duty cycle at the nominal few-MHz clock.
-	res, err := wbsn.RunApp(wbsn.App3LMMD(), wbsn.DefaultEnergy(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	duty := wbsn.DutyCycleAt(res.SCStats.Cycles, 2e6, 1.0)
-	b.ReportMetric(100*duty, "%duty-cycle")
-}
-
-// nodeDelineation scores the beats a delineation node emits for rec.
-func nodeDelineation(b *testing.B, node *core.Node, rec *ecg.Record) delineation.Report {
-	b.Helper()
-	res, err := node.Process(rec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	beats := make([]delineation.BeatFiducials, len(res.Beats))
-	for i, bo := range res.Beats {
-		beats[i] = bo.Fiducials
-	}
-	return delineation.Evaluate(rec, beats, delineation.DefaultTolerances())
-}
-
-// ---------------------------------------------------------------------
-// Text-2 — AF detection sensitivity/specificity (paper: 96% / 93%).
-// ---------------------------------------------------------------------
-
-func BenchmarkText2AF(b *testing.B) {
-	node, err := core.NewNode(core.Config{Mode: core.ModeAFAlarm})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Pre-generate the record set (generation excluded from timing).
-	type labelled struct {
-		rec *ecg.Record
-		af  bool
-	}
-	var set []labelled
-	for i := int64(0); i < 6; i++ {
-		cfgN := ecg.Config{Seed: i, Duration: 60, Noise: ecg.NoiseConfig{EMG: 0.02}}
-		if i%3 == 0 {
-			cfgN.Rhythm.PVCRate = 0.08
-		}
-		set = append(set, labelled{ecg.Generate(cfgN), false})
-		set = append(set, labelled{ecg.Generate(ecg.Config{
-			Seed: 1000 + i, Duration: 60,
-			Rhythm: ecg.RhythmConfig{Kind: ecg.RhythmAF},
-			Noise:  ecg.NoiseConfig{EMG: 0.02},
-		}), true})
-	}
-	var se, sp float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var tp, fn, fp, tn int
-		for _, s := range set {
-			res, err := node.Process(s.rec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			switch {
-			case s.af && res.AFAlarm:
-				tp++
-			case s.af && !res.AFAlarm:
-				fn++
-			case !s.af && res.AFAlarm:
-				fp++
-			default:
-				tn++
-			}
-		}
-		se = float64(tp) / float64(tp+fn)
-		sp = float64(tn) / float64(tn+fp)
-	}
-	b.ReportMetric(100*se, "%sensitivity")
-	b.ReportMetric(100*sp, "%specificity")
-	if se < 0.9 || sp < 0.9 {
-		b.Errorf("AF detection Se=%.2f Sp=%.2f below plausibility floor", se, sp)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Figure 1 — the abstraction ladder: transmitted bandwidth per level.
-// ---------------------------------------------------------------------
-
-func BenchmarkFig1Ladder(b *testing.B) {
-	rec := ecg.Generate(ecg.Config{Seed: 7, Duration: 30, Rhythm: ecg.RhythmConfig{PVCRate: 0.05}})
-	var rungs []core.LadderRung
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rungs, err = core.Ladder(rec, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rungs {
-		b.ReportMetric(r.TxBytesPerSecond, "B/s-"+r.Mode.String())
-	}
-	for i := 1; i < len(rungs); i++ {
-		if rungs[i].TxBytesPerSecond >= rungs[i-1].TxBytesPerSecond {
-			b.Error("bandwidth ladder not monotone")
-		}
-	}
-}
 
 // ---------------------------------------------------------------------
 // Micro-benchmarks of the embedded kernels.
@@ -540,10 +331,6 @@ func BenchmarkThroughputEngineBatched(b *testing.B) {
 // noise grows. Published delineators degrade gracefully until the
 // noise approaches the wave amplitudes.
 func BenchmarkNoiseStressDelineation(b *testing.B) {
-	node, err := core.NewNode(core.Config{Mode: core.ModeDelineation})
-	if err != nil {
-		b.Fatal(err)
-	}
 	levels := []float64{0.02, 0.06, 0.12, 0.20}
 	results := map[float64]float64{}
 	b.ResetTimer()
@@ -555,7 +342,11 @@ func BenchmarkNoiseStressDelineation(b *testing.B) {
 					Seed: 950 + seed, Duration: 30,
 					Noise: ecg.NoiseConfig{EMG: emg},
 				})
-				rep = delineation.Merge(rep, nodeDelineation(b, node, rec))
+				beats, err := paper.NodeBeats(rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep = delineation.Merge(rep, delineation.Evaluate(rec, beats, delineation.DefaultTolerances()))
 			}
 			results[emg] = rep.R.Se()
 		}

@@ -1,94 +1,24 @@
 // Command afdetect reproduces the paper's atrial-fibrillation detection
 // result (Section V, "Text-2"): the embedded fuzzy AF detector is run
-// over a balanced set of synthetic NSR (including ectopic) and AF
+// over a balanced set of synthetic NSR (a third with ectopy) and AF
 // records, and the record-level sensitivity and specificity are compared
-// against the paper's 96% / 93%.
+// against the paper's 96% / 93%. It exits 1 when the shape check fails.
 //
 // Usage:
 //
-//	afdetect -records 20 -dur 120 -ectopy
+//	afdetect
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
-	"wbsn/internal/core"
-	"wbsn/internal/ecg"
+	"wbsn/internal/paper"
 )
 
 func main() {
-	var (
-		records = flag.Int("records", 20, "records per class (NSR and AF)")
-		dur     = flag.Float64("dur", 120, "record duration in seconds")
-		ectopy  = flag.Bool("ectopy", true, "inject PVC/APB ectopy into a third of the NSR records")
-		seed    = flag.Int64("seed", 3, "generator seed")
-	)
-	flag.Parse()
-	node, err := core.NewNode(core.Config{Mode: core.ModeAFAlarm})
-	if err != nil {
-		fatalf("%v", err)
+	if err := paper.Print(paper.Text2()); err != nil {
+		fmt.Fprintln(os.Stderr, "afdetect:", err)
+		os.Exit(1)
 	}
-	var tp, fn, fp, tn int
-	var windowAF, windowTotal int
-	for i := 0; i < *records; i++ {
-		// NSR record (ectopic every third when enabled).
-		cfgN := ecg.Config{Seed: *seed + int64(i), Duration: *dur, Noise: ecg.NoiseConfig{EMG: 0.02}}
-		if *ectopy && i%3 == 0 {
-			cfgN.Rhythm.PVCRate = 0.08
-			cfgN.Rhythm.APBRate = 0.05
-		}
-		resN, err := node.Process(ecg.Generate(cfgN))
-		if err != nil {
-			fatalf("process NSR: %v", err)
-		}
-		if resN.AFAlarm {
-			fp++
-		} else {
-			tn++
-		}
-		// AF record.
-		cfgA := ecg.Config{
-			Seed: *seed + 1000 + int64(i), Duration: *dur,
-			Rhythm: ecg.RhythmConfig{Kind: ecg.RhythmAF},
-			Noise:  ecg.NoiseConfig{EMG: 0.02},
-		}
-		resA, err := node.Process(ecg.Generate(cfgA))
-		if err != nil {
-			fatalf("process AF: %v", err)
-		}
-		if resA.AFAlarm {
-			tp++
-		} else {
-			fn++
-		}
-		for _, d := range resA.AFDecisions {
-			windowTotal++
-			if d.AF {
-				windowAF++
-			}
-		}
-	}
-	se := 100 * float64(tp) / float64(tp+fn)
-	sp := 100 * float64(tn) / float64(tn+fp)
-	fmt.Printf("== AF detection over %d NSR + %d AF records (%.0f s each) ==\n",
-		*records, *records, *dur)
-	fmt.Printf("record-level: TP=%d FN=%d FP=%d TN=%d\n", tp, fn, fp, tn)
-	fmt.Printf("sensitivity = %.1f%% (paper: 96%%)\n", se)
-	fmt.Printf("specificity = %.1f%% (paper: 93%%)\n", sp)
-	if windowTotal > 0 {
-		fmt.Printf("window-level AF vote rate inside AF records: %.1f%%\n",
-			100*float64(windowAF)/float64(windowTotal))
-	}
-	if se >= 96 && sp >= 93 {
-		fmt.Println("shape check PASS: at or above the paper's operating point")
-	} else {
-		fmt.Println("shape check FAIL")
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "afdetect: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	wbsn-sim             # Figure 7 table
-//	wbsn-sim -ablation   # additionally ablate the broadcast interconnect
+//	wbsn-sim             # Figure 7 table (exits 1 if its shape check fails)
 //	wbsn-sim -faulty     # sweep the lossy-link scenario instead
 //	wbsn-sim -throughput # sweep the gateway engine across worker counts
 //	wbsn-sim -fleet      # sweep one-round fleet clusters over worker slots
@@ -23,17 +22,16 @@ import (
 	"fmt"
 	"os"
 
+	"wbsn/internal/paper"
 	"wbsn/internal/telemetry"
-	"wbsn/internal/wbsn"
 )
 
 func main() {
 	var (
-		ablation   = flag.Bool("ablation", false, "also run with the broadcast interconnect disabled")
 		faulty     = flag.Bool("faulty", false, "sweep the node->gateway chain across channel loss rates")
 		throughput = flag.Bool("throughput", false, "sweep the gateway reconstruction engine across worker counts")
 		fleetSweep = flag.Bool("fleet", false, "sweep one-round fleet clusters across patients x worker slots")
-		seed       = flag.Int64("seed", 1, "branch-outcome seed")
+		seed       = flag.Int64("seed", 1, "seed of the -faulty, -throughput, -fleet and -soak runs")
 		solverTol  = flag.Float64("solver-tol", 0, "FISTA convergence tolerance: >0 enables early exit, adaptive restart and warm-started reconstruction in the fleet/throughput sweeps (0 keeps the fixed-budget solver)")
 		engBatch   = flag.Int("engine-batch", 0, "windows per gateway-engine dispatch in the fleet/throughput sweeps: >1 batches queued windows through one structure-of-arrays solver pass (0/1 = sequential)")
 		telAddr    = flag.String("telemetry", "", "serve live metrics on this address (/metrics JSON, /debug/vars, /debug/pprof)")
@@ -90,68 +88,8 @@ func main() {
 		}
 		return
 	}
-	em := wbsn.DefaultEnergy()
-	results, err := wbsn.RunFigure7(em, *seed)
-	if err != nil {
+	if err := paper.Print(paper.Figure7()); err != nil {
 		fatalf("%v", err)
-	}
-	fmt.Println("== Figure 7: average power, synchronized multi-core (MC) vs single-core (SC) ==")
-	fmt.Printf("%-10s %-4s %9s %8s %8s %8s %8s %8s %9s %7s\n",
-		"app", "cfg", "f(kHz)", "V", "core", "imem", "dmem", "intc+lk", "total(µW)", "merge")
-	maxRed := 0.0
-	for _, r := range results {
-		p := func(tag string, b wbsn.PowerBreakdown, merge float64) {
-			fmt.Printf("%-10s %-4s %9.0f %8.2f %8.3f %8.3f %8.3f %8.3f %9.3f %7.2f\n",
-				r.App, tag, b.Freq/1e3, b.Voltage,
-				b.CoreW*1e6, b.IMemW*1e6, b.DMemW*1e6, (b.IntcW+b.LeakW)*1e6,
-				b.TotalW()*1e6, merge)
-		}
-		p("SC", r.SC, r.SCStats.MergeRatio())
-		p("MC", r.MC, r.MCStats.MergeRatio())
-		fmt.Printf("%-10s reduction: %.1f%%\n", r.App, 100*r.Reduction)
-		if r.Reduction > maxRed {
-			maxRed = r.Reduction
-		}
-	}
-	fmt.Printf("\nmax reduction: %.1f%% (paper: up to 40%%)\n", 100*maxRed)
-
-	// The Figure 3 compound mapping: the whole pipeline on 8 cores.
-	comp, err := wbsn.RunCompound(em, *seed)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("\n== Figure 3 compound mapping: full pipeline on 8 cores ==\n")
-	fmt.Printf("SC %6.0f kHz @ %.2f V -> %6.3f µW | MC %6.0f kHz @ %.2f V -> %6.3f µW | reduction %.1f%% (merge %.2fx)\n",
-		comp.SC.Freq/1e3, comp.SC.Voltage, comp.SC.TotalW()*1e6,
-		comp.MC.Freq/1e3, comp.MC.Voltage, comp.MC.TotalW()*1e6,
-		100*comp.Reduction, comp.MCStats.MergeRatio())
-
-	if *ablation {
-		fmt.Println("\n== Ablation: broadcast interconnect disabled on the MC platform ==")
-		for _, app := range wbsn.Figure7Apps() {
-			mcProg, _, err := app.Programs()
-			if err != nil {
-				fatalf("%v", err)
-			}
-			progs := make([]*wbsn.Program, app.Cores)
-			for i := range progs {
-				progs[i] = mcProg
-			}
-			run := func(broadcast bool) wbsn.Stats {
-				m, err := wbsn.NewMachine(wbsn.MachineConfig{
-					Cores: app.Cores, IMemBanks: 2, DMemBanks: app.Cores,
-					Broadcast: broadcast, Seed: *seed,
-				}, progs)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				return m.Run(50e6)
-			}
-			on, off := run(true), run(false)
-			fmt.Printf("%-10s broadcast on: %7d cycles, %7d imem accesses | off: %7d cycles, %7d accesses (%.2fx cycles)\n",
-				app.Name, on.Cycles, on.FetchAccesses, off.Cycles, off.FetchAccesses,
-				float64(off.Cycles)/float64(on.Cycles))
-		}
 	}
 }
 

@@ -1,59 +1,20 @@
 // Quickstart: synthesise a 3-lead ECG record, run the node at every
 // abstraction level of the paper's Figure 1 ladder, and print how the
 // transmitted bandwidth, node power and battery lifetime change as more
-// intelligence moves on-node.
+// intelligence moves on-node, then the first beats the delineation
+// level finds. paper.Figure1 fixes the record and runs the ladder.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
-	"fmt"
 	"log"
 
-	"wbsn/internal/core"
-	"wbsn/internal/ecg"
+	"wbsn/internal/paper"
 )
 
 func main() {
-	// A minute of normal sinus rhythm with occasional ventricular
-	// ectopy, light muscle noise — the ambulatory scenario of Section II.
-	rec := ecg.Generate(ecg.Config{
-		Seed:     1,
-		Duration: 60,
-		Rhythm:   ecg.RhythmConfig{PVCRate: 0.04},
-		Noise:    ecg.NoiseConfig{EMG: 0.015},
-	})
-	fmt.Printf("record %s: %d leads, %.0f s at %.0f Hz, %d beats\n\n",
-		rec.Name, len(rec.Leads), rec.Duration(), rec.Fs, len(rec.Beats))
-
-	// Figure 1: each processing level cuts the radio bandwidth.
-	rungs, err := core.Ladder(rec, 7)
-	if err != nil {
+	if err := paper.Print(paper.Figure1()); err != nil {
 		log.Fatal(err)
-	}
-	fmt.Println("Figure 1 ladder — on-node processing vs transmitted bandwidth:")
-	fmt.Printf("%-22s %14s %12s %14s\n", "abstraction level", "radio (B/s)", "power (mW)", "battery (days)")
-	for _, r := range rungs {
-		fmt.Printf("%-22s %14.1f %12.3f %14.1f\n",
-			r.Mode, r.TxBytesPerSecond, r.AvgPowerW*1e3, r.BatteryLifetimeH/24)
-	}
-
-	// Zoom into one rung: delineation output for the first beats.
-	node, err := core.NewNode(core.Config{Mode: core.ModeDelineation})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := node.Process(rec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ndelineation found %d beats; first three:\n", len(res.Beats))
-	for i, b := range res.Beats {
-		if i >= 3 {
-			break
-		}
-		f := b.Fiducials
-		fmt.Printf("  beat %d: P %d..%d  QRS %d..%d (R %d)  T %d..%d\n",
-			i+1, f.P.On, f.P.Off, f.QRS.On, f.QRS.Off, f.R, f.T.On, f.T.Off)
 	}
 }

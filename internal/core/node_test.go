@@ -281,30 +281,3 @@ func TestProcessRejectsCorruptRecord(t *testing.T) {
 		t.Error("empty record should fail validation")
 	}
 }
-
-func TestLadderMonotonicity(t *testing.T) {
-	// The Figure 1 claim: bandwidth and power fall as abstraction rises.
-	rec := ecg.Generate(ecg.Config{Seed: 7, Duration: 60, Rhythm: ecg.RhythmConfig{PVCRate: 0.05}})
-	rungs, err := Ladder(rec, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rungs) != 5 {
-		t.Fatalf("ladder has %d rungs", len(rungs))
-	}
-	for i := 1; i < len(rungs); i++ {
-		if rungs[i].TxBytesPerSecond >= rungs[i-1].TxBytesPerSecond {
-			t.Errorf("bandwidth did not fall from %s (%.1f) to %s (%.1f)",
-				rungs[i-1].Mode, rungs[i-1].TxBytesPerSecond,
-				rungs[i].Mode, rungs[i].TxBytesPerSecond)
-		}
-	}
-	// Battery lifetime grows up the ladder; the top rungs must beat a
-	// week (the SmartCardia claim).
-	if rungs[0].BatteryLifetimeH >= rungs[len(rungs)-1].BatteryLifetimeH {
-		t.Error("battery lifetime should grow with abstraction")
-	}
-	if rungs[2].BatteryLifetimeH < 7*24 {
-		t.Errorf("delineation-mode lifetime %.0f h, want >= one week", rungs[2].BatteryLifetimeH)
-	}
-}

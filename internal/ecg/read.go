@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -35,7 +36,7 @@ func ReadCSV(r io.Reader) (*Record, error) {
 		if len(fields) != numLeads+1 {
 			return nil, fmt.Errorf("ecg: row %d has %d fields, want %d", row, len(fields), numLeads+1)
 		}
-		tv, err := strconv.ParseFloat(fields[0], 64)
+		tv, err := parseFinite(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("ecg: row %d time: %v", row, err)
 		}
@@ -44,7 +45,7 @@ func ReadCSV(r io.Reader) (*Record, error) {
 		}
 		tLast = tv
 		for li := 0; li < numLeads; li++ {
-			v, err := strconv.ParseFloat(fields[li+1], 64)
+			v, err := parseFinite(fields[li+1])
 			if err != nil {
 				return nil, fmt.Errorf("ecg: row %d lead %d: %v", row, li, err)
 			}
@@ -66,6 +67,17 @@ func ReadCSV(r io.Reader) (*Record, error) {
 	// decimal truncation of the time column).
 	rec.Fs = float64(row-1) / span
 	return rec, nil
+}
+
+// parseFinite parses one CSV cell and refuses NaN and ±Inf, which
+// strconv accepts: one such sample corrupts every filter and threshold
+// downstream of it, and one such time makes the sampling rate NaN or 0.
+func parseFinite(cell string) (float64, error) {
+	v, err := strconv.ParseFloat(cell, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite value %q", cell)
+	}
+	return v, err
 }
 
 // ReadAnnotations parses a beat-annotation file written by

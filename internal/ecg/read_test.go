@@ -60,11 +60,16 @@ func TestReadCSVErrors(t *testing.T) {
 		"bad number": "t,lead1\n0,a\n0.1,2\n",
 		"bad time":   "t,lead1\nz,1\n0.1,2\n",
 		"reversed t": "t,lead1\n0.1,1\n0.1,2\n",
+		"nan sample": "t,lead1\n0,1\n0.1,NaN\n",
+		"inf time":   "t,lead1\n0,1\nInf,2\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("%s should fail", name)
 		}
+	}
+	if _, err := ReadCSV(strings.NewReader(cases["nan sample"])); err == nil || !strings.Contains(err.Error(), "row 1 lead 0") {
+		t.Errorf("NaN sample error %v does not name its row and lead", err)
 	}
 }
 

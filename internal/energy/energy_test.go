@@ -3,8 +3,6 @@ package energy
 import (
 	"math"
 	"testing"
-
-	"wbsn/internal/cs"
 )
 
 func TestRadioFrames(t *testing.T) {
@@ -78,39 +76,6 @@ func TestRawStreamingBreakdownShape(t *testing.T) {
 	}
 	if raw.SampleJ <= 0 || raw.OSJ <= 0 {
 		t.Error("sampling and OS energies must be positive")
-	}
-}
-
-func TestFigure6Reductions(t *testing.T) {
-	// The Figure 6 shape: CS moves energy out of the radio at a tiny
-	// compression cost; multi-lead (higher CR) saves more than
-	// single-lead; both reductions land in the paper's 40-60% band.
-	node := DefaultNode()
-	w := WindowSpec{SamplesPerLead: 512, Leads: 3}
-	raw := node.RawStreamingWindow(w)
-	mSL := cs.MeasurementsForCR(512, 65.9)
-	mML := cs.MeasurementsForCR(512, 72.7)
-	adds := 4 * 512
-	sl := node.CSWindow("SL", w, mSL, adds)
-	ml := node.CSWindow("ML", w, mML, adds)
-	redSL := PowerReduction(raw, sl)
-	redML := PowerReduction(raw, ml)
-	if !(redML > redSL) {
-		t.Errorf("multi-lead reduction %.3f should beat single-lead %.3f", redML, redSL)
-	}
-	if redSL < 0.40 || redSL > 0.60 {
-		t.Errorf("single-lead reduction %.3f outside the 40-60%% band", redSL)
-	}
-	if redML < 0.45 || redML > 0.65 {
-		t.Errorf("multi-lead reduction %.3f outside the 45-65%% band", redML)
-	}
-	// Compression must be a small share of the compressed bars.
-	if sl.CompJ > 0.05*sl.TotalJ() {
-		t.Errorf("compression share %.3f too large", sl.CompJ/sl.TotalJ())
-	}
-	// Sampling energy is invariant across bars.
-	if sl.SampleJ != raw.SampleJ || ml.SampleJ != raw.SampleJ {
-		t.Error("sampling energy must not depend on compression")
 	}
 }
 

@@ -208,9 +208,10 @@ func buildTraffic(c LoadgenConfig) (*traffic, error) {
 			frames = append(frames, f)
 			if rx != nil {
 				// The reference consumes the encoded frame's decode, not the
-				// raw measurements: the link codec carries float32 on the
-				// wire (as the fleet's radio links do), and bit-identity is
-				// judged against the same bytes the server will decode.
+				// raw measurements: the link codec carries the node's 12-bit
+				// codes under a per-lead exponent (as the fleet's radio links
+				// do), and bit-identity is judged against the same bytes the
+				// server will decode.
 				pkt, err := link.Decode(f)
 				if err != nil {
 					return nil, err

@@ -186,11 +186,6 @@ func (a AppSpec) Programs() (mc, sc *Program, err error) {
 	return mc, sc, nil
 }
 
-// Figure7Apps returns the three workloads of the Figure 7 comparison.
-func Figure7Apps() []AppSpec {
-	return []AppSpec{App3LMF(), App3LMMD(), AppRPClass()}
-}
-
 // AppResult is one app's MC-vs-SC outcome.
 type AppResult struct {
 	App       string
@@ -241,19 +236,6 @@ func RunApp(app AppSpec, em EnergyModel, seed int64) (AppResult, error) {
 		MCStats: mcStats, SCStats: scStats,
 		Reduction: Reduction(scPow, mcPow),
 	}, nil
-}
-
-// RunFigure7 runs all three apps and returns their results in order.
-func RunFigure7(em EnergyModel, seed int64) ([]AppResult, error) {
-	var out []AppResult
-	for _, app := range Figure7Apps() {
-		r, err := RunApp(app, em, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // AppCompound returns the whole-pipeline mapping of Figure 3: an 8-core

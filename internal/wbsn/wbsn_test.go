@@ -248,53 +248,6 @@ func TestPowerScalesWithVoltage(t *testing.T) {
 	}
 }
 
-func TestFigure7Shape(t *testing.T) {
-	res, err := RunFigure7(DefaultEnergy(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("expected 3 apps, got %d", len(res))
-	}
-	names := map[string]bool{}
-	maxRed := 0.0
-	for _, r := range res {
-		names[r.App] = true
-		// The Figure 7 shape: MC always below SC.
-		if r.Reduction <= 0.15 {
-			t.Errorf("%s: MC reduction %.3f, want clearly positive", r.App, r.Reduction)
-		}
-		if r.Reduction > 0.60 {
-			t.Errorf("%s: MC reduction %.3f implausibly high", r.App, r.Reduction)
-		}
-		if r.Reduction > maxRed {
-			maxRed = r.Reduction
-		}
-		// Broadcast merging shrinks the IMem share on MC.
-		scIMemShare := r.SC.IMemW / r.SC.TotalW()
-		mcIMemShare := r.MC.IMemW / r.MC.TotalW()
-		if mcIMemShare >= scIMemShare {
-			t.Errorf("%s: IMem share did not shrink (%.3f vs %.3f)", r.App, mcIMemShare, scIMemShare)
-		}
-		// The MC operating point sits at lower V and f.
-		if r.MC.Voltage >= r.SC.Voltage || r.MC.Freq >= r.SC.Freq {
-			t.Errorf("%s: MC operating point not scaled down", r.App)
-		}
-		if r.MCStats.MergeRatio() < 2 {
-			t.Errorf("%s: merge ratio %.2f, expected near core count", r.App, r.MCStats.MergeRatio())
-		}
-	}
-	for _, want := range []string{"3L-MF", "3L-MMD", "RP-CLASS"} {
-		if !names[want] {
-			t.Errorf("missing app %s", want)
-		}
-	}
-	// "Up to 40%": the best app must clear 35%.
-	if maxRed < 0.35 {
-		t.Errorf("max reduction %.3f, want >= 0.35 (paper: up to 40%%)", maxRed)
-	}
-}
-
 func TestAblationBroadcastOff(t *testing.T) {
 	// Disabling the merging interconnect must cost cycles and fetch
 	// accesses on the lock-step workload.
