@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"wbsn/internal/cohort"
 	"wbsn/internal/netgw"
 	"wbsn/internal/telemetry"
 )
@@ -34,7 +35,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:9700", "TCP listen address")
-		seed         = flag.Int64("seed", 42, "sensing-matrix seed (must match the clients)")
+		seed         = flag.Int64("seed", cohort.FirmwareSeed, "sensing-matrix seed (must match the clients)")
 		csRatio      = flag.Float64("cs-ratio", 60, "compressed-sensing ratio in percent")
 		solverIters  = flag.Int("solver-iters", 0, "FISTA iteration budget (0 keeps the library default)")
 		solverTol    = flag.Float64("solver-tol", 0, "FISTA convergence tolerance (>0 enables early exit)")

@@ -1,7 +1,9 @@
 // Command wbsn-loadgen replays synthetic fleet traffic against a
 // running wbsn-gateway: hundreds of concurrent streams, each delivering
 // link-encoded CS records over TCP with reconnection, exponential
-// backoff and resume. With -verify every distinct record is also
+// backoff and resume. The records are the patient cohort's network
+// records (internal/cohort): AF rhythm, ambulatory noise and two clean
+// sinus records in every four. With -verify every distinct record is also
 // reconstructed in-process and each stream's server digest is compared
 // against it — the bit-identity check the networked path is held to.
 //
@@ -22,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"wbsn/internal/cohort"
 	"wbsn/internal/netgw"
 )
 
@@ -31,14 +34,14 @@ func main() {
 		streams     = flag.Int("streams", 8, "concurrent streams")
 		records     = flag.Int("records", 0, "distinct records shared round-robin (0 = min(streams, 8))")
 		durationS   = flag.Float64("duration", 8, "seconds of ECG per record")
-		seed        = flag.Int64("seed", 42, "sensing-matrix and record seed (must match the server)")
+		seed        = flag.Int64("seed", cohort.FirmwareSeed, "sensing-matrix seed and cohort seed of the records (must match the server)")
 		csRatio     = flag.Float64("cs-ratio", 60, "compressed-sensing ratio in percent (must match the server)")
 		solverIters = flag.Int("solver-iters", 0, "FISTA iteration budget for -verify (0 keeps the library default; must match the server)")
 		solverTol   = flag.Float64("solver-tol", 0, "FISTA convergence tolerance for -verify (must match the server)")
 		warm        = flag.Bool("warm", false, "warm-start flag (must match the server)")
 		runFor      = flag.Duration("run-for", 0, "keep streams looping until this deadline (0 = one record per stream)")
 		verify      = flag.Bool("verify", false, "reconstruct each record in-process and compare digests")
-		traced      = flag.Bool("trace", false, "send version-2 (traced) link frames so the server's /traces stitches end-to-end window trees")
+		traced      = flag.Bool("trace", false, "send version-4 (traced) link frames so the server's /traces stitches end-to-end window trees")
 		inFlight    = flag.Int("in-flight", 0, "unacked windows per stream (0 = default 8)")
 		timeout     = flag.Duration("timeout", 0, "per-operation client deadline (0 = default 5s)")
 		attempts    = flag.Int("max-attempts", 0, "consecutive connection failures before a stream gives up (0 = default 10)")

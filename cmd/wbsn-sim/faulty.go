@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 
+	"wbsn/internal/cohort"
 	"wbsn/internal/core"
 	"wbsn/internal/delineation"
 	"wbsn/internal/ecg"
@@ -23,6 +24,8 @@ type faultyScenario struct {
 }
 
 func faultyScenarios(seed int64) []faultyScenario {
+	hostile := cohort.CongestedChannel()
+	hostile.Seed = seed
 	return []faultyScenario{
 		{"clean", link.ChannelConfig{PGoodToBad: 0, PBadToGood: 1, Seed: seed}},
 		{"light", link.ChannelConfig{
@@ -34,9 +37,7 @@ func faultyScenarios(seed int64) []faultyScenario {
 		{"harsh", link.ChannelConfig{
 			PGoodToBad: 0.1, PBadToGood: 0.15, LossGood: 0.02, LossBad: 0.8,
 			BERBad: 1e-6, PReorder: 0.02, Seed: seed}},
-		{"hostile", link.ChannelConfig{
-			PGoodToBad: 0.3, PBadToGood: 0.08, LossGood: 0.05, LossBad: 0.95,
-			BERBad: 1e-6, PReorder: 0.02, Seed: seed}},
+		{"hostile", hostile},
 	}
 }
 

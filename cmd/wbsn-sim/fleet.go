@@ -1,26 +1,27 @@
 package main
 
-// The -fleet sweep scales the whole chain to a patient population: a
-// one-round fleet.Cluster simulates every patient's node, lossy link
-// and gateway reconstruction, sweeping patients x worker slots
-// (GroupShards, one group). For each population size the 1x1 cluster
-// is the reference and every other slot count must reproduce each
-// patient's full cold state — digest and every counter — bit for bit:
-// the fleet's scheduling guarantee. The table reports the real-time
-// factor (simulated seconds per wall second), i.e. how many live
-// patients this host could serve, plus the clinical and radio health of
-// the population.
+// The -fleet sweep runs the benchmark's two fleet workloads over the
+// cohort (internal/cohort): one round of fleet-cs-lossy and one of
+// fleet-delineation per worker-slot count (GroupShards, one group).
+// For each workload the 1-slot cluster is the reference and every other
+// slot count must reproduce each patient's full cold state — digest and
+// every counter — bit for bit: the fleet's scheduling guarantee over
+// the mixed-class cohort. Each table reports the real-time factor
+// (simulated seconds per wall second), i.e. how many live patients
+// this host could serve, plus the clinical and radio health of the
+// population.
 
 import (
 	"fmt"
 	"runtime"
+	"strings"
 
+	"wbsn/internal/cohort"
 	"wbsn/internal/fleet"
-	"wbsn/internal/link"
 	"wbsn/internal/telemetry"
 )
 
-func runFleetSweep(seed int64, tel *telemetry.Set, solverTol float64, engineBatch int) error {
+func runFleetSweep(seed int64, tel *telemetry.Set) error {
 	maxShards := runtime.GOMAXPROCS(0)
 	// Exercise the multi-slot path (and its bit-identity) even on a
 	// single-core host, where the speedup honestly reports ~1x.
@@ -35,43 +36,36 @@ func runFleetSweep(seed int64, tel *telemetry.Set, solverTol float64, engineBatc
 		shardSet = append(shardSet, maxShards)
 	}
 
-	const sessionS = 8.0
-	channel := link.ChannelConfig{
-		PGoodToBad: 0.05,
-		PBadToGood: 0.25,
-		LossGood:   0.02,
-		LossBad:    0.45,
+	coh := cohort.New(seed)
+	members := make([][]string, cohort.Classes)
+	for p, k := range coh.Class {
+		members[k] = append(members[k], fmt.Sprint(p))
 	}
-	solver := "fixed-budget solver"
-	if solverTol > 0 {
-		solver = fmt.Sprintf("warm-started solver, tol %g", solverTol)
+	fmt.Printf("== Fleet: one round of each benchmark workload per worker-slot count (GOMAXPROCS=%d, seed %d) ==\n",
+		runtime.GOMAXPROCS(0), seed)
+	fmt.Printf("cohort: %d patients\n", cohort.Patients)
+	for k, ps := range members {
+		fmt.Printf("  %-17s patients %s\n", cohort.Class(k), strings.Join(ps, " "))
 	}
-	fmt.Printf("== Fleet: one-round cluster per patients x worker slots (GOMAXPROCS=%d, %.0f s/patient, bursty channel, %s) ==\n",
-		runtime.GOMAXPROCS(0), sessionS, solver)
-	fmt.Printf("%-9s %-7s %9s %8s %7s %7s %9s %10s %8s\n",
-		"patients", "slots", "wall(ms)", "RTF", "Se", "PPV", "delivery", "radio(mJ)", "speedup")
 
-	planDesc := ""
-	for _, patients := range []int{4, 8, 16} {
+	for _, w := range []struct {
+		name string
+		cfg  fleet.ClusterConfig
+	}{
+		{"fleet-cs-lossy", fleet.CSLossyWorkload(seed)},
+		{"fleet-delineation", fleet.DelineationWorkload(seed)},
+	} {
+		fmt.Printf("\n%s: %.0f s/patient\n", w.name, w.cfg.SessionS)
+		fmt.Printf("%-7s %9s %8s %7s %7s %9s %10s %8s\n",
+			"slots", "wall(ms)", "RTF", "Se", "PPV", "delivery", "radio(mJ)", "speedup")
 		var ref []fleet.PatientState
 		var refWall float64
+		planDesc := ""
 		for _, shards := range shardSet {
-			if shards > patients {
-				continue
-			}
-			rep, states, plan, err := runOneRound(fleet.ClusterConfig{
-				Fleet: fleet.Config{
-					Patients:    patients,
-					Seed:        seed,
-					Channel:     channel,
-					SolverTol:   solverTol,
-					WarmStart:   solverTol > 0,
-					EngineBatch: engineBatch,
-					Telemetry:   tel,
-				},
-				GroupShards: shards,
-				SessionS:    sessionS,
-			})
+			cfg := w.cfg
+			cfg.GroupShards = shards
+			cfg.Fleet.Telemetry = tel
+			rep, states, plan, err := runOneRound(cfg)
 			if err != nil {
 				return err
 			}
@@ -82,19 +76,18 @@ func runFleetSweep(seed int64, tel *telemetry.Set, solverTol float64, engineBatc
 				speedup = refWall / rep.WallSeconds
 				for p, want := range ref {
 					if got := states[p]; got != want {
-						return fmt.Errorf("patients=%d slots=%d: patient %d diverged from the 1x1 cluster:\n got %+v\nwant %+v",
-							patients, shards, p, got, want)
+						return fmt.Errorf("%s slots=%d: patient %d diverged from the 1-slot cluster:\n got %+v\nwant %+v",
+							w.name, shards, p, got, want)
 					}
 				}
 			}
-			fmt.Printf("%-9d %-7d %9.1f %8.1f %7.3f %7.3f %9.3f %10.3f %7.2fx\n",
-				patients, shards, rep.WallSeconds*1e3, rep.RealTimeFactor,
+			fmt.Printf("%-7d %9.1f %8.1f %7.3f %7.3f %9.3f %10.3f %7.2fx\n",
+				shards, rep.WallSeconds*1e3, rep.RealTimeFactor,
 				rep.MeanSe, rep.MeanPPV, rep.MeanDelivery, rep.RadioEnergyJ*1e3, speedup)
 		}
-		fmt.Println()
+		fmt.Printf("compiled node plan (every rig): %s\n", planDesc)
 	}
-	fmt.Printf("compiled node plan (every rig): %s\n", planDesc)
-	fmt.Println("all worker-slot counts produced bit-identical per-patient states")
+	fmt.Println("\nall worker-slot counts produced bit-identical per-patient states")
 	return nil
 }
 

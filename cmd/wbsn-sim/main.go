@@ -9,7 +9,7 @@
 //	wbsn-sim             # Figure 7 table (exits 1 if its shape check fails)
 //	wbsn-sim -faulty     # sweep the lossy-link scenario instead
 //	wbsn-sim -throughput # sweep the gateway engine across worker counts
-//	wbsn-sim -fleet      # sweep one-round fleet clusters over worker slots
+//	wbsn-sim -fleet      # run the benchmark's fleet workloads over worker slots
 //	wbsn-sim -soak       # long-horizon hierarchical-cluster endurance run
 //
 // Any run may add -telemetry addr to serve live metrics (/metrics,
@@ -30,10 +30,10 @@ func main() {
 	var (
 		faulty     = flag.Bool("faulty", false, "sweep the node->gateway chain across channel loss rates")
 		throughput = flag.Bool("throughput", false, "sweep the gateway reconstruction engine across worker counts")
-		fleetSweep = flag.Bool("fleet", false, "sweep one-round fleet clusters across patients x worker slots")
+		fleetSweep = flag.Bool("fleet", false, "run one round of the benchmark's two fleet workloads over the cohort at each worker-slot count")
 		seed       = flag.Int64("seed", 1, "seed of the -faulty, -throughput, -fleet and -soak runs")
-		solverTol  = flag.Float64("solver-tol", 0, "FISTA convergence tolerance: >0 enables early exit, adaptive restart and warm-started reconstruction in the fleet/throughput sweeps (0 keeps the fixed-budget solver)")
-		engBatch   = flag.Int("engine-batch", 0, "windows per gateway-engine dispatch in the fleet/throughput sweeps: >1 batches queued windows through one structure-of-arrays solver pass (0/1 = sequential)")
+		solverTol  = flag.Float64("solver-tol", 0, "FISTA convergence tolerance: >0 enables early exit and adaptive restart in the throughput sweep and the soak, and warm-started reconstruction in the soak (0 keeps the fixed-budget solver)")
+		engBatch   = flag.Int("engine-batch", 0, "windows per gateway-engine dispatch in the throughput sweep: >1 batches queued windows through one structure-of-arrays solver pass (0/1 = sequential)")
 		telAddr    = flag.String("telemetry", "", "serve live metrics on this address (/metrics JSON, /debug/vars, /debug/pprof)")
 		telLinger  = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after the run (for external scrapers)")
 
@@ -71,7 +71,7 @@ func main() {
 		return
 	}
 	if *fleetSweep {
-		if err := runFleetSweep(*seed, tel, *solverTol, *engBatch); err != nil {
+		if err := runFleetSweep(*seed, tel); err != nil {
 			fatalf("%v", err)
 		}
 		return

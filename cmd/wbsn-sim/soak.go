@@ -19,8 +19,8 @@ import (
 	"strconv"
 	"strings"
 
+	"wbsn/internal/cohort"
 	"wbsn/internal/fleet"
-	"wbsn/internal/link"
 	"wbsn/internal/telemetry"
 )
 
@@ -49,13 +49,8 @@ func (o soakOpts) clusterConfig(tel *telemetry.Set) fleet.ClusterConfig {
 			SolverTol:   o.solverTol,
 			SolverIters: o.solverIters,
 			WarmStart:   o.carryWarm || o.solverTol > 0,
-			Channel: link.ChannelConfig{
-				PGoodToBad: 0.05,
-				PBadToGood: 0.25,
-				LossGood:   0.02,
-				LossBad:    0.45,
-			},
-			Telemetry: tel,
+			Channel:     cohort.BaselineChannel(),
+			Telemetry:   tel,
 		},
 		Groups:                o.groups,
 		GroupShards:           o.groupShards,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"wbsn/internal/cohort"
 	"wbsn/internal/ecg"
 	"wbsn/internal/link"
 )
@@ -28,23 +29,16 @@ type scoringRecord struct {
 }
 
 // cohortRecords returns one fixed 8 s, 3-lead record per class of the
-// benchmark's patient cohort: AF rhythm, ambulatory noise, and the
-// congested-radio and bursty-baseline classes, whose signals are clean
-// sinus rhythm (they differ from each other only in the radio channel).
+// benchmark's patient cohort, at generator seeds 201–204: AF rhythm,
+// ambulatory noise, and the congested-radio and bursty-baseline
+// classes, whose signals are clean sinus rhythm (they differ from each
+// other only in the radio channel).
 func cohortRecords() []scoringRecord {
-	gen := func(name string, seed int64, mut func(*ecg.Config)) scoringRecord {
-		cfg := ecg.Config{Seed: seed, Duration: 8}
-		if mut != nil {
-			mut(&cfg)
-		}
-		return scoringRecord{name, ecg.Generate(cfg)}
+	var recs []scoringRecord
+	for k := cohort.Class(0); k < cohort.Classes; k++ {
+		recs = append(recs, scoringRecord{k.String(), ecg.Generate(k.Record(201+int64(k), 8))})
 	}
-	return []scoringRecord{
-		gen("af", 201, func(c *ecg.Config) { c.Rhythm.Kind = ecg.RhythmAF }),
-		gen("ambulatory-noise", 202, func(c *ecg.Config) { c.Noise = ecg.AmbulatoryNoise() }),
-		gen("congested-radio", 203, nil),
-		gen("bursty-baseline", 204, nil),
-	}
+	return recs
 }
 
 // check scores the reference and the candidate reconstruction of every

@@ -29,6 +29,7 @@ import (
 	"math"
 	"time"
 
+	"wbsn/internal/cohort"
 	"wbsn/internal/core"
 	"wbsn/internal/delineation"
 	"wbsn/internal/ecg"
@@ -137,17 +138,9 @@ func (c Config) withDefaults() Config {
 	return out
 }
 
-// Scenario is one patient's deviation from the population defaults.
-// Nil fields keep the fleet-wide setting; non-nil fields replace it
-// wholesale for that patient (Seed fields are still overridden per
-// patient, and a zero-transition channel is normalised to the lossless
-// chain exactly like the fleet default).
-type Scenario struct {
-	Rhythm  *ecg.RhythmConfig
-	Noise   *ecg.NoiseConfig
-	Channel *link.ChannelConfig
-	ARQ     *link.ARQConfig
-}
+// Scenario is one patient's deviation from the population defaults
+// (cohort.Scenario). The alias stays while the benchmark names it.
+type Scenario = cohort.Scenario
 
 func (cl *Cluster) scenarioFor(p int) Scenario {
 	if cl.cfg.Scenario == nil {

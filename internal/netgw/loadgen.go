@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wbsn/internal/cohort"
 	"wbsn/internal/core"
 	"wbsn/internal/ecg"
 	"wbsn/internal/gateway"
@@ -48,12 +49,15 @@ type LoadgenConfig struct {
 	// Streams is the concurrent stream count (default 8).
 	Streams int
 	// Records is the number of distinct synthesised records the streams
-	// share round-robin (default min(Streams, 8)) — record synthesis
-	// and in-process verification cost scale with Records, not Streams.
+	// share round-robin (default min(Streams, 8)): record r is the
+	// cohort's network record r, so every four records carry one of
+	// each patient class. Record synthesis and in-process verification
+	// cost scale with Records, not Streams.
 	Records int
 	// DurationS is the per-record length in seconds (default 8).
 	DurationS float64
-	// Seed derives record content, stream IDs and per-stream jitter.
+	// Seed is the sensing-matrix seed and the cohort seed of the
+	// records; it also derives stream IDs and per-stream jitter.
 	Seed int64
 	// IDBase, when nonzero, overrides the base stream ID (default
 	// Seed<<32). Successive runs against one server must use distinct
@@ -73,10 +77,11 @@ type LoadgenConfig struct {
 	// Verify decodes each distinct record once in-process and compares
 	// every stream's server digest against it — the bit-identity check.
 	Verify bool
-	// Trace link-encodes the replay set as version-2 (traced) frames:
+	// Trace link-encodes the replay set as version-4 (traced) frames:
 	// each window carries its node-minted trace ID and encode duration,
 	// so the server's /traces trees span both sides of the wire. The
-	// float payload — and therefore every digest — is unchanged.
+	// 12-bit measurement codes — and therefore every digest — are
+	// unchanged.
 	// Streams replaying the same record reuse its trace IDs; IDs only
 	// need to be unique within a session, and every (stream, record)
 	// pass is its own session.
@@ -146,10 +151,11 @@ type traffic struct {
 	digests []uint64   // expected digest per record (Verify only)
 }
 
-// buildTraffic synthesises the records, runs them through the CS node
-// to produce the measurement windows, link-encodes each window, and —
-// when verify is on — reconstructs each record in-process to pin the
-// expected digest.
+// buildTraffic synthesises the records — the cohort's network records
+// under Seed (cohort.NetRecord), the same seed as the sensing matrix —
+// runs their leads through the CS node to produce the measurement
+// windows, link-encodes each window, and — when verify is on —
+// reconstructs each record in-process to pin the expected digest.
 func buildTraffic(c LoadgenConfig) (*traffic, error) {
 	ncfg, gcfg, err := GatewayConfigFor(c.Seed, c.CSRatio, c.SolverIters, c.SolverTol, c.WarmStart)
 	if err != nil {
@@ -168,7 +174,7 @@ func buildTraffic(c LoadgenConfig) (*traffic, error) {
 		discard = trace.New(64, 1, 1)
 	}
 	for r := 0; r < c.Records; r++ {
-		rec := ecg.Generate(ecg.Config{Seed: c.Seed + int64(r), Duration: c.DurationS})
+		rec := ecg.Generate(cohort.NetRecord(c.Seed, r, c.DurationS))
 		stream, err := node.NewStream()
 		if err != nil {
 			return nil, err
@@ -176,11 +182,7 @@ func buildTraffic(c LoadgenConfig) (*traffic, error) {
 		if discard != nil {
 			stream.SetTrace(discard.Session(uint64(r)), uint32(r)+1)
 		}
-		chunk := make([][]float64, len(rec.Leads))
-		for li := range chunk {
-			chunk[li] = rec.Clean[li]
-		}
-		events, err := stream.PushBlock(chunk)
+		events, err := stream.PushBlock(rec.Leads)
 		if err != nil {
 			return nil, err
 		}

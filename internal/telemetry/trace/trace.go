@@ -15,8 +15,8 @@
 // completion), every write method is nil-safe so layers can trace
 // unconditionally, and attaching a collector never changes pipeline
 // output — tracing is bit-neutral by construction because the only
-// wire change (the link codec's v2 trace block) is confined to the
-// TCP transport, where integrity is CRC + go-back-N, not a
+// wire change (the link codec's version-4 trace block) is confined to
+// the TCP transport, where integrity is CRC + go-back-N, not a
 // bit-error-rate channel.
 package trace
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Race-enabled soak of the networked gateway: builds wbsn-gateway and
 # wbsn-loadgen with -race, runs the server with its control plane up,
-# replays >= 100 concurrent fault-injected streams of traced (v2)
+# replays >= 100 concurrent fault-injected streams of traced (version-4)
 # frames against it for the soak window with in-process digest
 # verification, then asserts trace continuity — every published window
 # tree must stitch node-side spans to gateway-side spans — round-trips

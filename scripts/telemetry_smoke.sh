@@ -2,8 +2,8 @@
 # Telemetry endpoint smoke test: start `wbsn-sim -fleet -telemetry` on
 # an ephemeral port, scrape /metrics while the sweep runs, and verify
 # the JSON carries real traffic on every pipeline layer (stage latency
-# histograms, ARQ counters, gateway queue gauge, radio energy, and —
-# with -solver-tol armed — the adaptive-solver counters: solves, warm
+# histograms, ARQ counters, gateway queue gauge, radio energy, and the
+# adaptive-solver counters of the fleet-cs-lossy workload: solves, warm
 # seeds, early exits, momentum restarts, warm resets at patient
 # boundaries, and the iteration histogram). Then checks the control
 # surfaces beside /metrics: /traces must carry stitched end-to-end
@@ -28,7 +28,7 @@ go build -o "$WORK/telemetrycheck" ./scripts/telemetrycheck
 # still sees the fully-populated registry. The log exists before the
 # sim starts, so the first poll below never races its redirection.
 : >"$WORK/stderr.log"
-"$WORK/wbsn-sim" -fleet -solver-tol 1e-3 -telemetry 127.0.0.1:0 -telemetry-linger 120s \
+"$WORK/wbsn-sim" -fleet -telemetry 127.0.0.1:0 -telemetry-linger 120s \
 	>"$WORK/stdout.log" 2>"$WORK/stderr.log" &
 SIM_PID=$!
 

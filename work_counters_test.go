@@ -8,10 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"wbsn/internal/core"
-	"wbsn/internal/ecg"
+	"wbsn/internal/cohort"
 	"wbsn/internal/fleet"
-	"wbsn/internal/link"
 	"wbsn/internal/netgw"
 	"wbsn/internal/telemetry"
 )
@@ -30,19 +28,9 @@ const workCountersGolden = "testdata/work_counters.txt"
 // test prints the text it produced and the wanted text; regenerating
 // the file is a copy of the former.
 func TestWorkCounters(t *testing.T) {
-	got := workFleet(t, "fleet-cs-lossy", fleet.ClusterConfig{
-		Fleet: fleet.Config{
-			Node:        core.Config{Mode: core.ModeCS, CSRatio: 60, Seed: 42},
-			SolverTol:   1e-3,
-			WarmStart:   true,
-			EngineBatch: 8,
-		},
-		SessionS:  8,
-		CarryWarm: true,
-	}) + workFleet(t, "fleet-delineation", fleet.ClusterConfig{
-		Fleet:    fleet.Config{Node: core.Config{Mode: core.ModeDelineation, GateLeads: true, Seed: 42}},
-		SessionS: 30,
-	}) + workNetGW(t)
+	got := workFleet(t, "fleet-cs-lossy", fleet.CSLossyWorkload(workCohortSeed)) +
+		workFleet(t, "fleet-delineation", fleet.DelineationWorkload(workCohortSeed)) +
+		workNetGW(t)
 
 	want, err := os.ReadFile(workCountersGolden)
 	if err != nil {
@@ -54,19 +42,19 @@ func TestWorkCounters(t *testing.T) {
 	}
 }
 
+// workCohortSeed is the cohort seed of the fleet sections: the
+// benchmark's default --seed, whose first two rounds they count.
+const workCohortSeed = 1
+
 // workTopologies are the two schedules every fleet section runs at.
 // A patient's work does not depend on worker slots, decode workers or
 // batch fill, so both must print the same text.
 var workTopologies = []struct{ groups, shards, workers int }{{1, 1, 1}, {2, 2, 2}}
 
-// workFleet runs the cohort through cfg at each topology and returns
-// the section's text.
+// workFleet runs two rounds of the workload cfg at each topology and
+// returns the section's text.
 func workFleet(t *testing.T, workload string, cfg fleet.ClusterConfig) string {
 	t.Helper()
-	cfg.Fleet.Patients = 8
-	cfg.Fleet.Seed = 7919
-	cfg.Fleet.Channel = link.ChannelConfig{PGoodToBad: 0.05, PBadToGood: 0.25, LossGood: 0.02, LossBad: 0.45}
-	cfg.Fleet.Scenario = workScenario
 	cfg.Rounds = 2
 	section := fmt.Sprintf("%s: %d patients, %d rounds of %g s", workload, cfg.Fleet.Patients, cfg.Rounds, cfg.SessionS)
 	var texts []string
@@ -101,29 +89,13 @@ func workFleet(t *testing.T, workload string, cfg fleet.ClusterConfig) string {
 	return texts[0]
 }
 
-// workScenario is the benchmark cohort's class mix as a pure function
-// of the patient: AF rhythm, ambulatory noise, a congested radio cell
-// and the fleet's bursty baseline channel, a quarter each.
-func workScenario(p int) fleet.Scenario {
-	switch p % 4 {
-	case 0:
-		return fleet.Scenario{Rhythm: &ecg.RhythmConfig{Kind: ecg.RhythmAF}}
-	case 1:
-		noise := ecg.AmbulatoryNoise()
-		return fleet.Scenario{Noise: &noise}
-	case 2:
-		return fleet.Scenario{Channel: &link.ChannelConfig{PGoodToBad: 0.3, PBadToGood: 0.08, LossGood: 0.05, LossBad: 0.95, BERBad: 1e-6, PReorder: 0.02}}
-	}
-	return fleet.Scenario{}
-}
-
 // workNetGW serves two streams' 8 s records through an in-process
 // server with wbsn-gateway's defaults (cold fixed-budget solver, batch
 // 1) and returns the section's text, snapshotted after Shutdown so the
 // connection counters have settled.
 func workNetGW(t *testing.T) string {
 	t.Helper()
-	const seed, streams = 42, 2
+	const seed, streams = cohort.FirmwareSeed, 2
 	_, gcfg, err := netgw.GatewayConfigFor(seed, 60, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
