@@ -22,6 +22,7 @@ import (
 	"wbsn/internal/delineation"
 	"wbsn/internal/dsp"
 	"wbsn/internal/ecg"
+	"wbsn/internal/morpho"
 	"wbsn/internal/paper"
 )
 
@@ -67,11 +68,7 @@ func main() {
 	case "wavelet":
 		beats, err = paper.NodeBeats(rec)
 	case "morph":
-		d, derr := delineation.NewMorphDelineator(delineation.Config{Fs: rec.Fs})
-		if derr != nil {
-			fatalf("%v", derr)
-		}
-		beats, err = d.Delineate(dsp.CombineRMS(rec.Leads))
+		beats, err = morphBeats(rec)
 	default:
 		fatalf("unknown method %q", *method)
 	}
@@ -83,6 +80,21 @@ func main() {
 		rep := delineation.Evaluate(rec, beats, delineation.DefaultTolerances())
 		fmt.Print(rep.String())
 	}
+}
+
+// morphBeats runs the morphological delineator over a record
+// conditioned as the node conditions its chunks: the morphological
+// filter on every lead, then the RMS lead combination.
+func morphBeats(rec *ecg.Record) ([]delineation.BeatFiducials, error) {
+	d, err := delineation.NewMorphDelineator(delineation.Config{Fs: rec.Fs})
+	if err != nil {
+		return nil, err
+	}
+	filtered, err := morpho.FilterLeads(rec.Leads, morpho.FilterConfig{Fs: rec.Fs})
+	if err != nil {
+		return nil, err
+	}
+	return d.Delineate(dsp.CombineRMS(filtered))
 }
 
 func fatalf(format string, args ...any) {

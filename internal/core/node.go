@@ -323,7 +323,7 @@ func (n *Node) Process(rec *ecg.Record) (*Result, error) {
 		}
 	}
 	if n.cfg.Mode >= ModeDelineation {
-		// Per sample: van Herk filter stages, lead combination, à-trous
+		// Per sample: wedge filter stages, lead combination, à-trous
 		// bank and threshold logic, and the gate's mean/RMS/peak passes.
 		compOps += samples*24 + rec.Len()*(len(rec.Leads)+2) + rec.Len()*30
 		if n.cfg.GateLeads && len(rec.Leads) >= 2 {

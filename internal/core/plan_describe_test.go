@@ -40,11 +40,11 @@ func TestPlanDescribe(t *testing.T) {
 	}
 	want := `raw-streaming         1 ops -> 1 stages (0 fused away), arena 0.0 KiB
 compressed-sensing    2 ops -> 2 stages (0 fused away), arena 0.0 KiB
-delineation           4 ops -> 3 stages (1 fused away), arena 56.0 KiB
-delineation-gated     5 ops -> 4 stages (1 fused away), arena 56.0 KiB
-classification        5 ops -> 3 stages (1 fused away), arena 56.0 KiB
-classification-gated  6 ops -> 4 stages (1 fused away), arena 56.0 KiB
-af-alarm              4 ops -> 3 stages (1 fused away), arena 56.0 KiB
+delineation           4 ops -> 3 stages (1 fused away), arena 48.0 KiB
+delineation-gated     5 ops -> 4 stages (1 fused away), arena 48.0 KiB
+classification        5 ops -> 3 stages (1 fused away), arena 48.0 KiB
+classification-gated  6 ops -> 4 stages (1 fused away), arena 48.0 KiB
+af-alarm              4 ops -> 3 stages (1 fused away), arena 48.0 KiB
 `
 	if got.String() != want {
 		fmt.Printf("%s plans:\n%s", t.Name(), got.String())

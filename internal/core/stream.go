@@ -183,11 +183,16 @@ func (s *Stream) Flush() ([]Event, error) {
 	return s.drain(true)
 }
 
-// drain emits events for every complete chunk in the buffer.
+// drain emits events for every complete chunk in the buffer. Chunks
+// are views at a read offset that advances by hop; the unread remainder
+// moves to the front once, when the drain ends, so a block of n samples
+// costs O(n) copying however many chunks it completes.
 func (s *Stream) drain(flush bool) ([]Event, error) {
 	var events []Event
+	var err error
+	off := 0
 	for {
-		have := len(s.buf[0])
+		have := len(s.buf[0]) - off
 		if have < s.chunkLen && !(flush && have > 0) {
 			break
 		}
@@ -200,16 +205,16 @@ func (s *Stream) drain(flush bool) ([]Event, error) {
 		}
 		s.chunk = s.chunk[:len(s.buf)]
 		for i := range s.buf {
-			s.chunk[i] = s.buf[i][:take]
+			s.chunk[i] = s.buf[i][off : off+take]
 		}
 		if s.tel != nil || s.trRing != nil {
 			now := time.Now()
 			s.telCursor = now
 			s.trT0 = now
 		}
-		evs, err := s.processChunk(s.chunk, s.bufStart)
-		if err != nil {
-			return nil, err
+		var evs []Event
+		if evs, err = s.processChunk(s.chunk, s.bufStart); err != nil {
+			break
 		}
 		events = append(events, evs...)
 		// Advance by hop (or everything on a final short flush).
@@ -217,16 +222,10 @@ func (s *Stream) drain(flush bool) ([]Event, error) {
 		if take < s.chunkLen {
 			adv = take
 		}
-		// Compact instead of reslicing forward: the backing array keeps
-		// its full capacity, so once warm the per-sample appends in
-		// Push/PushBlock never reallocate (steady-state O(1) allocations).
-		for i := range s.buf {
-			kept := copy(s.buf[i], s.buf[i][adv:])
-			s.buf[i] = s.buf[i][:kept]
-		}
+		off += adv
 		if tm := s.tel; tm != nil {
-			// The acquire lap covers event assembly plus the compaction
-			// above (everything since the last stage boundary).
+			// The acquire lap covers event assembly (everything since
+			// the last stage boundary).
 			s.Lap(telemetry.StageAcquire)
 			tm.Samples.Add(uint64(adv))
 			tm.Chunks.Inc()
@@ -236,6 +235,18 @@ func (s *Stream) drain(flush bool) ([]Event, error) {
 		if take < s.chunkLen {
 			break
 		}
+	}
+	// Compact instead of reslicing forward: the backing array keeps its
+	// full capacity, so once warm the appends in PushBlock never
+	// reallocate (steady-state O(1) allocations).
+	if off > 0 {
+		for i := range s.buf {
+			kept := copy(s.buf[i], s.buf[i][off:])
+			s.buf[i] = s.buf[i][:kept]
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return events, nil
 }

@@ -37,10 +37,10 @@ func NewMorphDelineator(cfg Config) (*MorphDelineator, error) {
 func (d *MorphDelineator) ms(v float64) int { return int(v * d.cfg.Fs / 1000) }
 
 // Delineate processes one signal and returns the detected beats. The
-// input is expected to be baseline-corrected (e.g. by morpho.Filter or
-// the RMS lead combination); the MMD transform itself is insensitive to
-// slow drift but the adaptive thresholds work best on a conditioned
-// signal.
+// input is expected to be conditioned (morpho.FilterLeads, then the RMS
+// lead combination, as cmd/delineate does); the MMD transform itself is
+// insensitive to slow drift but the adaptive thresholds work best on a
+// conditioned signal.
 func (d *MorphDelineator) Delineate(x []float64) ([]BeatFiducials, error) {
 	if len(x) < 4*d.waveScale {
 		return nil, nil

@@ -165,8 +165,8 @@ func (b *Builder) GateLeads(v Value, fs float64) Value {
 
 // MorphFilter applies the two-stage morphological conditioning filter
 // (baseline correction then open/close noise suppression) to every
-// lead. When its only consumer is CombineRMS the compiler fuses the
-// filter tail with the combiner's square-accumulate pass.
+// lead. Its consumer must be CombineRMS, with which the compiler fuses
+// it (Build refuses any other consumer).
 func (b *Builder) MorphFilter(v Value, cfg morpho.FilterConfig) Value {
 	n := b.take(v, opMorphFilter, ShapeLeads)
 	if n == nil {
@@ -174,9 +174,6 @@ func (b *Builder) MorphFilter(v Value, cfg morpho.FilterConfig) Value {
 	}
 	if cfg.Fs <= 0 || math.IsNaN(cfg.Fs) || math.IsInf(cfg.Fs, 0) {
 		return b.fail("morph-filter: sampling rate %v must be finite and positive", cfg.Fs)
-	}
-	if cfg.BaselineSE < 0 || cfg.NoiseSE < 0 {
-		return b.fail("morph-filter: negative structuring element")
 	}
 	return b.add(&irNode{kind: opMorphFilter, in: n.id, fcfg: cfg}, n.shape)
 }

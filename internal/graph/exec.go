@@ -19,11 +19,9 @@ import (
 type Exec struct {
 	plan *Plan
 	slab []float64
-	// outHdrs[si] holds the slice headers for stage si's outputs; they
-	// are refreshed (re-lengthed to the current chunk) each Run so a
-	// stage's consumer can read them while the next stage writes its
-	// own headers.
-	outHdrs          [][][]float64
+	// coeffs holds the à-trous stage's arena-backed detail headers,
+	// re-lengthed to the current chunk each Run.
+	coeffs           [][]float64
 	kept             [][]float64
 	ms               morpho.Scratch
 	ws               wavelet.Scratch
@@ -46,14 +44,13 @@ func execErr(format string, args ...any) error {
 // run.
 func (p *Plan) NewExec() *Exec {
 	e := &Exec{
-		plan:    p,
-		slab:    make([]float64, p.slabLen),
-		outHdrs: make([][][]float64, len(p.stages)),
-		kept:    make([][]float64, 0, p.leads),
+		plan: p,
+		slab: make([]float64, p.slabLen),
+		kept: make([][]float64, 0, p.leads),
 	}
 	for si := range p.stages {
-		if n := len(p.stages[si].out); n > 0 {
-			e.outHdrs[si] = make([][]float64, n)
+		if sg := &p.stages[si]; sg.kind == stageAtrous {
+			e.coeffs = make([][]float64, sg.scales)
 		}
 	}
 	if p.classify != nil {
@@ -117,17 +114,6 @@ func (e *Exec) Run(chunk [][]float64, lp Lapper) (Result, error) {
 				}
 			}
 
-		case stageMorphFilter:
-			outs := e.outHdrs[si]
-			for l := range leads {
-				out := sg.out[l].slice(e.slab)[:n]
-				if err := morpho.FilterInto(leads[l], sg.fcfg, out, &e.ms); err != nil {
-					return Result{}, err
-				}
-				outs[l] = out
-			}
-			leads = outs[:len(leads)]
-
 		case stageFilterCombine:
 			series = e.runFilterCombine(sg, leads, n)
 
@@ -135,11 +121,10 @@ func (e *Exec) Run(chunk [][]float64, lp Lapper) (Result, error) {
 			series = dsp.CombineRMSInto(leads, sg.out[0].slice(e.slab)[:n])
 
 		case stageAtrous:
-			hdrs := e.outHdrs[si]
 			for k := range sg.out {
-				hdrs[k] = sg.out[k].slice(e.slab)[:n]
+				e.coeffs[k] = sg.out[k].slice(e.slab)[:n]
 			}
-			got, err := wavelet.AtrousInto(series, sg.scales, hdrs[:sg.scales], &e.ws)
+			got, err := wavelet.AtrousInto(series, sg.scales, e.coeffs, &e.ws)
 			if err != nil {
 				return Result{}, err
 			}
@@ -187,40 +172,24 @@ func (e *Exec) Run(chunk [][]float64, lp Lapper) (Result, error) {
 }
 
 // runFilterCombine is the fused morphological conditioning filter +
-// RMS lead combiner: the filtered leads never materialise. Per output
-// element the floating-point operation sequence — the open/close
-// average, the square, the across-lead accumulation order and the
-// final sqrt(sum*inv) — matches the unfused FilterInto + CombineRMSInto
-// pair exactly, so the fusion is bit-identical.
+// RMS lead combiner: each lead runs morpho's conditioning kernel into
+// one arena buffer, whose squares accumulate into the combined series
+// before the next lead overwrites it. Per output element the
+// floating-point operation sequence — the square, the across-lead
+// accumulation order and the final sqrt(sum*inv) — matches the
+// unfused FilterLeads + CombineRMSInto pair exactly, so the fusion is
+// bit-identical.
 func (e *Exec) runFilterCombine(sg *stage, leads [][]float64, n int) []float64 {
-	t := sg.tmp[0].slice(e.slab)[:n]
-	opened := sg.tmp[1].slice(e.slab)[:n]
-	baseline := sg.tmp[2].slice(e.slab)[:n]
-	corrected := sg.tmp[3].slice(e.slab)[:n]
-	o := sg.tmp[4].slice(e.slab)[:n]
-	cl := sg.tmp[5].slice(e.slab)[:n]
+	base := sg.tmp[0].slice(e.slab)[:n]
+	f := sg.tmp[1].slice(e.slab)[:n]
 	cm := sg.out[0].slice(e.slab)[:n]
-	for i := range cm {
-		cm[i] = 0
-	}
+	clear(cm)
 	inv := 1 / float64(len(leads))
 	for _, x := range leads {
-		// Baseline estimate: opening with l0 then closing with lc.
-		morpho.ErodeFlatInto(x, sg.l0, t, &e.ms)
-		morpho.DilateFlatInto(t, sg.l0, opened, &e.ms)
-		morpho.DilateFlatInto(opened, sg.lc, t, &e.ms)
-		morpho.ErodeFlatInto(t, sg.lc, baseline, &e.ms)
-		for i := 0; i < n; i++ {
-			corrected[i] = x[i] - baseline[i]
-		}
-		// Noise suppression: open/close average with the short SE.
-		morpho.ErodeFlatInto(corrected, sg.kn, t, &e.ms)
-		morpho.DilateFlatInto(t, sg.kn, o, &e.ms)
-		morpho.DilateFlatInto(corrected, sg.kn, t, &e.ms)
-		morpho.ErodeFlatInto(t, sg.kn, cl, &e.ms)
-		for i := 0; i < n; i++ {
-			f := 0.5 * (o[i] + cl[i])
-			cm[i] += f * f
+		// Lengths match by construction, so the kernel cannot fail.
+		_ = morpho.ConditionInto(x, sg.fcfg, f, base, f, &e.ms)
+		for i, v := range f {
+			cm[i] += v * v
 		}
 	}
 	for i := 0; i < n; i++ {

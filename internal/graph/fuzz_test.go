@@ -18,8 +18,9 @@ import (
 // and any graph that does build can be executed without panicking.
 func FuzzBuilder(f *testing.F) {
 	// Seeds covering the interesting shapes: a gated analysis chain, a
-	// CS chain, a raw chain, some junk, and an unfused filter feeding a
-	// fused one with a classifier on the combined series.
+	// CS chain, a raw chain, some junk, and two chained filters (refused:
+	// a filter must feed the combiner) with a classifier on the combined
+	// series.
 	f.Add([]byte{3, 1, 2, 3, 4, 5})
 	f.Add([]byte{3, 7, 8})
 	f.Add([]byte{2, 8})
@@ -88,7 +89,9 @@ func FuzzBuilder(f *testing.F) {
 			case 1:
 				v = b.GateLeads(v, float64(arg%3)*128) // fs 0 is an error path
 			case 2:
-				v = b.MorphFilter(v, morpho.FilterConfig{Fs: 256, NoiseSE: arg%8 - 1})
+				// Fs 0 is an error path; the others give baseline
+				// elements of 3 to 51 samples, odd and even.
+				v = b.MorphFilter(v, morpho.FilterConfig{Fs: float64(arg)})
 			case 3:
 				v = b.CombineRMS(v)
 			case 4:

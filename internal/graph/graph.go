@@ -6,9 +6,10 @@
 // 12-bit grid, packetisation) — validated structurally and shape-wise
 // at build time, and compiled into an immutable Plan:
 //
-//   - the morphological-filter tail feeding the RMS lead combiner is
-//     fused into a single pass, which is bit-identical to the unfused
-//     filter-then-combine pair;
+//   - the morphological filter is fused with the RMS lead combiner it
+//     must feed: each filtered lead's squares accumulate into the
+//     combined series as the lead is filtered, bit-identical to the
+//     unfused filter-then-combine pair;
 //   - every inter-stage and intra-stage work buffer is planned into one
 //     scratch arena with liveness-based offset reuse, allocated once
 //     when an executor is created — steady-state chunk processing does

@@ -55,8 +55,8 @@ func TestBuilderValidation(t *testing.T) {
 		{"zero leads", func(b *Builder) { b.Input(0, 64) }},
 		{"zero chunk", func(b *Builder) { b.Input(3, 0) }},
 		{"morph filter no fs", func(b *Builder) { b.MorphFilter(b.Input(3, 64), morpho.FilterConfig{}) }},
-		{"morph filter negative se", func(b *Builder) {
-			b.MorphFilter(b.Input(3, 64), morpho.FilterConfig{Fs: 256, NoiseSE: -1})
+		{"morph filter nan fs", func(b *Builder) {
+			b.CombineRMS(b.MorphFilter(b.Input(3, 64), morpho.FilterConfig{Fs: math.NaN()}))
 		}},
 		{"gate bad fs", func(b *Builder) { b.GateLeads(b.Input(3, 64), 0) }},
 		{"combine on series", func(b *Builder) {
@@ -129,7 +129,9 @@ func equalSlices(t *testing.T, name string, got, want []float64) {
 
 // TestFilterCombineFusionBitIdentity is the load-bearing fusion check:
 // the fused conditioning-filter + RMS combine must match the unfused
-// FilterLeads → CombineRMS pair bit for bit.
+// FilterLeads → CombineRMS pair bit for bit (morpho's
+// TestFilterKernelBitIdentity ties the kernel to the eight-pass wedge
+// schedule it replaced).
 func TestFilterCombineFusionBitIdentity(t *testing.T) {
 	for _, leads := range []int{1, 2, 3, 5} {
 		for _, n := range []int{33, 257, 1024} {
@@ -159,40 +161,27 @@ func TestFilterCombineFusionBitIdentity(t *testing.T) {
 	}
 }
 
-// TestMorphFilterUnfusedBitIdentity pins the unfused path (a consumer
-// other than CombineRMS blocks the fusion) to the same reference: the
-// first of two chained filters runs unfused, the second fuses with the
-// combiner.
-func TestMorphFilterUnfusedBitIdentity(t *testing.T) {
-	const n = 400
-	chunk := testLeads(t, 3, n, 21)
+// TestMorphFilterUnfusedRefused pins that the conditioning filter runs
+// only fused with the RMS combiner: Build refuses a MorphFilter whose
+// consumer is anything else, or nothing.
+func TestMorphFilterUnfusedRefused(t *testing.T) {
 	cfg := morpho.FilterConfig{Fs: 256}
-
-	b := NewBuilder()
-	v := b.MorphFilter(b.Input(3, n), cfg)
-	v = b.MorphFilter(v, cfg)
-	b.CombineRMS(v)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		build func(b *Builder)
+	}{
+		{"terminal", func(b *Builder) { b.MorphFilter(b.Input(3, 64), cfg) }},
+		{"chained filters", func(b *Builder) {
+			b.CombineRMS(b.MorphFilter(b.MorphFilter(b.Input(3, 64), cfg), cfg))
+		}},
+		{"into packetize", func(b *Builder) { b.Packetize(b.MorphFilter(b.Input(3, 64), cfg)) }},
+		{"into gate", func(b *Builder) {
+			b.CombineRMS(b.GateLeads(b.MorphFilter(b.Input(3, 64), cfg), 256))
+		}},
 	}
-	if len(p.stages) != 2 || p.stages[0].kind != stageMorphFilter || p.stages[1].kind != stageFilterCombine {
-		t.Fatalf("expected unfused morph filter then filter+combine, got %v", p.stages)
+	for _, tc := range cases {
+		wantErrBuild(t, tc.name, tc.build)
 	}
-	res, err := p.NewExec().Run(chunk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	once, err := morpho.FilterLeads(chunk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twice, err := morpho.FilterLeads(once, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalSlices(t, "unfused filter", res.Combined, dsp.CombineRMS(twice))
 }
 
 // TestAnalysisPlanBitIdentity compiles the full analysis chain and
@@ -595,7 +584,7 @@ func TestDescribe(t *testing.T) {
 	if p.ChunkLen() != n || p.leads != 3 {
 		t.Fatalf("getters: %d leads, %d chunk", p.leads, p.ChunkLen())
 	}
-	const want = "2 ops -> 1 stages (1 fused away), arena 56.0 KiB"
+	const want = "2 ops -> 1 stages (1 fused away), arena 24.0 KiB"
 	if got := p.Describe(); got != want {
 		t.Fatalf("Describe() = %q\nwant        %q", got, want)
 	}

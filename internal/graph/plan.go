@@ -15,8 +15,7 @@ type stageKind int
 
 const (
 	stageGate          stageKind = iota
-	stageMorphFilter             // unfused conditioning filter (custom consumer)
-	stageFilterCombine           // fused conditioning filter tail + RMS combine
+	stageFilterCombine           // fused conditioning filter + RMS combine
 	stageCombine
 	stageAtrous
 	stageDelineate
@@ -29,8 +28,6 @@ func (k stageKind) String() string {
 	switch k {
 	case stageGate:
 		return "gate"
-	case stageMorphFilter:
-		return "morph-filter"
 	case stageFilterCombine:
 		return "filter+combine"
 	case stageCombine:
@@ -56,12 +53,11 @@ type stage struct {
 	kind stageKind
 	laps []telemetry.Stage
 
-	l0, lc, kn int // fused conditioning-filter SE lengths
-	fcfg       morpho.FilterConfig
-	scales     int
-	del        *delineation.WaveletDelineator
-	enc        *cs.Encoder
-	fs         float64
+	fcfg   morpho.FilterConfig
+	scales int
+	del    *delineation.WaveletDelineator
+	enc    *cs.Encoder
+	fs     float64
 
 	out []bufRef // lane (or scale) output buffers in the arena
 	tmp []bufRef // intra-stage temporaries in the arena
@@ -114,24 +110,19 @@ func compile(b *Builder, chain []*irNode, cn *irNode) (*Plan, error) {
 		n := ops[i]
 		switch n.kind {
 		case opMorphFilter:
-			fc := n.fcfg.WithDefaults()
-			l0 := fc.BaselineSE
-			if i+1 < len(ops) && ops[i+1].kind == opCombineRMS {
-				// The conditioning filter's final open/close average
-				// feeds straight into the combiner's square-accumulate:
-				// per-element addition order across leads is preserved,
-				// so the filtered leads never materialise.
-				cb := ops[i+1]
-				sg := stage{kind: stageFilterCombine, fcfg: fc,
-					l0: l0, lc: l0 + l0/2, kn: fc.NoiseSE}
-				sg.laps = append(append(sg.laps, n.laps...), cb.laps...)
-				p.fused++
-				p.stages = append(p.stages, sg)
-				i++
-				continue
+			// The conditioning filter runs only fused with the combiner
+			// it feeds: each filtered lead's squares accumulate into the
+			// combined series (per-element addition order across leads is
+			// preserved), so at most one filtered lead materialises.
+			if i+1 >= len(ops) || ops[i+1].kind != opCombineRMS {
+				return nil, buildErr("morph-filter must feed combine-rms")
 			}
-			p.stages = append(p.stages, stage{kind: stageMorphFilter, fcfg: fc,
-				l0: l0, lc: l0 + l0/2, kn: fc.NoiseSE, laps: n.laps})
+			cb := ops[i+1]
+			sg := stage{kind: stageFilterCombine, fcfg: n.fcfg}
+			sg.laps = append(append(sg.laps, n.laps...), cb.laps...)
+			p.fused++
+			p.stages = append(p.stages, sg)
+			i++
 		case opGateLeads:
 			p.stages = append(p.stages, stage{kind: stageGate, fs: n.fs, laps: n.laps})
 		case opCombineRMS:
@@ -171,12 +162,8 @@ func compile(b *Builder, chain []*irNode, cn *irNode) (*Plan, error) {
 	for si := range p.stages {
 		sg := &p.stages[si]
 		switch sg.kind {
-		case stageMorphFilter:
-			for l := 0; l < b.leads; l++ {
-				outReqs[si] = append(outReqs[si], addReq(fmt.Sprintf("%v.out%d", sg.kind, l), L, si, si+1))
-			}
 		case stageFilterCombine:
-			for _, nm := range []string{"t", "opened", "base", "corrected", "o", "cl"} {
+			for _, nm := range []string{"base", "filtered"} {
 				tmpReqs[si] = append(tmpReqs[si], addReq("filter."+nm, L, si, si))
 			}
 			outReqs[si] = append(outReqs[si], addReq("combined", L, si, S))

@@ -9,42 +9,51 @@ package morpho
 //
 // Stage 1 — baseline correction: the baseline is estimated by an opening
 // followed by a closing with structuring elements sized to straddle the
-// characteristic-wave durations (L0 ≈ 0.2·fs suppresses QRS and P/T
-// peaks, Lc = 1.5·L0 closes the remaining pits) and subtracted.
+// characteristic-wave durations (l0 ≈ 0.2·fs suppresses QRS and P/T
+// peaks, lc = 1.5·l0 closes the remaining pits) and subtracted.
 //
 // Stage 2 — noise suppression: the corrected signal is filtered by the
-// average of an opening and a closing with a short SE pair, which clips
-// impulsive noise in both polarities while preserving wave morphology.
+// average of an opening and a closing with a 3-sample element, which
+// clips impulsive noise in both polarities while preserving wave
+// morphology.
+//
+// Written out, the two stages are eight flat passes per lead: erode and
+// dilate with l0, dilate and erode with lc, then erode-dilate and
+// dilate-erode with 3. The kernel runs four:
+//
+//   - The opening's dilation and the closing's dilation compose into one
+//     dilation over l0+lc−1 samples whose window starts l0/2+lc/2
+//     samples before its output (the two half-widths summed; with an
+//     even l0 that is not the centred half of the composed length).
+//     Under edge replication the composed window covers exactly the
+//     union of the two-step windows, and both forms forward the latest
+//     of its maximal samples, so the result is bit-identical.
+//   - The erosions with l0 and lc and the composed dilation stay on the
+//     monotonic wedge: a van Herk/Gil-Werman prototype on the builtin
+//     min took 9–13 µs per 1,024 samples at l0 = 51 against the wedge's
+//     5–7 µs (2-vCPU Xeon), its running-minimum chains latency-bound.
+//   - The 3-sample open/close average reads the corrected signal at
+//     i−2..i+2 only, so it is one stencil pass over the builtin min and
+//     max (min3 and max3 below), fused with the baseline subtraction.
+//
+// Every output equals the eight-pass schedule's bit for bit on finite
+// input; filter_oracle_test.go keeps that schedule as the frozen oracle.
 
 // FilterConfig parameterises the morphological conditioning filter.
 type FilterConfig struct {
 	// Fs is the sampling rate in Hz. Required.
 	Fs float64
-	// BaselineSE is the opening SE length for baseline estimation in
-	// samples; 0 selects the ref [9] default of 0.2*Fs.
-	BaselineSE int
-	// NoiseSE is the short SE length for noise suppression in samples;
-	// 0 selects the default of 3 (≈12 ms at 256 Hz).
-	NoiseSE int
 }
 
-// WithDefaults resolves the zero-means-default fields to their
-// effective values (the SE lengths the filter will actually run with),
-// for callers that orchestrate the filter stages themselves.
-func (c FilterConfig) WithDefaults() FilterConfig { return c.withDefaults() }
-
-func (c *FilterConfig) withDefaults() FilterConfig {
-	out := *c
-	if out.BaselineSE <= 0 {
-		out.BaselineSE = int(0.2*out.Fs + 0.5)
-		if out.BaselineSE < 3 {
-			out.BaselineSE = 3
-		}
+// baselineSE returns l0, the baseline opening's structuring-element
+// length in samples: 0.2·Fs rounded (ref [9]), at least 3. The closing's
+// element is lc = l0 + l0/2.
+func (c FilterConfig) baselineSE() int {
+	l0 := int(0.2*c.Fs + 0.5)
+	if l0 < 3 {
+		return 3
 	}
-	if out.NoiseSE <= 0 {
-		out.NoiseSE = 3
-	}
-	return out
+	return l0
 }
 
 // FilterLeads applies the conditioning filter (FilterInto) independently
@@ -54,67 +63,108 @@ func FilterLeads(leads [][]float64, cfg FilterConfig) ([][]float64, error) {
 	return FilterLeadsInto(leads, cfg, nil, &s)
 }
 
-// BaselineEstimateInto writes the morphological baseline estimate of x
-// into out (len(x)): opening with SE length L0 followed by closing with
-// 1.5*L0. Subtracting it removes baseline wander without distorting the
-// QRS complex. Intermediates come from s; out must be caller-owned and
-// must not alias x.
-func BaselineEstimateInto(x []float64, cfg FilterConfig, out []float64, s *Scratch) error {
-	c := cfg.withDefaults()
-	l0 := c.BaselineSE
-	opened := s.buffer(1, len(x))
-	if err := OpenFlatInto(x, l0, opened, s); err != nil {
-		return err
-	}
-	return CloseFlatInto(opened, l0+l0/2, out, s)
-}
-
-// RemoveBaselineInto writes x minus its morphological baseline estimate
-// into out (len(x)). out may alias x (in-place correction).
-func RemoveBaselineInto(x []float64, cfg FilterConfig, out []float64, s *Scratch) error {
-	base := s.buffer(2, len(x))
-	if err := BaselineEstimateInto(x, cfg, base, s); err != nil {
-		return err
-	}
-	for i := range x {
-		out[i] = x[i] - base[i]
-	}
-	return nil
-}
-
-// SuppressNoiseInto applies the open/close averaging stage of ref [9]
-// into out (len(x)): the result is (opening + closing)/2 with a short
-// flat SE, clipping impulsive artifacts of both polarities. out may
-// alias x.
-func SuppressNoiseInto(x []float64, cfg FilterConfig, out []float64, s *Scratch) error {
-	c := cfg.withDefaults()
-	o := s.buffer(1, len(x))
-	if err := OpenFlatInto(x, c.NoiseSE, o, s); err != nil {
-		return err
-	}
-	cl := s.buffer(2, len(x))
-	if err := CloseFlatInto(x, c.NoiseSE, cl, s); err != nil {
-		return err
-	}
-	for i := range x {
-		out[i] = 0.5 * (o[i] + cl[i])
-	}
-	return nil
-}
-
 // FilterInto runs the full two-stage conditioning filter (baseline
 // correction then noise suppression) into out (len(x)), allocation-free
 // with a warm scratch. This is the "3L-MF" kernel of Figure 7 when
 // applied to each of the three leads. out may alias x.
 func FilterInto(x []float64, cfg FilterConfig, out []float64, s *Scratch) error {
-	if len(out) != len(x) {
+	n := len(x)
+	return ConditionInto(x, cfg, out, s.buffer(0, n), s.buffer(1, n), s)
+}
+
+// ConditionInto is the per-lead conditioning kernel behind FilterInto,
+// with caller-owned work buffers base and work (len(x) each), for
+// callers that plan their own chunk memory. It writes the filtered lead
+// into out (len(x)) and leaves the baseline estimate in base. out may
+// alias x or work; base and work must alias neither x nor each other.
+// The wedge's candidate buffers come from s.
+func ConditionInto(x []float64, cfg FilterConfig, out, base, work []float64, s *Scratch) error {
+	n := len(x)
+	if len(out) != n || len(base) != n || len(work) != n {
 		return ErrBadSE
 	}
-	corrected := s.buffer(3, len(x))
-	if err := RemoveBaselineInto(x, cfg, corrected, s); err != nil {
-		return err
+	if n == 0 {
+		return nil
 	}
-	return SuppressNoiseInto(corrected, cfg, out, s)
+	// Opening with l0 then closing with lc; the two dilations run as one
+	// (see the file comment). Every length is at least 1 and every
+	// buffer is len(x), so the passes cannot fail.
+	l0 := cfg.baselineSE()
+	lc := l0 + l0/2
+	_ = slidingMinInto(x, l0, l0/2, base, s)
+	_ = slidingMaxInto(base, l0+lc-1, l0/2+lc/2, work, s)
+	_ = slidingMinInto(work, lc, lc/2, base, s)
+	noiseInto(x, base, out)
+	return nil
+}
+
+// noiseInto writes the 3-sample open/close average of c = x − base into
+// out (len(x) ≥ 1): out[i] = (open(c)[i] + close(c)[i])/2, where the
+// opening is a 3-sample dilation of the 3-sample erosion e and the
+// closing a 3-sample erosion of the 3-sample dilation d, each pass
+// replicating its own input's edge samples as the wedge does. It rolls
+// c, e and d through registers; every x[j] is read before out[j-2] is
+// written, so out may alias x.
+func noiseInto(x, base, out []float64) {
+	n := len(x)
+	base, out = base[:n], out[:n]
+	ca := x[0] - base[0] // c[j-2]
+	cb := ca             // c[j-1], clamped
+	if n > 1 {
+		cb = x[1] - base[1]
+	}
+	// e[0] and d[0] over (c[-1], c[0], c[1]) with c[-1] = c[0]; the
+	// second passes replicate e[0] and d[0] as e[-1] and d[-1].
+	ec, dc := min3(ca, ca, cb), max3(ca, ca, cb)
+	ep, dp := ec, dc
+	for j := 2; j < n; j++ {
+		cc := x[j] - base[j]
+		en, dn := min3(ca, cb, cc), max3(ca, cb, cc)
+		out[j-2] = 0.5 * (max3(ep, ec, en) + min3(dp, dc, dn))
+		ca, cb = cb, cc
+		ep, ec, dp, dc = ec, en, dc, dn
+	}
+	if n > 1 {
+		// c[n] = c[n-1].
+		en, dn := min3(ca, cb, cb), max3(ca, cb, cb)
+		out[n-2] = 0.5 * (max3(ep, ec, en) + min3(dp, dc, dn))
+		ep, ec, dp, dc = ec, en, dc, dn
+	}
+	// e[n] = e[n-1] and d[n] = d[n-1].
+	out[n-1] = 0.5 * (max3(ep, ec, ec) + min3(dp, dc, dc))
+}
+
+// min3 returns the minimum of a, b, c (in window order) as the wedge
+// forwards it: the latest of the equal minimal samples. The builtin min
+// orders −0 below +0, so a zero result is re-chosen from the window.
+func min3(a, b, c float64) float64 {
+	m := min(a, b, c)
+	if m == 0 {
+		if c == 0 {
+			return c
+		}
+		if b == 0 {
+			return b
+		}
+		return a
+	}
+	return m
+}
+
+// max3 is min3's twin for the maximum (the builtin max orders +0 above
+// −0).
+func max3(a, b, c float64) float64 {
+	m := max(a, b, c)
+	if m == 0 {
+		if c == 0 {
+			return c
+		}
+		if b == 0 {
+			return b
+		}
+		return a
+	}
+	return m
 }
 
 // FilterLeadsInto is FilterLeads reusing out's backing storage when its

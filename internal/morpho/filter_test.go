@@ -105,8 +105,7 @@ func TestSuppressNoiseClipsImpulses(t *testing.T) {
 	n := 600
 	x := make([]float64, n)
 	x[100], x[300] = 1.0, -1.0 // isolated impulses
-	cfg := FilterConfig{Fs: 256}
-	y, err := SuppressNoise(x, cfg)
+	y, err := SuppressNoise(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +123,7 @@ func TestSuppressNoisePreservesWideWaves(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * float64(i) / 128) // wide smooth wave
 	}
-	cfg := FilterConfig{Fs: 256}
-	y, err := SuppressNoise(x, cfg)
+	y, err := SuppressNoise(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +172,17 @@ func TestFilterLeads(t *testing.T) {
 }
 
 func TestFilterConfigDefaults(t *testing.T) {
-	c := (&FilterConfig{Fs: 256}).withDefaults()
-	if c.BaselineSE != 51 {
-		t.Errorf("default BaselineSE = %d, want 51 (0.2*256 rounded)", c.BaselineSE)
-	}
-	if c.NoiseSE != 3 {
-		t.Errorf("default NoiseSE = %d, want 3", c.NoiseSE)
-	}
-	tiny := (&FilterConfig{Fs: 10}).withDefaults()
-	if tiny.BaselineSE < 3 {
-		t.Error("BaselineSE floor of 3 not applied")
+	for _, c := range []struct {
+		fs   float64
+		want int
+	}{
+		{256, 51}, // 0.2*256 rounded
+		{250, 50}, // an even l0
+		{10, 3},   // the floor
+	} {
+		if got := (FilterConfig{Fs: c.fs}).baselineSE(); got != c.want {
+			t.Errorf("Fs %v: baseline SE = %d, want %d", c.fs, got, c.want)
+		}
 	}
 }
 
@@ -194,8 +193,7 @@ func TestFilterConfigDefaults(t *testing.T) {
 // opening with SE length L0 followed by closing with 1.5*L0. Subtracting
 // it removes baseline wander without distorting the QRS complex.
 func BaselineEstimate(x []float64, cfg FilterConfig) ([]float64, error) {
-	c := cfg.withDefaults()
-	l0 := c.BaselineSE
+	l0 := cfg.baselineSE()
 	opened, err := OpenFlat(x, l0)
 	if err != nil {
 		return nil, err
@@ -217,15 +215,14 @@ func RemoveBaseline(x []float64, cfg FilterConfig) ([]float64, error) {
 }
 
 // SuppressNoise applies the open/close averaging stage of ref [9]: the
-// result is (opening + closing)/2 with a short flat SE, clipping
+// result is (opening + closing)/2 with the 3-sample flat SE, clipping
 // impulsive artifacts of both polarities.
-func SuppressNoise(x []float64, cfg FilterConfig) ([]float64, error) {
-	c := cfg.withDefaults()
-	o, err := OpenFlat(x, c.NoiseSE)
+func SuppressNoise(x []float64) ([]float64, error) {
+	o, err := OpenFlat(x, 3)
 	if err != nil {
 		return nil, err
 	}
-	cl, err := CloseFlat(x, c.NoiseSE)
+	cl, err := CloseFlat(x, 3)
 	if err != nil {
 		return nil, err
 	}

@@ -15,60 +15,38 @@ func noisy(n int, seed int64) []float64 {
 }
 
 // Into variants must match their allocating counterparts exactly, and a
-// reused scratch must not bleed state between calls.
+// reused scratch must not bleed state between calls: the wedge passes
+// run through one scratch at growing window lengths, three times over,
+// with the filter after them.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	x := noisy(1024, 5)
 	cfg := FilterConfig{Fs: 256}
 	var s Scratch
 	out := make([]float64, len(x))
 	for rep := 0; rep < 3; rep++ {
-		for _, k := range []int{1, 3, 51} {
+		for _, k := range []int{1, 3, 51, 126} {
 			want, err := ErodeFlat(x, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ErodeFlatInto(x, k, out, &s); err != nil {
+			if err := slidingMinInto(x, k, k/2, out, &s); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
 				if out[i] != want[i] {
-					t.Fatalf("ErodeFlatInto k=%d sample %d: %g != %g", k, i, out[i], want[i])
+					t.Fatalf("slidingMinInto k=%d sample %d: %g != %g", k, i, out[i], want[i])
 				}
 			}
 			want, err = DilateFlat(x, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := DilateFlatInto(x, k, out, &s); err != nil {
+			if err := slidingMaxInto(x, k, k/2, out, &s); err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
 				if out[i] != want[i] {
-					t.Fatalf("DilateFlatInto k=%d sample %d: %g != %g", k, i, out[i], want[i])
-				}
-			}
-			want, err = OpenFlat(x, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := OpenFlatInto(x, k, out, &s); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Fatalf("OpenFlatInto k=%d sample %d: %g != %g", k, i, out[i], want[i])
-				}
-			}
-			want, err = CloseFlat(x, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := CloseFlatInto(x, k, out, &s); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Fatalf("CloseFlatInto k=%d sample %d: %g != %g", k, i, out[i], want[i])
+					t.Fatalf("slidingMaxInto k=%d sample %d: %g != %g", k, i, out[i], want[i])
 				}
 			}
 		}
@@ -151,8 +129,11 @@ func TestIntoVariantErrors(t *testing.T) {
 	var s Scratch
 	x := noisy(64, 11)
 	out := make([]float64, 64)
-	if err := ErodeFlatInto(x, 0, out, &s); err != ErrBadSE {
+	if err := slidingMinInto(x, 0, 0, out, &s); err != ErrBadSE {
 		t.Errorf("k=0: got %v", err)
+	}
+	if err := slidingMaxInto(x, 3, 1, out[:32], &s); err != ErrBadSE {
+		t.Errorf("short wedge out: got %v", err)
 	}
 	if err := FilterInto(x, FilterConfig{Fs: 256}, out[:32], &s); err != ErrBadSE {
 		t.Errorf("short out: got %v", err)

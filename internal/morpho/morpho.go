@@ -9,10 +9,13 @@
 // computational demands of the morphological operations can be
 // drastically reduced by keeping track of only the center value, maximum
 // and minimum in a sliding window of the input signal". ErodeFlat and
-// DilateFlat therefore use the van Herk/Gil-Werman sliding-window
-// algorithm, which costs O(1) comparisons per sample independent of the
-// structuring-element length; the naive O(k) variants are retained for
-// the ablation benchmark.
+// DilateFlat therefore use the monotonic wedge (Lemire 2006, "Streaming
+// maximum-minimum filter using no more than three comparisons per
+// element"), which costs O(1) amortised comparisons per sample
+// independent of the structuring-element length; the naive O(k)
+// variants are retained for the ablation benchmark. The conditioning
+// filter (FilterInto) runs three wedge passes and one 3-sample stencil
+// per lead; filter.go explains the schedule.
 package morpho
 
 import "errors"
@@ -20,15 +23,16 @@ import "errors"
 // ErrBadSE is returned when a structuring-element length is not positive.
 var ErrBadSE = errors.New("morpho: structuring element length must be >= 1")
 
-// Scratch holds the reusable work buffers of the Into operator variants.
-// A zero Scratch is ready to use; buffers grow on demand. One Scratch
-// serves one operator chain at a time (not concurrency-safe). Buffers
-// handed to Into functions as out must be caller-owned — never slices
-// returned by this scratch.
+// Scratch holds the reusable work buffers of the conditioning filter:
+// the wedge's candidate buffers and FilterInto's two stage buffers. A
+// zero Scratch is ready to use; buffers grow on demand. One Scratch
+// serves one filter call at a time (not concurrency-safe). Buffers
+// handed to FilterInto or ConditionInto must be caller-owned — never
+// slices returned by this scratch.
 type Scratch struct {
 	idx  []int
 	vals []float64
-	bufs [4][]float64
+	bufs [2][]float64
 }
 
 // deque returns the wedge index buffer, grown to n entries.
@@ -68,7 +72,7 @@ func clampIdx(i, n int) int {
 }
 
 // ErodeFlat computes flat erosion with a centred window of length k in
-// O(1) amortised comparisons per sample (monotonic-deque sliding
+// O(1) amortised comparisons per sample (monotonic-wedge sliding
 // minimum). Borders use edge replication, matching the naive variant
 // exactly.
 func ErodeFlat(x []float64, k int) ([]float64, error) {
@@ -81,26 +85,14 @@ func DilateFlat(x []float64, k int) ([]float64, error) {
 	return slidingExtremumAlloc(x, k, false)
 }
 
-// ErodeFlatInto is ErodeFlat writing into out (len(x)), drawing the
-// deque from s — allocation-free in steady state. out must not alias x.
-func ErodeFlatInto(x []float64, k int, out []float64, s *Scratch) error {
-	return slidingMinInto(x, k, out, s)
-}
-
-// DilateFlatInto is DilateFlat writing into out (len(x)), drawing the
-// deque from s. out must not alias x.
-func DilateFlatInto(x []float64, k int, out []float64, s *Scratch) error {
-	return slidingMaxInto(x, k, out, s)
-}
-
 func slidingExtremumAlloc(x []float64, k int, min bool) ([]float64, error) {
 	out := make([]float64, len(x))
 	var s Scratch
 	var err error
 	if min {
-		err = slidingMinInto(x, k, out, &s)
+		err = slidingMinInto(x, k, k/2, out, &s)
 	} else {
-		err = slidingMaxInto(x, k, out, &s)
+		err = slidingMaxInto(x, k, k/2, out, &s)
 	}
 	if err != nil {
 		return nil, err
@@ -116,13 +108,17 @@ func slidingExtremumAlloc(x []float64, k int, min bool) ([]float64, error) {
 // closures. The wedge carries each candidate's value alongside its
 // index, so pops and head reads never re-index the input through border
 // clamping; the selected output bits are unchanged because comparisons
-// only choose which input sample to forward.
+// only choose which input sample to forward. A newcomer pops every
+// candidate it equals, so of equal samples (+0 and −0 included) the
+// latest in the window is the one forwarded.
 //
 // Virtual padded signal of length n + k (edge replication); the window
-// for output i covers virtual indices [i-half, i-half+k-1]. The wedge
-// only ever advances its head, so flat n+k buffers replace a
-// reallocating deque. out must not alias x.
-func slidingMinInto(x []float64, k int, out []float64, s *Scratch) error {
+// for output i covers virtual indices [i-half, i-half+k-1]. A centred
+// element has half = k/2; the conditioning filter's composed dilation
+// passes the sum of its two elements' halves. The wedge only ever
+// advances its head, so flat n+k buffers replace a reallocating deque.
+// out must not alias x.
+func slidingMinInto(x []float64, k, half int, out []float64, s *Scratch) error {
 	if k < 1 {
 		return ErrBadSE
 	}
@@ -133,7 +129,6 @@ func slidingMinInto(x []float64, k int, out []float64, s *Scratch) error {
 	if n == 0 {
 		return nil
 	}
-	half := k / 2
 	idx := s.deque(n + k)
 	vals := s.values(n + k)
 	head, tail := 0, 0 // live wedge is idx/vals[head:tail]
@@ -164,7 +159,7 @@ func slidingMinInto(x []float64, k int, out []float64, s *Scratch) error {
 	return nil
 }
 
-func slidingMaxInto(x []float64, k int, out []float64, s *Scratch) error {
+func slidingMaxInto(x []float64, k, half int, out []float64, s *Scratch) error {
 	if k < 1 {
 		return ErrBadSE
 	}
@@ -175,7 +170,6 @@ func slidingMaxInto(x []float64, k int, out []float64, s *Scratch) error {
 	if n == 0 {
 		return nil
 	}
-	half := k / 2
 	idx := s.deque(n + k)
 	vals := s.values(n + k)
 	head, tail := 0, 0
@@ -202,27 +196,4 @@ func slidingMaxInto(x []float64, k int, out []float64, s *Scratch) error {
 		out[i] = vals[head]
 	}
 	return nil
-}
-
-// OpenFlatInto computes morphological opening (erosion then dilation)
-// with a flat structuring element of length k into out, with
-// intermediates from s: it removes positive peaks narrower than k. out
-// must not alias x.
-func OpenFlatInto(x []float64, k int, out []float64, s *Scratch) error {
-	t := s.buffer(0, len(x))
-	if err := ErodeFlatInto(x, k, t, s); err != nil {
-		return err
-	}
-	return DilateFlatInto(t, k, out, s)
-}
-
-// CloseFlatInto computes morphological closing (dilation then erosion)
-// into out, with intermediates from s: it fills negative pits narrower
-// than k. out must not alias x.
-func CloseFlatInto(x []float64, k int, out []float64, s *Scratch) error {
-	t := s.buffer(0, len(x))
-	if err := DilateFlatInto(x, k, t, s); err != nil {
-		return err
-	}
-	return ErodeFlatInto(t, k, out, s)
 }

@@ -51,9 +51,9 @@ func TestDilateBasic(t *testing.T) {
 	}
 }
 
-// Property: the van Herk implementation matches the naive O(n*k) one for
+// Property: the monotonic wedge matches the naive O(n*k) scan for
 // random signals and window lengths (the ablation's correctness leg).
-func TestVanHerkMatchesNaive(t *testing.T) {
+func TestWedgeMatchesNaive(t *testing.T) {
 	f := func(seed int64, kk uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 50 + int(kk%100)
@@ -240,12 +240,12 @@ func TestSlidingExtremumWindowLargerThanSignal(t *testing.T) {
 	}
 }
 
-// The naive O(k) operators (the van Herk ablation's baseline) and the
+// The naive O(k) operators (the wedge ablation's baseline) and the
 // allocating opening and closing below are read only by the tests.
 
 // ErodeFlatNaive computes flat erosion (sliding minimum) with a centred
 // window of length k using the direct O(n*k) algorithm. Borders use edge
-// replication. Kept as the baseline for BenchmarkAblationVanHerk.
+// replication. Kept as the baseline for BenchmarkAblationWedge.
 func ErodeFlatNaive(x []float64, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, ErrBadSE
@@ -313,16 +313,16 @@ func CloseFlat(x []float64, k int) ([]float64, error) {
 	return ErodeFlat(d, k)
 }
 
-// BenchmarkAblationVanHerk compares the O(1)-per-sample sliding-window
+// BenchmarkAblationWedge compares the O(1)-per-sample sliding-window
 // erosion against the naive O(k) implementation (Section IV.A).
-func BenchmarkAblationVanHerk(b *testing.B) {
+func BenchmarkAblationWedge(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x := make([]float64, 4096)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
 	k := 51 // the 0.2 s baseline SE at 256 Hz
-	b.Run("vanherk", func(b *testing.B) {
+	b.Run("wedge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := ErodeFlat(x, k); err != nil {
 				b.Fatal(err)

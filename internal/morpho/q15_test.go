@@ -219,12 +219,12 @@ func CloseFlatQ15(x []fixedpt.Q15, k int) ([]fixedpt.Q15, error) {
 // suppression), the node-resident form of Filter. The only rounding is
 // the final halving of the open+close average (one arithmetic shift).
 func FilterQ15(x []fixedpt.Q15, cfg FilterConfig) ([]fixedpt.Q15, error) {
-	c := cfg.withDefaults()
-	opened, err := OpenFlatQ15(x, c.BaselineSE)
+	l0 := cfg.baselineSE()
+	opened, err := OpenFlatQ15(x, l0)
 	if err != nil {
 		return nil, err
 	}
-	base, err := CloseFlatQ15(opened, c.BaselineSE+c.BaselineSE/2)
+	base, err := CloseFlatQ15(opened, l0+l0/2)
 	if err != nil {
 		return nil, err
 	}
@@ -232,11 +232,11 @@ func FilterQ15(x []fixedpt.Q15, cfg FilterConfig) ([]fixedpt.Q15, error) {
 	for i := range x {
 		corrected[i] = fixedpt.SatSub(x[i], base[i])
 	}
-	o, err := OpenFlatQ15(corrected, c.NoiseSE)
+	o, err := OpenFlatQ15(corrected, 3)
 	if err != nil {
 		return nil, err
 	}
-	cl, err := CloseFlatQ15(corrected, c.NoiseSE)
+	cl, err := CloseFlatQ15(corrected, 3)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ type AppSpec struct {
 }
 
 // perSampleMF appends one sample of morphological conditioning: the
-// four van Herk sliding stages of the baseline filter plus the short
+// four sliding min/max stages of the baseline filter plus the short
 // open/close noise stage, with one data-dependent branch for the
 // monotonic-wedge maintenance.
 func perSampleMF(b *Builder) {

@@ -49,6 +49,7 @@ var kernels = []string{
 	"wbsn/internal/dsp.CombineRMSInto",
 	"wbsn/internal/morpho.slidingMinInto",
 	"wbsn/internal/morpho.slidingMaxInto",
+	"wbsn/internal/morpho.noiseInto",
 	"wbsn/internal/graph.(*Exec).runFilterCombine",
 	"wbsn/internal/delineation.(*WaveletDelineator).DelineateCoeffs",
 	"wbsn/internal/delineation.(*WaveletDelineator).detectQRS",
