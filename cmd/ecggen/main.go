@@ -53,8 +53,8 @@ func main() {
 // parseArgs parses the command line into the generator configuration
 // and the signal and annotation paths. ecg.Config reads a zero or
 // negative duration, rate or heart rate as "use the default", so those
-// are refused here rather than silently replaced, as are ectopy
-// probabilities outside [0, 1].
+// are refused here rather than silently replaced, as are a rate above
+// ecg.MaxFs and ectopy probabilities outside [0, 1].
 func parseArgs(args []string) (cfg ecg.Config, out, ann string, err error) {
 	fl := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
@@ -75,6 +75,8 @@ func parseArgs(args []string) (cfg ecg.Config, out, ann string, err error) {
 		return cfg, "", "", fmt.Errorf("-dur %g: want a positive duration in seconds", *dur)
 	case !(*fs > 0):
 		return cfg, "", "", fmt.Errorf("-fs %g: want a positive sampling rate in Hz", *fs)
+	case *fs > ecg.MaxFs:
+		return cfg, "", "", fmt.Errorf("-fs %g: above the %d Hz ceiling (ecg.MaxFs)", *fs, ecg.MaxFs)
 	case !(*hr >= 0):
 		return cfg, "", "", fmt.Errorf("-hr %g: want a non-negative heart rate (0 = default)", *hr)
 	case !(*pvc >= 0 && *pvc <= 1):

@@ -6,12 +6,14 @@ import (
 )
 
 // TestParseArgsRefusesOutOfRange: each flag ecg.Config would silently
-// replace by its default, or that is not a probability, is refused
-// with an error naming the flag.
+// replace by its default, a rate above ecg.MaxFs, and a value that is
+// not a probability are refused with an error naming the flag.
 func TestParseArgsRefusesOutOfRange(t *testing.T) {
 	for _, args := range [][]string{
 		{"-dur", "-5"},
 		{"-fs", "0"},
+		{"-fs", "10001"},
+		{"-fs", "1e9"},
 		{"-hr", "-50"},
 		{"-pvc", "2"},
 		{"-apb", "-1"},
@@ -32,5 +34,8 @@ func TestParseArgsKeepsDefaults(t *testing.T) {
 	}
 	if cfg.Duration != 30 || cfg.Fs != 256 || cfg.Seed != 1 || cfg.Rhythm.PVCRate != 1 || out != "rec.csv" || ann != "" {
 		t.Fatalf("config %+v, out %q, ann %q", cfg, out, ann)
+	}
+	if cfg, _, _, err := parseArgs([]string{"-fs", "10000"}); err != nil || cfg.Fs != 10000 {
+		t.Fatalf("-fs at the ceiling: config %+v, err %v", cfg, err)
 	}
 }

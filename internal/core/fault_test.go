@@ -18,6 +18,8 @@ func TestConfigRejectsNonFiniteFields(t *testing.T) {
 		{Mode: ModeCS, Fs: nan},
 		{Mode: ModeCS, Fs: inf},
 		{Mode: ModeCS, Fs: -256},
+		{Mode: ModeCS, Fs: 2 * ecg.MaxFs},
+		{Mode: ModeDelineation, Fs: 2 * ecg.MaxFs},
 		{Mode: ModeCS, CSRatio: nan},
 		{Mode: ModeCS, CSRatio: -5},
 		{Mode: ModeCS, CSRatio: 100},

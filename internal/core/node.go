@@ -129,6 +129,9 @@ func (c Config) validate() error {
 	if err := finite("Fs", c.Fs); err != nil {
 		return err
 	}
+	if c.Fs > ecg.MaxFs {
+		return fmt.Errorf("%w: Fs %v Hz exceeds ecg.MaxFs (%d Hz)", ErrConfig, c.Fs, ecg.MaxFs)
+	}
 	if err := finite("CSRatio", c.CSRatio); err != nil {
 		return err
 	}

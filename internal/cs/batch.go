@@ -5,10 +5,10 @@ package cs
 // single lead is a one-lead joint solve, and the gateway engine
 // dispatches K windows at once. Each window's per-lead coefficient
 // vectors live as contiguous n-long stripes ("planes") of shared
-// backing slices, Φ derived state is read once per batch, every CSR
-// walk of an iteration sweeps all still-active planes in 3-plane tiles
-// (matrix_batch.go), and the wavelet transforms run plane by plane
-// through the output-tiled DWT kernels. This file holds the shared
+// backing slices, Φ derived state is read once per batch, every Φ and
+// Φᵀ sweep of an iteration covers all still-active planes in 3-plane
+// tiles (matrix_batch.go), and the wavelet transforms run plane by
+// plane through the 8-tap DWT kernels. This file holds the shared
 // buffers and the batched gradient; the per-window control flow —
 // reweighting passes, adaptive restart, Tol early exit, warm seeding,
 // divergence fallback — is the joint solver's per-item state machine

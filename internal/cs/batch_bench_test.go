@@ -75,3 +75,32 @@ func BenchmarkFISTABatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSensingBatch times one batched Φ and one batched Φᵀ over a
+// 24-plane dispatch (8 joint 3-lead windows of 512 samples at CR 60,
+// the node's Density), the two sensing sweeps of every FISTA gradient:
+// applyBatch reduces the CSR rows and applyTBatch gathers the columns,
+// three planes per tile.
+func BenchmarkSensingBatch(b *testing.B) {
+	const n, planes = 512, 24
+	m := MeasurementsForCR(n, 60)
+	phi, err := NewSparseBinary(m, n, Density, rand.New(rand.NewSource(42)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(43))
+	x := make([]float64, planes*n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	y := make([]float64, planes*m)
+	z := make([]float64, planes*n)
+	list := make([]int, planes)
+	for p := range list {
+		list[p] = p
+	}
+	for b.Loop() {
+		phi.applyBatch(x, n, y, m, list)
+		phi.applyTBatch(y, m, z, n, list)
+	}
+}

@@ -200,24 +200,42 @@ func (d *Decoder) stepJoint(ji int, items []*BatchItem, bs *batchScratch) bool {
 			}
 		}
 	}
-	st.Iters++
-	restart := false
-	var diffSq, normSq float64
+	// The next momentum θ + β(θ − θprev) depends on tk alone, so the
+	// sweep that reads the new iterate writes it. The adaptive sweep
+	// also forms the convergence and restart sums, reading the old
+	// momentum for the restart test before overwriting it, and a
+	// restart then overwrites it with θ; the fixed-budget sweep (Tol
+	// == 0) writes the momentum alone and leaves dot at 0.
+	tNext := (1 + math.Sqrt(1+4*jt.tk*jt.tk)) / 2
+	beta := (jt.tk - 1) / tNext
+	var diffSq, normSq, dot float64
 	if adaptive {
-		dot := 0.0
 		for l := 0; l < L; l++ {
 			tlv, plv, mlv := tl[l], pl[l], ml[l]
-			for i := range tlv {
-				dd := tlv[i] - plv[i]
+			plv = plv[:len(tlv)]
+			mlv = mlv[:len(tlv)]
+			for i, tv := range tlv {
+				dd := tv - plv[i]
 				diffSq += dd * dd
-				normSq += tlv[i] * tlv[i]
-				dot += (mlv[i] - tlv[i]) * dd
+				normSq += tv * tv
+				dot += (mlv[i] - tv) * dd
+				mlv[i] = tv + beta*dd
 			}
 		}
-		if dot > 0 {
-			restart = true
-			st.Restarts++
+	} else {
+		for l := 0; l < L; l++ {
+			tlv, plv, mlv := tl[l], pl[l], ml[l]
+			plv = plv[:len(tlv)]
+			mlv = mlv[:len(tlv)]
+			for i, tv := range tlv {
+				mlv[i] = tv + beta*(tv-plv[i])
+			}
 		}
+	}
+	st.Iters++
+	restart := dot > 0
+	if restart {
+		st.Restarts++
 	}
 	if adaptive && jt.it+1 >= minIters && diffSq <= tol*tol*(normSq+tinyNormSq) {
 		obj := d.objectiveItem(jt, bs)
@@ -233,14 +251,6 @@ func (d *Decoder) stepJoint(ji int, items []*BatchItem, bs *batchScratch) bool {
 			copy(ml[l], tl[l])
 		}
 	} else {
-		tNext := (1 + math.Sqrt(1+4*jt.tk*jt.tk)) / 2
-		beta := (jt.tk - 1) / tNext
-		for l := 0; l < L; l++ {
-			tlv, plv, mlv := tl[l], pl[l], ml[l]
-			for i := range mlv {
-				mlv[i] = tlv[i] + beta*(tlv[i]-plv[i])
-			}
-		}
 		jt.tk = tNext
 	}
 	jt.it++

@@ -423,8 +423,7 @@ func TestBatchRejectsMalformedItems(t *testing.T) {
 // TestBatchKernelsMatchScalar pins the bit-identity of the batched
 // sensing-matrix kernels against Apply/ApplyT, comparing IEEE-754 bit
 // patterns so a signed zero counts, for 1 to 7 planes: full 3-plane
-// tiles and both remainder lengths. Zero residual entries (whose row
-// skip the batch kernel intentionally drops) and ±0 signal entries are
+// tiles and both remainder lengths. ±0 signal and residual entries are
 // included.
 func TestBatchKernelsMatchScalar(t *testing.T) {
 	const n = 256

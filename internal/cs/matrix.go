@@ -51,18 +51,16 @@ type SparseBinary struct {
 	// idx is the flattened column index list: idx[c*d : (c+1)*d] holds
 	// the d row indices of column c, sorted ascending. One contiguous
 	// allocation instead of n small slices keeps the kernels walking a
-	// single cache-friendly array; the ascending order makes the
-	// column-major and row-major traversals accumulate each output in
-	// the same order, so both kernel layouts are bit-identical.
+	// single cache-friendly array. ApplyT gathers each column's rows
+	// from it into a register and stores z[c] once.
 	idx []int32
 	// rowPtr/rowCols are the row-major CSR companion of idx: row i's
 	// column indices are rowCols[rowPtr[i]:rowPtr[i+1]], ascending.
-	// Apply/ApplyT — the innermost kernels of every FISTA iteration,
-	// executed twice per iteration — walk these contiguous per-row entry
-	// lists: Apply reduces each row into a register and stores y
-	// sequentially (no output zeroing, no read-modify-write), and ApplyT
-	// loads each residual element exactly once per row instead of d
-	// scattered gathers per column.
+	// Apply reduces each row's contiguous entry list into a register
+	// and stores y sequentially (no output zeroing, no read-modify-
+	// write). Each output of either kernel adds its entries in
+	// ascending order, so both agree bit for bit with the scatters over
+	// the other layout (TestApplyCSRMatchesColumnMajor).
 	rowPtr  []int32
 	rowCols []int32
 	scale   float64
@@ -153,28 +151,21 @@ func (s *SparseBinary) Apply(x, y []float64) {
 	}
 }
 
-// ApplyT computes z = Φᵀr over the CSR companion: the residual element
-// r[i] is loaded once per row and added into its contiguous column
-// list. Because every column's row indices are stored ascending, the
-// per-z[c] accumulation order matches the column-major traversal
-// exactly, so the kernels agree bit for bit (TestApplyCSRMatchesColumnMajor).
+// ApplyT computes z = Φᵀr by gathering each column's d residual
+// entries in ascending row order into a register and storing z[c]
+// once. That is the order in which the row-major scatter adds them, so
+// the two agree bit for bit; its skip of zero residual rows changes no
+// bit either, because an accumulator that starts at +0 never becomes
+// −0.
 func (s *SparseBinary) ApplyT(r, z []float64) {
-	for c := range z[:s.n] {
-		z[c] = 0
-	}
-	rowPtr, rowCols := s.rowPtr, s.rowCols
-	for i := 0; i < s.m; i++ {
-		ri := r[i]
-		if ri == 0 {
-			continue
-		}
-		for _, c := range rowCols[rowPtr[i]:rowPtr[i+1]] {
-			z[c] += ri
-		}
-	}
+	idx, d := s.idx, s.d
 	scale := s.scale
 	for c := range z[:s.n] {
-		z[c] *= scale
+		acc := 0.0
+		for _, i := range idx[c*d : c*d+d] {
+			acc += r[i]
+		}
+		z[c] = acc * scale
 	}
 }
 

@@ -2,19 +2,18 @@ package cs
 
 // Batched (structure-of-arrays) sensing-matrix kernels. The batched
 // FISTA solver applies one Φ to many planes per iteration; walking the
-// CSR companion once per plane would reload the index stream for every
-// plane, so the batch kernels walk it once per tile of three planes:
-// the index loads amortise over the tile and the three accumulators
-// give the FP units independent dependency chains. Three is the lead
-// count of the paper's node, and a joint dispatch of K windows holds
-// 3K planes, so every dispatch is fully tiled at every K; other plane
-// counts finish their last one or two planes through Apply/ApplyT.
+// index lists once per plane would reload them for every plane, so the
+// batch kernels walk them once per tile of three planes: the index
+// loads amortise over the tile and the three accumulators give the FP
+// units independent dependency chains. Φ walks the CSR row lists and Φᵀ
+// gathers each column's row list (idx), and both store each output
+// once. Three is the lead count of the paper's node, and a joint
+// dispatch of K windows holds 3K planes, so every dispatch is fully
+// tiled at every K; other plane counts finish their last one or two
+// planes through Apply/ApplyT.
 //
 // Bit-identity contract: per plane the accumulation order equals the
-// scalar Apply/ApplyT kernels exactly. ApplyT's zero-residual row skip
-// is dropped in the batch kernel — adding ±0.0 into accumulators that
-// start at +0.0 can never change a bit, so the unconditional walk is
-// bitwise identical (TestBatchKernelsMatchScalar pins this).
+// scalar Apply/ApplyT kernels exactly (TestBatchKernelsMatchScalar).
 
 // batchApplier is implemented by sensing matrices that can apply
 // themselves across a structure-of-arrays plane set in one sweep. x/z
@@ -56,11 +55,11 @@ func (s *SparseBinary) applyBatch(x []float64, n int, y []float64, m int, planes
 	}
 }
 
-// applyTBatch computes z_p = Φᵀr_p for every listed plane. The residual
-// elements of the tile are loaded once per row and scattered into three
-// stripes; per plane the per-z[c] accumulation order matches ApplyT.
+// applyTBatch computes z_p = Φᵀr_p for every listed plane, gathering
+// each column's rows once per 3-plane tile into three accumulators;
+// per plane each z[c] adds its rows in ApplyT's ascending order.
 func (s *SparseBinary) applyTBatch(r []float64, m int, z []float64, n int, planes []int) {
-	rowPtr, rowCols := s.rowPtr, s.rowCols
+	idx, d := s.idx, s.d
 	scale := s.scale
 	t := 0
 	for ; t+3 <= len(planes); t += 3 {
@@ -70,23 +69,16 @@ func (s *SparseBinary) applyTBatch(r []float64, m int, z []float64, n int, plane
 		z0 := z[planes[t]*n : planes[t]*n+n]
 		z1 := z[planes[t+1]*n : planes[t+1]*n+n]
 		z2 := z[planes[t+2]*n : planes[t+2]*n+n]
-		for c := 0; c < n; c++ {
-			z0[c] = 0
-			z1[c] = 0
-			z2[c] = 0
-		}
-		for i := 0; i < s.m; i++ {
-			v0, v1, v2 := r0[i], r1[i], r2[i]
-			for _, c := range rowCols[rowPtr[i]:rowPtr[i+1]] {
-				z0[c] += v0
-				z1[c] += v1
-				z2[c] += v2
+		for c := range z0 {
+			var a0, a1, a2 float64
+			for _, i := range idx[c*d : c*d+d] {
+				a0 += r0[i]
+				a1 += r1[i]
+				a2 += r2[i]
 			}
-		}
-		for c := 0; c < n; c++ {
-			z0[c] *= scale
-			z1[c] *= scale
-			z2[c] *= scale
+			z0[c] = a0 * scale
+			z1[c] = a1 * scale
+			z2[c] = a2 * scale
 		}
 	}
 	for ; t < len(planes); t++ {

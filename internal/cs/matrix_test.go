@@ -185,13 +185,18 @@ func TestMeasurementsForCR(t *testing.T) {
 	}
 }
 
-// TestApplyCSRMatchesColumnMajor pins the kernel-layout contract: the
-// row-major CSR traversal used by Apply/ApplyT must agree bit for bit
-// with the column-major reference, because each output element
-// accumulates its entries in the same ascending order either way
-// (columns store their rows sorted; rows store their columns sorted).
-// Gateway digests therefore do not depend on which layout decodes.
+// TestApplyCSRMatchesColumnMajor pins the kernel-layout contract: Apply
+// reduces the row-major CSR lists and ApplyT gathers the column lists,
+// and each must agree bit for bit with the frozen scatter over the
+// other layout, because every output adds its entries in the same
+// ascending order either way (columns store their rows sorted; rows
+// store their columns sorted). The scatters skip zero inputs and the
+// reductions do not, so x and r carry +0 and −0 entries throughout and
+// outputs are compared by their IEEE-754 bit patterns: a signed zero
+// that one layout produced and the other did not would show. Gateway
+// digests therefore do not depend on which layout decodes.
 func TestApplyCSRMatchesColumnMajor(t *testing.T) {
+	negZero := math.Copysign(0, -1)
 	for _, dims := range []struct{ m, n, d int }{
 		{175, 512, 4}, {64, 256, 2}, {40, 96, 7},
 	} {
@@ -200,32 +205,43 @@ func TestApplyCSRMatchesColumnMajor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// draw returns +0 or −0 a quarter of the time each, so whole
+		// columns and rows of zeros occur, and a normal deviate
+		// otherwise.
+		draw := func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return negZero
+			default:
+				return rng.NormFloat64()
+			}
+		}
 		x := make([]float64, dims.n)
 		for i := range x {
-			x[i] = rng.NormFloat64()
+			x[i] = draw()
 		}
-		x[0], x[1] = 0, math.Copysign(0, -1) // exercise the zero-skip paths
 		yCSR := make([]float64, dims.m)
 		yCol := make([]float64, dims.m)
 		sb.Apply(x, yCSR)
 		sb.applyColMajor(x, yCol)
 		for i := range yCSR {
-			if yCSR[i] != yCol[i] {
-				t.Fatalf("m=%d: Apply CSR y[%d]=%g, column-major %g", dims.m, i, yCSR[i], yCol[i])
+			if math.Float64bits(yCSR[i]) != math.Float64bits(yCol[i]) {
+				t.Fatalf("m=%d: Apply CSR y[%d]=%g, column-major scatter %g", dims.m, i, yCSR[i], yCol[i])
 			}
 		}
 		r := make([]float64, dims.m)
 		for i := range r {
-			r[i] = rng.NormFloat64()
+			r[i] = draw()
 		}
-		r[0] = 0
-		zCSR := make([]float64, dims.n)
 		zCol := make([]float64, dims.n)
-		sb.ApplyT(r, zCSR)
-		sb.applyTColMajor(r, zCol)
-		for c := range zCSR {
-			if zCSR[c] != zCol[c] {
-				t.Fatalf("m=%d: ApplyT CSR z[%d]=%g, column-major %g", dims.m, c, zCSR[c], zCol[c])
+		zCSR := make([]float64, dims.n)
+		sb.ApplyT(r, zCol)
+		sb.applyTCSR(r, zCSR)
+		for c := range zCol {
+			if math.Float64bits(zCol[c]) != math.Float64bits(zCSR[c]) {
+				t.Fatalf("m=%d: ApplyT column gather z[%d]=%g, CSR scatter %g", dims.m, c, zCol[c], zCSR[c])
 			}
 		}
 	}
@@ -251,17 +267,27 @@ func (s *SparseBinary) applyColMajor(x, y []float64) {
 	}
 }
 
-// applyTColMajor is the pre-CSR column-major z = Φᵀr kernel: every
-// column gathers its d residual entries (scattered loads). Frozen here
-// as the bit-identity reference for TestApplyCSRMatchesColumnMajor.
-func (s *SparseBinary) applyTColMajor(r, z []float64) {
-	d := s.d
-	for c := 0; c < s.n; c++ {
-		acc := 0.0
-		for _, ri := range s.idx[c*d : (c+1)*d] {
-			acc += r[ri]
+// applyTCSR is the row-major CSR z = Φᵀr scatter that ApplyT ran
+// before the column gather: each nonzero residual element is loaded
+// once per row and added into its row's column list. Frozen here as
+// the bit-identity reference for TestApplyCSRMatchesColumnMajor.
+func (s *SparseBinary) applyTCSR(r, z []float64) {
+	for c := range z[:s.n] {
+		z[c] = 0
+	}
+	rowPtr, rowCols := s.rowPtr, s.rowCols
+	for i := 0; i < s.m; i++ {
+		ri := r[i]
+		if ri == 0 {
+			continue
 		}
-		z[c] = acc * s.scale
+		for _, c := range rowCols[rowPtr[i]:rowPtr[i+1]] {
+			z[c] += ri
+		}
+	}
+	scale := s.scale
+	for c := range z[:s.n] {
+		z[c] *= scale
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 
 // ReadCSV parses a record written by WriteCSV: a header line ("t,lead1,
 // lead2,...") followed by one row per sample. The sampling rate is
-// recovered from the time column. Annotations are not part of the signal
-// file; attach them with ReadAnnotations.
+// recovered from the time column and must not exceed MaxFs.
+// Annotations are not part of the signal file; attach them with
+// ReadAnnotations.
 func ReadCSV(r io.Reader) (*Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -66,6 +67,14 @@ func ReadCSV(r io.Reader) (*Record, error) {
 	// Recover the rate from the full span (robust to the per-row
 	// decimal truncation of the time column).
 	rec.Fs = float64(row-1) / span
+	// A record written at exactly MaxFs can read a few ulps above it
+	// through its decimal time column; such a rate is the ceiling.
+	switch {
+	case rec.Fs > MaxFs*(1+1e-9):
+		return nil, fmt.Errorf("ecg: sampling rate %g Hz from the time column exceeds MaxFs (%d Hz)", rec.Fs, MaxFs)
+	case rec.Fs > MaxFs:
+		rec.Fs = MaxFs
+	}
 	return rec, nil
 }
 

@@ -73,6 +73,33 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRefusesRateAboveCeiling: a 4-row CSV whose time column
+// steps by a nanosecond recovers 1 GHz, which the readers would have
+// sized buffers from; it is refused with an error naming the rate. A
+// record written at exactly MaxFs reads back at MaxFs, whichever way
+// its decimal time column rounds (170 samples read one ulp above it
+// before the check).
+func TestReadCSVRefusesRateAboveCeiling(t *testing.T) {
+	tiny := "t,lead1\n0,0.1\n0.000000001,0.2\n0.000000002,0.3\n0.000000003,0.4\n"
+	if rec, err := ReadCSV(strings.NewReader(tiny)); err == nil || !strings.Contains(err.Error(), "1e+09 Hz") {
+		t.Fatalf("1 GHz CSV: record %v, err %v; want an error naming the rate", rec, err)
+	}
+	for _, n := range []int{2, 4, 170, 1000} {
+		in := &Record{Fs: MaxFs, Leads: [][]float64{make([]float64, n)}}
+		var buf bytes.Buffer
+		if err := in.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("%d samples at MaxFs: %v", n, err)
+		}
+		if rec.Fs > MaxFs || rec.Fs < MaxFs*(1-1e-9) {
+			t.Errorf("%d samples at MaxFs read back at %v Hz", n, rec.Fs)
+		}
+	}
+}
+
 func TestReadAnnotationsErrors(t *testing.T) {
 	rec := Generate(Config{Seed: 9, Duration: 5})
 	cases := map[string]string{

@@ -98,6 +98,14 @@ type Record struct {
 	AFSegments [][2]int
 }
 
+// MaxFs is the highest sampling rate, in Hz, that ReadCSV, the node's
+// configuration (core.Config) and the ecggen command accept. It is 40
+// times the paper's 250 Hz and above any ECG front end, and it keeps
+// the buffers sized from the rate small: the node's 4·Fs-sample chunk
+// arena is about 1.9 MB at it. Without a ceiling, a CSV whose time
+// column steps by a nanosecond made those buffers ask for gigabytes.
+const MaxFs = 10000
+
 // ErrNoLeads is returned by record utilities when the record is empty.
 var ErrNoLeads = errors.New("ecg: record has no leads")
 

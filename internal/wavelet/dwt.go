@@ -15,11 +15,14 @@
 //     (Section IV.A).
 //
 // The DWT's per-level kernels are the inner loops of every FISTA
-// iteration at the gateway. Analysis computes four outputs per step
-// over plain subslices, so each tap loop keeps four independent
-// accumulator chains, and only the last few outputs, whose taps wrap
-// past the end of the signal, index modulo the length. Synthesis is a
-// gather: each output sums its L/2 taps in the ascending order the
+// iteration at the gateway, and they are fitted to the one basis that
+// runs there, the 8-tap Daubechies-8. Analysis computes two outputs per
+// step from one ten-sample window that feeds both filters, so each
+// sample is loaded once per step, and only the last three outputs,
+// whose taps wrap past the end of the signal, index modulo the length.
+// Synthesis is a gather over four outputs per step: its four tap rows
+// meet the five approximation and five detail values those outputs
+// read, and each output sums its four taps in the ascending order the
 // textbook scatter x[2i+k] += h[k]·a[i] + g[k]·d[i] applies them. Both
 // kernels keep the floating-point operation sequence of the
 // one-output-at-a-time loops bit for bit (kernel_ref_test.go pins this
@@ -34,44 +37,26 @@ var (
 	ErrLevels = errors.New("wavelet: invalid number of decomposition levels")
 )
 
-// Orthogonal holds an orthogonal wavelet's analysis low-pass filter; the
-// remaining three filters follow by quadrature-mirror relations. The
-// high-pass mirror and the synthesis gather taps are derived once at
-// construction so the per-level transform kernels never allocate.
+// Orthogonal holds an orthogonal 8-tap wavelet's analysis low-pass
+// filter and the high-pass its quadrature-mirror relation derives once
+// at construction, so the per-level transform kernels never allocate.
+// The synthesis filters are the same taps read in reverse.
 type Orthogonal struct {
-	h  []float64 // analysis low-pass
-	gf []float64 // analysis high-pass (alternating-flip of h)
-	// syn holds the synthesis taps in gather order, one row per step t
-	// of the L/2 taps an output sums: {h[L-2-2t], h[L-1-2t], g[L-2-2t],
-	// g[L-1-2t]}, so output 2m+p adds syn[t][p]·a[m-L/2+1+t] +
-	// syn[t][2+p]·d[m-L/2+1+t] over ascending t.
-	syn [][4]float64
+	h  [8]float64 // analysis low-pass
+	gf [8]float64 // analysis high-pass (alternating flip of h)
 }
 
 // newOrthogonal derives the quadrature-mirror high-pass at construction,
-// g[k] = (-1)^k h[L-1-k], and the gather-ordered synthesis taps.
-func newOrthogonal(h []float64) *Orthogonal {
-	L := len(h)
-	g := make([]float64, L)
-	for k := 0; k < L; k++ {
-		if k%2 == 0 {
-			g[k] = h[L-1-k]
-		} else {
-			g[k] = -h[L-1-k]
-		}
-	}
-	var syn [][4]float64
-	for k := L - 2; k >= 0; k -= 2 {
-		syn = append(syn, [4]float64{h[k], h[k+1], g[k], g[k+1]})
-	}
-	return &Orthogonal{h: h, gf: g, syn: syn}
+// g[k] = (-1)^k h[7-k].
+func newOrthogonal(h [8]float64) *Orthogonal {
+	return &Orthogonal{h: h, gf: [8]float64{h[7], -h[6], h[5], -h[4], h[3], -h[2], h[1], -h[0]}}
 }
 
 // Daubechies8 returns the 8-tap Daubechies wavelet (db4 in MATLAB
 // nomenclature, 4 vanishing moments) — the standard ECG sparsity basis in
 // the CS literature the paper builds on.
 func Daubechies8() *Orthogonal {
-	return newOrthogonal([]float64{
+	return newOrthogonal([8]float64{
 		0.23037781330885523, 0.71484657055254153,
 		0.63088076792959036, -0.02798376941698385,
 		-0.18703481171888114, 0.03084138183598697,
@@ -94,117 +79,6 @@ func (w *Orthogonal) CheckLength(n, levels int) error {
 		return ErrLength
 	}
 	return nil
-}
-
-// analyzeOne performs one decimating analysis step with periodic
-// boundaries, writing approximation into a and detail into d (each
-// len(x)/2). len(x) must be even and at least the filter length.
-// Output i sums h[k]·x[2i+k] (and g[k]·x[2i+k]) over ascending k; four
-// outputs run per step over plain subslices while their taps stay
-// inside x, and only the tail wraps.
-func (w *Orthogonal) analyzeOne(x, a, d []float64) {
-	n := len(x)
-	h := w.h
-	L := len(h)
-	g := w.gf[:L]
-	half := n / 2
-	// Outputs below inner read x[2i : 2i+L] without wrapping.
-	inner := (n-L)/2 + 1
-	i := 0
-	for ; i+4 <= inner; i += 4 {
-		b := 2 * i
-		x0 := x[b : b+L]
-		x1 := x[b+2 : b+2+L]
-		x2 := x[b+4 : b+4+L]
-		x3 := x[b+6 : b+6+L]
-		var sa0, sa1, sa2, sa3 float64
-		for k, hk := range h {
-			sa0 += hk * x0[k]
-			sa1 += hk * x1[k]
-			sa2 += hk * x2[k]
-			sa3 += hk * x3[k]
-		}
-		var sd0, sd1, sd2, sd3 float64
-		for k, gk := range g {
-			sd0 += gk * x0[k]
-			sd1 += gk * x1[k]
-			sd2 += gk * x2[k]
-			sd3 += gk * x3[k]
-		}
-		as, ds := a[i:i+4], d[i:i+4]
-		as[0], as[1], as[2], as[3] = sa0, sa1, sa2, sa3
-		ds[0], ds[1], ds[2], ds[3] = sd0, sd1, sd2, sd3
-	}
-	for ; i < half; i++ {
-		var sa, sd float64
-		for k, hk := range h {
-			j := 2*i + k
-			if j >= n {
-				j -= n
-			}
-			sa += hk * x[j]
-			sd += g[k] * x[j]
-		}
-		a[i] = sa
-		d[i] = sd
-	}
-}
-
-// synthesizeOne inverts one analysis step (periodic boundaries): x[j]
-// sums h[k]·a[i] + g[k]·d[i] over every (i, k) with 2i+k ≡ j (mod
-// len(x)), in ascending i. Outputs from L-2 on take no wrapped taps and
-// run four per step; the L-2 head outputs and the tail go through
-// synthesizeAt. len(x) must be even and at least the filter length.
-func (w *Orthogonal) synthesizeOne(a, d, x []float64) {
-	n := len(x)
-	syn := w.syn
-	T := len(syn)
-	j := len(w.h) - 2
-	for ; j+4 <= n; j += 4 {
-		// Outputs j..j+3 are 2m, 2m+1, 2m+2, 2m+3: the first pair reads
-		// a[m-T+1 : m+1], the second the same window one step on, so
-		// each loaded coefficient serves both pairs.
-		m := j / 2
-		a1, d1 := a[m-T+2:m+2], d[m-T+2:m+2]
-		d1 = d1[:len(a1)] // with syn[:len(a1)], no bounds check per tap
-		av, dv := a[m-T+1], d[m-T+1]
-		var x0, x1, x2, x3 float64
-		for t, f := range syn[:len(a1)] {
-			x0 += f[0]*av + f[2]*dv
-			x1 += f[1]*av + f[3]*dv
-			av, dv = a1[t], d1[t]
-			x2 += f[0]*av + f[2]*dv
-			x3 += f[1]*av + f[3]*dv
-		}
-		xs := x[j : j+4]
-		xs[0], xs[1], xs[2], xs[3] = x0, x1, x2, x3
-	}
-	for ; j < n; j++ {
-		x[j] = w.synthesizeAt(a, d, n, j)
-	}
-	for j := 0; j < len(w.h)-2; j++ {
-		x[j] = w.synthesizeAt(a, d, n, j)
-	}
-}
-
-// synthesizeAt returns synthesis output j of an n-sample level tap by
-// tap: first the taps inside the signal (i = (j-k)/2), then those
-// wrapped from its end (i = (j+n-k)/2), each in ascending i. With n at
-// least the filter length every wrapped i exceeds every unwrapped one,
-// so this is the scatter's order.
-func (w *Orthogonal) synthesizeAt(a, d []float64, n, j int) float64 {
-	h, g := w.h, w.gf
-	top := len(h) - 2 + j&1 // the largest tap of j's parity
-	acc := 0.0
-	for k := min(j, top); k >= 0; k -= 2 {
-		i := (j - k) / 2
-		acc += h[k]*a[i] + g[k]*d[i]
-	}
-	for k := top; k > j; k -= 2 {
-		i := (j + n - k) / 2
-		acc += h[k]*a[i] + g[k]*d[i]
-	}
-	return acc
 }
 
 // Scratch holds the ping-pong work buffers the Into transform variants
@@ -283,4 +157,100 @@ func (w *Orthogonal) InverseInto(c []float64, levels int, out []float64, s *Scra
 		cur, next = next, cur
 	}
 	return nil
+}
+
+// analyzeOne performs one decimating analysis step with periodic
+// boundaries, writing approximation into a and detail into d (each
+// len(x)/2). len(x) must be even and at least 8. Output i sums
+// h[k]·x[2i+k] (and g[k]·x[2i+k]) over ascending k. While the taps stay
+// inside x, outputs i and i+1 run together from the ten samples
+// x[2i : 2i+10], each loaded once for both filters; the last three
+// outputs wrap.
+func (w *Orthogonal) analyzeOne(x, a, d []float64) {
+	n := len(x)
+	h, g := &w.h, &w.gf
+	half := n / 2
+	a, d = a[:half], d[:half]
+	// Outputs below half-3 read x[2i : 2i+8] without wrapping; a pair
+	// runs while its second output is one of them. Each sum starts
+	// from +0, as the one-output loop's accumulator does: +0 + (−0) is
+	// +0, so starting from the first product would turn a sum of
+	// signed zeros negative.
+	i := 0
+	for ; i < half-4; i += 2 {
+		v := x[2*i : 2*i+10]
+		x0, x1, x2, x3, x4 := v[0], v[1], v[2], v[3], v[4]
+		x5, x6, x7, x8, x9 := v[5], v[6], v[7], v[8], v[9]
+		ap, dp := a[i:i+2], d[i:i+2]
+		ap[0] = 0 + h[0]*x0 + h[1]*x1 + h[2]*x2 + h[3]*x3 + h[4]*x4 + h[5]*x5 + h[6]*x6 + h[7]*x7
+		dp[0] = 0 + g[0]*x0 + g[1]*x1 + g[2]*x2 + g[3]*x3 + g[4]*x4 + g[5]*x5 + g[6]*x6 + g[7]*x7
+		ap[1] = 0 + h[0]*x2 + h[1]*x3 + h[2]*x4 + h[3]*x5 + h[4]*x6 + h[5]*x7 + h[6]*x8 + h[7]*x9
+		dp[1] = 0 + g[0]*x2 + g[1]*x3 + g[2]*x4 + g[3]*x5 + g[4]*x6 + g[5]*x7 + g[6]*x8 + g[7]*x9
+	}
+	for ; i < half; i++ {
+		var sa, sd float64
+		for k, hk := range h {
+			j := 2*i + k
+			if j >= n {
+				j -= n
+			}
+			sa += hk * x[j]
+			sd += g[k] * x[j]
+		}
+		a[i] = sa
+		d[i] = sd
+	}
+}
+
+// synthesizeOne inverts one analysis step (periodic boundaries): x[j]
+// sums h[k]·a[i] + g[k]·d[i] over every (i, k) with 2i+k ≡ j (mod
+// len(x)), in ascending i. Outputs from 6 on take no wrapped taps and
+// run four per step; the six head outputs and the tail go through
+// synthesizeAt. len(x) must be even and at least 8.
+func (w *Orthogonal) synthesizeOne(a, d, x []float64) {
+	n := len(x)
+	h, g := &w.h, &w.gf
+	j := 6
+	for ; j+4 <= n; j += 4 {
+		// Outputs j..j+3 are 2m, 2m+1, 2m+2, 2m+3: the first pair reads
+		// a[m-3 : m+1] (taps 6, 4, 2, 0 for the even output, 7, 5, 3, 1
+		// for the odd one), the second the same window one step on, so
+		// the five loaded values of a and of d serve both pairs.
+		// Each output adds its four taps to +0, as the analysis does.
+		m := j / 2
+		av, dv := a[m-3:][:5], d[m-3:][:5]
+		a0, a1, a2, a3, a4 := av[0], av[1], av[2], av[3], av[4]
+		d0, d1, d2, d3, d4 := dv[0], dv[1], dv[2], dv[3], dv[4]
+		xs := x[j:][:4]
+		xs[0] = 0 + (h[6]*a0 + g[6]*d0) + (h[4]*a1 + g[4]*d1) + (h[2]*a2 + g[2]*d2) + (h[0]*a3 + g[0]*d3)
+		xs[1] = 0 + (h[7]*a0 + g[7]*d0) + (h[5]*a1 + g[5]*d1) + (h[3]*a2 + g[3]*d2) + (h[1]*a3 + g[1]*d3)
+		xs[2] = 0 + (h[6]*a1 + g[6]*d1) + (h[4]*a2 + g[4]*d2) + (h[2]*a3 + g[2]*d3) + (h[0]*a4 + g[0]*d4)
+		xs[3] = 0 + (h[7]*a1 + g[7]*d1) + (h[5]*a2 + g[5]*d2) + (h[3]*a3 + g[3]*d3) + (h[1]*a4 + g[1]*d4)
+	}
+	for ; j < n; j++ {
+		x[j] = w.synthesizeAt(a, d, n, j)
+	}
+	for j := 0; j < 6; j++ {
+		x[j] = w.synthesizeAt(a, d, n, j)
+	}
+}
+
+// synthesizeAt returns synthesis output j of an n-sample level tap by
+// tap: first the taps inside the signal (i = (j-k)/2), then those
+// wrapped from its end (i = (j+n-k)/2), each in ascending i. With n at
+// least the filter length every wrapped i exceeds every unwrapped one,
+// so this is the scatter's order.
+func (w *Orthogonal) synthesizeAt(a, d []float64, n, j int) float64 {
+	h, g := &w.h, &w.gf
+	top := 6 + j&1 // the largest tap of j's parity
+	acc := 0.0
+	for k := min(j, top); k >= 0; k -= 2 {
+		i := (j - k) / 2
+		acc += h[k]*a[i] + g[k]*d[i]
+	}
+	for k := top; k > j; k -= 2 {
+		i := (j + n - k) / 2
+		acc += h[k]*a[i] + g[k]*d[i]
+	}
+	return acc
 }

@@ -18,7 +18,7 @@ func randSignal(n int, seed int64) []float64 {
 // counterparts: the parallel gateway engine relies on reused scratch
 // producing exactly the results of the fresh-allocation path.
 func TestForwardIntoMatchesForward(t *testing.T) {
-	for _, w := range []*Orthogonal{Haar(), Daubechies4(), Daubechies8(), Symlet8()} {
+	for _, w := range allWavelets() {
 		for _, levels := range []int{1, 3, 5} {
 			x := randSignal(512, 11)
 			want, err := w.Forward(x, levels)
@@ -42,7 +42,7 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 }
 
 func TestInverseIntoMatchesInverse(t *testing.T) {
-	for _, w := range []*Orthogonal{Haar(), Daubechies8()} {
+	for _, w := range allWavelets() {
 		for _, levels := range []int{1, 2, 5} {
 			x := randSignal(256, 12)
 			c, err := w.Forward(x, levels)

@@ -7,15 +7,16 @@ import (
 )
 
 // refAnalyzeOne and refSynthesizeOne are frozen copies of the per-level
-// kernels as they stood before the output-tiled rewrite: one output per
-// step with a modulo wrap on every tap (analysis), and a zero-then-
-// scatter pass in ascending i (synthesis). They are the oracle the
-// production kernels must match bit for bit; the bodies are kept
-// verbatim apart from reading the high-pass filter field directly.
+// kernels as they stood before the output-tiled rewrite, generic in the
+// filter length: one output per step with a modulo wrap on every tap
+// (analysis), and a zero-then-scatter pass in ascending i (synthesis).
+// They are the oracle the 8-tap production kernels must match bit for
+// bit; the bodies are kept verbatim apart from reading the high-pass
+// filter field directly and slicing the fixed-size filter arrays.
 func (w *Orthogonal) refAnalyzeOne(x, a, d []float64) {
 	n := len(x)
-	h := w.h
-	g := w.gf
+	h := w.h[:]
+	g := w.gf[:]
 	L := len(h)
 	for i := 0; i < n/2; i++ {
 		var sa, sd float64
@@ -35,8 +36,8 @@ func (w *Orthogonal) refAnalyzeOne(x, a, d []float64) {
 
 func (w *Orthogonal) refSynthesizeOne(a, d, x []float64) {
 	n := len(x)
-	h := w.h
-	g := w.gf
+	h := w.h[:]
+	g := w.gf[:]
 	L := len(h)
 	for i := range x {
 		x[i] = 0
@@ -85,35 +86,47 @@ func sameBits(got, want []float64) int {
 	return -1
 }
 
-// TestKernelsMatchFrozen pins the output-tiled analysis and the gather
-// synthesis to the frozen kernels bit for bit, for every wavelet and
-// every even length from the filter length to 1024: the tiles, the
-// wrapped synthesis head and the tail loops all meet their boundaries
-// somewhere in that range.
+// TestKernelsMatchFrozen pins the 8-tap analysis and the gather
+// synthesis to the frozen generic kernels bit for bit, for both 8-tap
+// bases and every even length from 8 to 1024: the two-output analysis
+// steps, the four-output synthesis steps, the wrapped synthesis head
+// and the tail loops all meet their boundaries somewhere in that range.
+// Each length also runs inputs of random signed zeros, in which about
+// one output in 256 has only −0 products, so an accumulator that
+// started from the first product instead of from +0 would show.
 func TestKernelsMatchFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, w := range allWavelets() {
 		for n := len(w.h); n <= 1024; n += 2 {
 			half := n / 2
-			x := make([]float64, n)
-			kernelInput(x, rng)
-			a, d := make([]float64, half), make([]float64, half)
-			ra, rd := make([]float64, half), make([]float64, half)
-			w.analyzeOne(x, a, d)
-			w.refAnalyzeOne(x, ra, rd)
-			if i := sameBits(a, ra); i >= 0 {
-				t.Fatalf("%s n=%d: approximation[%d] = %v, frozen %v", w.Name(), n, i, a[i], ra[i])
-			}
-			if i := sameBits(d, rd); i >= 0 {
-				t.Fatalf("%s n=%d: detail[%d] = %v, frozen %v", w.Name(), n, i, d[i], rd[i])
-			}
-			kernelInput(a, rng)
-			kernelInput(d, rng)
-			y, ry := make([]float64, n), make([]float64, n)
-			w.synthesizeOne(a, d, y)
-			w.refSynthesizeOne(a, d, ry)
-			if i := sameBits(y, ry); i >= 0 {
-				t.Fatalf("%s n=%d: synthesis[%d] = %v, frozen %v", w.Name(), n, i, y[i], ry[i])
+			for _, fill := range []string{"random", "signed zeros"} {
+				x := make([]float64, n)
+				a, d := make([]float64, half), make([]float64, half)
+				for _, v := range [][]float64{x, a, d} {
+					if fill == "random" {
+						kernelInput(v, rng)
+						continue
+					}
+					for i := range v {
+						v[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+					}
+				}
+				ga, gd := make([]float64, half), make([]float64, half)
+				ra, rd := make([]float64, half), make([]float64, half)
+				w.analyzeOne(x, ga, gd)
+				w.refAnalyzeOne(x, ra, rd)
+				if i := sameBits(ga, ra); i >= 0 {
+					t.Fatalf("%s n=%d %s: approximation[%d] = %v, frozen %v", w.Name(), n, fill, i, ga[i], ra[i])
+				}
+				if i := sameBits(gd, rd); i >= 0 {
+					t.Fatalf("%s n=%d %s: detail[%d] = %v, frozen %v", w.Name(), n, fill, i, gd[i], rd[i])
+				}
+				y, ry := make([]float64, n), make([]float64, n)
+				w.synthesizeOne(a, d, y)
+				w.refSynthesizeOne(a, d, ry)
+				if i := sameBits(y, ry); i >= 0 {
+					t.Fatalf("%s n=%d %s: synthesis[%d] = %v, frozen %v", w.Name(), n, fill, i, y[i], ry[i])
+				}
 			}
 		}
 	}
@@ -121,13 +134,14 @@ func TestKernelsMatchFrozen(t *testing.T) {
 
 // TestShortLevelRejected: a level whose input is shorter than the
 // filter would wrap a tap window past the signal twice. Such a
-// geometry (db8 or sym8 over 64 samples at 5 levels, whose last level
-// sees 4 samples) must be refused up front with ErrLength, not index
-// out of range inside the kernel.
+// geometry (64 samples at 5 levels, whose last level sees 4 samples)
+// must be refused up front with ErrLength, not index out of range
+// inside the kernel; the deepest geometries that fit (64 samples at 4
+// levels, 8 at 1) must pass.
 func TestShortLevelRejected(t *testing.T) {
 	var s Scratch
 	for _, w := range allWavelets() {
-		for _, tc := range []struct{ n, levels int }{{64, 5}, {32, 4}, {16, 3}, {8, 3}} {
+		for _, tc := range []struct{ n, levels int }{{64, 5}, {64, 4}, {32, 4}, {16, 3}, {8, 3}, {8, 1}} {
 			short := tc.n>>uint(tc.levels-1) < len(w.h)
 			x := randSignal(tc.n, 3)
 			out := make([]float64, tc.n)

@@ -32,19 +32,23 @@ import (
 )
 
 // kernels are the functions whose phase is reported, in output order:
-// the calibration kernel and its driver, the decoder's sensing and
-// wavelet kernels, and the node kernels of the delineation workload.
+// the calibration kernel and its driver, the decoder's sensing kernels
+// with the power iteration that runs them at every decoder's setup,
+// its FISTA step and wavelet kernels, and the node kernels of the
+// delineation workload.
 var kernels = []string{
 	"main.(*calibKernel).pass",
 	"main.(*calibrator).measure",
 	"main.(*calibrator).measure.func1",
 	"wbsn/internal/cs.(*SparseBinary).Apply",
 	"wbsn/internal/cs.(*SparseBinary).ApplyT",
+	"wbsn/internal/cs.OperatorNorm",
 	"wbsn/internal/cs.(*SparseBinary).applyBatch",
 	"wbsn/internal/cs.(*SparseBinary).applyTBatch",
 	"wbsn/internal/cs.(*Decoder).stepJoint",
 	"wbsn/internal/wavelet.(*Orthogonal).analyzeOne",
 	"wbsn/internal/wavelet.(*Orthogonal).synthesizeOne",
+	"wbsn/internal/wavelet.(*Orthogonal).synthesizeAt",
 	"wbsn/internal/wavelet.AtrousInto",
 	"wbsn/internal/dsp.CombineRMSInto",
 	"wbsn/internal/morpho.slidingMinInto",
